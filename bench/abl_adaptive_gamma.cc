@@ -33,7 +33,7 @@ DriftResult RunDrift(bool adaptive, uint64_t fixed_gamma, uint64_t windows,
   config.gamma = fixed_gamma;
   config.adaptive_gamma = adaptive;
   auto system =
-      bench::Unwrap(sim::BuildSystem(config, &network, &clock, 0), "build");
+      bench::Unwrap(sim::BuildSystem(config, &network, &clock), "build");
   system.root->SetResultCallback([](const sim::WindowOutput&) {});
 
   auto pump = [&] {

@@ -35,11 +35,11 @@ int main(int argc, char** argv) {
     config.num_locals = leaves;
     config.gamma = gamma;
     auto system =
-        bench::Unwrap(sim::BuildSystem(config, &network, &clock, 0), "build");
+        bench::Unwrap(sim::BuildSystem(config, &network, &clock), "build");
     sim::WorkloadConfig load = sim::MakeUniformWorkload(
         leaves, windows, rate, bench::SensorDistribution());
     load.window_len_us = config.window_len_us;
-    sim::SyncDriver driver(&system, &network, &clock);
+    sim::SyncDriver driver(&system, &network);
     bench::UnwrapStatus(driver.Run(load), "flat run");
 
     uint64_t root_msgs = 0, root_bytes = 0;
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < leaves; ++i) {
       load.generators[i].node = tree.local_ids[i];
     }
-    sim::TreeSyncDriver driver(&tree, &network, &clock);
+    sim::TreeSyncDriver driver(&tree, &network);
     bench::UnwrapStatus(driver.Run(load), "tree run");
 
     uint64_t root_msgs = 0, root_bytes = 0;

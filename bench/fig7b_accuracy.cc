@@ -28,10 +28,10 @@ std::vector<std::vector<double>> RunMedians(sim::SystemKind kind, size_t locals,
   RealClock clock;
   net::Network network(&clock);
   auto system =
-      bench::Unwrap(sim::BuildSystem(config, &network, &clock, 0), "build");
+      bench::Unwrap(sim::BuildSystem(config, &network, &clock), "build");
   sim::WorkloadConfig workload = load;
   workload.window_len_us = config.window_len_us;
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   bench::UnwrapStatus(driver.Run(workload), "sync run");
 
   std::vector<std::vector<double>> per_window(workload.num_windows);

@@ -49,7 +49,7 @@ int main() {
     load.generators.push_back(gcfg);
   }
 
-  sim::TreeSyncDriver driver(&tree, &network, &clock);
+  sim::TreeSyncDriver driver(&tree, &network);
   Status st = driver.Run(load);
   if (!st.ok()) {
     std::cerr << "run failed: " << st << "\n";

@@ -48,7 +48,7 @@ RunOutput Run(sim::SystemKind kind, const sim::WorkloadConfig& load,
     std::exit(1);
   }
   sim::System system = std::move(system_result).MoveValueUnsafe();
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   driver.set_record_events(record);
   sim::WorkloadConfig workload = load;
   workload.window_len_us = config.window_len_us;

@@ -72,7 +72,7 @@ int main() {
     return 1;
   }
   sim::System system = std::move(system_result).MoveValueUnsafe();
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   Status st = driver.Run(load);
   if (!st.ok()) {
     std::cerr << "run failed: " << st << "\n";

@@ -46,7 +46,7 @@ int main() {
   }
   sim::System system = std::move(system_result).MoveValueUnsafe();
 
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   sim::WorkloadConfig workload = load;
   workload.window_len_us = config.window_len_us;
   Status st = driver.Run(workload);

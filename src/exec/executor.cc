@@ -55,7 +55,7 @@ void Executor::Enqueue(std::function<void()> task) {
   }
   // Pool already stopped: run inline so the caller's future still resolves.
   c_submitted_->Increment();
-  RunTask(std::move(task));
+  task();
 }
 
 void Executor::WorkerLoop() {
@@ -72,18 +72,16 @@ void Executor::WorkerLoop() {
       g_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
     }
     not_full_.notify_one();
-    RunTask(std::move(task));
+    task();
   }
 }
 
-void Executor::RunTask(std::function<void()> task) {
-  auto start = std::chrono::steady_clock::now();
-  task();
+Executor::TaskCharge::~TaskCharge() {
   auto end = std::chrono::steady_clock::now();
-  h_task_run_us_->Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(end - start)
+  pool_->h_task_run_us_->Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
           .count()));
-  c_completed_->Increment();
+  pool_->c_completed_->Increment();
 }
 
 void Executor::Shutdown() {

@@ -64,8 +64,14 @@ class Executor {
   auto Submit(Fn&& fn) -> std::future<std::invoke_result_t<std::decay_t<Fn>>> {
     using R = std::invoke_result_t<std::decay_t<Fn>>;
     // packaged_task is move-only but std::function requires copyable
-    // callables; the shared_ptr wrapper bridges the two.
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
+    // callables; the shared_ptr wrapper bridges the two. The charge is
+    // destroyed when `fn` returns, before the future becomes ready, so a
+    // caller that waited on the future sees the task counted.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<Fn>(fn)]() mutable {
+          TaskCharge charge(this);
+          return fn();
+        });
     std::future<R> future = task->get_future();
     Enqueue([task]() { (*task)(); });
     return future;
@@ -90,8 +96,20 @@ class Executor {
   /// inline when the pool is already shut down.
   void Enqueue(std::function<void()> task);
   void WorkerLoop();
-  /// Runs one task, charging `exec.task_run_us` / `exec.tasks_completed`.
-  void RunTask(std::function<void()> task);
+  /// Charges `exec.task_run_us` / `exec.tasks_completed` for the task
+  /// running during its lifetime.
+  class TaskCharge {
+   public:
+    explicit TaskCharge(Executor* pool)
+        : pool_(pool), start_(std::chrono::steady_clock::now()) {}
+    ~TaskCharge();
+    TaskCharge(const TaskCharge&) = delete;
+    TaskCharge& operator=(const TaskCharge&) = delete;
+
+   private:
+    Executor* pool_;
+    std::chrono::steady_clock::time_point start_;
+  };
 
   ExecutorOptions options_;
   std::unique_ptr<obs::Registry> owned_registry_;

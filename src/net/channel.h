@@ -32,8 +32,8 @@ struct TrafficCounters {
 /// One channel per receiving node ("inbox"). Multiple producers call
 /// `Push`; the owning node's run loop calls `Pop`/`TryPop`. A bounded
 /// capacity (in messages) provides backpressure: `Push` blocks until space is
-/// available, which is how the threaded driver measures *sustainable*
-/// throughput rather than unbounded buffering.
+/// available. A TCP transport can bound its inboxes (`inbox_capacity`); the
+/// in-process fabric's are unbounded.
 class Channel {
  public:
   /// Creates a channel; \p capacity 0 means unbounded.

@@ -27,13 +27,8 @@ Network::Network(const Clock* clock, Options options)
       fault_rng_(options.fault_seed) {}
 
 Status Network::RegisterNode(NodeId id) {
-  return RegisterNode(id, options_.inbox_capacity);
-}
-
-Status Network::RegisterNode(NodeId id, size_t inbox_capacity) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] =
-      inboxes_.emplace(id, std::make_unique<Channel>(inbox_capacity));
+  auto [it, inserted] = inboxes_.emplace(id, std::make_unique<Channel>());
   (void)it;
   if (!inserted) {
     return Status::AlreadyExists("node " + std::to_string(id) +
@@ -271,8 +266,8 @@ Status Network::Send(Message m) {
     if (!event_mode) due = CollectDueLocked(virtual_now_us_);
   }
   if (event_mode) return Status::OK();
-  // Push outside the lock: a full inbox must not block unrelated senders. A
-  // closed inbox fails only its own delivery — the rest of the due batch
+  // Push outside the lock, so concurrent senders hold the fabric mutex only
+  // for the bookkeeping above. A closed inbox fails only its own delivery — the rest of the due batch
   // still reaches its healthy destinations before the error is reported.
   Status push_error = Status::OK();
   auto push = [&push_error](Channel* ch, Message&& msg) {

@@ -70,9 +70,6 @@ class Network : public transport::Transport {
   };
 
   struct Options {
-    /// Inbox capacity in messages; 0 = unbounded. A bounded inbox gives
-    /// backpressure, which the sustainable-throughput harness relies on.
-    size_t inbox_capacity = 0;
     /// Analytic link model for simulated transfer-time reporting.
     LinkModel link_model;
     /// Fault injection: probability that a sent message is delivered twice
@@ -133,12 +130,9 @@ class Network : public transport::Transport {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Registers a node and creates its inbox with the fabric-default
-  /// capacity. Fails on duplicate ids.
+  /// Registers a node and creates its (unbounded) inbox. Fails on duplicate
+  /// ids.
   Status RegisterNode(NodeId id);
-
-  /// Registers a node with an explicit inbox capacity (0 = unbounded).
-  Status RegisterNode(NodeId id, size_t inbox_capacity);
 
   /// Decommissions a node: closes and destroys its inbox (any `Inbox(id)`
   /// pointer becomes dangling). In-flight messages to it — delayed or
@@ -150,8 +144,7 @@ class Network : public transport::Transport {
   /// the lifetime of the network.
   Channel* Inbox(NodeId id) override;
 
-  /// Delivers \p m to `m.dst`'s inbox (blocking under backpressure) and
-  /// charges the (src, dst) link. Fails when the destination is unknown or
+  /// Delivers \p m to `m.dst`'s inbox and charges the (src, dst) link. Fails when the destination is unknown or
   /// its inbox is closed. Stamps a per-(src, dst) sequence number into
   /// `m.seq` before delivery. Faults (loss, partition, down nodes) drop the
   /// message *silently* — the sender still sees OK, exactly like a lost

@@ -10,6 +10,7 @@
 #include "dema/root_node.h"
 #include "gen/generator.h"
 #include "net/serializer.h"
+#include "sim/pump.h"
 #include "stream/quantile.h"
 
 namespace dema::sim {
@@ -318,8 +319,7 @@ Result<ChaosReport> RunChaos(const SystemConfig& system_config,
   net_options.fault_seed = plan.seed;
   net::Network network(&clock, net_options);
 
-  DEMA_ASSIGN_OR_RETURN(System system, BuildSystem(config, &network, &clock,
-                                                   /*root_inbox_capacity=*/0));
+  DEMA_ASSIGN_OR_RETURN(System system, BuildSystem(config, &network, &clock));
   auto* root = dynamic_cast<core::DemaRootNode*>(system.root.get());
   if (root == nullptr) {
     return Status::Internal("chaos run requires the Dema root node");
@@ -344,31 +344,9 @@ Result<ChaosReport> RunChaos(const SystemConfig& system_config,
   /// are lost at the source and excluded).
   std::vector<std::vector<double>> fed(num_windows);
 
-  // Single-threaded pump to quiescence: root first, then locals, releasing
-  // delayed fabric messages only once every inbox drained (quiescence means
-  // the injected delay has "elapsed").
-  auto pump_all = [&]() -> Status {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      net::Channel* root_inbox = network.Inbox(system.root_id);
-      while (auto msg = root_inbox->TryPop()) {
-        DEMA_RETURN_NOT_OK(system.root->OnMessage(*msg));
-        progress = true;
-      }
-      for (size_t i = 0; i < system.locals.size(); ++i) {
-        if (slots[i].down) continue;
-        net::Channel* inbox = network.Inbox(system.local_ids[i]);
-        while (auto msg = inbox->TryPop()) {
-          DEMA_RETURN_NOT_OK(system.locals[i]->OnMessage(*msg));
-          progress = true;
-        }
-      }
-      if (!progress && network.delayed_in_flight() > 0) {
-        progress = network.FlushDelayed() > 0;
-      }
-    }
-    return Status::OK();
+  // A crashed local's logic is null, so the pump skips its inbox.
+  auto pump_all = [&] {
+    return PumpToQuiescence(&network, SystemPumpNodes(system));
   };
 
   auto restart_local = [&](size_t slot_index) -> Status {

@@ -1,14 +1,10 @@
 #include "sim/driver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <mutex>
-#include <thread>
 
-#include "common/logging.h"
 #include "gen/disorder.h"
-#include "stream/window.h"
+#include "sim/pump.h"
 
 namespace dema::sim {
 
@@ -35,56 +31,12 @@ WorkloadConfig MakeUniformWorkload(size_t num_locals, uint64_t num_windows,
 // SyncDriver
 // ---------------------------------------------------------------------------
 
-SyncDriver::SyncDriver(System* system, net::Network* network, const Clock* clock)
-    : system_(system), network_(network), clock_(clock) {
-  (void)clock_;
-}
-
-namespace {
-/// Microseconds spent in \p fn, measured on the monotonic clock.
-template <typename Fn>
-double TimedUs(Fn&& fn, Status* st) {
-  auto start = std::chrono::steady_clock::now();
-  *st = fn();
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(end - start).count();
-}
-}  // namespace
+SyncDriver::SyncDriver(System* system, net::Network* network)
+    : system_(system), network_(network) {}
 
 Status SyncDriver::PumpMessages() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    net::Channel* root_inbox = network_->Inbox(system_->root_id);
-    while (auto msg = root_inbox->TryPop()) {
-      Status st;
-      root_busy_us_ += TimedUs([&] { return system_->root->OnMessage(*msg); }, &st);
-      DEMA_RETURN_NOT_OK(st);
-      progress = true;
-    }
-    for (size_t i = 0; i < system_->locals.size(); ++i) {
-      net::Channel* inbox = network_->Inbox(system_->local_ids[i]);
-      while (auto msg = inbox->TryPop()) {
-        Status st;
-        local_busy_us_[i] +=
-            TimedUs([&] { return system_->locals[i]->OnMessage(*msg); }, &st);
-        DEMA_RETURN_NOT_OK(st);
-        progress = true;
-      }
-    }
-    if (!progress) {
-      if (network_->pending_events() > 0) {
-        // Event-driven delivery: every inbox drained, so advance virtual
-        // time to the next tick and process its due hop events.
-        progress = network_->AdvanceEvents() > 0;
-      } else if (network_->delayed_in_flight() > 0) {
-        // Every inbox drained but the fabric still holds delayed messages:
-        // quiescence means the delay has "elapsed", so release them.
-        progress = network_->FlushDelayed() > 0;
-      }
-    }
-  }
-  return Status::OK();
+  return PumpToQuiescence(
+      network_, SystemPumpNodes(*system_, &root_busy_us_, &local_busy_us_));
 }
 
 double SyncDriver::max_local_busy_seconds() const {
@@ -222,7 +174,6 @@ Status SyncDriver::RunDisordered(const WorkloadConfig& workload) {
           },
           &st);
       DEMA_RETURN_NOT_OK(st);
-      events_ingested_ += end > 0 ? 0 : 0;
     }
     DEMA_RETURN_NOT_OK(PumpMessages());
   }
@@ -245,187 +196,6 @@ Status SyncDriver::RunDisordered(const WorkloadConfig& workload) {
     return Status::Internal("root still has pending windows after run");
   }
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// ThreadedDriver
-// ---------------------------------------------------------------------------
-
-ThreadedDriver::ThreadedDriver(System* system, net::Network* network,
-                               const Clock* clock, ThreadedDriverOptions options)
-    : system_(system), network_(network), clock_(clock), options_(options) {}
-
-Result<RunMetrics> ThreadedDriver::Run(const WorkloadConfig& workload) {
-  if (workload.generators.size() != system_->locals.size()) {
-    return Status::InvalidArgument("generator count != local node count");
-  }
-  if (network_->delivery_mode() == net::Network::DeliveryMode::kEvent) {
-    return Status::InvalidArgument(
-        "event-driven delivery needs a single-threaded driver to advance "
-        "virtual time deterministically");
-  }
-
-  struct Shared {
-    std::atomic<bool> stop{false};
-    std::atomic<bool> root_done{false};
-    std::atomic<uint64_t> windows_done{0};
-    std::atomic<uint64_t> events_ingested{0};
-    std::mutex error_mu;
-    Status first_error;
-    LatencyRecorder latency;
-  } shared;
-
-  auto report_error = [&](const Status& st) {
-    {
-      std::lock_guard<std::mutex> lock(shared.error_mu);
-      if (shared.first_error.ok()) shared.first_error = st;
-    }
-    shared.stop.store(true);
-    network_->CloseAll();
-  };
-
-  const uint64_t num_windows = workload.ExpectedWindows();
-  obs::Histogram* latency_hist =
-      network_->registry()->GetHistogram("root.window_latency_us");
-  system_->root->SetResultCallback([&](const WindowOutput& out) {
-    shared.latency.Record(out.latency_us);
-    latency_hist->Record(
-        out.latency_us < 0 ? 0 : static_cast<uint64_t>(out.latency_us));
-    shared.windows_done.fetch_add(1);
-  });
-
-  auto wall_start = std::chrono::steady_clock::now();
-
-  std::thread root_thread([&] {
-    net::Channel* inbox = network_->Inbox(system_->root_id);
-    while (!shared.stop.load(std::memory_order_relaxed)) {
-      if (shared.windows_done.load(std::memory_order_relaxed) >= num_windows) {
-        shared.root_done.store(true);
-        return;
-      }
-      auto msg = inbox->PopFor(MillisUs(2));
-      if (!msg) {
-        // Idle beat: release any delayed fabric messages and let the root's
-        // deadline machinery inspect stalled windows (no-op by default).
-        network_->FlushDelayed();
-        Status tick = system_->root->Tick();
-        if (!tick.ok()) {
-          report_error(tick);
-          return;
-        }
-        continue;
-      }
-      Status st = system_->root->OnMessage(*msg);
-      if (!st.ok()) {
-        report_error(st);
-        return;
-      }
-    }
-    shared.root_done.store(true);
-  });
-
-  std::vector<std::thread> local_threads;
-  for (size_t i = 0; i < system_->locals.size(); ++i) {
-    local_threads.emplace_back([&, i] {
-      auto gen_result = gen::StreamGenerator::Create(workload.generators[i]);
-      if (!gen_result.ok()) {
-        report_error(gen_result.status());
-        return;
-      }
-      auto gen = std::move(gen_result).MoveValueUnsafe();
-      LocalNodeLogic* logic = system_->locals[i].get();
-      net::Channel* inbox = network_->Inbox(system_->local_ids[i]);
-      stream::TumblingWindowAssigner assigner(workload.window_len_us);
-      TimestampUs end_time =
-          static_cast<TimestampUs>(workload.num_windows) * workload.window_len_us;
-
-      auto fail_unless_shutdown = [&](const Status& st) {
-        // Errors caused by the driver tearing the network down are benign.
-        if (st.ok() || shared.stop.load() || shared.root_done.load()) return true;
-        report_error(st);
-        return false;
-      };
-
-      uint64_t count = 0;
-      net::WindowId last_window = 0;
-      while (gen->next_time_us() < end_time) {
-        if (shared.stop.load(std::memory_order_relaxed) ||
-            shared.root_done.load(std::memory_order_relaxed)) {
-          return;  // aborted or root already satisfied
-        }
-        Event e = gen->Next();
-        net::WindowId wid = assigner.AssignWindow(e.timestamp);
-        if (wid != last_window) {
-          if (!fail_unless_shutdown(logic->OnWatermark(e.timestamp))) return;
-          last_window = wid;
-        }
-        if (!fail_unless_shutdown(logic->OnEvent(e))) return;
-        ++count;
-        if (count % options_.watermark_every == 0) {
-          if (!fail_unless_shutdown(logic->OnWatermark(e.timestamp))) return;
-          while (auto msg = inbox->TryPop()) {
-            if (!fail_unless_shutdown(logic->OnMessage(*msg))) return;
-          }
-        }
-      }
-      shared.events_ingested.fetch_add(count);
-      if (!fail_unless_shutdown(logic->OnFinish(end_time))) return;
-      // Keep serving candidate requests until the root has everything.
-      while (!shared.stop.load(std::memory_order_relaxed) &&
-             !shared.root_done.load(std::memory_order_relaxed)) {
-        auto msg = inbox->PopFor(MillisUs(2));
-        if (!msg) continue;
-        if (!fail_unless_shutdown(logic->OnMessage(*msg))) return;
-      }
-    });
-  }
-
-  // Watchdog: wall-clock timeout.
-  TimestampUs deadline_us = options_.timeout_us;
-  while (!shared.root_done.load() && !shared.stop.load()) {
-    auto elapsed = std::chrono::steady_clock::now() - wall_start;
-    if (std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count() >
-        deadline_us) {
-      report_error(Status::Internal(
-          "threaded run timed out with " +
-          std::to_string(shared.windows_done.load()) + "/" +
-          std::to_string(num_windows) + " windows emitted"));
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-
-  root_thread.join();
-  auto wall_end = std::chrono::steady_clock::now();
-  // Unblock any local stuck in a bounded Push, then collect the threads.
-  shared.stop.store(true);
-  network_->CloseAll();
-  for (auto& t : local_threads) t.join();
-
-  {
-    std::lock_guard<std::mutex> lock(shared.error_mu);
-    if (!shared.first_error.ok()) return shared.first_error;
-  }
-
-  RunMetrics metrics;
-  metrics.events_ingested = shared.events_ingested.load();
-  metrics.windows_emitted = shared.windows_done.load();
-  metrics.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  metrics.throughput_eps =
-      metrics.wall_seconds > 0
-          ? static_cast<double>(metrics.events_ingested) / metrics.wall_seconds
-          : 0;
-  metrics.latency = shared.latency.Summarize();
-  metrics.latency_hist = latency_hist->Summarize();
-  auto total = network_->TotalStats();
-  metrics.network_total = total.counters;
-  metrics.simulated_transfer_us = total.simulated_transfer_us;
-  metrics.by_type = network_->StatsByType();
-  if (auto* dema_root = dynamic_cast<core::DemaRootNode*>(system_->root.get())) {
-    metrics.dema = dema_root->stats();
-  }
-  return metrics;
 }
 
 // ---------------------------------------------------------------------------
@@ -454,28 +224,6 @@ struct RunObs {
 };
 }  // namespace
 
-Result<RunMetrics> RunThreaded(const SystemConfig& system_config,
-                               const WorkloadConfig& workload,
-                               size_t root_inbox_capacity) {
-  RealClock clock;
-  SystemConfig config = system_config;
-  RunObs run_obs(&config);
-  net::Network::Options net_options;
-  net_options.registry = config.registry;
-  net::Network network(&clock, net_options);
-  DEMA_ASSIGN_OR_RETURN(
-      System system, BuildSystem(config, &network, &clock,
-                                 root_inbox_capacity));
-  WorkloadConfig load = workload;
-  load.window_len_us = config.window_len_us;
-  load.window_slide_us = config.window_slide_us;
-  ThreadedDriver driver(&system, &network, &clock);
-  DEMA_ASSIGN_OR_RETURN(RunMetrics metrics, driver.Run(load));
-  metrics.registry = run_obs.registry;
-  metrics.tracer = run_obs.tracer;
-  return metrics;
-}
-
 Result<RunMetrics> RunSync(const SystemConfig& system_config,
                            const WorkloadConfig& workload) {
   RealClock clock;
@@ -484,13 +232,11 @@ Result<RunMetrics> RunSync(const SystemConfig& system_config,
   net::Network::Options net_options;
   net_options.registry = config.registry;
   net::Network network(&clock, net_options);
-  DEMA_ASSIGN_OR_RETURN(System system,
-                        BuildSystem(config, &network, &clock,
-                                    /*root_inbox_capacity=*/0));
+  DEMA_ASSIGN_OR_RETURN(System system, BuildSystem(config, &network, &clock));
   WorkloadConfig load = workload;
   load.window_len_us = config.window_len_us;
   load.window_slide_us = config.window_slide_us;
-  SyncDriver driver(&system, &network, &clock);
+  SyncDriver driver(&system, &network);
   auto wall_start = std::chrono::steady_clock::now();
   DEMA_RETURN_NOT_OK(driver.Run(load));
   auto wall_end = std::chrono::steady_clock::now();

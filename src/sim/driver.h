@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/result.h"
 #include "gen/generator.h"
 #include "net/network.h"
@@ -64,7 +63,7 @@ WorkloadConfig MakeUniformWorkload(size_t num_locals, uint64_t num_windows,
 class SyncDriver {
  public:
   /// Wires the driver; \p system nodes must be registered on \p network.
-  SyncDriver(System* system, net::Network* network, const Clock* clock);
+  SyncDriver(System* system, net::Network* network);
 
   /// Runs the whole workload; fails on the first node error.
   Status Run(const WorkloadConfig& workload);
@@ -91,8 +90,8 @@ class SyncDriver {
   double max_local_busy_seconds() const;
 
  private:
-  /// Dispatches queued messages until every inbox is empty, charging each
-  /// node's busy-time account.
+  /// Dispatches queued messages until the fabric is quiescent, charging
+  /// each node's busy-time account.
   Status PumpMessages();
   /// Out-of-order mode (max_disorder_us > 0): chunked round-robin delivery
   /// with held-back watermarks.
@@ -100,7 +99,6 @@ class SyncDriver {
 
   System* system_;
   net::Network* network_;
-  const Clock* clock_;
   std::vector<WindowOutput> outputs_;
   std::vector<std::vector<Event>> recorded_;
   bool record_events_ = false;
@@ -108,42 +106,6 @@ class SyncDriver {
   std::vector<double> local_busy_us_;
   double root_busy_us_ = 0;
 };
-
-/// \brief Options for the threaded driver.
-struct ThreadedDriverOptions {
-  /// Abort the run when the root has not finished within this wall time.
-  DurationUs timeout_us = 120 * kMicrosPerSecond;
-  /// Local nodes hand watermarks to the logic every this many events (window
-  /// boundaries always force one).
-  size_t watermark_every = 4096;
-};
-
-/// \brief Thread-per-node driver measuring throughput and latency.
-///
-/// Each local node runs its generator at full speed on its own thread
-/// (backpressure from the root's bounded inbox throttles it to the
-/// sustainable rate); the root runs on another thread. Wall-clock throughput
-/// and close-to-emit latency come out in `RunMetrics`.
-class ThreadedDriver {
- public:
-  ThreadedDriver(System* system, net::Network* network, const Clock* clock,
-                 ThreadedDriverOptions options = ThreadedDriverOptions());
-
-  /// Runs the workload; fails on node errors or timeout.
-  Result<RunMetrics> Run(const WorkloadConfig& workload);
-
- private:
-  System* system_;
-  net::Network* network_;
-  const Clock* clock_;
-  ThreadedDriverOptions options_;
-};
-
-/// \brief Convenience: builds the system + network, runs the threaded
-/// driver, and returns the metrics (what most benches call).
-Result<RunMetrics> RunThreaded(const SystemConfig& system_config,
-                               const WorkloadConfig& workload,
-                               size_t root_inbox_capacity = 1024);
 
 /// \brief Convenience: builds the system + network and runs the synchronous
 /// driver, returning metrics with network accounting (no meaningful wall

@@ -21,6 +21,11 @@ namespace dema::sim {
 ///    across children as the wrapped logic's watermark — the standard
 ///    multi-source watermark rule, which keeps windows correct even when
 ///    sensors drift apart in event time;
+///  * applies each child's batches and time advances in the child's send
+///    order (the per-link `seq`), holding early arrivals back and dropping
+///    duplicates, so a reordering fabric cannot advance the watermark past
+///    events still in flight. Unsequenced messages (seq 0) apply on arrival;
+///    the sensor link is assumed lossless, as over TCP;
 ///  * passes every other message (candidate requests, γ updates, ...)
 ///    straight through to the wrapped logic.
 ///
@@ -45,12 +50,23 @@ class IngestAdapter final : public LocalNodeLogic {
   LocalNodeLogic* inner() { return inner_.get(); }
 
  private:
+  /// Per-child ingest state.
+  struct Child {
+    TimestampUs watermark = 0;
+    /// Sequence number of the next message to apply.
+    uint32_t next_seq = 1;
+    /// Messages that arrived ahead of `next_seq`, keyed by sequence number.
+    std::map<uint32_t, net::Message> held;
+  };
+
+  /// Applies one batch or time advance of \p child.
+  Status Apply(Child* child, const net::Message& msg);
+
   /// Minimum watermark across children (0 until every child reported).
   TimestampUs MinChildWatermark() const;
 
   std::unique_ptr<LocalNodeLogic> inner_;
-  std::map<NodeId, TimestampUs> child_watermarks_;
-  size_t children_finished_ = 0;
+  std::map<NodeId, Child> children_;
   uint64_t events_ingested_ = 0;
 };
 

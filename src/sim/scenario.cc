@@ -6,22 +6,10 @@
 
 #include "dema/root_node.h"
 #include "gen/generator.h"
+#include "sim/pump.h"
 #include "stream/quantile.h"
 
 namespace dema::sim {
-
-namespace {
-
-/// Microseconds spent in \p fn, measured on the monotonic clock.
-template <typename Fn>
-double TimedUs(Fn&& fn, Status* st) {
-  auto start = std::chrono::steady_clock::now();
-  *st = fn();
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(end - start).count();
-}
-
-}  // namespace
 
 Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
                                    const WorkloadConfig& workload,
@@ -86,8 +74,7 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
   report.num_locals = config.num_locals;
   net::Network network(&clock, net_options);
 
-  DEMA_ASSIGN_OR_RETURN(System system, BuildSystem(config, &network, &clock,
-                                                   /*root_inbox_capacity=*/0));
+  DEMA_ASSIGN_OR_RETURN(System system, BuildSystem(config, &network, &clock));
 
   std::vector<std::unique_ptr<gen::StreamGenerator>> gens;
   for (const auto& cfg : workload.generators) {
@@ -105,35 +92,9 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
   std::vector<double> local_busy_us(system.locals.size(), 0.0);
   double root_busy_us = 0;
 
-  // Single-threaded pump to quiescence: drain every inbox, then advance the
-  // tick queue by one virtual instant, until both are empty.
-  auto pump_all = [&]() -> Status {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      net::Channel* root_inbox = network.Inbox(system.root_id);
-      while (auto msg = root_inbox->TryPop()) {
-        Status st;
-        root_busy_us +=
-            TimedUs([&] { return system.root->OnMessage(*msg); }, &st);
-        DEMA_RETURN_NOT_OK(st);
-        progress = true;
-      }
-      for (size_t i = 0; i < system.locals.size(); ++i) {
-        net::Channel* inbox = network.Inbox(system.local_ids[i]);
-        while (auto msg = inbox->TryPop()) {
-          Status st;
-          local_busy_us[i] +=
-              TimedUs([&] { return system.locals[i]->OnMessage(*msg); }, &st);
-          DEMA_RETURN_NOT_OK(st);
-          progress = true;
-        }
-      }
-      if (!progress && network.pending_events() > 0) {
-        progress = network.AdvanceEvents() > 0;
-      }
-    }
-    return Status::OK();
+  auto pump_all = [&] {
+    return PumpToQuiescence(
+        &network, SystemPumpNodes(system, &root_busy_us, &local_busy_us));
   };
 
   auto wall_start = std::chrono::steady_clock::now();

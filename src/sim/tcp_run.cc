@@ -676,8 +676,8 @@ Result<TcpConnChaosReport> RunTcpConnChaos(const SystemConfig& config,
   ref_config.tracer = &ref_tracer;
   net::Network network(&clock);
   DEMA_ASSIGN_OR_RETURN(auto system,
-                        BuildSystem(ref_config, &network, &clock, 0));
-  SyncDriver driver(&system, &network, &clock);
+                        BuildSystem(ref_config, &network, &clock));
+  SyncDriver driver(&system, &network);
   DEMA_RETURN_NOT_OK(driver.Run(workload));
   report.reference = driver.outputs();
 

@@ -40,7 +40,7 @@ struct TcpRootOptions {
   /// Abort when the run has not completed within this wall time.
   DurationUs timeout_us = 120 * kMicrosPerSecond;
   /// Root inbox bound; full inboxes backpressure the TCP readers and in
-  /// turn the senders, exactly like the in-process fabric.
+  /// turn the senders.
   size_t root_inbox_capacity = 1024;
   /// Per-connection outbox bound in messages (0 = unbounded); a full outbox
   /// blocks `Send` until the peer catches up (`demactl --outbox-cap`).

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "sim/ingest_adapter.h"
+#include "sim/pump.h"
 
 namespace dema::sim {
 
@@ -25,8 +26,8 @@ void MakeTieredWorkload(TieredConfig* config, double node_event_rate,
 }
 
 Result<TieredSystem> BuildTieredSystem(const TieredConfig& config,
-                                       net::Network* network, const Clock* clock,
-                                       size_t root_inbox_capacity) {
+                                       net::Network* network,
+                                       const Clock* clock) {
   if (config.sensors_per_local == 0) {
     return Status::InvalidArgument("need at least one sensor per local node");
   }
@@ -39,9 +40,8 @@ Result<TieredSystem> BuildTieredSystem(const TieredConfig& config,
   }
 
   TieredSystem tiered;
-  DEMA_ASSIGN_OR_RETURN(
-      tiered.system,
-      BuildSystem(config.system, network, clock, root_inbox_capacity));
+  DEMA_ASSIGN_OR_RETURN(tiered.system,
+                        BuildSystem(config.system, network, clock));
 
   // Wrap every local in an ingest adapter fed by its sensors.
   NodeId next_sensor = static_cast<NodeId>(config.system.num_locals + 1);
@@ -49,7 +49,7 @@ Result<TieredSystem> BuildTieredSystem(const TieredConfig& config,
     std::vector<NodeId> children;
     for (size_t j = 0; j < config.sensors_per_local; ++j) {
       NodeId sensor_id = next_sensor++;
-      DEMA_RETURN_NOT_OK(network->RegisterNode(sensor_id, /*inbox_capacity=*/0));
+      DEMA_RETURN_NOT_OK(network->RegisterNode(sensor_id));
       children.push_back(sensor_id);
 
       StreamNodeOptions opts;
@@ -69,46 +69,13 @@ Result<TieredSystem> BuildTieredSystem(const TieredConfig& config,
   return tiered;
 }
 
-TieredSyncDriver::TieredSyncDriver(TieredSystem* tiered, net::Network* network,
-                                   const Clock* clock)
-    : tiered_(tiered), network_(network), clock_(clock) {
-  (void)clock_;
-}
-
-namespace {
-template <typename Fn>
-double TimedUs(Fn&& fn, Status* st) {
-  auto start = std::chrono::steady_clock::now();
-  *st = fn();
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(end - start).count();
-}
-}  // namespace
+TieredSyncDriver::TieredSyncDriver(TieredSystem* tiered, net::Network* network)
+    : tiered_(tiered), network_(network) {}
 
 Status TieredSyncDriver::PumpMessages() {
-  System& system = tiered_->system;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    net::Channel* root_inbox = network_->Inbox(system.root_id);
-    while (auto msg = root_inbox->TryPop()) {
-      Status st;
-      root_busy_us_ += TimedUs([&] { return system.root->OnMessage(*msg); }, &st);
-      DEMA_RETURN_NOT_OK(st);
-      progress = true;
-    }
-    for (size_t i = 0; i < system.locals.size(); ++i) {
-      net::Channel* inbox = network_->Inbox(system.local_ids[i]);
-      while (auto msg = inbox->TryPop()) {
-        Status st;
-        local_busy_us_[i] +=
-            TimedUs([&] { return system.locals[i]->OnMessage(*msg); }, &st);
-        DEMA_RETURN_NOT_OK(st);
-        progress = true;
-      }
-    }
-  }
-  return Status::OK();
+  return PumpToQuiescence(
+      network_,
+      SystemPumpNodes(tiered_->system, &root_busy_us_, &local_busy_us_));
 }
 
 Status TieredSyncDriver::Run(uint64_t num_windows, DurationUs window_len_us,
@@ -170,8 +137,8 @@ Result<TieredRunMetrics> RunTiered(const TieredConfig& config,
   RealClock clock;
   net::Network network(&clock);
   DEMA_ASSIGN_OR_RETURN(TieredSystem tiered,
-                        BuildTieredSystem(config, &network, &clock, 0));
-  TieredSyncDriver driver(&tiered, &network, &clock);
+                        BuildTieredSystem(config, &network, &clock));
+  TieredSyncDriver driver(&tiered, &network);
   auto wall_start = std::chrono::steady_clock::now();
   DEMA_RETURN_NOT_OK(driver.Run(num_windows, config.system.window_len_us,
                                 config.system.window_slide_us));

@@ -50,8 +50,8 @@ void MakeTieredWorkload(TieredConfig* config, double node_event_rate,
 /// \brief Builds the three-tier topology on \p network: stream nodes ship
 /// raw events to IngestAdapter-wrapped edge nodes.
 Result<TieredSystem> BuildTieredSystem(const TieredConfig& config,
-                                       net::Network* network, const Clock* clock,
-                                       size_t root_inbox_capacity = 0);
+                                       net::Network* network,
+                                       const Clock* clock);
 
 /// \brief Run metrics extended with per-tier network accounting.
 struct TieredRunMetrics {
@@ -69,7 +69,7 @@ struct TieredRunMetrics {
 /// verifies the root emitted every window.
 class TieredSyncDriver {
  public:
-  TieredSyncDriver(TieredSystem* tiered, net::Network* network, const Clock* clock);
+  TieredSyncDriver(TieredSystem* tiered, net::Network* network);
 
   /// Runs \p num_windows window-lengths of event time.
   Status Run(uint64_t num_windows, DurationUs window_len_us,
@@ -89,7 +89,6 @@ class TieredSyncDriver {
 
   TieredSystem* tiered_;
   net::Network* network_;
-  const Clock* clock_;
   std::vector<WindowOutput> outputs_;
   std::vector<double> local_busy_us_;
   double root_busy_us_ = 0;

@@ -212,15 +212,15 @@ Result<std::unique_ptr<LocalNodeLogic>> BuildLocalLogic(
 }
 
 Result<System> BuildSystem(const SystemConfig& config, net::Network* network,
-                           const Clock* clock, size_t root_inbox_capacity) {
+                           const Clock* clock) {
   DEMA_RETURN_NOT_OK(ValidateSystemConfig(config));
 
   System system;
   system.root_id = 0;
   system.local_ids = LocalIds(config);
-  DEMA_RETURN_NOT_OK(network->RegisterNode(system.root_id, root_inbox_capacity));
+  DEMA_RETURN_NOT_OK(network->RegisterNode(system.root_id));
   for (NodeId id : system.local_ids) {
-    DEMA_RETURN_NOT_OK(network->RegisterNode(id, /*inbox_capacity=*/0));
+    DEMA_RETURN_NOT_OK(network->RegisterNode(id));
   }
 
   // One system-owned worker pool shared by every local node (the caller can

@@ -160,10 +160,9 @@ Result<std::unique_ptr<LocalNodeLogic>> BuildLocalLogic(
     const SystemConfig& config, NodeId id, transport::Transport* transport,
     const Clock* clock);
 
-/// \brief Instantiates the configured system on \p network (registering all
-/// node inboxes; the root's inbox gets \p root_inbox_capacity, locals are
-/// unbounded to keep root->local control traffic deadlock-free).
+/// \brief Instantiates the configured system on \p network, registering
+/// every node's inbox.
 Result<System> BuildSystem(const SystemConfig& config, net::Network* network,
-                           const Clock* clock, size_t root_inbox_capacity = 0);
+                           const Clock* clock);
 
 }  // namespace dema::sim

@@ -1,5 +1,7 @@
 #include "sim/tree.h"
 
+#include "sim/pump.h"
+
 namespace dema::sim {
 
 Result<TreeSystem> BuildTreeSystem(const TreeConfig& config, net::Network* network,
@@ -9,20 +11,20 @@ Result<TreeSystem> BuildTreeSystem(const TreeConfig& config, net::Network* netwo
   }
   TreeSystem tree;
   tree.root_id = 0;
-  DEMA_RETURN_NOT_OK(network->RegisterNode(tree.root_id, 0));
+  DEMA_RETURN_NOT_OK(network->RegisterNode(tree.root_id));
 
   NodeId next_leaf = static_cast<NodeId>(config.num_relays + 1);
   for (size_t r = 0; r < config.num_relays; ++r) {
     NodeId relay_id = static_cast<NodeId>(r + 1);
     tree.relay_ids.push_back(relay_id);
-    DEMA_RETURN_NOT_OK(network->RegisterNode(relay_id, 0));
+    DEMA_RETURN_NOT_OK(network->RegisterNode(relay_id));
 
     std::vector<NodeId> children;
     for (size_t l = 0; l < config.locals_per_relay; ++l) {
       NodeId leaf_id = next_leaf++;
       children.push_back(leaf_id);
       tree.local_ids.push_back(leaf_id);
-      DEMA_RETURN_NOT_OK(network->RegisterNode(leaf_id, 0));
+      DEMA_RETURN_NOT_OK(network->RegisterNode(leaf_id));
 
       core::DemaLocalNodeOptions leaf_opts;
       leaf_opts.id = leaf_id;
@@ -58,34 +60,19 @@ Result<TreeSystem> BuildTreeSystem(const TreeConfig& config, net::Network* netwo
   return tree;
 }
 
-TreeSyncDriver::TreeSyncDriver(TreeSystem* tree, net::Network* network,
-                               const Clock* clock)
-    : tree_(tree), network_(network), clock_(clock) {
-  (void)clock_;
-}
+TreeSyncDriver::TreeSyncDriver(TreeSystem* tree, net::Network* network)
+    : tree_(tree), network_(network) {}
 
 Status TreeSyncDriver::PumpMessages() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    while (auto msg = network_->Inbox(tree_->root_id)->TryPop()) {
-      DEMA_RETURN_NOT_OK(tree_->root->OnMessage(*msg));
-      progress = true;
-    }
-    for (size_t i = 0; i < tree_->relays.size(); ++i) {
-      while (auto msg = network_->Inbox(tree_->relay_ids[i])->TryPop()) {
-        DEMA_RETURN_NOT_OK(tree_->relays[i]->OnMessage(*msg));
-        progress = true;
-      }
-    }
-    for (size_t i = 0; i < tree_->locals.size(); ++i) {
-      while (auto msg = network_->Inbox(tree_->local_ids[i])->TryPop()) {
-        DEMA_RETURN_NOT_OK(tree_->locals[i]->OnMessage(*msg));
-        progress = true;
-      }
-    }
+  std::vector<PumpNode> nodes;
+  nodes.push_back({tree_->root_id, tree_->root.get()});
+  for (size_t i = 0; i < tree_->relays.size(); ++i) {
+    nodes.push_back({tree_->relay_ids[i], tree_->relays[i].get()});
   }
-  return Status::OK();
+  for (size_t i = 0; i < tree_->locals.size(); ++i) {
+    nodes.push_back({tree_->local_ids[i], tree_->locals[i].get()});
+  }
+  return PumpToQuiescence(network_, nodes);
 }
 
 Status TreeSyncDriver::Run(const WorkloadConfig& workload) {

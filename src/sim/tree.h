@@ -56,7 +56,7 @@ Result<TreeSystem> BuildTreeSystem(const TreeConfig& config, net::Network* netwo
 /// generators and pumps every tier until quiescent.
 class TreeSyncDriver {
  public:
-  TreeSyncDriver(TreeSystem* tree, net::Network* network, const Clock* clock);
+  TreeSyncDriver(TreeSystem* tree, net::Network* network);
 
   /// Runs the workload (one generator per leaf, leaf order).
   Status Run(const WorkloadConfig& workload);
@@ -71,7 +71,6 @@ class TreeSyncDriver {
 
   TreeSystem* tree_;
   net::Network* network_;
-  const Clock* clock_;
   std::vector<WindowOutput> outputs_;
   uint64_t events_ingested_ = 0;
 };

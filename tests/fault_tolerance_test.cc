@@ -48,10 +48,10 @@ TEST_P(DuplicateDelivery, DemaStaysExactUnderRetransmission) {
   net_opts.duplicate_prob = p.duplicate_prob;
   net_opts.fault_seed = p.seed;
   net::Network network(&clock, net_opts);
-  auto system_result = sim::BuildSystem(config, &network, &clock, 0);
+  auto system_result = sim::BuildSystem(config, &network, &clock);
   ASSERT_TRUE(system_result.ok()) << system_result.status();
   sim::System system = std::move(system_result).MoveValueUnsafe();
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   driver.set_record_events(true);
   Status st = driver.Run(load);
   ASSERT_TRUE(st.ok()) << st;

@@ -1,12 +1,11 @@
 // Unit tests for the data generators: distributions, the DEBS-like stream
-// generator (scale rate, event rate, determinism), and CSV replay.
+// generator (scale rate, event rate, determinism).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
-#include "gen/csv_source.h"
 #include "gen/distribution.h"
 #include "gen/generator.h"
 
@@ -205,71 +204,6 @@ TEST(Generator, InvalidConfigRejected) {
   cfg = BaseConfig();
   cfg.scale_rate = 0;
   EXPECT_FALSE(StreamGenerator::Create(cfg).ok());
-}
-
-TEST(CsvSource, ParsesValueTimestampRows) {
-  auto src = CsvReplaySource::FromString(
-      "# comment\n"
-      "1.5,100\n"
-      "2.5,200\n"
-      "\n"
-      "3.5,300\n",
-      {});
-  ASSERT_TRUE(src.ok());
-  EXPECT_EQ(src->size(), 3u);
-  Event e = src->Next();
-  EXPECT_DOUBLE_EQ(e.value, 1.5);
-  EXPECT_EQ(e.timestamp, 0);  // rebased
-  e = src->Next();
-  EXPECT_DOUBLE_EQ(e.value, 2.5);
-  EXPECT_EQ(e.timestamp, 100);
-}
-
-TEST(CsvSource, ThirdColumnIgnored) {
-  auto src = CsvReplaySource::FromString("7.0,50,sensor-12\n", {});
-  ASSERT_TRUE(src.ok());
-  EXPECT_DOUBLE_EQ(src->Next().value, 7.0);
-}
-
-TEST(CsvSource, RejectsMalformedRows) {
-  EXPECT_FALSE(CsvReplaySource::FromString("no-comma\n", {}).ok());
-  EXPECT_FALSE(CsvReplaySource::FromString("abc,100\n", {}).ok());
-  EXPECT_FALSE(CsvReplaySource::FromString("1.0,xyz\n", {}).ok());
-  EXPECT_FALSE(CsvReplaySource::FromString("", {}).ok());
-}
-
-TEST(CsvSource, StartOffsetReplaysFromDifferentPosition) {
-  CsvReplaySource::Options opts;
-  opts.start_offset = 1;
-  auto src = CsvReplaySource::FromString("1.0,0\n2.0,10\n3.0,20\n", opts);
-  ASSERT_TRUE(src.ok());
-  EXPECT_DOUBLE_EQ(src->Next().value, 2.0);
-  EXPECT_DOUBLE_EQ(src->Next().value, 3.0);
-  EXPECT_DOUBLE_EQ(src->Next().value, 1.0);  // wrapped
-}
-
-TEST(CsvSource, WrapAroundKeepsTimeMonotone) {
-  auto src = CsvReplaySource::FromString("1.0,0\n2.0,10\n", {});
-  ASSERT_TRUE(src.ok());
-  TimestampUs prev = -1;
-  for (int i = 0; i < 10; ++i) {
-    Event e = src->Next();
-    EXPECT_GT(e.timestamp, prev);
-    prev = e.timestamp;
-  }
-}
-
-TEST(CsvSource, ScaleRateApplied) {
-  CsvReplaySource::Options opts;
-  opts.scale_rate = 4;
-  auto src = CsvReplaySource::FromString("2.0,0\n", opts);
-  ASSERT_TRUE(src.ok());
-  EXPECT_DOUBLE_EQ(src->Next().value, 8.0);
-}
-
-TEST(CsvSource, OpenMissingFileFails) {
-  auto src = CsvReplaySource::Open("/nonexistent/file.csv", {});
-  EXPECT_EQ(src.status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -29,13 +29,13 @@ struct RunResult {
 RunResult RunWithOracle(const SystemConfig& config, const WorkloadConfig& load) {
   RealClock clock;
   net::Network network(&clock);
-  auto system_result = sim::BuildSystem(config, &network, &clock, 0);
+  auto system_result = sim::BuildSystem(config, &network, &clock);
   EXPECT_TRUE(system_result.ok()) << system_result.status();
   sim::System system = std::move(system_result).MoveValueUnsafe();
 
   WorkloadConfig workload = load;
   workload.window_len_us = config.window_len_us;
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   driver.set_record_events(true);
   Status st = driver.Run(workload);
   EXPECT_TRUE(st.ok()) << st;

@@ -88,10 +88,10 @@ TEST(AllowedLateness, DemaStaysExactWhenLatenessCoversDisorder) {
 
   RealClock clock;
   net::Network network(&clock);
-  auto system_result = sim::BuildSystem(config, &network, &clock, 0);
+  auto system_result = sim::BuildSystem(config, &network, &clock);
   ASSERT_TRUE(system_result.ok());
   sim::System system = std::move(system_result).MoveValueUnsafe();
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   driver.set_record_events(true);
   Status st = driver.Run(load);
   ASSERT_TRUE(st.ok()) << st;
@@ -121,10 +121,10 @@ TEST(AllowedLateness, ExactForOtherSystemsToo) {
     load.allowed_lateness_us = MillisUs(40);
     RealClock clock;
     net::Network network(&clock);
-    auto system_result = sim::BuildSystem(config, &network, &clock, 0);
+    auto system_result = sim::BuildSystem(config, &network, &clock);
     ASSERT_TRUE(system_result.ok());
     sim::System system = std::move(system_result).MoveValueUnsafe();
-    sim::SyncDriver driver(&system, &network, &clock);
+    sim::SyncDriver driver(&system, &network);
     driver.set_record_events(true);
     ASSERT_TRUE(driver.Run(load).ok());
     for (const auto& out : driver.outputs()) {
@@ -152,10 +152,10 @@ TEST(AllowedLateness, InsufficientLatenessDropsButCompletes) {
 
   RealClock clock;
   net::Network network(&clock);
-  auto system_result = sim::BuildSystem(config, &network, &clock, 0);
+  auto system_result = sim::BuildSystem(config, &network, &clock);
   ASSERT_TRUE(system_result.ok());
   sim::System system = std::move(system_result).MoveValueUnsafe();
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   Status st = driver.Run(load);
   ASSERT_TRUE(st.ok()) << st;  // drops must not wedge the pipeline
   ASSERT_EQ(driver.outputs().size(), 4u);

@@ -1,5 +1,5 @@
 // Coverage for smaller API surfaces: TimeAdvance payloads, per-link
-// enumeration, window-id peeking, file-backed CSV paths, and window-manager
+// enumeration, window-id peeking, table CSV export, and window-manager
 // snapshots in isolation.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 
 #include "common/clock.h"
 #include "common/table.h"
-#include "gen/csv_source.h"
 #include "net/message.h"
 #include "net/network.h"
 #include "stream/window_manager.h"
@@ -83,19 +82,6 @@ TEST(TableFile, WriteCsvCreatesReadableFile) {
   EXPECT_EQ(line, "1,\"x,y\"");
   std::remove(path.c_str());
   EXPECT_FALSE(t.WriteCsv("/nonexistent-dir/x.csv").ok());
-}
-
-TEST(CsvSourceFile, OpensFromDisk) {
-  std::string path = ::testing::TempDir() + "/dema_replay_test.csv";
-  {
-    std::ofstream out(path);
-    out << "# header comment\n1.5,1000\n2.5,2000\n";
-  }
-  auto src = gen::CsvReplaySource::Open(path, {});
-  ASSERT_TRUE(src.ok()) << src.status();
-  EXPECT_EQ(src->size(), 2u);
-  EXPECT_DOUBLE_EQ(src->Next().value, 1.5);
-  std::remove(path.c_str());
 }
 
 TEST(WindowManagerSnapshot, RoundTripPreservesBufferedEvents) {

@@ -48,10 +48,10 @@ HeteroRun RunHetero(bool per_node, uint64_t windows) {
 
   RealClock clock;
   net::Network network(&clock);
-  auto system_result = sim::BuildSystem(config, &network, &clock, 0);
+  auto system_result = sim::BuildSystem(config, &network, &clock);
   EXPECT_TRUE(system_result.ok()) << system_result.status();
   sim::System system = std::move(system_result).MoveValueUnsafe();
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   driver.set_record_events(true);
   Status st = driver.Run(load);
   EXPECT_TRUE(st.ok()) << st;

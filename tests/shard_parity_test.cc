@@ -51,7 +51,7 @@ std::vector<sim::WindowOutput> BaselineForKey(const shard::ShardedConfig& sc,
 
   RealClock clock;
   net::Network network(&clock);
-  auto system_result = sim::BuildSystem(config, &network, &clock, 0);
+  auto system_result = sim::BuildSystem(config, &network, &clock);
   EXPECT_TRUE(system_result.ok()) << system_result.status();
   sim::System system = std::move(system_result).MoveValueUnsafe();
 
@@ -60,7 +60,7 @@ std::vector<sim::WindowOutput> BaselineForKey(const shard::ShardedConfig& sc,
       seed_base + key * shard::kKeySeedStride);
   workload.window_len_us = config.window_len_us;
 
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   Status st = driver.Run(workload);
   EXPECT_TRUE(st.ok()) << st;
   return driver.outputs();

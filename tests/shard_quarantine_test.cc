@@ -43,14 +43,14 @@ std::vector<sim::WindowOutput> BaselineForKey(const shard::ShardedConfig& sc,
   // Baseline runs on an honest fabric: no quarantine knobs needed.
   RealClock clock;
   net::Network network(&clock);
-  auto system_result = sim::BuildSystem(config, &network, &clock, 0);
+  auto system_result = sim::BuildSystem(config, &network, &clock);
   EXPECT_TRUE(system_result.ok()) << system_result.status();
   sim::System system = std::move(system_result).MoveValueUnsafe();
   sim::WorkloadConfig workload = sim::MakeUniformWorkload(
       config.num_locals, load.num_windows, load.event_rate, load.distribution,
       {}, load.seed_base + key * shard::kKeySeedStride);
   workload.window_len_us = config.window_len_us;
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   Status st = driver.Run(workload);
   EXPECT_TRUE(st.ok()) << st;
   return driver.outputs();

@@ -100,14 +100,14 @@ TEST(ShardScale, TenThousandKeysAcrossFourShardsMatchSingleKeyRuns) {
   for (net::KeyId key = 0; key < sc.num_keys; ++key) {
     RealClock clock;
     net::Network network(&clock);
-    auto system_result = sim::BuildSystem(base, &network, &clock, 0);
+    auto system_result = sim::BuildSystem(base, &network, &clock);
     ASSERT_TRUE(system_result.ok()) << system_result.status();
     sim::System system = std::move(system_result).MoveValueUnsafe();
     sim::WorkloadConfig workload = sim::MakeUniformWorkload(
         base.num_locals, load.num_windows, load.event_rate,
         load.distribution, {}, load.seed_base + key * shard::kKeySeedStride);
     workload.window_len_us = base.window_len_us;
-    sim::SyncDriver driver(&system, &network, &clock);
+    sim::SyncDriver driver(&system, &network);
     ASSERT_TRUE(driver.Run(workload).ok()) << "key " << key;
 
     const auto& got = harness.outputs_by_key()[key];

@@ -121,10 +121,10 @@ TEST(SlidingDema, ExactQuantilesOverOverlappingWindows) {
 
   RealClock clock;
   net::Network network(&clock);
-  auto system_result = sim::BuildSystem(config, &network, &clock, 0);
+  auto system_result = sim::BuildSystem(config, &network, &clock);
   ASSERT_TRUE(system_result.ok()) << system_result.status();
   sim::System system = std::move(system_result).MoveValueUnsafe();
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   driver.set_record_events(true);
   ASSERT_TRUE(driver.Run(load).ok());
 
@@ -159,7 +159,7 @@ TEST(SlidingDema, BaselinesRejectSlidingWindows) {
   config.window_slide_us = config.window_len_us / 2;
   RealClock clock;
   net::Network network(&clock);
-  auto result = sim::BuildSystem(config, &network, &clock, 0);
+  auto result = sim::BuildSystem(config, &network, &clock);
   EXPECT_EQ(result.status().code(), StatusCode::kNotImplemented);
 }
 

@@ -106,10 +106,10 @@ TEST_P(DemaSoak, OracleExactUnderRandomConfig) {
     net_opts.fault_seed = c.seed;
   }
   net::Network network(&clock, net_opts);
-  auto system_result = sim::BuildSystem(c.config, &network, &clock, 0);
+  auto system_result = sim::BuildSystem(c.config, &network, &clock);
   ASSERT_TRUE(system_result.ok()) << system_result.status();
   sim::System system = std::move(system_result).MoveValueUnsafe();
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   driver.set_record_events(true);
   Status st = driver.Run(c.load);
   ASSERT_TRUE(st.ok()) << st;

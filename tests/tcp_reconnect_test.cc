@@ -211,9 +211,9 @@ TEST(TcpResilience, LoopbackClusterParityHoldsWithHeartbeatsOn) {
   config.registry = &sim_registry;
   config.tracer = &sim_tracer;
   net::Network network(&clock);
-  auto system = sim::BuildSystem(config, &network, &clock, 0);
+  auto system = sim::BuildSystem(config, &network, &clock);
   ASSERT_TRUE(system.ok());
-  sim::SyncDriver sync_driver(&*system, &network, &clock);
+  sim::SyncDriver sync_driver(&*system, &network);
   ASSERT_TRUE(sync_driver.Run(workload).ok());
   const std::vector<sim::WindowOutput> expected = sync_driver.outputs();
   ASSERT_EQ(expected.size(), workload.ExpectedWindows());

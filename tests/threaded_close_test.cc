@@ -35,7 +35,7 @@ std::vector<sim::WindowOutput> RunOnce(SystemConfig config,
   RealClock clock;
   net::Network network(&clock);
   config.registry = registry;
-  auto system = sim::BuildSystem(config, &network, &clock, 0);
+  auto system = sim::BuildSystem(config, &network, &clock);
   EXPECT_TRUE(system.ok()) << system.status();
   sim::System sys = std::move(system).MoveValueUnsafe();
   if (config.workers > 0) {
@@ -48,7 +48,7 @@ std::vector<sim::WindowOutput> RunOnce(SystemConfig config,
   WorkloadConfig workload = load;
   workload.window_len_us = config.window_len_us;
   workload.window_slide_us = config.window_slide_us;
-  sim::SyncDriver driver(&sys, &network, &clock);
+  sim::SyncDriver driver(&sys, &network);
   Status st = driver.Run(workload);
   EXPECT_TRUE(st.ok()) << st;
   return driver.outputs();
@@ -182,14 +182,14 @@ TEST(ThreadedClose, CallerOwnedExecutorIsShared) {
 
   RealClock clock;
   net::Network network(&clock);
-  auto system = sim::BuildSystem(config, &network, &clock, 0);
+  auto system = sim::BuildSystem(config, &network, &clock);
   ASSERT_TRUE(system.ok()) << system.status();
   sim::System sys = std::move(system).MoveValueUnsafe();
   ASSERT_EQ(sys.executor, nullptr);
 
   WorkloadConfig workload = load;
   workload.window_len_us = config.window_len_us;
-  sim::SyncDriver driver(&sys, &network, &clock);
+  sim::SyncDriver driver(&sys, &network);
   ASSERT_TRUE(driver.Run(workload).ok());
   EXPECT_EQ(driver.outputs().size(), 3u);
   EXPECT_GT(pool.registry()->FindCounter("exec.tasks_submitted")->Value(), 0u);

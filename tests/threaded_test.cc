@@ -1,5 +1,6 @@
-// Threaded-driver tests: every system runs a real thread-per-node pipeline
-// with backpressure; results, metrics, and failure paths are checked.
+// RunSync metrics tests: every system runs end to end through the
+// deterministic in-process driver; results, the RunMetrics it reports, and
+// failure paths are checked.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +33,7 @@ TEST_P(ThreadedSystems, CompletesAndReportsMetrics) {
   config.gamma = 500;
   WorkloadConfig load = SmallWorkload(2);
 
-  auto metrics = sim::RunThreaded(config, load, /*root_inbox_capacity=*/64);
+  auto metrics = sim::RunSync(config, load);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(metrics->windows_emitted, 4u);
   EXPECT_EQ(metrics->events_ingested, 2u * 4u * 20'000u);
@@ -53,20 +54,20 @@ INSTANTIATE_TEST_SUITE_P(
                  : sim::SystemKindToString(info.param);
     });
 
-TEST(ThreadedDriver, DemaSendsFarFewerEventsThanCentral) {
+TEST(RunSyncMetrics, DemaSendsFarFewerEventsThanCentral) {
   WorkloadConfig load = SmallWorkload(2, /*windows=*/3);
 
   SystemConfig dema_cfg;
   dema_cfg.kind = SystemKind::kDema;
   dema_cfg.num_locals = 2;
   dema_cfg.gamma = 500;
-  auto dema_metrics = sim::RunThreaded(dema_cfg, load, 64);
+  auto dema_metrics = sim::RunSync(dema_cfg, load);
   ASSERT_TRUE(dema_metrics.ok()) << dema_metrics.status();
 
   SystemConfig central_cfg;
   central_cfg.kind = SystemKind::kCentralExact;
   central_cfg.num_locals = 2;
-  auto central_metrics = sim::RunThreaded(central_cfg, load, 64);
+  auto central_metrics = sim::RunSync(central_cfg, load);
   ASSERT_TRUE(central_metrics.ok()) << central_metrics.status();
 
   // Central ships every event; Dema ships synopses + candidates only.
@@ -78,34 +79,34 @@ TEST(ThreadedDriver, DemaSendsFarFewerEventsThanCentral) {
             central_metrics->network_total.bytes);
 }
 
-TEST(ThreadedDriver, AdaptiveGammaRunsToCompletion) {
+TEST(RunSyncMetrics, AdaptiveGammaRunsToCompletion) {
   SystemConfig config;
   config.kind = SystemKind::kDema;
   config.num_locals = 3;
   config.gamma = 10'000;  // far from optimal; the controller must adapt
   config.adaptive_gamma = true;
   WorkloadConfig load = SmallWorkload(3, /*windows=*/8);
-  auto metrics = sim::RunThreaded(config, load, 64);
+  auto metrics = sim::RunSync(config, load);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(metrics->windows_emitted, 8u);
   EXPECT_GE(metrics->dema.gamma_updates_sent, 1u);
 }
 
-TEST(ThreadedDriver, MismatchedGeneratorCountFails) {
+TEST(RunSyncMetrics, MismatchedGeneratorCountFails) {
   SystemConfig config;
   config.kind = SystemKind::kDema;
   config.num_locals = 2;
   WorkloadConfig load = SmallWorkload(3);  // 3 generators for 2 locals
-  auto metrics = sim::RunThreaded(config, load, 64);
+  auto metrics = sim::RunSync(config, load);
   EXPECT_EQ(metrics.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ThreadedDriver, DemaStatsArePopulated) {
+TEST(RunSyncMetrics, DemaStatsArePopulated) {
   SystemConfig config;
   config.kind = SystemKind::kDema;
   config.num_locals = 2;
   config.gamma = 1000;
-  auto metrics = sim::RunThreaded(config, SmallWorkload(2), 64);
+  auto metrics = sim::RunSync(config, SmallWorkload(2));
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(metrics->dema.windows, 4u);
   EXPECT_GT(metrics->dema.synopsis_slices, 0u);
@@ -113,12 +114,12 @@ TEST(ThreadedDriver, DemaStatsArePopulated) {
   EXPECT_EQ(metrics->dema.global_events, metrics->events_ingested);
 }
 
-TEST(ThreadedDriver, PerTypeTrafficBreakdown) {
+TEST(RunSyncMetrics, PerTypeTrafficBreakdown) {
   SystemConfig config;
   config.kind = SystemKind::kDema;
   config.num_locals = 2;
   config.gamma = 1000;
-  auto metrics = sim::RunThreaded(config, SmallWorkload(2), 64);
+  auto metrics = sim::RunSync(config, SmallWorkload(2));
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_GT(metrics->by_type[net::MessageType::kSynopsisBatch].messages, 0u);
   EXPECT_GT(metrics->by_type[net::MessageType::kCandidateRequest].messages, 0u);

@@ -342,23 +342,13 @@ TEST(Scenario, SameSeedIsByteIdenticalAcrossRunsEvenUnderChaos) {
   EXPECT_NE(sim::DescribeScenarioDiff(*first, *reseeded), "");
 }
 
-TEST(Scenario, RejectsScheduledFaultsAndThreadedDrivers) {
+TEST(Scenario, RejectsScheduledFaults) {
   sim::SystemConfig config = ScenarioConfig(2);
   sim::WorkloadConfig load = ScenarioWorkload(config, 1);
   sim::ScenarioOptions options;
   options.faults.crashes.push_back(sim::CrashEvent{1, 0, 1});
   EXPECT_EQ(sim::RunScenario(config, load, options).status().code(),
             StatusCode::kInvalidArgument);
-
-  // The threaded driver cannot advance virtual time deterministically.
-  RealClock clock;
-  net::Network::Options net_options;
-  net_options.delivery = net::Network::DeliveryMode::kEvent;
-  net::Network network(&clock, net_options);
-  auto system = sim::BuildSystem(config, &network, &clock, 0);
-  ASSERT_TRUE(system.ok()) << system.status();
-  sim::ThreadedDriver driver(&*system, &network, &clock);
-  EXPECT_EQ(driver.Run(load).status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

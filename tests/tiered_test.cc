@@ -80,7 +80,7 @@ TEST_P(TieredExactness, MatchesFlatOracleSemantics) {
     }
   }
 
-  TieredSyncDriver driver(&*tiered, &network, &clock);
+  TieredSyncDriver driver(&*tiered, &network);
   ASSERT_TRUE(driver.Run(kWindows, kMicrosPerSecond).ok());
   ASSERT_EQ(driver.outputs().size(), kWindows);
   for (const WindowOutput& out : driver.outputs()) {
@@ -166,6 +166,43 @@ TEST(IngestAdapter, WatermarkIsMinAcrossSensors) {
   EXPECT_EQ(probe_ptr->last_watermark, 500);  // min(1000, 500)
   advance(11, 2000);
   EXPECT_EQ(probe_ptr->last_watermark, 1000);  // min(1000, 2000)
+}
+
+TEST(IngestAdapter, AppliesSensorMessagesInSendOrder) {
+  struct Probe final : LocalNodeLogic {
+    std::vector<std::string> log;
+    Status OnEvent(const Event&) override {
+      log.push_back("event");
+      return Status::OK();
+    }
+    Status OnWatermark(TimestampUs t) override {
+      log.push_back("wm " + std::to_string(t));
+      return Status::OK();
+    }
+    Status OnFinish(TimestampUs) override { return Status::OK(); }
+    Status OnMessage(const net::Message&) override { return Status::OK(); }
+  };
+  auto probe = std::make_unique<Probe>();
+  Probe* probe_ptr = probe.get();
+  IngestAdapter adapter(std::move(probe), {10});
+
+  net::EventBatch batch;
+  batch.events = {Event{1, 0, 10, 0}};
+  auto batch_msg = net::MakeMessage(net::MessageType::kEventBatch, 10, 1, batch);
+  batch_msg.seq = 1;
+  net::TimeAdvance advance;
+  advance.watermark_us = 1000;
+  auto advance_msg =
+      net::MakeMessage(net::MessageType::kTimeAdvance, 10, 1, advance);
+  advance_msg.seq = 2;
+
+  // The advance overtook the batch in flight: it waits for seq 1.
+  ASSERT_TRUE(adapter.OnMessage(advance_msg).ok());
+  EXPECT_TRUE(probe_ptr->log.empty());
+  ASSERT_TRUE(adapter.OnMessage(batch_msg).ok());
+  ASSERT_TRUE(adapter.OnMessage(batch_msg).ok());  // duplicate: ignored
+  EXPECT_EQ(probe_ptr->log, (std::vector<std::string>{"event", "wm 1000"}));
+  EXPECT_EQ(adapter.events_ingested(), 1u);
 }
 
 TEST(IngestAdapter, RejectsUnregisteredSensors) {

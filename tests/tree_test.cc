@@ -65,7 +65,7 @@ TreeRun RunTree(const TreeConfig& config, uint64_t windows, double rate) {
     }
   }
 
-  TreeSyncDriver driver(&*tree, &network, &clock);
+  TreeSyncDriver driver(&*tree, &network);
   Status st = driver.Run(load);
   EXPECT_TRUE(st.ok()) << st;
   run.outputs = driver.outputs();
@@ -120,7 +120,7 @@ TEST(TreeTopology, RelayCutsRootFanIn) {
   WorkloadConfig load = MakeUniformWorkload(8, 3, 2000, Uniform01k());
   load.window_len_us = config.window_len_us;
   for (size_t i = 0; i < 8; ++i) load.generators[i].node = tree->local_ids[i];
-  TreeSyncDriver driver(&*tree, &network, &clock);
+  TreeSyncDriver driver(&*tree, &network);
   ASSERT_TRUE(driver.Run(load).ok());
 
   // The root receives exactly one synopsis batch per relay per window,

@@ -8,7 +8,8 @@
 //   sustainable  binary-search the maximum sustainable throughput
 //   serve        run one node (root or local) of a TCP deployment
 //   cluster      run a whole cluster on this machine (--tcp forks one
-//                process per local node talking TCP over loopback)
+//                process per local node talking TCP over loopback; without
+//                it, a deterministic in-process run)
 //   chaos        replay a seeded fault schedule (drops, duplicates, delays,
 //                frame corruption, payload tampering, crashes, partitions)
 //                and assert every window is exact against an oracle or
@@ -208,10 +209,10 @@ int CmdRun(const Flags& flags) {
   net::Network::Options net_options;
   net_options.registry = &command_obs.registry;
   net::Network network(&clock, net_options);
-  auto system_result = sim::BuildSystem(config, &network, &clock, 0);
+  auto system_result = sim::BuildSystem(config, &network, &clock);
   if (!system_result.ok()) return Fail(system_result.status().ToString());
   sim::System system = std::move(system_result).MoveValueUnsafe();
-  sim::SyncDriver driver(&system, &network, &clock);
+  sim::SyncDriver driver(&system, &network);
   sim::WorkloadConfig load = *load_result;
   load.window_len_us = config.window_len_us;
   load.window_slide_us = config.window_slide_us;
@@ -334,7 +335,7 @@ int CmdTree(const Flags& flags) {
   load.window_len_us = config.window_len_us;
   for (size_t i = 0; i < leaves; ++i) load.generators[i].node = tree.local_ids[i];
 
-  sim::TreeSyncDriver driver(&tree, &network, &clock);
+  sim::TreeSyncDriver driver(&tree, &network);
   Status st = driver.Run(load);
   if (!st.ok()) return Fail(st.ToString());
 
@@ -884,8 +885,8 @@ int CmdCluster(const Flags& flags) {
       ? sim::RunTcpClusterForked(config, *load_result, cluster_opts,
                                  flags.GetString("host", "127.0.0.1"),
                                  static_cast<uint16_t>(flags.GetInt("port", 0)))
-      // Same topology over the in-process fabric, for comparison.
-      : sim::RunThreaded(config, *load_result);
+      // Same topology over the deterministic in-process fabric.
+      : sim::RunSync(config, *load_result);
   if (!metrics.ok()) return Fail(metrics.status().ToString());
   PrintTcpMetrics(*metrics, flags);
   command_obs.Export(flags);
@@ -1037,7 +1038,8 @@ int main(int argc, char** argv) {
          "               --quantiles= --concurrency= --until-window=\n"
          "               --shutdown-root --timeout-s=\n"
          "  cluster      whole cluster on this machine; --tcp forks one\n"
-         "               process per local node over loopback TCP\n"
+         "               process per local node over loopback TCP, else\n"
+         "               a deterministic in-process run\n"
          "  chaos        replay a seeded fault schedule and check every\n"
          "               window against an oracle; --fault-schedule=SPEC\n"
          "               (drop= dup= delay-us= corrupt= tamper-prob= seed=\n"
