@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "sim/driver.h"
 #include "sim/topology.h"
 
 namespace dema::sim {
@@ -110,60 +109,5 @@ Result<ConnChaosPlan> ParseConnKillSpec(const std::string& spec);
 /// yields the same schedule.
 std::vector<uint64_t> BuildKillSchedule(const ConnChaosPlan& plan,
                                         uint64_t salt);
-
-/// \brief Per-window outcome of a chaos run, checked against an oracle over
-/// the events that were actually fed (a crashed node's events are lost at the
-/// source, so they are not part of the ground truth).
-struct ChaosWindowReport {
-  net::WindowId window_id = 0;
-  bool emitted = false;
-  bool degraded = false;
-  std::string degrade_cause;
-  uint64_t rank_error_bound = 0;
-  uint64_t global_size = 0;
-  /// Emitted values, parallel to the configured quantiles.
-  std::vector<double> values;
-  /// Oracle values over the fed events (empty window -> empty).
-  std::vector<double> oracle;
-  /// Exact (non-degraded) windows only: emitted values equal the oracle.
-  bool matches_oracle = false;
-};
-
-/// \brief Outcome of one chaos run.
-struct ChaosReport {
-  std::vector<ChaosWindowReport> windows;
-  uint64_t exact_windows = 0;
-  uint64_t degraded_windows = 0;
-  uint64_t mismatched_windows = 0;
-  uint64_t missing_windows = 0;
-  bool root_idle = false;
-  /// Fault-fabric accounting.
-  uint64_t messages_dropped = 0;
-  uint64_t duplicates_injected = 0;
-  uint64_t messages_delayed = 0;
-  /// Frames flipped (CRC-dropped) plus payloads field-tampered.
-  uint64_t messages_corrupted = 0;
-  uint64_t root_retries = 0;
-  uint64_t restarts = 0;
-  /// Corruption-defense accounting at the root.
-  uint64_t rejected_payloads = 0;
-  uint64_t quarantines = 0;
-  uint64_t readmissions = 0;
-  /// First invariant violation, empty when the run held the chaos contract:
-  /// every window emitted exactly-matching the oracle OR explicitly degraded
-  /// with a cause, and the root ended idle.
-  std::string violation;
-
-  bool Invariant() const { return violation.empty(); }
-};
-
-/// \brief Runs the Dema system (tumbling windows only) under \p plan,
-/// replaying the seeded fault schedule deterministically, and checks every
-/// window against the oracle. Crashed locals checkpoint at the boundary,
-/// lose their inbox and in-memory state, and restart from the checkpoint
-/// with a gamma re-sync.
-Result<ChaosReport> RunChaos(const SystemConfig& system_config,
-                             const WorkloadConfig& workload,
-                             const FaultPlan& plan);
 
 }  // namespace dema::sim

@@ -34,7 +34,7 @@ WorkloadConfig MakeUniformWorkload(size_t num_locals, uint64_t num_windows,
 SyncDriver::SyncDriver(System* system, net::Network* network)
     : system_(system), network_(network) {}
 
-Status SyncDriver::PumpMessages() {
+Status SyncDriver::Pump() {
   return PumpToQuiescence(
       network_, SystemPumpNodes(*system_, &root_busy_us_, &local_busy_us_));
 }
@@ -46,67 +46,15 @@ double SyncDriver::max_local_busy_seconds() const {
 }
 
 Status SyncDriver::Run(const WorkloadConfig& workload) {
-  if (workload.generators.size() != system_->locals.size()) {
-    return Status::InvalidArgument("generator count != local node count");
-  }
-  if (workload.max_disorder_us > 0) return RunDisordered(workload);
-  std::vector<std::unique_ptr<gen::StreamGenerator>> gens;
-  for (const auto& cfg : workload.generators) {
-    DEMA_ASSIGN_OR_RETURN(auto g, gen::StreamGenerator::Create(cfg));
-    gens.push_back(std::move(g));
-  }
-  system_->root->SetResultCallback(
-      [this](const WindowOutput& out) { outputs_.push_back(out); });
-
-  if (record_events_) recorded_.assign(workload.num_windows, {});
-  local_busy_us_.assign(system_->locals.size(), 0.0);
-  root_busy_us_ = 0;
-
-  for (uint64_t w = 0; w < workload.num_windows; ++w) {
-    TimestampUs start = static_cast<TimestampUs>(w) * workload.window_len_us;
-    TimestampUs end = start + workload.window_len_us;
-    for (size_t i = 0; i < gens.size(); ++i) {
-      std::vector<Event> events =
-          gens[i]->GenerateWindow(start, workload.window_len_us);
-      Status st;
-      local_busy_us_[i] += TimedUs(
-          [&]() -> Status {
-            for (const Event& e : events) {
-              DEMA_RETURN_NOT_OK(system_->locals[i]->OnEvent(e));
-            }
-            return Status::OK();
-          },
-          &st);
-      DEMA_RETURN_NOT_OK(st);
-      events_ingested_ += events.size();
-      if (record_events_) {
-        auto& rec = recorded_[w];
-        rec.insert(rec.end(), events.begin(), events.end());
-      }
+  DEMA_RETURN_NOT_OK(Start(workload));
+  if (workload.max_disorder_us > 0) {
+    DEMA_RETURN_NOT_OK(RunDisordered());
+  } else {
+    for (uint64_t w = 0; w < workload.num_windows; ++w) {
+      DEMA_RETURN_NOT_OK(Step(w));
     }
-    for (size_t i = 0; i < system_->locals.size(); ++i) {
-      Status st;
-      local_busy_us_[i] +=
-          TimedUs([&] { return system_->locals[i]->OnWatermark(end); }, &st);
-      DEMA_RETURN_NOT_OK(st);
-    }
-    // Outside TimedUs: waiting for the worker pool is driver synchronization
-    // (keeps threaded message sequences identical to inline runs), not node
-    // busy time — a real ingest thread keeps ingesting while the pool sorts.
-    for (size_t i = 0; i < system_->locals.size(); ++i) {
-      DEMA_RETURN_NOT_OK(system_->locals[i]->Quiesce());
-    }
-    DEMA_RETURN_NOT_OK(PumpMessages());
   }
-  TimestampUs final_ts =
-      static_cast<TimestampUs>(workload.num_windows) * workload.window_len_us;
-  for (size_t i = 0; i < system_->locals.size(); ++i) {
-    Status st;
-    local_busy_us_[i] +=
-        TimedUs([&] { return system_->locals[i]->OnFinish(final_ts); }, &st);
-    DEMA_RETURN_NOT_OK(st);
-  }
-  DEMA_RETURN_NOT_OK(PumpMessages());
+  DEMA_RETURN_NOT_OK(Finish());
 
   if (system_->root->windows_emitted() != workload.ExpectedWindows()) {
     return Status::Internal(
@@ -119,18 +67,88 @@ Status SyncDriver::Run(const WorkloadConfig& workload) {
   return Status::OK();
 }
 
-Status SyncDriver::RunDisordered(const WorkloadConfig& workload) {
+Status SyncDriver::Start(const WorkloadConfig& workload) {
+  if (workload.generators.size() != system_->locals.size()) {
+    return Status::InvalidArgument("generator count != local node count");
+  }
+  workload_ = workload;
+  gens_.clear();
+  for (const auto& cfg : workload.generators) {
+    DEMA_ASSIGN_OR_RETURN(auto g, gen::StreamGenerator::Create(cfg));
+    gens_.push_back(std::move(g));
+  }
+  system_->root->SetResultCallback(
+      [this](const WindowOutput& out) { outputs_.push_back(out); });
+  if (record_events_) recorded_.assign(workload.num_windows, {});
+  local_busy_us_.assign(system_->locals.size(), 0.0);
+  root_busy_us_ = 0;
+  return Status::OK();
+}
+
+Status SyncDriver::Step(uint64_t w) {
+  const DurationUs len = workload_.window_len_us;
+  TimestampUs start = static_cast<TimestampUs>(w) * len;
+  TimestampUs end = start + len;
+  for (size_t i = 0; i < gens_.size(); ++i) {
+    // Generate for every local, crashed or not, so each local's event
+    // sequence is the same under every fault plan.
+    std::vector<Event> events = gens_[i]->GenerateWindow(start, len);
+    LocalNodeLogic* local = system_->locals[i].get();
+    if (local == nullptr) continue;
+    Status st;
+    local_busy_us_[i] += TimedUs(
+        [&]() -> Status {
+          for (const Event& e : events) DEMA_RETURN_NOT_OK(local->OnEvent(e));
+          return Status::OK();
+        },
+        &st);
+    DEMA_RETURN_NOT_OK(st);
+    events_ingested_ += events.size();
+    if (record_events_) {
+      auto& rec = recorded_[w];
+      rec.insert(rec.end(), events.begin(), events.end());
+    }
+  }
+  for (size_t i = 0; i < system_->locals.size(); ++i) {
+    LocalNodeLogic* local = system_->locals[i].get();
+    if (local == nullptr) continue;
+    Status st;
+    local_busy_us_[i] += TimedUs([&] { return local->OnWatermark(end); }, &st);
+    DEMA_RETURN_NOT_OK(st);
+  }
+  // Outside TimedUs: waiting for the worker pool is driver synchronization
+  // (keeps threaded message sequences identical to inline runs), not node
+  // busy time — a real ingest thread keeps ingesting while the pool sorts.
+  for (const auto& local : system_->locals) {
+    if (local != nullptr) DEMA_RETURN_NOT_OK(local->Quiesce());
+  }
+  DEMA_RETURN_NOT_OK(Pump());
+  // Drives the root's deadline machinery; a no-op with deadline_ticks == 0.
+  DEMA_RETURN_NOT_OK(system_->root->Tick());
+  return Pump();
+}
+
+Status SyncDriver::Finish() {
+  const TimestampUs horizon =
+      static_cast<TimestampUs>(workload_.num_windows) * workload_.window_len_us;
+  for (size_t i = 0; i < system_->locals.size(); ++i) {
+    LocalNodeLogic* local = system_->locals[i].get();
+    if (local == nullptr) continue;
+    Status st;
+    local_busy_us_[i] += TimedUs([&] { return local->OnFinish(horizon); }, &st);
+    DEMA_RETURN_NOT_OK(st);
+  }
+  return Pump();
+}
+
+Status SyncDriver::RunDisordered() {
   // Bounded-disorder mode: every node's stream is shuffled within
   // max_disorder_us of event time and watermarks are held back by the
   // allowed lateness. Chunked round-robin processing keeps nodes loosely in
   // step, as concurrent execution would.
+  const WorkloadConfig& workload = workload_;
   const TimestampUs horizon =
       static_cast<TimestampUs>(workload.num_windows) * workload.window_len_us;
-  system_->root->SetResultCallback(
-      [this](const WindowOutput& out) { outputs_.push_back(out); });
-  local_busy_us_.assign(system_->locals.size(), 0.0);
-  root_busy_us_ = 0;
-  if (record_events_) recorded_.assign(workload.num_windows, {});
 
   std::vector<std::vector<Event>> streams;
   for (size_t i = 0; i < workload.generators.size(); ++i) {
@@ -175,26 +193,9 @@ Status SyncDriver::RunDisordered(const WorkloadConfig& workload) {
           &st);
       DEMA_RETURN_NOT_OK(st);
     }
-    DEMA_RETURN_NOT_OK(PumpMessages());
+    DEMA_RETURN_NOT_OK(Pump());
   }
   for (const auto& stream : streams) events_ingested_ += stream.size();
-
-  for (size_t i = 0; i < system_->locals.size(); ++i) {
-    Status st;
-    local_busy_us_[i] +=
-        TimedUs([&] { return system_->locals[i]->OnFinish(horizon); }, &st);
-    DEMA_RETURN_NOT_OK(st);
-  }
-  DEMA_RETURN_NOT_OK(PumpMessages());
-
-  if (system_->root->windows_emitted() != workload.ExpectedWindows()) {
-    return Status::Internal(
-        "root emitted " + std::to_string(system_->root->windows_emitted()) +
-        " windows, expected " + std::to_string(workload.ExpectedWindows()));
-  }
-  if (!system_->root->idle()) {
-    return Status::Internal("root still has pending windows after run");
-  }
   return Status::OK();
 }
 

@@ -55,7 +55,7 @@ WorkloadConfig MakeUniformWorkload(size_t num_locals, uint64_t num_windows,
                                    uint64_t seed_base = 1000);
 
 /// \brief Deterministic single-threaded driver (tests, accuracy experiments,
-/// network-cost accounting).
+/// network-cost accounting, and the fault/topology harness `RunScenario`).
 ///
 /// Generates each window's events for every node, feeds them through the
 /// node logic, then pumps messages until the system is quiescent. All
@@ -68,18 +68,34 @@ class SyncDriver {
   /// Runs the whole workload; fails on the first node error.
   Status Run(const WorkloadConfig& workload);
 
+  /// Prepares a window-by-window run of \p workload: creates the
+  /// generators, installs the root's result callback and resets the
+  /// accounts. A harness that changes the system between windows calls it,
+  /// then `Step` for each window and `Finish`; `Run` does the same.
+  Status Start(const WorkloadConfig& workload);
+  /// Runs window \p w: generates every local's events, feeds those of the
+  /// live locals (a null local is crashed, and its events are lost at the
+  /// source), advances the live locals' watermarks to the window end,
+  /// pumps, ticks the root and pumps again.
+  Status Step(uint64_t w);
+  /// Ends every live local's stream at the workload horizon and pumps.
+  Status Finish();
+  /// Dispatches queued messages until the fabric is quiescent, charging
+  /// each node's busy-time account.
+  Status Pump();
+
   /// Outputs emitted by the root, in emission order.
   const std::vector<WindowOutput>& outputs() const { return outputs_; }
 
-  /// When enabled before Run, keeps every generated event per window so
+  /// When enabled before Run/Start, keeps every fed event per window so
   /// tests can compute oracle quantiles.
   void set_record_events(bool record) { record_events_ = record; }
-  /// Generated events per window id (only when recording was enabled).
+  /// Fed events per window id (only when recording was enabled).
   const std::vector<std::vector<Event>>& recorded_events() const {
     return recorded_;
   }
 
-  /// Total events ingested.
+  /// Total events fed to the locals.
   uint64_t events_ingested() const { return events_ingested_; }
 
   /// Busy seconds of local node \p i (work it performed on its own "CPU").
@@ -90,15 +106,14 @@ class SyncDriver {
   double max_local_busy_seconds() const;
 
  private:
-  /// Dispatches queued messages until the fabric is quiescent, charging
-  /// each node's busy-time account.
-  Status PumpMessages();
   /// Out-of-order mode (max_disorder_us > 0): chunked round-robin delivery
   /// with held-back watermarks.
-  Status RunDisordered(const WorkloadConfig& workload);
+  Status RunDisordered();
 
   System* system_;
   net::Network* network_;
+  WorkloadConfig workload_;
+  std::vector<std::unique_ptr<gen::StreamGenerator>> gens_;
   std::vector<WindowOutput> outputs_;
   std::vector<std::vector<Event>> recorded_;
   bool record_events_ = false;

@@ -4,12 +4,71 @@
 #include <chrono>
 #include <sstream>
 
+#include "dema/local_node.h"
 #include "dema/root_node.h"
-#include "gen/generator.h"
-#include "sim/pump.h"
+#include "net/serializer.h"
 #include "stream/quantile.h"
 
 namespace dema::sim {
+
+namespace {
+
+Status ValidatePlan(const SystemConfig& config, const ScenarioOptions& options,
+                    bool faulty) {
+  const FaultPlan& plan = options.faults;
+  if ((!plan.crashes.empty() || !plan.partitions.empty() ||
+       !plan.tampers.empty()) &&
+      options.topology != "inline") {
+    return Status::InvalidArgument(
+        "scheduled crashes, partitions, and tampers need the inline "
+        "topology; the event-driven fabrics take only probabilistic faults "
+        "(drop/dup/delay/corrupt)");
+  }
+  if (faulty && config.kind != SystemKind::kDema) {
+    return Status::InvalidArgument("fault plans support only the Dema system");
+  }
+  if (faulty && plan.deadline_ticks == 0) {
+    return Status::InvalidArgument(
+        "fault plans need deadline_ticks > 0 (the no-stall invariant depends "
+        "on the root's deadline machinery)");
+  }
+  auto is_local = [&config](NodeId id) {
+    return id >= 1 && id <= config.num_locals;
+  };
+  for (const CrashEvent& crash : plan.crashes) {
+    if (!is_local(crash.node)) {
+      return Status::InvalidArgument("crash schedule names unknown node " +
+                                     std::to_string(crash.node));
+    }
+  }
+  for (const TamperEvent& tamper : plan.tampers) {
+    if (!is_local(tamper.node)) {
+      return Status::InvalidArgument("tamper schedule names unknown node " +
+                                     std::to_string(tamper.node));
+    }
+  }
+  for (const PartitionEvent& part : plan.partitions) {
+    // Node 0 is the root.
+    for (NodeId id : {part.a, part.b}) {
+      if (id != 0 && !is_local(id)) {
+        return Status::InvalidArgument(
+            "partition schedule names unknown node " + std::to_string(id));
+      }
+    }
+    if (part.a == part.b) {
+      return Status::InvalidArgument("partition of node " +
+                                     std::to_string(part.a) + " with itself");
+    }
+  }
+  if (!plan.tampers.empty() && plan.quarantine_strikes == 0) {
+    return Status::InvalidArgument(
+        "tamper schedule needs quarantine (strikes > 0): without it a "
+        "tampering local stalls every window into its retry budget");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
                                    const WorkloadConfig& workload,
@@ -23,23 +82,11 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
     return Status::InvalidArgument("generator count != local node count");
   }
   const FaultPlan& plan = options.faults;
-  if (!plan.crashes.empty() || !plan.partitions.empty() ||
-      !plan.tampers.empty()) {
-    return Status::InvalidArgument(
-        "scenarios take only probabilistic faults (drop/dup/delay/corrupt); "
-        "scheduled crashes, partitions, and tampers belong to RunChaos");
-  }
   const bool faulty = plan.drop_prob > 0 || plan.duplicate_prob > 0 ||
-                      plan.delay_us_max > 0 || plan.corrupt_prob > 0;
-  if (faulty && system_config.kind != SystemKind::kDema) {
-    return Status::InvalidArgument(
-        "faulty scenarios support only the Dema system");
-  }
-  if (faulty && plan.deadline_ticks == 0) {
-    return Status::InvalidArgument(
-        "faulty scenarios need deadline_ticks > 0 (recovery depends on the "
-        "root's deadline machinery)");
-  }
+                      plan.delay_us_max > 0 || plan.corrupt_prob > 0 ||
+                      !plan.crashes.empty() || !plan.partitions.empty() ||
+                      !plan.tampers.empty();
+  DEMA_RETURN_NOT_OK(ValidatePlan(system_config, options, faulty));
 
   RealClock clock;
   obs::Registry registry;
@@ -55,165 +102,194 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
 
   net::Network::Options net_options;
   net_options.registry = &registry;
-  net_options.delivery = net::Network::DeliveryMode::kEvent;
   net_options.drop_prob = plan.drop_prob;
   net_options.duplicate_prob = plan.duplicate_prob;
   net_options.delay_us_max = plan.delay_us_max;
   net_options.delay_prob = plan.delay_prob;
   net_options.corrupt_prob = plan.corrupt_prob;
+  net_options.tamper_prob = plan.tamper_prob;
   net_options.fault_seed = plan.seed;
   ScenarioReport report;
-  if (options.topology != "flat") {
+  report.topology = options.topology;
+  if (options.topology != "inline") {
+    net_options.delivery = net::Network::DeliveryMode::kEvent;
+  }
+  if (options.topology != "inline" && options.topology != "flat") {
     DEMA_ASSIGN_OR_RETURN(
         net_options.topology,
         tick::Topology::Build(options.topology, config.num_locals + 1));
     report.topology = net_options.topology->name();
-  } else {
-    report.topology = "flat";
   }
   report.num_locals = config.num_locals;
   net::Network network(&clock, net_options);
 
   DEMA_ASSIGN_OR_RETURN(System system, BuildSystem(config, &network, &clock));
+  auto* dema_root = dynamic_cast<core::DemaRootNode*>(system.root.get());
 
-  std::vector<std::unique_ptr<gen::StreamGenerator>> gens;
-  for (const auto& cfg : workload.generators) {
-    DEMA_ASSIGN_OR_RETURN(auto g, gen::StreamGenerator::Create(cfg));
-    gens.push_back(std::move(g));
-  }
+  WorkloadConfig load = workload;
+  load.window_len_us = config.window_len_us;
+  load.window_slide_us = config.window_slide_us;
+  SyncDriver driver(&system, &network);
+  driver.set_record_events(true);
+  DEMA_RETURN_NOT_OK(driver.Start(load));
 
-  system.root->SetResultCallback([&report](const WindowOutput& out) {
-    report.outputs.push_back(out);
-  });
-
-  const uint64_t num_windows = workload.num_windows;
-  const DurationUs window_len = config.window_len_us;
-  std::vector<std::vector<double>> fed(num_windows);
-  std::vector<double> local_busy_us(system.locals.size(), 0.0);
-  double root_busy_us = 0;
-
-  auto pump_all = [&] {
-    return PumpToQuiescence(
-        &network, SystemPumpNodes(system, &root_busy_us, &local_busy_us));
+  // A crashed local's logic is null: the driver neither feeds it nor pumps
+  // its inbox. Its checkpoint is the state it restarts from.
+  std::vector<std::vector<uint8_t>> checkpoints(system.locals.size());
+  auto crash_local = [&](size_t i) -> Status {
+    auto* local = dynamic_cast<core::DemaLocalNode*>(system.locals[i].get());
+    if (local == nullptr) {
+      return Status::Internal("crashes require Dema local nodes");
+    }
+    // The "device" persisted its last checkpoint before dying; in-memory
+    // state and queued inbox messages are lost.
+    net::Writer w;
+    local->Checkpoint(&w);
+    checkpoints[i] = w.TakeBuffer();
+    system.locals[i].reset();
+    NodeId id = system.local_ids[i];
+    network.SetNodeDown(id, true);
+    net::Channel* inbox = network.Inbox(id);
+    while (inbox->TryPop()) {
+    }
+    return Status::OK();
+  };
+  auto restart_local = [&](size_t i) -> Status {
+    NodeId id = system.local_ids[i];
+    DEMA_ASSIGN_OR_RETURN(auto logic,
+                          BuildLocalLogic(config, id, &network, &clock));
+    auto* local = dynamic_cast<core::DemaLocalNode*>(logic.get());
+    if (local == nullptr) {
+      return Status::Internal("restarts require Dema local nodes");
+    }
+    net::Reader r(checkpoints[i]);
+    DEMA_RETURN_NOT_OK(local->Restore(&r));
+    system.locals[i] = std::move(logic);
+    network.SetNodeDown(id, false);
+    // Best effort on a faulty fabric: a lost sync costs gamma freshness,
+    // never correctness.
+    DEMA_RETURN_NOT_OK(local->ResyncGamma());
+    ++report.restarts;
+    return Status::OK();
   };
 
   auto wall_start = std::chrono::steady_clock::now();
-  for (uint64_t w = 0; w < num_windows; ++w) {
-    TimestampUs start = static_cast<TimestampUs>(w) * window_len;
-    TimestampUs end = start + window_len;
-    for (size_t i = 0; i < gens.size(); ++i) {
-      std::vector<Event> events = gens[i]->GenerateWindow(start, window_len);
-      Status st;
-      local_busy_us[i] += TimedUs(
-          [&]() -> Status {
-            for (const Event& e : events) {
-              DEMA_RETURN_NOT_OK(system.locals[i]->OnEvent(e));
-            }
-            return Status::OK();
-          },
-          &st);
-      DEMA_RETURN_NOT_OK(st);
-      report.events_ingested += events.size();
-      if (options.check_oracle) {
-        for (const Event& e : events) fed[w].push_back(e.value);
+  for (uint64_t w = 0; w < load.num_windows; ++w) {
+    // Boundary schedule: heal partitions, restart recovered nodes, then
+    // apply new crashes, partitions and tampers for this window.
+    for (const PartitionEvent& part : plan.partitions) {
+      if (part.until_window == w) {
+        network.Heal(part.a, part.b);
+        network.Heal(part.b, part.a);
       }
     }
-    for (size_t i = 0; i < system.locals.size(); ++i) {
-      Status st;
-      local_busy_us[i] +=
-          TimedUs([&] { return system.locals[i]->OnWatermark(end); }, &st);
-      DEMA_RETURN_NOT_OK(st);
+    for (const CrashEvent& crash : plan.crashes) {
+      size_t i = static_cast<size_t>(crash.node) - 1;
+      if (crash.at_window + crash.down_windows == w &&
+          system.locals[i] == nullptr) {
+        DEMA_RETURN_NOT_OK(restart_local(i));
+      }
     }
-    for (size_t i = 0; i < system.locals.size(); ++i) {
-      DEMA_RETURN_NOT_OK(system.locals[i]->Quiesce());
+    for (const CrashEvent& crash : plan.crashes) {
+      size_t i = static_cast<size_t>(crash.node) - 1;
+      if (crash.at_window == w && system.locals[i] != nullptr) {
+        DEMA_RETURN_NOT_OK(crash_local(i));
+      }
     }
-    DEMA_RETURN_NOT_OK(pump_all());
-    DEMA_RETURN_NOT_OK(system.root->Tick());
-    DEMA_RETURN_NOT_OK(pump_all());
+    for (const PartitionEvent& part : plan.partitions) {
+      if (part.from_window == w) {
+        network.Partition(part.a, part.b);
+        network.Partition(part.b, part.a);
+      }
+    }
+    for (const TamperEvent& tamper : plan.tampers) {
+      if (tamper.until_window == w) network.SetNodeTamper(tamper.node, false);
+      if (tamper.from_window == w) network.SetNodeTamper(tamper.node, true);
+    }
+    DEMA_RETURN_NOT_OK(driver.Step(w));
   }
-
-  TimestampUs final_ts = static_cast<TimestampUs>(num_windows) * window_len;
-  for (size_t i = 0; i < system.locals.size(); ++i) {
-    Status st;
-    local_busy_us[i] +=
-        TimedUs([&] { return system.locals[i]->OnFinish(final_ts); }, &st);
-    DEMA_RETURN_NOT_OK(st);
-  }
-  auto* dema_root = dynamic_cast<core::DemaRootNode*>(system.root.get());
-  if (dema_root != nullptr && num_windows > 0) {
-    dema_root->NoteWindowHorizon(num_windows - 1);
+  DEMA_RETURN_NOT_OK(driver.Finish());
+  if (dema_root != nullptr && load.num_windows > 0) {
+    dema_root->NoteWindowHorizon(load.num_windows - 1);
   }
 
   // Drain: tick until the retry/degrade budget of every pending window is
-  // provably exhausted (same bound as the chaos harness).
+  // provably exhausted. The bound covers the full exponential backoff.
   const uint64_t max_drain_ticks =
       plan.deadline_ticks *
           (uint64_t{2} << std::min<uint32_t>(plan.max_retries, 32)) +
       plan.deadline_ticks + 64;
   for (uint64_t i = 0; i < max_drain_ticks; ++i) {
-    DEMA_RETURN_NOT_OK(pump_all());
-    if (system.root->idle() && network.pending_events() == 0) break;
+    DEMA_RETURN_NOT_OK(driver.Pump());
+    if (system.root->idle() && network.pending_events() == 0 &&
+        network.delayed_in_flight() == 0) {
+      break;
+    }
     DEMA_RETURN_NOT_OK(system.root->Tick());
   }
   auto wall_end = std::chrono::steady_clock::now();
   report.root_idle = system.root->idle();
 
-  // Verdict per window against the oracle over the fed events — the same
-  // ground truth a flat-topology run is checked against, so "exact" here
-  // means "matches the flat-topology oracle".
   std::map<net::WindowId, const WindowOutput*> by_window;
-  for (const WindowOutput& out : report.outputs) {
+  for (const WindowOutput& out : driver.outputs()) {
     by_window.emplace(out.window_id, &out);
   }
-  for (uint64_t w = 0; w < num_windows; ++w) {
+  auto violate = [&report](uint64_t w, const char* why) {
+    if (report.violation.empty()) {
+      report.violation = "window " + std::to_string(w) + " " + why;
+    }
+  };
+  for (uint64_t w = 0; w < load.num_windows; ++w) {
+    WindowVerdict verdict;
+    verdict.output.window_id = w;
+    std::vector<double> fed;
+    for (const Event& e : driver.recorded_events()[w]) fed.push_back(e.value);
+    for (double q : config.quantiles) {
+      if (fed.empty()) break;
+      DEMA_ASSIGN_OR_RETURN(double oracle, stream::ExactQuantileValues(fed, q));
+      verdict.oracle.push_back(oracle);
+    }
     auto it = by_window.find(w);
     if (it == by_window.end()) {
       ++report.missing_windows;
-      if (report.violation.empty()) {
-        report.violation = "window " + std::to_string(w) + " was never emitted";
-      }
-      continue;
-    }
-    const WindowOutput& out = *it->second;
-    if (out.degraded) {
-      ++report.degraded_windows;
-      if (out.degrade_cause.empty() && report.violation.empty()) {
-        report.violation =
-            "window " + std::to_string(w) + " degraded without a cause";
-      }
-      continue;
-    }
-    if (!options.check_oracle) {
-      ++report.exact_windows;
-      continue;
-    }
-    bool matches = out.global_size == fed[w].size();
-    if (matches && !fed[w].empty()) {
-      for (size_t qi = 0; qi < config.quantiles.size() && matches; ++qi) {
-        DEMA_ASSIGN_OR_RETURN(
-            double oracle,
-            stream::ExactQuantileValues(fed[w], config.quantiles[qi]));
-        matches = qi < out.values.size() && out.values[qi] == oracle;
-      }
-    }
-    if (matches) {
-      ++report.exact_windows;
+      violate(w, "was never emitted");
     } else {
-      ++report.mismatched_windows;
-      if (report.violation.empty()) {
-        report.violation = "window " + std::to_string(w) +
-                           " emitted as exact but mismatches the oracle";
+      verdict.emitted = true;
+      verdict.output = *it->second;
+      const WindowOutput& out = verdict.output;
+      if (out.degraded) {
+        ++report.degraded_windows;
+        if (out.degrade_cause.empty()) violate(w, "degraded without a cause");
+      } else {
+        // An empty window is exact when it is emitted empty.
+        verdict.matches_oracle = out.global_size == fed.size() &&
+                                 (fed.empty() || out.values == verdict.oracle);
+        if (verdict.matches_oracle) {
+          ++report.exact_windows;
+        } else {
+          ++report.mismatched_windows;
+          violate(w, "emitted as exact but mismatches the oracle");
+        }
       }
     }
+    report.windows.push_back(std::move(verdict));
   }
   if (!report.root_idle && report.violation.empty()) {
     report.violation = "root still has pending windows after the drain";
   }
 
+  report.events_ingested = driver.events_ingested();
   report.messages_dropped = network.messages_dropped();
   report.duplicates_injected = network.duplicates_injected();
   report.messages_delayed = network.messages_delayed();
   report.messages_corrupted = network.messages_corrupted();
+  if (dema_root != nullptr) {
+    const core::DemaRootStats root_stats = dema_root->stats();
+    report.root_retries = root_stats.retries;
+    report.rejected_payloads = root_stats.rejected_payloads;
+    report.quarantines = root_stats.quarantines;
+    report.readmissions = root_stats.readmissions;
+  }
   report.event_queue_peak = network.event_queue_peak();
   report.virtual_time_us = network.virtual_now_us();
   auto total = network.TotalStats();
@@ -235,10 +311,8 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
       report.wall_seconds > 0
           ? static_cast<double>(report.events_ingested) / report.wall_seconds
           : 0;
-  report.root_busy_seconds = root_busy_us / 1e6;
-  double max_local_us = 0;
-  for (double b : local_busy_us) max_local_us = std::max(max_local_us, b);
-  report.max_local_busy_seconds = max_local_us / 1e6;
+  report.root_busy_seconds = driver.root_busy_seconds();
+  report.max_local_busy_seconds = driver.max_local_busy_seconds();
   double bottleneck_seconds =
       std::max(report.root_busy_seconds, report.max_local_busy_seconds);
   report.sim_throughput_eps =
@@ -261,17 +335,17 @@ std::string DescribeScenarioDiff(const ScenarioReport& a,
   if (a.topology != b.topology) {
     return "topology: " + a.topology + " vs " + b.topology;
   }
-  if (a.outputs.size() != b.outputs.size()) {
-    out << "output count: " << a.outputs.size() << " vs " << b.outputs.size();
+  if (!field("window count", a.windows.size(), b.windows.size())) {
     return out.str();
   }
-  for (size_t i = 0; i < a.outputs.size(); ++i) {
-    const WindowOutput& x = a.outputs[i];
-    const WindowOutput& y = b.outputs[i];
-    if (x.window_id != y.window_id || x.global_size != y.global_size ||
-        x.degraded != y.degraded || x.degrade_cause != y.degrade_cause ||
+  for (size_t i = 0; i < a.windows.size(); ++i) {
+    const WindowOutput& x = a.windows[i].output;
+    const WindowOutput& y = b.windows[i].output;
+    if (a.windows[i].emitted != b.windows[i].emitted ||
+        x.global_size != y.global_size || x.degraded != y.degraded ||
+        x.degrade_cause != y.degrade_cause ||
         x.rank_error_bound != y.rank_error_bound || x.values != y.values) {
-      out << "output " << i << " (window " << x.window_id << ") differs";
+      out << "window " << x.window_id << " differs";
       return out.str();
     }
   }
@@ -289,7 +363,12 @@ std::string DescribeScenarioDiff(const ScenarioReport& a,
              b.duplicates_injected) ||
       !field("messages_delayed", a.messages_delayed, b.messages_delayed) ||
       !field("messages_corrupted", a.messages_corrupted,
-             b.messages_corrupted)) {
+             b.messages_corrupted) ||
+      !field("restarts", a.restarts, b.restarts) ||
+      !field("root_retries", a.root_retries, b.root_retries) ||
+      !field("rejected_payloads", a.rejected_payloads, b.rejected_payloads) ||
+      !field("quarantines", a.quarantines, b.quarantines) ||
+      !field("readmissions", a.readmissions, b.readmissions)) {
     return out.str();
   }
   if (a.counters != b.counters) {

@@ -12,39 +12,56 @@
 
 namespace dema::sim {
 
-/// \brief One topology-scale scenario: an event-driven-delivery run over a
-/// routed multi-hop topology (or the flat fabric), optionally under the
-/// probabilistic subset of a fault plan.
+/// \brief One run of the in-process fault and topology harness: a fabric
+/// (inline, flat event-driven, or a routed multi-hop topology), optionally
+/// under a fault plan.
 struct ScenarioOptions {
-  /// Topology spec (`star`, `tree[:fanout=F]`, `fat-tree[:k=K]`,
-  /// `wan[:regions=R]` — see `tick::Topology`), or `flat` for event-driven
-  /// delivery over the single-hop link model.
+  /// Fabric spec:
+  /// - `inline`: inline delivery without virtual time. The only fabric that
+  ///   takes scheduled crashes, partitions and tampers.
+  /// - `flat`: event-driven delivery over the single-hop link model.
+  /// - A routed topology (`star`, `tree[:fanout=F]`, `fat-tree[:k=K]`,
+  ///   `wan[:regions=R]` — see `tick::Topology`): event-driven delivery
+  ///   hop by hop.
   std::string topology = "flat";
-  /// Probabilistic faults (drop / duplicate / delay / corrupt) plus the
-  /// root's deadline/retry knobs. Scheduled crashes, partitions, and tampers
-  /// are not supported here — that is `RunChaos`'s job on the flat fabric.
+  /// Probabilistic faults, scheduled crashes / partitions / tampers, and
+  /// the root's deadline, retry and quarantine knobs. A plan with any fault
+  /// needs the Dema system and deadline_ticks > 0, and its root knobs
+  /// replace the system's; a fault-free plan leaves the system untouched.
   FaultPlan faults;
-  /// Check every non-degraded window against the exact oracle over the fed
-  /// events (the flat-topology ground truth).
-  bool check_oracle = true;
+};
+
+/// \brief One window's verdict against the oracle over the fed events (a
+/// crashed local's events are lost at the source, so they are not part of
+/// the ground truth — the same ground truth a flat run is checked against).
+struct WindowVerdict {
+  /// The root's output for the window; only `window_id` is set when the
+  /// window was never emitted.
+  WindowOutput output;
+  bool emitted = false;
+  /// Oracle values over the fed events, parallel to the quantiles (empty
+  /// for an empty window).
+  std::vector<double> oracle;
+  /// Exact (non-degraded) windows only: the output equals the oracle.
+  bool matches_oracle = false;
 };
 
 /// \brief Outcome of one scenario run. Everything except the wall/busy
 /// timings is deterministic for a fixed (workload, options) pair —
 /// `DescribeScenarioDiff` compares exactly that deterministic surface.
 struct ScenarioReport {
-  /// Canonical topology name, e.g. "fat-tree:k=16".
+  /// Canonical fabric name, e.g. "inline", "flat" or "fat-tree:k=16".
   std::string topology;
   uint64_t num_locals = 0;
   uint64_t events_ingested = 0;
-  /// Root outputs in emission order.
-  std::vector<WindowOutput> outputs;
+  /// One verdict per window id.
+  std::vector<WindowVerdict> windows;
   uint64_t exact_windows = 0;
   uint64_t degraded_windows = 0;
   uint64_t mismatched_windows = 0;
   uint64_t missing_windows = 0;
   bool root_idle = false;
-  /// Discrete-event accounting.
+  /// Discrete-event accounting (zero on the inline fabric).
   uint64_t sim_ticks = 0;
   uint64_t sim_events = 0;
   uint64_t event_queue_peak = 0;
@@ -53,7 +70,14 @@ struct ScenarioReport {
   uint64_t messages_dropped = 0;
   uint64_t duplicates_injected = 0;
   uint64_t messages_delayed = 0;
+  /// Frames flipped (CRC-dropped) plus payloads field-tampered.
   uint64_t messages_corrupted = 0;
+  uint64_t restarts = 0;
+  /// Root recovery and corruption-defense accounting (Dema root only).
+  uint64_t root_retries = 0;
+  uint64_t rejected_payloads = 0;
+  uint64_t quarantines = 0;
+  uint64_t readmissions = 0;
   /// Wire accounting (endpoint-to-endpoint, identical to a flat run).
   net::TrafficCounters network_total;
   double simulated_transfer_us = 0;
@@ -66,23 +90,27 @@ struct ScenarioReport {
   double max_local_busy_seconds = 0;
   double sim_throughput_eps = 0;
   /// First invariant violation; empty when every window emitted exactly
-  /// (matching the oracle) or explicitly degraded, and the root ended idle.
+  /// (matching the oracle) or explicitly degraded with a cause, and the
+  /// root ended idle.
   std::string violation;
 
   bool Invariant() const { return violation.empty(); }
 };
 
-/// \brief Runs \p system_config / \p workload with event-driven delivery
-/// over \p options.topology. Fault runs (any probability > 0) require the
-/// Dema system with deadline_ticks > 0; fault-free runs accept any system
-/// kind. Tumbling windows only.
+/// \brief Runs \p system_config / \p workload over the fabric
+/// \p options.topology under \p options.faults, one `SyncDriver::Step` per
+/// window, and checks every window against the oracle. Scheduled faults act
+/// at window boundaries: a crashed local checkpoints, loses its inbox and
+/// in-memory state, and restarts from the checkpoint with a gamma re-sync.
+/// Tumbling windows only.
 Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
                                    const WorkloadConfig& workload,
                                    const ScenarioOptions& options);
 
 /// \brief Human-readable first difference between two scenario reports'
-/// deterministic surfaces (outputs, verdict counts, sim.* accounting, and
-/// the full counter snapshot); empty when byte-identical.
+/// deterministic surfaces (per-window outputs, verdict counts, sim.*
+/// accounting, fault and root-defense counters, restarts, and the full
+/// counter snapshot); empty when byte-identical.
 std::string DescribeScenarioDiff(const ScenarioReport& a,
                                  const ScenarioReport& b);
 

@@ -21,6 +21,11 @@ namespace dema::sim {
 
 namespace {
 
+// How long the root waits for its locals to acknowledge kShutdown. A local
+// that was relaunched never does (it starts with no receive state, so the
+// root's stream to it has a permanent gap), and its run pays this in full.
+constexpr DurationUs kShutdownAckWaitUs = SecondsUs(2);
+
 DurationUs ElapsedUs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - since)
@@ -205,6 +210,12 @@ Result<RunMetrics> RunTcpRoot(const SystemConfig& config,
     Status st = transport.Send(ShutdownMessage(0, id));
     (void)st;
   }
+  // End of stream is a protocol step: keep the listener open until every
+  // local has acknowledged its kShutdown. A local whose connection was cut
+  // around the broadcast redials and gets it on replay; closing at once
+  // would leave it redialing a dead port until its own timeout. Bounded,
+  // because a local that died never acknowledges.
+  (void)transport.AwaitAcked(kShutdownAckWaitUs);
   // Flushes the shutdown broadcasts and settles all traffic counters.
   transport.Shutdown();
   DEMA_RETURN_NOT_OK(run_status);

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <thread>
 
 #include "common/logging.h"
@@ -406,9 +407,12 @@ Status TcpTransport::Send(net::Message m) {
     auto sit = sessions_.find(dst);
     if (sit != sessions_.end()) {
       session = sit->second.get();
-    } else if (route_live) {
+    } else if (route_live ||
+               (rit != routes_.end() && options_.auto_reconnect)) {
       // Hello-learned route (we are the acceptor replying): the session is
-      // created on first reply.
+      // created on first reply. With auto_reconnect that holds even if the
+      // connection died before the first reply: the dialer redials, and the
+      // reply waits in the outbox until its hello resumes the session.
       session = SessionForLocked(dst);
     } else if (peers_.find(dst) == peers_.end()) {
       return Status::NotFound("no route to node " + std::to_string(dst) +
@@ -1438,6 +1442,39 @@ transport::LinkTrafficMap TcpTransport::ReceivedTraffic() const {
 std::map<net::MessageType, net::TrafficCounters> TcpTransport::ReceivedByType()
     const {
   return recv_.ByType();
+}
+
+bool TcpTransport::AwaitAcked(DurationUs timeout_us) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!loop_started_) return true;  // nothing was ever sent
+  }
+  const TimestampUs deadline = EpollLoop::NowUs() + timeout_us;
+  while (!loop_.finished()) {
+    // Retention is loop-thread state, so the loop answers the question.
+    auto answer = std::make_shared<std::promise<bool>>();
+    std::future<bool> acked = answer->get_future();
+    loop_.Post([this, answer] {
+      std::lock_guard<std::mutex> lock(mu_);
+      bool all = true;
+      for (const auto& [dst, session] : sessions_) {
+        if (session->outbox->size() > 0 || session->retained() > 0) {
+          all = false;
+          break;
+        }
+      }
+      answer->set_value(all);
+    });
+    const TimestampUs left = deadline - EpollLoop::NowUs();
+    if (left <= 0 ||
+        acked.wait_for(std::chrono::microseconds(left)) !=
+            std::future_status::ready) {
+      return false;
+    }
+    if (acked.get()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;  // the loop is gone: nothing can be acknowledged any more
 }
 
 void TcpTransport::Shutdown() {

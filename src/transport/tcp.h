@@ -214,6 +214,13 @@ class TcpTransport final : public Transport {
   /// the transport's own private registry).
   obs::Registry* registry() const { return registry_; }
 
+  /// Blocks until every message sent so far has been acknowledged by its
+  /// receiver (all outboxes empty, nothing retained for replay) or
+  /// \p timeout_us passes. The listener stays open meanwhile, so a peer whose
+  /// connection was cut can redial and receive the rest on replay. Returns
+  /// whether everything was acknowledged.
+  bool AwaitAcked(DurationUs timeout_us);
+
   /// Flushes outbound queues (bounded by a per-connection grace period),
   /// closes the listener and every connection, joins the I/O thread, and
   /// closes hosted inboxes. Idempotent.

@@ -6,6 +6,7 @@
 
 #include "sim/chaos.h"
 #include "sim/driver.h"
+#include "sim/scenario.h"
 #include "sim/topology.h"
 
 namespace dema::sim {
@@ -30,6 +31,17 @@ WorkloadConfig ChaosWorkload(const SystemConfig& config, uint64_t windows = 5,
       MakeUniformWorkload(config.num_locals, windows, rate, dist);
   load.window_len_us = config.window_len_us;
   return load;
+}
+
+/// The chaos fabric: inline delivery, the only one that takes scheduled
+/// crashes, partitions and tampers.
+Result<ScenarioReport> RunInline(const SystemConfig& config,
+                                 const WorkloadConfig& load,
+                                 const FaultPlan& plan) {
+  ScenarioOptions options;
+  options.topology = "inline";
+  options.faults = plan;
+  return RunScenario(config, load, options);
 }
 
 // --- spec parsing -----------------------------------------------------------
@@ -87,7 +99,7 @@ TEST(FaultScheduleSpec, ParsesCorruptionKeys) {
 TEST(Chaos, FaultFreeRunIsAllExact) {
   SystemConfig config = ChaosConfig();
   FaultPlan plan;  // no probabilistic faults, no crashes
-  auto report = RunChaos(config, ChaosWorkload(config), plan);
+  auto report = RunInline(config, ChaosWorkload(config), plan);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->Invariant()) << report->violation;
   EXPECT_EQ(report->exact_windows, 5u);
@@ -102,18 +114,19 @@ TEST(Chaos, SeededScheduleReplaysIdentically) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   WorkloadConfig load = ChaosWorkload(config, /*windows=*/6);
 
-  auto first = RunChaos(config, load, *plan);
+  auto first = RunInline(config, load, *plan);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_TRUE(first->Invariant()) << first->violation;
   EXPECT_EQ(first->restarts, 1u);
 
-  auto second = RunChaos(config, load, *plan);
+  auto second = RunInline(config, load, *plan);
   ASSERT_TRUE(second.ok()) << second.status();
   ASSERT_EQ(first->windows.size(), second->windows.size());
   for (size_t i = 0; i < first->windows.size(); ++i) {
-    const ChaosWindowReport& a = first->windows[i];
-    const ChaosWindowReport& b = second->windows[i];
-    EXPECT_EQ(a.emitted, b.emitted) << "window " << a.window_id;
+    const WindowOutput& a = first->windows[i].output;
+    const WindowOutput& b = second->windows[i].output;
+    EXPECT_EQ(first->windows[i].emitted, second->windows[i].emitted)
+        << "window " << a.window_id;
     EXPECT_EQ(a.degraded, b.degraded) << "window " << a.window_id;
     EXPECT_EQ(a.degrade_cause, b.degrade_cause) << "window " << a.window_id;
     EXPECT_EQ(a.rank_error_bound, b.rank_error_bound) << "window " << a.window_id;
@@ -130,7 +143,7 @@ TEST(Chaos, HeavyLossDegradesExplicitlyInsteadOfStalling) {
   SystemConfig config = ChaosConfig();
   auto plan = ParseFaultSchedule("drop=0.3,seed=3,deadline=2,retries=3");
   ASSERT_TRUE(plan.ok()) << plan.status();
-  auto report = RunChaos(config, ChaosWorkload(config), *plan);
+  auto report = RunInline(config, ChaosWorkload(config), *plan);
   ASSERT_TRUE(report.ok()) << report.status();
   // The contract under loss: no silent stalls, no wrong answers.
   EXPECT_TRUE(report->Invariant()) << report->violation;
@@ -140,10 +153,11 @@ TEST(Chaos, HeavyLossDegradesExplicitlyInsteadOfStalling) {
   // With this seed, synopsis losses are unrecoverable: windows degrade, each
   // carrying a cause and a rank-error bound.
   EXPECT_GT(report->degraded_windows, 0u);
-  for (const ChaosWindowReport& w : report->windows) {
-    if (!w.degraded) continue;
-    EXPECT_FALSE(w.degrade_cause.empty()) << "window " << w.window_id;
-    EXPECT_GT(w.rank_error_bound, 0u) << "window " << w.window_id;
+  for (const WindowVerdict& w : report->windows) {
+    if (!w.output.degraded) continue;
+    EXPECT_FALSE(w.output.degrade_cause.empty())
+        << "window " << w.output.window_id;
+    EXPECT_GT(w.output.rank_error_bound, 0u) << "window " << w.output.window_id;
   }
 }
 
@@ -151,7 +165,7 @@ TEST(Chaos, CrashedNodeRecoversFromCheckpoint) {
   SystemConfig config = ChaosConfig(3);
   auto plan = ParseFaultSchedule("crash=2@2+2,seed=5");
   ASSERT_TRUE(plan.ok()) << plan.status();
-  auto report = RunChaos(config, ChaosWorkload(config, /*windows=*/6), *plan);
+  auto report = RunInline(config, ChaosWorkload(config, /*windows=*/6), *plan);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->Invariant()) << report->violation;
   EXPECT_EQ(report->restarts, 1u);
@@ -170,7 +184,7 @@ TEST(Chaos, CorruptFramesAreDetectedNeverSilentlyWrong) {
       "corrupt=0.05,drop=0.02,dup=0.03,seed=21,deadline=2,retries=3");
   ASSERT_TRUE(plan.ok()) << plan.status();
   WorkloadConfig load = ChaosWorkload(config, /*windows=*/6);
-  auto report = RunChaos(config, load, *plan);
+  auto report = RunInline(config, load, *plan);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->Invariant()) << report->violation;
   EXPECT_EQ(report->mismatched_windows, 0u);
@@ -182,13 +196,15 @@ TEST(Chaos, CorruptFramesAreDetectedNeverSilentlyWrong) {
   EXPECT_EQ(report->quarantines, 0u);
 
   // The corruption schedule replays deterministically.
-  auto replay = RunChaos(config, load, *plan);
+  auto replay = RunInline(config, load, *plan);
   ASSERT_TRUE(replay.ok()) << replay.status();
   EXPECT_EQ(report->messages_corrupted, replay->messages_corrupted);
   ASSERT_EQ(report->windows.size(), replay->windows.size());
   for (size_t i = 0; i < report->windows.size(); ++i) {
-    EXPECT_EQ(report->windows[i].values, replay->windows[i].values);
-    EXPECT_EQ(report->windows[i].degraded, replay->windows[i].degraded);
+    EXPECT_EQ(report->windows[i].output.values,
+              replay->windows[i].output.values);
+    EXPECT_EQ(report->windows[i].output.degraded,
+              replay->windows[i].output.degraded);
   }
 }
 
@@ -201,7 +217,7 @@ TEST(Chaos, TamperingLocalIsQuarantinedThenReadmitted) {
   SystemConfig config = ChaosConfig(3);
   auto plan = ParseFaultSchedule("tamper=2@1..3,strikes=2,seed=13,deadline=2");
   ASSERT_TRUE(plan.ok()) << plan.status();
-  auto report = RunChaos(config, ChaosWorkload(config, /*windows=*/10), *plan);
+  auto report = RunInline(config, ChaosWorkload(config, /*windows=*/10), *plan);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->Invariant()) << report->violation;
   EXPECT_GT(report->messages_corrupted, 0u);
@@ -209,14 +225,14 @@ TEST(Chaos, TamperingLocalIsQuarantinedThenReadmitted) {
   EXPECT_GE(report->quarantines, 1u);
   EXPECT_GE(report->readmissions, 1u);
   bool saw_quarantine_cause = false;
-  for (const ChaosWindowReport& w : report->windows) {
-    if (w.degrade_cause == "quarantine") saw_quarantine_cause = true;
+  for (const WindowVerdict& w : report->windows) {
+    if (w.output.degrade_cause == "quarantine") saw_quarantine_cause = true;
   }
   EXPECT_TRUE(saw_quarantine_cause);
   // After re-admission the cluster answers exactly again.
-  const ChaosWindowReport& last = report->windows.back();
+  const WindowVerdict& last = report->windows.back();
   EXPECT_TRUE(last.emitted);
-  EXPECT_FALSE(last.degraded);
+  EXPECT_FALSE(last.output.degraded);
   EXPECT_TRUE(last.matches_oracle);
 }
 
@@ -227,14 +243,36 @@ TEST(Chaos, TamperScheduleRequiresQuarantine) {
   SystemConfig config = ChaosConfig(3);
   auto plan = ParseFaultSchedule("tamper=2@1..3,strikes=0");
   ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_FALSE(RunChaos(config, ChaosWorkload(config), *plan).ok());
+  EXPECT_FALSE(RunInline(config, ChaosWorkload(config), *plan).ok());
 }
 
 TEST(Chaos, RejectsNonDemaSystems) {
+  // Fault-free baseline runs are legal; a fault needs the Dema root's
+  // deadline machinery.
   SystemConfig config = ChaosConfig();
   config.kind = SystemKind::kCentralExact;
-  FaultPlan plan;
-  EXPECT_FALSE(RunChaos(config, ChaosWorkload(config), plan).ok());
+  auto plan = ParseFaultSchedule("drop=0.01");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_FALSE(RunInline(config, ChaosWorkload(config), *plan).ok());
+}
+
+TEST(Chaos, RejectsPartitionOfUnknownNode) {
+  // Node ids are 0 (the root) to num_locals; a partition naming anything
+  // else, or a node with itself, would silently block nothing.
+  SystemConfig config = ChaosConfig(3);
+  auto known = ParseFaultSchedule("partition=3-0@1..3,seed=7");
+  ASSERT_TRUE(known.ok()) << known.status();
+  auto report = RunInline(config, ChaosWorkload(config), *known);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->Invariant()) << report->violation;
+  for (const char* spec : {"partition=9-0@1..3,seed=7", "partition=0-4@1..3",
+                           "partition=2-2@1..3"}) {
+    auto plan = ParseFaultSchedule(spec);
+    ASSERT_TRUE(plan.ok()) << spec << ": " << plan.status();
+    EXPECT_EQ(RunInline(config, ChaosWorkload(config), *plan).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
 }
 
 }  // namespace

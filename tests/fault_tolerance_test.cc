@@ -25,6 +25,9 @@ struct DupParam {
   const char* name;
 };
 
+// Stable test names: gtest's default byte dump would print the name pointer.
+void PrintTo(const DupParam& p, std::ostream* os) { *os << p.name; }
+
 class DuplicateDelivery : public ::testing::TestWithParam<DupParam> {};
 
 TEST_P(DuplicateDelivery, DemaStaysExactUnderRetransmission) {

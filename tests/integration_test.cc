@@ -220,6 +220,11 @@ struct SweepParam {
   const char* name;
 };
 
+// gtest prints unprintable params as a byte dump that includes the padding
+// and the name pointer, which would put build-dependent bytes into the
+// test names.
+void PrintTo(const SweepParam& p, std::ostream* os) { *os << p.name; }
+
 class DemaExactnessSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(DemaExactnessSweep, MatchesOracle) {

@@ -80,6 +80,9 @@ struct AccuracyParam {
   const char* name;
 };
 
+// Stable test names: gtest's default byte dump would print the name pointer.
+void PrintTo(const AccuracyParam& p, std::ostream* os) { *os << p.name; }
+
 class TDigestAccuracy : public ::testing::TestWithParam<AccuracyParam> {};
 
 TEST_P(TDigestAccuracy, RankErrorWithinTolerance) {

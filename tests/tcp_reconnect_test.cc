@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -31,6 +36,7 @@
 #include "sim/driver.h"
 #include "sim/tcp_run.h"
 #include "sim/topology.h"
+#include "transport/frame.h"
 #include "transport/tcp.h"
 
 namespace dema::transport {
@@ -177,6 +183,54 @@ TEST(TcpResilience, InjectedConnKillsDeliverEveryMessageExactlyOnce) {
   EXPECT_EQ(creg->GetCounter("net.conn_kills{layer=inject}")->Value(), 3u);
   EXPECT_GE(creg->GetCounter("net.reconnects")->Value(), 1u);
   EXPECT_GE(creg->GetCounter("net.replayed_frames")->Value(), 1u);
+
+  client.Shutdown();
+  server.Shutdown();
+}
+
+TEST(TcpResilience, AcceptorHoldsFirstReplyUntilTheDialerReturns) {
+  // A dialer announces node 1 and loses its connection before the acceptor
+  // ever replied. The reply must wait for the redial, not fail with "no
+  // route": a root that failed here left its locals redialing a closed port.
+  TcpTransportOptions sopts;
+  sopts.auto_reconnect = true;
+  TcpTransport server(sopts);
+  ASSERT_TRUE(server.AddLocalNode(0).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.bound_port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::vector<uint8_t> hello;
+  EncodeHello({1}, &hello);
+  ASSERT_EQ(::write(fd, hello.data(), hello.size()),
+            static_cast<ssize_t>(hello.size()));
+  ::close(fd);
+  ASSERT_TRUE(WaitFor([&] {
+    return server.registry()->GetCounter("net.peer_down")->Value() >= 1;
+  }));
+
+  ASSERT_TRUE(server.Send(TestMessage(0, 1, 7)).ok());
+  // Nobody is there to acknowledge it yet.
+  EXPECT_FALSE(server.AwaitAcked(MillisUs(50)));
+
+  TcpTransportOptions copts;
+  copts.listen = false;
+  copts.auto_reconnect = true;
+  TcpTransport client(copts);
+  ASSERT_TRUE(client.AddLocalNode(1).ok());
+  ASSERT_TRUE(client.AddPeer(0, "127.0.0.1", server.bound_port()).ok());
+  ASSERT_TRUE(client.Start().ok());
+  ASSERT_TRUE(client.Send(TestMessage(1, 0, 3)).ok());  // dials, says hello
+
+  auto reply = client.Inbox(1)->PopFor(5 * kMicrosPerSecond);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->payload_size(), 7u);
+  EXPECT_TRUE(server.AwaitAcked(5 * kMicrosPerSecond));
 
   client.Shutdown();
   server.Shutdown();

@@ -191,8 +191,13 @@ struct OracleParam {
   uint64_t gamma;
   double spread;       // value range per node
   double node_offset;  // shifts node ranges to control overlap
-  int duplicates;      // 0 = continuous values; >0 = draw from few values
+  int64_t duplicates;  // 0 = continuous values; >0 = draw from few values
 };
+
+// The test names are gtest's byte dump of the whole struct, so it must have
+// no padding: padding bytes are indeterminate and would make the names
+// differ from one run to the next.
+static_assert(sizeof(OracleParam) == 6 * 8, "OracleParam must not be padded");
 
 class WindowCutOracle : public ::testing::TestWithParam<OracleParam> {};
 

@@ -589,36 +589,6 @@ int CmdServe(const Flags& flags) {
   return Fail("serve needs --role=root or --role=local");
 }
 
-/// Field-by-field comparison of two chaos runs; returns an empty string when
-/// they are identical, else a description of the first divergence.
-std::string DescribeChaosDiff(const sim::ChaosReport& a,
-                              const sim::ChaosReport& b) {
-  if (a.windows.size() != b.windows.size()) {
-    return "window counts differ (" + std::to_string(a.windows.size()) +
-           " vs " + std::to_string(b.windows.size()) + ")";
-  }
-  for (size_t i = 0; i < a.windows.size(); ++i) {
-    const sim::ChaosWindowReport& wa = a.windows[i];
-    const sim::ChaosWindowReport& wb = b.windows[i];
-    if (wa.emitted != wb.emitted || wa.degraded != wb.degraded ||
-        wa.degrade_cause != wb.degrade_cause ||
-        wa.rank_error_bound != wb.rank_error_bound ||
-        wa.global_size != wb.global_size || wa.values != wb.values) {
-      return "window " + std::to_string(wa.window_id) + " diverged";
-    }
-  }
-  if (a.messages_dropped != b.messages_dropped ||
-      a.duplicates_injected != b.duplicates_injected ||
-      a.messages_delayed != b.messages_delayed ||
-      a.messages_corrupted != b.messages_corrupted ||
-      a.root_retries != b.root_retries || a.restarts != b.restarts ||
-      a.rejected_payloads != b.rejected_payloads ||
-      a.quarantines != b.quarantines || a.readmissions != b.readmissions) {
-    return "fault-fabric counters diverged";
-  }
-  return "";
-}
-
 /// Connection-level chaos over the forked TCP cluster
 /// (`chaos --conn-kill=N@F..U`): sockets are severed mid-window — plus
 /// optional CRC-caught frame corruption and write stalls — and the session
@@ -692,7 +662,9 @@ int CmdChaos(const Flags& flags) {
   auto plan_result =
       sim::ParseFaultSchedule(flags.GetString("fault-schedule", ""));
   if (!plan_result.ok()) return Fail(plan_result.status().ToString());
-  sim::FaultPlan plan = *plan_result;
+  sim::ScenarioOptions options;
+  options.topology = "inline";
+  options.faults = *plan_result;
   if (flags.Has("corrupt-rate")) {
     // Convenience alias for `corrupt=P` in the schedule spec: per-message
     // frame byte-flip probability, detected (and dropped) by the CRC check.
@@ -700,7 +672,7 @@ int CmdChaos(const Flags& flags) {
     if (rate < 0 || rate >= 1) {
       return Fail("--corrupt-rate must be in [0, 1)");
     }
-    plan.corrupt_prob = rate;
+    options.faults.corrupt_prob = rate;
   }
 
   auto config_result = BuildConfig(flags);
@@ -714,26 +686,28 @@ int CmdChaos(const Flags& flags) {
   sim::WorkloadConfig load = *load_result;
   load.window_len_us = config.window_len_us;
 
-  auto report_result = sim::RunChaos(config, load, plan);
+  auto report_result = sim::RunScenario(config, load, options);
   if (!report_result.ok()) return Fail(report_result.status().ToString());
-  sim::ChaosReport report = std::move(report_result).MoveValueUnsafe();
+  sim::ScenarioReport report = std::move(report_result).MoveValueUnsafe();
 
   std::vector<std::string> headers = {"window", "events", "status", "cause",
                                       "bound"};
   for (double q : config.quantiles) headers.push_back("q" + FmtF(q * 100, 0));
   Table table(headers);
-  for (const sim::ChaosWindowReport& w : report.windows) {
+  for (const sim::WindowVerdict& w : report.windows) {
+    const sim::WindowOutput& out = w.output;
     std::string status = !w.emitted          ? "MISSING"
-                         : w.degraded        ? "degraded"
+                         : out.degraded      ? "degraded"
                          : w.matches_oracle  ? "exact"
                                              : "MISMATCH";
-    std::vector<std::string> row = {std::to_string(w.window_id),
-                                    FmtCount(w.global_size), status,
-                                    w.degrade_cause,
-                                    w.degraded ? FmtCount(w.rank_error_bound)
-                                               : ""};
+    std::vector<std::string> row = {std::to_string(out.window_id),
+                                    FmtCount(out.global_size), status,
+                                    out.degrade_cause,
+                                    out.degraded
+                                        ? FmtCount(out.rank_error_bound)
+                                        : ""};
     for (size_t i = 0; i < config.quantiles.size(); ++i) {
-      row.push_back(i < w.values.size() ? FmtF(w.values[i], 2) : "-");
+      row.push_back(i < out.values.size() ? FmtF(out.values[i], 2) : "-");
     }
     (void)table.AddRow(row);
   }
@@ -751,9 +725,9 @@ int CmdChaos(const Flags& flags) {
             << report.readmissions << " re-admitted\n";
 
   if (flags.Has("verify-determinism")) {
-    auto second = sim::RunChaos(config, load, plan);
+    auto second = sim::RunScenario(config, load, options);
     if (!second.ok()) return Fail(second.status().ToString());
-    std::string diff = DescribeChaosDiff(report, *second);
+    std::string diff = sim::DescribeScenarioDiff(report, *second);
     if (!diff.empty()) {
       return Fail("determinism check failed: " + diff);
     }
@@ -774,7 +748,8 @@ int CmdChaos(const Flags& flags) {
 /// (the wan spec takes several comma-separated keys).
 std::vector<std::string> SplitTopologyList(const std::string& list) {
   auto starts_kind = [](const std::string& s) {
-    for (const char* kind : {"flat", "star", "tree", "fat-tree", "wan"}) {
+    for (const char* kind :
+         {"inline", "flat", "star", "tree", "fat-tree", "wan"}) {
       size_t n = std::string(kind).size();
       if (s.compare(0, n, kind) == 0 &&
           (s.size() == n || s[n] == ':')) {
