@@ -36,11 +36,26 @@ DemaLocalNode::DemaLocalNode(DemaLocalNodeOptions options, transport::Transport*
   }
 }
 
+DemaLocalNode::~DemaLocalNode() {
+  // Take this node's share out of the shared gauges.
+  g_retained_windows_->Add(-reported_windows_);
+  g_retained_events_->Add(-reported_events_);
+}
+
 void DemaLocalNode::UpdateRetainedGauges() {
-  peak_retained_events_ = std::max(peak_retained_events_, retained_event_count_);
-  g_retained_windows_->Set(static_cast<int64_t>(retained_.size()));
-  g_retained_events_->Set(static_cast<int64_t>(retained_event_count_));
-  g_retained_events_peak_->Set(static_cast<int64_t>(peak_retained_events_));
+  // Several locals can share one node label (a keyed node hosts one per
+  // key), so each applies its change to the gauges instead of overwriting
+  // the others' counts; the peak follows the summed gauge.
+  const auto windows = static_cast<int64_t>(retained_.size());
+  const auto events = static_cast<int64_t>(retained_event_count_);
+  g_retained_windows_->Add(windows - reported_windows_);
+  g_retained_events_->Add(events - reported_events_);
+  reported_windows_ = windows;
+  reported_events_ = events;
+  const int64_t total = g_retained_events_->Value();
+  if (total > g_retained_events_peak_->Value()) {
+    g_retained_events_peak_->Set(total);
+  }
 }
 
 uint64_t DemaLocalNode::GammaForWindow(net::WindowId id) const {

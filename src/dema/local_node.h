@@ -68,6 +68,10 @@ class DemaLocalNode final : public sim::LocalNodeLogic {
   /// \p transport and \p clock must outlive the node.
   DemaLocalNode(DemaLocalNodeOptions options, transport::Transport* transport,
                 const Clock* clock);
+  /// Removes this node's share from the retained-memory gauges.
+  ~DemaLocalNode() override;
+  DemaLocalNode(const DemaLocalNode&) = delete;
+  DemaLocalNode& operator=(const DemaLocalNode&) = delete;
 
   Status OnEvent(const Event& e) override;
   Status OnWatermark(TimestampUs watermark_us) override;
@@ -148,7 +152,8 @@ class DemaLocalNode final : public sim::LocalNodeLogic {
   Status ShipPrepared(PreparedWindow prepared);
   Status HandleCandidateRequest(const CandidateRequest& req);
   Status HandleGammaUpdate(const GammaUpdate& update);
-  /// Refreshes the retained-memory gauges (count, events, peak events).
+  /// Applies this node's retained-memory change to the gauges (count,
+  /// events) and raises the peak gauge to the summed events.
   void UpdateRetainedGauges();
 
   /// A shipped window retained for candidate serving, together with the γ it
@@ -185,8 +190,9 @@ class DemaLocalNode final : public sim::LocalNodeLogic {
   std::deque<std::future<PreparedWindow>> inflight_closes_;
   /// Events currently held in `retained_` (memory accounting).
   uint64_t retained_event_count_ = 0;
-  /// High-water mark of `retained_event_count_` over the node's lifetime.
-  uint64_t peak_retained_events_ = 0;
+  /// This node's share of the retained gauges, as last applied.
+  int64_t reported_windows_ = 0;
+  int64_t reported_events_ = 0;
   /// Cached registry instruments.
   obs::Counter* c_events_ingested_;
   obs::Counter* c_windows_shipped_;

@@ -14,11 +14,16 @@ void SynopsisBatch::SerializeTo(net::Writer* w) const {
 
 Result<SynopsisBatch> SynopsisBatch::Deserialize(net::Reader* r) {
   SynopsisBatch b;
-  DEMA_RETURN_NOT_OK(r->GetU64(&b.window_id));
-  DEMA_RETURN_NOT_OK(r->GetU32(&b.node));
-  DEMA_RETURN_NOT_OK(r->GetU64(&b.local_window_size));
-  DEMA_RETURN_NOT_OK(r->GetU32(&b.gamma_used));
-  DEMA_RETURN_NOT_OK(r->GetI64(&b.close_time_us));
+  DEMA_RETURN_NOT_OK(DeserializeInto(r, &b));
+  return b;
+}
+
+Status SynopsisBatch::DeserializeInto(net::Reader* r, SynopsisBatch* b) {
+  DEMA_RETURN_NOT_OK(r->GetU64(&b->window_id));
+  DEMA_RETURN_NOT_OK(r->GetU32(&b->node));
+  DEMA_RETURN_NOT_OK(r->GetU64(&b->local_window_size));
+  DEMA_RETURN_NOT_OK(r->GetU32(&b->gamma_used));
+  DEMA_RETURN_NOT_OK(r->GetI64(&b->close_time_us));
   uint32_t n = 0;
   DEMA_RETURN_NOT_OK(r->GetU32(&n));
   // Each serialized synopsis is at least two events + ids + count; reject
@@ -27,18 +32,16 @@ Result<SynopsisBatch> SynopsisBatch::Deserialize(net::Reader* r) {
   if (static_cast<size_t>(n) * kMinSynopsisBytes > r->remaining()) {
     return Status::SerializationError("slice count exceeds remaining buffer");
   }
-  b.slices.reserve(n);
+  b->slices.resize(n);
   uint64_t total = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    SliceSynopsis s;
+  for (SliceSynopsis& s : b->slices) {
     DEMA_RETURN_NOT_OK(SliceSynopsis::DeserializeInto(r, &s));
     total += s.count;
-    b.slices.push_back(s);
   }
-  if (total != b.local_window_size) {
+  if (total != b->local_window_size) {
     return Status::SerializationError("slice counts do not sum to window size");
   }
-  return b;
+  return Status::OK();
 }
 
 void CandidateRequest::SerializeTo(net::Writer* w) const {
@@ -75,10 +78,14 @@ void CandidateReply::SerializeTo(net::Writer* w) const {
 
 Result<CandidateReply> CandidateReply::Deserialize(net::Reader* r) {
   CandidateReply rep;
-  DEMA_RETURN_NOT_OK(r->GetU64(&rep.window_id));
-  DEMA_RETURN_NOT_OK(r->GetU32(&rep.node));
-  DEMA_RETURN_NOT_OK(net::DecodeEvents(r, &rep.events));
+  DEMA_RETURN_NOT_OK(DeserializeInto(r, &rep));
   return rep;
+}
+
+Status CandidateReply::DeserializeInto(net::Reader* r, CandidateReply* rep) {
+  DEMA_RETURN_NOT_OK(r->GetU64(&rep->window_id));
+  DEMA_RETURN_NOT_OK(r->GetU32(&rep->node));
+  return net::DecodeEvents(r, &rep->events);
 }
 
 void GammaUpdate::SerializeTo(net::Writer* w) const {

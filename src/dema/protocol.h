@@ -33,6 +33,9 @@ struct SynopsisBatch {
 
   void SerializeTo(net::Writer* w) const;
   static Result<SynopsisBatch> Deserialize(net::Reader* r);
+  /// Decodes into \p out, reusing its slice buffer (the root keeps one
+  /// scratch batch instead of allocating per message).
+  static Status DeserializeInto(net::Reader* r, SynopsisBatch* out);
 };
 
 /// \brief Root -> local: request the raw events of the given slices of one
@@ -60,6 +63,8 @@ struct CandidateReply {
 
   void SerializeTo(net::Writer* w) const;
   static Result<CandidateReply> Deserialize(net::Reader* r);
+  /// Decodes into \p out, reusing its event buffer.
+  static Status DeserializeInto(net::Reader* r, CandidateReply* out);
   uint64_t WireEventCount() const { return events.size(); }
 };
 

@@ -10,17 +10,21 @@ namespace {
 /// Sorted key array with prefix weights, supporting the four queries the
 /// rank bounds need: #keys < v, #keys <= v, weight of keys < v, weight of
 /// keys <= v. Keys are full events (total order), so cross-slice ties cannot
-/// occur.
+/// occur. Built into caller-owned buffers.
 class KeyIndex {
  public:
-  KeyIndex(const std::vector<SliceSynopsis>& slices, bool use_first) {
-    entries_.reserve(slices.size());
+  using Entry = WindowCutScratch::KeyWeight;
+
+  KeyIndex(const std::vector<SliceSynopsis>& slices, bool use_first,
+           std::vector<Entry>* entries, std::vector<uint64_t>* prefix)
+      : entries_(*entries), prefix_weight_(*prefix) {
+    entries_.clear();
     for (const SliceSynopsis& s : slices) {
       entries_.push_back(Entry{use_first ? s.first : s.last, s.count});
     }
     std::sort(entries_.begin(), entries_.end(),
               [](const Entry& a, const Entry& b) { return a.key < b.key; });
-    prefix_weight_.resize(entries_.size() + 1, 0);
+    prefix_weight_.assign(entries_.size() + 1, 0);
     for (size_t i = 0; i < entries_.size(); ++i) {
       prefix_weight_[i + 1] = prefix_weight_[i] + entries_[i].weight;
     }
@@ -36,10 +40,6 @@ class KeyIndex {
   uint64_t WeightLe(const Event& v) const { return prefix_weight_[IndexLe(v)]; }
 
  private:
-  struct Entry {
-    Event key;
-    uint64_t weight;
-  };
   size_t IndexLt(const Event& v) const {
     return static_cast<size_t>(std::lower_bound(entries_.begin(), entries_.end(), v,
                                                 [](const Entry& e, const Event& x) {
@@ -54,9 +54,90 @@ class KeyIndex {
                                                 }) -
                                entries_.begin());
   }
-  std::vector<Entry> entries_;
-  std::vector<uint64_t> prefix_weight_;
+  std::vector<Entry>& entries_;
+  std::vector<uint64_t>& prefix_weight_;
 };
+
+/// Rank bounds of every slice into \p scratch->bounds.
+void ComputeRankBoundsInto(const std::vector<SliceSynopsis>& slices,
+                           WindowCutScratch* scratch) {
+  std::vector<RankBounds>& bounds = scratch->bounds;
+  bounds.assign(slices.size(), RankBounds{});
+  if (slices.empty()) return;
+  KeyIndex firsts(slices, /*use_first=*/true, &scratch->firsts,
+                  &scratch->first_prefix);
+  KeyIndex lasts(slices, /*use_first=*/false, &scratch->lasts,
+                 &scratch->last_prefix);
+
+  for (size_t i = 0; i < slices.size(); ++i) {
+    const SliceSynopsis& s = slices[i];
+    // Events definitely below s.first: whole slices whose last < s.first,
+    // plus one event (the first) for slices straddling s.first. A slice T
+    // with f_T < s.first <= l_T contributes exactly its first event as
+    // provably below; nothing else about T is certain.
+    uint64_t whole_below = lasts.WeightLt(s.first);
+    uint64_t straddle_firsts = firsts.CountLt(s.first) - lasts.CountLt(s.first);
+    bounds[i].min_rank = 1 + whole_below + straddle_firsts;
+
+    // Events possibly at or below s.last: whole slices whose first <= s.last,
+    // minus one event (the last) for slices whose last lies above s.last —
+    // that last event is provably above.
+    uint64_t possible = firsts.WeightLe(s.last);
+    uint64_t straddle_lasts = firsts.CountLe(s.last) - lasts.CountLe(s.last);
+    bounds[i].max_rank = possible - straddle_lasts;
+  }
+}
+
+/// Slice classification with its temporaries in \p scratch.
+SliceClassCounts ClassifyInto(const std::vector<SliceSynopsis>& slices,
+                              WindowCutScratch* scratch) {
+  SliceClassCounts counts;
+  size_t m = slices.size();
+  if (m == 0) return counts;
+  std::vector<size_t>& order = scratch->order;
+  order.resize(m);
+  std::iota(order.begin(), order.end(), 0);
+  // Sort by first ascending; ties by last descending so a covering slice
+  // precedes the slices it covers.
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (slices[a].first < slices[b].first) return true;
+    if (slices[b].first < slices[a].first) return false;
+    return slices[b].last < slices[a].last;
+  });
+
+  // Sweep: max `last` over already-seen slices covers the cover test; any
+  // interval intersection that is not containment marks both ends compound.
+  std::vector<bool>& covered = scratch->covered;
+  std::vector<bool>& overlapped = scratch->overlapped;
+  covered.assign(m, false);
+  overlapped.assign(m, false);
+  Event max_last = slices[order[0]].last;
+  size_t max_last_idx = order[0];
+  for (size_t pos = 1; pos < m; ++pos) {
+    size_t i = order[pos];
+    const SliceSynopsis& s = slices[i];
+    if (!(max_last < s.last)) {
+      covered[i] = true;  // some earlier slice spans [<= first, >= last]
+    } else if (!(max_last < s.first)) {
+      overlapped[i] = true;  // partial overlap with the running hull
+      overlapped[max_last_idx] = true;
+    }
+    if (max_last < s.last) {
+      max_last = s.last;
+      max_last_idx = i;
+    }
+  }
+  for (size_t i = 0; i < m; ++i) {
+    if (covered[i]) {
+      ++counts.cover;
+    } else if (overlapped[i]) {
+      ++counts.compound;
+    } else {
+      ++counts.separate;
+    }
+  }
+  return counts;
+}
 
 Status ValidateInput(const std::vector<SliceSynopsis>& slices, uint64_t global_size,
                      uint64_t target_rank) {
@@ -85,29 +166,9 @@ Status ValidateInput(const std::vector<SliceSynopsis>& slices, uint64_t global_s
 
 std::vector<RankBounds> WindowCut::ComputeRankBounds(
     const std::vector<SliceSynopsis>& slices) {
-  std::vector<RankBounds> bounds(slices.size());
-  if (slices.empty()) return bounds;
-  KeyIndex firsts(slices, /*use_first=*/true);
-  KeyIndex lasts(slices, /*use_first=*/false);
-
-  for (size_t i = 0; i < slices.size(); ++i) {
-    const SliceSynopsis& s = slices[i];
-    // Events definitely below s.first: whole slices whose last < s.first,
-    // plus one event (the first) for slices straddling s.first. A slice T
-    // with f_T < s.first <= l_T contributes exactly its first event as
-    // provably below; nothing else about T is certain.
-    uint64_t whole_below = lasts.WeightLt(s.first);
-    uint64_t straddle_firsts = firsts.CountLt(s.first) - lasts.CountLt(s.first);
-    bounds[i].min_rank = 1 + whole_below + straddle_firsts;
-
-    // Events possibly at or below s.last: whole slices whose first <= s.last,
-    // minus one event (the last) for slices whose last lies above s.last —
-    // that last event is provably above.
-    uint64_t possible = firsts.WeightLe(s.last);
-    uint64_t straddle_lasts = firsts.CountLe(s.last) - lasts.CountLe(s.last);
-    bounds[i].max_rank = possible - straddle_lasts;
-  }
-  return bounds;
+  WindowCutScratch scratch;
+  ComputeRankBoundsInto(slices, &scratch);
+  return std::move(scratch.bounds);
 }
 
 Result<WindowCutResult> WindowCut::Select(const std::vector<SliceSynopsis>& slices,
@@ -119,6 +180,18 @@ Result<WindowCutResult> WindowCut::Select(const std::vector<SliceSynopsis>& slic
 Result<WindowCutResult> WindowCut::SelectMulti(
     const std::vector<SliceSynopsis>& slices, uint64_t global_size,
     const std::vector<uint64_t>& target_ranks) {
+  WindowCutScratch scratch;
+  WindowCutResult result;
+  DEMA_RETURN_NOT_OK(
+      SelectMultiInto(slices, global_size, target_ranks, &scratch, &result));
+  return result;
+}
+
+Status WindowCut::SelectMultiInto(const std::vector<SliceSynopsis>& slices,
+                                  uint64_t global_size,
+                                  const std::vector<uint64_t>& target_ranks,
+                                  WindowCutScratch* scratch,
+                                  WindowCutResult* result) {
   if (target_ranks.empty()) {
     return Status::InvalidArgument("no target ranks given");
   }
@@ -126,11 +199,15 @@ Result<WindowCutResult> WindowCut::SelectMulti(
     DEMA_RETURN_NOT_OK(ValidateInput(slices, global_size, rank));
   }
 
-  std::vector<RankBounds> bounds = ComputeRankBounds(slices);
+  ComputeRankBoundsInto(slices, scratch);
+  const std::vector<RankBounds>& bounds = scratch->bounds;
 
-  WindowCutResult result;
-  result.classes = ClassifySlices(slices);
-  std::vector<bool> is_candidate(slices.size(), false);
+  result->candidates.clear();
+  result->selections.clear();
+  result->candidate_event_count = 0;
+  result->classes = ClassifyInto(slices, scratch);
+  std::vector<bool>& is_candidate = scratch->is_candidate;
+  is_candidate.assign(slices.size(), false);
   for (size_t i = 0; i < slices.size(); ++i) {
     for (uint64_t rank : target_ranks) {
       if (bounds[i].min_rank <= rank && rank <= bounds[i].max_rank) {
@@ -141,13 +218,12 @@ Result<WindowCutResult> WindowCut::SelectMulti(
   }
   for (size_t i = 0; i < slices.size(); ++i) {
     if (is_candidate[i]) {
-      result.candidates.push_back(i);
-      result.candidate_event_count += slices[i].count;
+      result->candidates.push_back(i);
+      result->candidate_event_count += slices[i].count;
     }
   }
   // Per-rank below counts over excluded slices only: candidates' events are
   // all transferred, so the selection rank must not skip them.
-  result.selections.reserve(target_ranks.size());
   for (uint64_t rank : target_ranks) {
     RankSelection sel;
     sel.rank = rank;
@@ -156,9 +232,9 @@ Result<WindowCutResult> WindowCut::SelectMulti(
         sel.below_count += slices[i].count;
       }
     }
-    result.selections.push_back(sel);
+    result->selections.push_back(sel);
   }
-  return result;
+  return Status::OK();
 }
 
 Result<WindowCutResult> WindowCut::SelectTwoSidedScan(
@@ -294,48 +370,8 @@ Result<WindowCutResult> WindowCut::SelectNaiveOverlap(
 }
 
 SliceClassCounts WindowCut::ClassifySlices(const std::vector<SliceSynopsis>& slices) {
-  SliceClassCounts counts;
-  size_t m = slices.size();
-  if (m == 0) return counts;
-  std::vector<size_t> order(m);
-  std::iota(order.begin(), order.end(), 0);
-  // Sort by first ascending; ties by last descending so a covering slice
-  // precedes the slices it covers.
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (slices[a].first < slices[b].first) return true;
-    if (slices[b].first < slices[a].first) return false;
-    return slices[b].last < slices[a].last;
-  });
-
-  // Sweep: max `last` over already-seen slices covers the cover test; any
-  // interval intersection that is not containment marks both ends compound.
-  std::vector<bool> covered(m, false), overlapped(m, false);
-  Event max_last = slices[order[0]].last;
-  size_t max_last_idx = order[0];
-  for (size_t pos = 1; pos < m; ++pos) {
-    size_t i = order[pos];
-    const SliceSynopsis& s = slices[i];
-    if (!(max_last < s.last)) {
-      covered[i] = true;  // some earlier slice spans [<= first, >= last]
-    } else if (!(max_last < s.first)) {
-      overlapped[i] = true;  // partial overlap with the running hull
-      overlapped[max_last_idx] = true;
-    }
-    if (max_last < s.last) {
-      max_last = s.last;
-      max_last_idx = i;
-    }
-  }
-  for (size_t i = 0; i < m; ++i) {
-    if (covered[i]) {
-      ++counts.cover;
-    } else if (overlapped[i]) {
-      ++counts.compound;
-    } else {
-      ++counts.separate;
-    }
-  }
-  return counts;
+  WindowCutScratch scratch;
+  return ClassifyInto(slices, &scratch);
 }
 
 }  // namespace dema::core

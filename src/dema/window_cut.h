@@ -52,6 +52,25 @@ struct WindowCutResult {
   SliceClassCounts classes;
 };
 
+/// \brief Reusable buffers for `WindowCut::SelectMultiInto`, so a caller
+/// that cuts many windows (the root core) allocates only while they grow.
+struct WindowCutScratch {
+  /// One slice boundary (first or last event) and its slice's count.
+  struct KeyWeight {
+    Event key;
+    uint64_t weight = 0;
+  };
+  std::vector<KeyWeight> firsts;
+  std::vector<KeyWeight> lasts;
+  std::vector<uint64_t> first_prefix;
+  std::vector<uint64_t> last_prefix;
+  std::vector<RankBounds> bounds;
+  std::vector<size_t> order;
+  std::vector<bool> covered;
+  std::vector<bool> overlapped;
+  std::vector<bool> is_candidate;
+};
+
 /// \brief The window-cut algorithm: picks the minimal provably-sufficient set
 /// of candidate slices for one or more target ranks.
 ///
@@ -76,6 +95,13 @@ class WindowCut {
   static Result<WindowCutResult> SelectMulti(
       const std::vector<SliceSynopsis>& slices, uint64_t global_size,
       const std::vector<uint64_t>& target_ranks);
+
+  /// `SelectMulti` writing into \p out (its buffers are reused) with
+  /// temporaries in \p scratch.
+  static Status SelectMultiInto(const std::vector<SliceSynopsis>& slices,
+                                uint64_t global_size,
+                                const std::vector<uint64_t>& target_ranks,
+                                WindowCutScratch* scratch, WindowCutResult* out);
 
   /// Ablation baseline ("no window-cut"): starts from the slice the target
   /// rank lands in by cumulative counts and takes the transitive

@@ -80,7 +80,9 @@ Status DecodeEvents(Reader* r, std::vector<Event>* out) {
                   std::endian::native == std::endian::little) {
       // `Event` is laid out exactly like its wire record (LE, no padding), so
       // the whole batch is one bounds-checked memcpy instead of 4 field reads
-      // per event — the decode half of the zero-copy receive hot path.
+      // per event — the decode half of the zero-copy receive hot path. An
+      // empty vector's data() may be null, which memcpy must never get.
+      if (count == 0) return Status::OK();
       std::memcpy(out->data(), r->raw(), count * kEventWireBytes);
       return r->Skip(count * kEventWireBytes);
     } else {

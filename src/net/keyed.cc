@@ -1,56 +1,107 @@
 #include "net/keyed.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace dema::net {
 
-void KeyedBatch::SerializeTo(Writer* w) const {
-  w->PutU32(shard);
-  w->PutU32(static_cast<uint32_t>(entries.size()));
-  for (const KeyedEntry& e : entries) {
-    w->PutU64(e.key);
-    w->PutU32(static_cast<uint32_t>(e.payload.size()));
-    w->PutBytes(e.payload.data(), e.payload.size());
-  }
-}
+namespace {
 
-Result<KeyedBatch> KeyedBatch::Deserialize(Reader* r) {
-  KeyedBatch b;
-  DEMA_RETURN_NOT_OK(r->GetU32(&b.shard));
-  uint32_t n = 0;
-  DEMA_RETURN_NOT_OK(r->GetU32(&n));
+/// Key + length prefix in front of every entry's payload.
+constexpr size_t kEntryHeaderBytes = sizeof(KeyId) + sizeof(uint32_t);
+constexpr size_t kBatchHeaderBytes = 2 * sizeof(uint32_t);
+
+}  // namespace
+
+Result<KeyedBatchReader> KeyedBatchReader::Open(ByteSpan payload) {
+  Reader r(payload);
+  uint32_t shard = 0;
+  uint32_t count = 0;
+  DEMA_RETURN_NOT_OK(r.GetU32(&shard));
+  DEMA_RETURN_NOT_OK(r.GetU32(&count));
   // Every entry needs at least its key + length prefix; reject counts the
-  // remaining buffer cannot possibly hold before reserving.
-  constexpr size_t kMinEntryBytes = sizeof(KeyId) + sizeof(uint32_t);
-  if (static_cast<size_t>(n) * kMinEntryBytes > r->remaining()) {
+  // remaining buffer cannot possibly hold before walking them.
+  if (static_cast<size_t>(count) * kEntryHeaderBytes > r.remaining()) {
     return Status::SerializationError("entry count exceeds remaining buffer");
   }
-  b.entries.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    KeyedEntry e;
-    DEMA_RETURN_NOT_OK(r->GetU64(&e.key));
+  for (uint32_t i = 0; i < count; ++i) {
+    DEMA_RETURN_NOT_OK(r.Skip(sizeof(KeyId)));
     uint32_t len = 0;
-    DEMA_RETURN_NOT_OK(r->GetU32(&len));
-    if (len > r->remaining()) {
+    DEMA_RETURN_NOT_OK(r.GetU32(&len));
+    if (len > r.remaining()) {
       return Status::SerializationError("entry payload exceeds remaining buffer");
     }
-    e.payload.assign(r->raw(), r->raw() + len);
-    DEMA_RETURN_NOT_OK(r->Skip(len));
-    b.entries.push_back(std::move(e));
+    DEMA_RETURN_NOT_OK(r.Skip(len));
   }
-  if (!r->AtEnd()) {
+  if (!r.AtEnd()) {
     return Status::SerializationError("trailing bytes after keyed batch");
   }
-  return b;
+  return KeyedBatchReader(payload, shard, count);
 }
 
-Result<uint32_t> KeyedBatch::PeekShard(ByteSpan payload) {
+Result<uint32_t> KeyedBatchReader::PeekShard(ByteSpan payload) {
   if (payload.size() < sizeof(uint32_t)) {
     return Status::SerializationError("keyed batch header truncated");
   }
   uint32_t shard = 0;
   std::memcpy(&shard, payload.data(), sizeof(shard));
   return shard;
+}
+
+bool KeyedBatchReader::Next(KeyedEntryView* entry) {
+  if (read_ == count_) return false;
+  // `Open` validated every header and length, so no bounds checks here.
+  const uint8_t* p = payload_.data() + pos_;
+  uint32_t len = 0;
+  std::memcpy(&entry->key, p, sizeof(KeyId));
+  std::memcpy(&len, p + sizeof(KeyId), sizeof(len));
+  entry->payload = payload_.subspan(pos_ + kEntryHeaderBytes, len);
+  pos_ += kEntryHeaderBytes + len;
+  ++read_;
+  return true;
+}
+
+void KeyedBatchWriter::Start() {
+  w_.Reserve(std::max(last_size_, kBatchHeaderBytes));
+  w_.PutU32(shard_);
+  w_.PutU32(0);  // entry count, patched by Finish
+  count_ = 0;
+  event_count_ = 0;
+}
+
+size_t KeyedBatchWriter::BeginEntry(KeyId key) {
+  w_.PutU64(key);
+  const size_t len_at = w_.size();
+  w_.PutU32(0);  // payload length, patched by EndEntry
+  return len_at;
+}
+
+void KeyedBatchWriter::EndEntry(size_t len_at) {
+  w_.PatchU32(len_at,
+              static_cast<uint32_t>(w_.size() - len_at - sizeof(uint32_t)));
+  ++count_;
+}
+
+void KeyedBatchWriter::AddBytes(KeyId key, ByteSpan payload,
+                                uint64_t event_count) {
+  const size_t len_at = BeginEntry(key);
+  w_.PutBytes(payload.data(), payload.size());
+  EndEntry(len_at);
+  event_count_ += event_count;
+}
+
+Message KeyedBatchWriter::Finish(MessageType type, NodeId src, NodeId dst) {
+  w_.PatchU32(sizeof(uint32_t), count_);
+  Message m;
+  m.type = type;
+  m.src = src;
+  m.dst = dst;
+  m.event_count = event_count_;
+  last_size_ = w_.size();
+  m.payload = w_.TakeBuffer();
+  w_ = Writer();
+  Start();
+  return m;
 }
 
 Result<MessageType> KeyedInnerType(MessageType outer) {

@@ -31,6 +31,8 @@ class Writer {
   std::vector<uint8_t> TakeBuffer() { return std::move(buf_); }
   /// Number of bytes written so far.
   size_t size() const { return buf_.size(); }
+  /// Pre-allocates room for \p n bytes in total.
+  void Reserve(size_t n) { buf_.reserve(n); }
 
   /// Appends an unsigned 8-bit integer.
   void PutU8(uint8_t v) { buf_.push_back(v); }
@@ -77,6 +79,11 @@ class Writer {
   void PutEvents(const std::vector<Event>& events) {
     PutU32(static_cast<uint32_t>(events.size()));
     for (const Event& e : events) PutEvent(e);
+  }
+  /// Overwrites the 32-bit integer written at byte \p offset (a length or
+  /// count prefix reserved before its value was known).
+  void PatchU32(size_t offset, uint32_t v) {
+    std::memcpy(buf_.data() + offset, &v, sizeof(v));
   }
 
  private:

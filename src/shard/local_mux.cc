@@ -35,13 +35,9 @@ KeyedLocalNode::KeyedLocalNode(KeyedLocalNodeOptions options,
   shard_of_.reserve(options_.num_keys);
   for (net::KeyId key = 0; key < options_.num_keys; ++key) {
     locals_.push_back(
-        std::make_unique<core::DemaLocalNode>(opts, &collector_, clock));
+        std::make_unique<core::DemaLocalNode>(opts, &key_transport_, clock));
     shard_of_.push_back(ShardOfKey(key, options_.num_shards));
   }
-}
-
-const core::DemaLocalNode* KeyedLocalNode::local_for(net::KeyId key) const {
-  return key < locals_.size() ? locals_[key].get() : nullptr;
 }
 
 Status KeyedLocalNode::OnEvent(net::KeyId key, const Event& e) {
@@ -49,42 +45,35 @@ Status KeyedLocalNode::OnEvent(net::KeyId key, const Event& e) {
     return Status::InvalidArgument("event for unknown key " +
                                    std::to_string(key));
   }
+  current_key_ = key;
   DEMA_RETURN_NOT_OK(locals_[key]->OnEvent(e));
   // Ingest alone never closes a window, but stay defensive: anything the
-  // per-key local did send must not linger unattributed in the collector.
-  if (!collector_.empty()) {
-    OutboundMap out;
-    StashCollected(key, &out);
-    return FlushOutbound(&out);
-  }
-  return Status::OK();
+  // per-key local did send must leave now, not with a later call's frames.
+  return stashed_ > 0 ? Flush() : Status::OK();
 }
 
 Status KeyedLocalNode::OnWatermark(TimestampUs watermark_us) {
-  OutboundMap out;
   for (net::KeyId key = 0; key < locals_.size(); ++key) {
+    current_key_ = key;
     DEMA_RETURN_NOT_OK(locals_[key]->OnWatermark(watermark_us));
-    StashCollected(key, &out);
   }
-  return FlushOutbound(&out);
+  return Flush();
 }
 
 Status KeyedLocalNode::OnFinish(TimestampUs final_watermark_us) {
-  OutboundMap out;
   for (net::KeyId key = 0; key < locals_.size(); ++key) {
+    current_key_ = key;
     DEMA_RETURN_NOT_OK(locals_[key]->OnFinish(final_watermark_us));
-    StashCollected(key, &out);
   }
-  return FlushOutbound(&out);
+  return Flush();
 }
 
 Status KeyedLocalNode::Quiesce() {
-  OutboundMap out;
   for (net::KeyId key = 0; key < locals_.size(); ++key) {
+    current_key_ = key;
     DEMA_RETURN_NOT_OK(locals_[key]->Quiesce());
-    StashCollected(key, &out);
   }
-  return FlushOutbound(&out);
+  return Flush();
 }
 
 Status KeyedLocalNode::OnMessage(const net::Message& outer) {
@@ -95,8 +84,9 @@ Status KeyedLocalNode::OnMessage(const net::Message& outer) {
     return Status::OK();
   }
   c_frames_->Increment();
-  net::Reader r(outer.payload_bytes());
-  auto batch = net::KeyedBatch::Deserialize(&r);
+  // Opening validates every entry header, so a malformed frame is dropped
+  // whole before any key sees an entry.
+  auto batch = net::KeyedBatchReader::Open(outer.payload_bytes());
   if (!batch.ok()) {
     c_bad_frame_->Increment();
     return Status::OK();
@@ -107,8 +97,8 @@ Status KeyedLocalNode::OnMessage(const net::Message& outer) {
     return Status::OK();
   }
 
-  OutboundMap out;
-  for (auto& entry : batch->entries) {
+  net::KeyedEntryView entry;
+  while (batch->Next(&entry)) {
     if (entry.key >= locals_.size()) {
       c_unknown_key_->Increment();
       continue;
@@ -118,41 +108,41 @@ Status KeyedLocalNode::OnMessage(const net::Message& outer) {
     inner.src = outer.src;
     inner.dst = outer.dst;
     inner.seq = 0;  // the outer frame already passed dedup above
-    inner.payload = std::move(entry.payload);
     inner.send_time_us = outer.send_time_us;
+    // A view into the outer frame, sharing its arena pin when it has one
+    // (the aliasing constructor allocates nothing); `outer` outlives the
+    // call.
+    inner.SetPayloadView(
+        std::shared_ptr<const void>(outer.backing, entry.payload.data()),
+        entry.payload.data(), entry.payload.size());
+    current_key_ = entry.key;
     DEMA_RETURN_NOT_OK(locals_[entry.key]->OnMessage(inner));
-    StashCollected(entry.key, &out);
   }
-  return FlushOutbound(&out);
+  return Flush();
 }
 
-void KeyedLocalNode::StashCollected(net::KeyId key, OutboundMap* out) {
-  if (collector_.empty()) return;
-  std::vector<net::Message> collected;
-  collector_.Drain(&collected);
-  for (auto& m : collected) {
-    net::KeyedBatch& batch = (*out)[{shard_of_[key], m.type}];
-    batch.shard = shard_of_[key];
-    batch.event_count += m.event_count;
-    batch.entries.push_back({key, m.TakePayload()});
+Status KeyedLocalNode::Stash(const net::Message& m) {
+  auto outer_type = net::KeyedOuterType(m.type);
+  if (!outer_type.ok()) {
+    // Per-key locals only send synopsis batches and candidate replies;
+    // anything else (e.g. a gamma resync, which keyed runs never issue) is
+    // a programming error worth failing loudly on.
+    if (stash_error_.ok()) stash_error_ = outer_type.status();
+    return Status::OK();
   }
+  const uint32_t shard = shard_of_[current_key_];
+  outbox_.Batch(shard, *outer_type, shard, options_.service_id)
+      ->AddBytes(current_key_, m.payload_bytes(), m.event_count);
+  ++stashed_;
+  return Status::OK();
 }
 
-Status KeyedLocalNode::FlushOutbound(OutboundMap* out) {
-  for (auto& [route, batch] : *out) {
-    auto outer_type = net::KeyedOuterType(route.second);
-    if (!outer_type.ok()) {
-      // Per-key locals only send synopsis batches and candidate replies;
-      // anything else (e.g. a gamma resync, which keyed runs never issue) is
-      // a programming error worth failing loudly on.
-      return outer_type.status();
-    }
-    net::Message frame = net::MakeMessage(*outer_type, options_.id,
-                                          options_.service_id, batch);
-    Status sent = transport_->Send(std::move(frame));
-    if (!sent.ok()) c_send_failures_->Increment();
-  }
-  out->clear();
+Status KeyedLocalNode::Flush() {
+  Status st = std::move(stash_error_);
+  stash_error_ = Status::OK();
+  stashed_ = 0;
+  if (!st.ok()) return st;
+  outbox_.Flush(options_.id, transport_, c_send_failures_);
   return Status::OK();
 }
 

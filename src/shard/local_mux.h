@@ -3,15 +3,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/clock.h"
 #include "dema/local_node.h"
 #include "net/dedup.h"
 #include "net/keyed.h"
-#include "shard/collector.h"
 #include "shard/config.h"
+#include "shard/outbox.h"
 
 namespace dema::shard {
 
@@ -40,10 +39,11 @@ struct KeyedLocalNodeOptions {
 ///
 /// Every key's events feed that key's private window/sort/slice state
 /// machine; at each watermark the synopses of all keys that closed a window
-/// are drained and batched into ONE `kShardSynopsisBatch` frame per shard —
-/// the per-(local, shard) batching that keeps the frame count independent of
+/// go straight into ONE `kShardSynopsisBatch` frame per shard — the
+/// per-(local, shard) batching that keeps the frame count independent of
 /// the key count. Inbound keyed candidate requests and gamma updates are
-/// demuxed per key, and the resulting candidate replies re-batched the same
+/// validated whole, then each entry is handed to its key's local as a view
+/// into the frame, and the resulting candidate replies are batched the same
 /// way.
 ///
 /// Not thread-safe (same contract as `DemaLocalNode`): the hosting run loop
@@ -74,32 +74,55 @@ class KeyedLocalNode {
   /// without an executor) and flushes the resulting frames.
   Status Quiesce();
 
-  /// The per-key local for \p key, or nullptr out of range (test access).
-  const core::DemaLocalNode* local_for(net::KeyId key) const;
-
   /// The registry the per-key locals record into.
   obs::Registry* registry() const { return registry_; }
 
  private:
-  /// Outbound keyed batches accumulated during one call, keyed by
-  /// (shard, inner message type); everything goes to the service.
-  using OutboundMap =
-      std::map<std::pair<uint32_t, net::MessageType>, net::KeyedBatch>;
+  /// The transport the per-key locals send through: each message's payload
+  /// is appended to the outbox batch of its (shard, type), under the key
+  /// being served.
+  class KeyTransport final : public transport::Transport {
+   public:
+    explicit KeyTransport(KeyedLocalNode* owner) : owner_(owner) {}
+    Status Send(net::Message m) override { return owner_->Stash(m); }
+    /// Per-key locals are fed by their owner, never from an inbox.
+    net::Channel* Inbox(NodeId) override { return nullptr; }
+    /// The keyed frame on the real transport carries the wire cost.
+    transport::LinkTrafficMap LinkTraffic() const override { return {}; }
+    std::map<net::MessageType, net::TrafficCounters> TrafficByType()
+        const override {
+      return {};
+    }
+    void Shutdown() override {}
 
-  void StashCollected(net::KeyId key, OutboundMap* out);
-  Status FlushOutbound(OutboundMap* out);
+   private:
+    KeyedLocalNode* owner_;
+  };
+
+  /// Appends \p m to the outbox under `current_key_`.
+  Status Stash(const net::Message& m);
+  /// Sends the batches the call produced; fails on a message type keyed
+  /// frames never carry.
+  Status Flush();
 
   KeyedLocalNodeOptions options_;
   transport::Transport* transport_;
-  CollectingTransport collector_;
   std::unique_ptr<obs::Registry> owned_registry_;
   obs::Registry* registry_;
+  KeyTransport key_transport_{this};
   /// Per-key locals, indexed by key id.
   std::vector<std::unique_ptr<core::DemaLocalNode>> locals_;
-  /// Cached shard of each key (hot path: one array read per event flush).
+  /// Cached shard of each key (hot path: one array read per stashed entry).
   std::vector<uint32_t> shard_of_;
   /// Transport-level duplicate suppression over outer keyed frames.
   net::SeqDedup dedup_;
+  /// The key whose local is being called.
+  net::KeyId current_key_ = 0;
+  KeyedOutbox outbox_;
+  /// Entries stashed since the last flush.
+  size_t stashed_ = 0;
+  /// First unbatchable message type stashed since the last flush.
+  Status stash_error_;
   obs::Counter* c_frames_;
   obs::Counter* c_bad_frame_;
   obs::Counter* c_unknown_key_;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
+#include <utility>
 
 namespace dema::shard {
 
@@ -11,7 +11,8 @@ ResultStore::ResultStore(uint32_t num_shards, uint64_t num_keys,
                          std::vector<double> quantiles)
     : num_shards_(num_shards),
       num_keys_(num_keys),
-      quantiles_(std::move(quantiles)) {
+      quantiles_(std::move(quantiles)),
+      slots_(num_keys) {
   stripes_.reserve(num_shards_);
   for (uint32_t s = 0; s < num_shards_; ++s) {
     stripes_.push_back(std::make_unique<Stripe>());
@@ -20,6 +21,7 @@ ResultStore::ResultStore(uint32_t num_shards, uint64_t num_keys,
 
 void ResultStore::Publish(uint32_t shard, net::KeyId key,
                           const sim::WindowOutput& out) {
+  if (key >= num_keys_) return;
   Stripe& stripe = *stripes_[shard % num_shards_];
   {
     std::lock_guard<std::mutex> lock(stripe.mu);
@@ -27,11 +29,22 @@ void ResultStore::Publish(uint32_t shard, net::KeyId key,
     // touches fewer locals finishes before an older one still in flight.
     // "Latest" therefore means highest window id, not most recent arrival —
     // an older result must never overwrite a newer one.
-    auto [it, inserted] = stripe.latest.try_emplace(key, out);
-    if (!inserted && out.window_id > it->second.window_id) it->second = out;
+    Slot& slot = slots_[key];
+    if (!slot.found || out.window_id > slot.latest.window_id) {
+      slot.latest = out;  // copy-assignment reuses the slot's buffers
+      slot.found = true;
+    }
     ++stripe.epoch;
   }
-  published_.fetch_add(1, std::memory_order_relaxed);
+}
+
+uint64_t ResultStore::published_windows() const {
+  uint64_t total = 0;
+  for (const auto& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe->mu);
+    total += stripe->epoch;
+  }
+  return total;
 }
 
 Status ResultStore::ResolveQuantiles(const std::vector<double>& asked,
@@ -74,7 +87,8 @@ net::KeyedQueryReply ResultStore::Query(const net::KeyedQuery& query) const {
 
   // Group the asked keys by shard, remembering each key's position in the
   // query so the reply preserves the caller's order.
-  std::map<uint32_t, std::vector<std::pair<size_t, net::KeyId>>> by_shard;
+  std::vector<std::pair<uint32_t, size_t>> by_shard;
+  by_shard.reserve(query.keys.size());
   for (size_t pos = 0; pos < query.keys.size(); ++pos) {
     const net::KeyId key = query.keys[pos];
     if (key >= num_keys_) {
@@ -82,24 +96,29 @@ net::KeyedQueryReply ResultStore::Query(const net::KeyedQuery& query) const {
                     std::to_string(num_keys_) + " keys)";
       return reply;
     }
-    by_shard[ShardOfKey(key, num_shards_)].emplace_back(pos, key);
+    by_shard.emplace_back(ShardOfKey(key, num_shards_), pos);
   }
+  std::sort(by_shard.begin(), by_shard.end());
 
   reply.answers.resize(query.keys.size());
-  for (const auto& [shard, members] : by_shard) {
+  for (size_t begin = 0; begin < by_shard.size();) {
+    const uint32_t shard = by_shard[begin].first;
     const Stripe& stripe = *stripes_[shard];
     // One lock acquisition per touched shard: all of this shard's keys are
     // answered from the same publish snapshot.
     std::lock_guard<std::mutex> lock(stripe.mu);
-    for (const auto& [pos, key] : members) {
+    size_t end = begin;
+    for (; end < by_shard.size() && by_shard[end].first == shard; ++end) {
+      const size_t pos = by_shard[end].second;
+      const net::KeyId key = query.keys[pos];
       net::KeyedAnswer& a = reply.answers[pos];
       a.key = key;
-      auto it = stripe.latest.find(key);
-      if (it == stripe.latest.end()) {
+      const Slot& slot = slots_[key];
+      if (!slot.found) {
         a.found = false;
         continue;
       }
-      const sim::WindowOutput& out = it->second;
+      const sim::WindowOutput& out = slot.latest;
       a.found = true;
       a.window_id = out.window_id;
       a.global_size = out.global_size;
@@ -110,6 +129,7 @@ net::KeyedQueryReply ResultStore::Query(const net::KeyedQuery& query) const {
         a.values.push_back(i < out.values.size() ? out.values[i] : 0.0);
       }
     }
+    begin = end;
   }
   return reply;
 }
@@ -118,9 +138,9 @@ std::optional<sim::WindowOutput> ResultStore::Latest(net::KeyId key) const {
   if (key >= num_keys_) return std::nullopt;
   const Stripe& stripe = *stripes_[ShardOfKey(key, num_shards_)];
   std::lock_guard<std::mutex> lock(stripe.mu);
-  auto it = stripe.latest.find(key);
-  if (it == stripe.latest.end()) return std::nullopt;
-  return it->second;
+  const Slot& slot = slots_[key];
+  if (!slot.found) return std::nullopt;
+  return slot.latest;
 }
 
 }  // namespace dema::shard

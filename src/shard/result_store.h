@@ -1,11 +1,9 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/keyed.h"
@@ -25,6 +23,10 @@ namespace dema::shard {
 /// atomically before w+1. Across shards, answers may come from different
 /// window frontiers (shards progress independently by design; see
 /// docs/SHARDING.md).
+///
+/// Keys are dense (0..K-1), so each key has one slot, guarded by its shard's
+/// stripe lock; a publish overwrites the slot in place and allocates only for
+/// the key's first window.
 class ResultStore {
  public:
   ResultStore(uint32_t num_shards, uint64_t num_keys,
@@ -45,9 +47,7 @@ class ResultStore {
   std::optional<sim::WindowOutput> Latest(net::KeyId key) const;
 
   /// Total publishes across all keys (== per-key windows emitted).
-  uint64_t published_windows() const {
-    return published_.load(std::memory_order_relaxed);
-  }
+  uint64_t published_windows() const;
 
   const std::vector<double>& quantiles() const { return quantiles_; }
   uint64_t num_keys() const { return num_keys_; }
@@ -55,9 +55,14 @@ class ResultStore {
  private:
   struct Stripe {
     mutable std::mutex mu;
-    /// Monotone publish epoch (diagnostics; bumped per publish).
+    /// Monotone publish epoch: the stripe's publish count.
     uint64_t epoch = 0;
-    std::unordered_map<net::KeyId, sim::WindowOutput> latest;
+  };
+
+  /// One key's latest result; guarded by the key's stripe.
+  struct Slot {
+    bool found = false;
+    sim::WindowOutput latest;
   };
 
   /// Maps the query's quantile list onto indices into `quantiles_`, or an
@@ -70,7 +75,8 @@ class ResultStore {
   uint64_t num_keys_;
   std::vector<double> quantiles_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::atomic<uint64_t> published_{0};
+  /// By key id.
+  std::vector<Slot> slots_;
 };
 
 }  // namespace dema::shard

@@ -1,18 +1,15 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/clock.h"
-#include "dema/root_node.h"
+#include "dema/root_core.h"
 #include "net/keyed.h"
-#include "shard/collector.h"
 #include "shard/config.h"
+#include "shard/outbox.h"
 
 namespace dema::shard {
 
@@ -20,21 +17,22 @@ namespace dema::shard {
 using KeyedResultFn =
     std::function<void(net::KeyId, const sim::WindowOutput&)>;
 
-/// \brief One root shard: an independent Dema root instance per key it owns.
+/// \brief One root shard: the Dema root protocol for every key it owns.
 ///
-/// The per-key state machine is the unmodified `DemaRootNode` (window-cut,
-/// deadlines, validation, quarantine, degraded path — the full PR 5 root),
-/// pointed at a `CollectingTransport`. Inbound keyed frames are demuxed into
-/// per-key inner messages (seq 0 — the outer frame already went through
-/// transport-level dedup); outbound per-key traffic is drained after every
-/// per-key call, attributed to that key, and re-batched into one keyed frame
-/// per (destination, message type) on the real transport.
+/// One `core::RootCore` per shard holds what all keys share (options,
+/// instruments, scratch buffers, recycled window buffers); each key owns only
+/// a compact `core::RootStream` in a flat slab indexed by its dense slot in
+/// the shard. Inbound keyed frames are validated whole, then each entry's
+/// payload is decoded in place from the frame (the outer frame already
+/// passed transport-level dedup). Outbound per-key payloads serialize
+/// straight into one keyed batch per (destination, message type), sent as
+/// one frame each when the call ends.
 ///
 /// Not thread-safe: the owning service serializes all calls on the shard's
 /// strand.
-class RootShard {
+class RootShard final : private core::RootSink {
  public:
-  /// Builds the shard's per-key roots eagerly for every key it owns under
+  /// Builds the per-key state for every key the shard owns under
   /// `ShardOfKey(key, config.num_shards) == index`. \p transport, \p clock
   /// and \p registry must outlive the shard.
   RootShard(uint32_t index, const ShardedConfig& config,
@@ -45,50 +43,55 @@ class RootShard {
   /// kShardCandidateReply). Malformed frames, wrong-shard frames, and
   /// unknown-key entries are counted and dropped — corruption must never
   /// take the shard down; per-entry payload validation (and quarantine) runs
-  /// inside the per-key root.
+  /// in the root core on that key's state.
   Status OnFrame(const net::Message& outer);
 
-  /// Deadline tick fan-out over every per-key root (retries ship as keyed
-  /// frames).
+  /// Deadline tick over every key (retries ship as keyed frames).
   Status Tick();
 
-  /// Declares the workload horizon to every per-key root (deadline-mode gap
-  /// fill).
+  /// Declares the workload horizon to every key (deadline-mode gap fill).
   void NoteWindowHorizon(net::WindowId last);
 
-  /// True when every per-key root has no partially aggregated window.
+  /// True when no key has a partially aggregated window.
   bool idle() const;
 
   /// Keys owned by this shard.
-  size_t num_keys() const { return roots_.size(); }
+  size_t num_keys() const { return keys_.size(); }
+
+  /// Per-key windows this shard emitted and published (any thread may read
+  /// it).
+  uint64_t windows_emitted() const {
+    return windows_emitted_.load(std::memory_order_acquire);
+  }
 
   uint32_t index() const { return index_; }
 
-  /// The per-key root for \p key, or nullptr if this shard does not own it
-  /// (test/diagnostic access).
-  const core::DemaRootNode* root_for(net::KeyId key) const;
-
  private:
-  /// Outbound keyed batches accumulated during one OnFrame/Tick, keyed by
-  /// (destination, inner message type).
-  using OutboundMap =
-      std::map<std::pair<NodeId, net::MessageType>, net::KeyedBatch>;
+  // core::RootSink, for the key in `current_key_`.
+  Status SendRequest(NodeId dst, const core::CandidateRequest& req) override;
+  Status SendGamma(NodeId dst, const core::GammaUpdate& update) override;
+  void Emit(const sim::WindowOutput& out) override;
 
-  /// Drains the collector and appends everything to \p out under \p key.
-  void StashCollected(net::KeyId key, OutboundMap* out);
-  /// Sends every accumulated batch as one keyed frame. Send failures are
-  /// counted (`shard.send_failures{shard=}`) and absorbed — the per-key
-  /// deadline machinery retries or degrades, mirroring the root's own
-  /// best-effort send semantics.
-  Status FlushOutbound(OutboundMap* out);
+  /// Sends the batches the call produced.
+  void Flush();
 
   uint32_t index_;
   transport::Transport* transport_;
-  CollectingTransport collector_;
   KeyedResultFn on_result_;
-  std::unordered_map<net::KeyId, std::unique_ptr<core::DemaRootNode>> roots_;
-  /// Owned keys in ascending order (deterministic Tick/horizon fan-out).
+  core::RootCore core_;
+  /// Per-key protocol state, by slot.
+  std::vector<core::RootStream> streams_;
+  /// Owned keys by slot, ascending.
   std::vector<net::KeyId> keys_;
+  /// Slot of each key id; `kNoSlot` for keys other shards own.
+  std::vector<uint32_t> slot_of_;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  /// The key whose payload or tick the core is serving.
+  net::KeyId current_key_ = 0;
+  KeyedOutbox outbox_;
+  /// Written by the strand only; its own cache line keeps the shards'
+  /// strands from contending on one counter.
+  alignas(64) std::atomic<uint64_t> windows_emitted_{0};
   obs::Counter* c_frames_;
   obs::Counter* c_wrong_shard_;
   obs::Counter* c_unknown_key_;

@@ -352,15 +352,13 @@ Result<ShardQueryReport> RunShardQueryClient(const ShardQueryOptions& options) {
   std::vector<Status> statuses(sessions, Status::OK());
   std::vector<uint64_t> sent(sessions, 0);
   std::vector<net::KeyedQueryReply> replies(sessions);
-  std::vector<bool> satisfied(sessions, false);
   std::vector<std::thread> threads;
   threads.reserve(sessions);
   for (size_t t = 0; t < sessions; ++t) {
     threads.emplace_back([&, t] {
-      bool ok = false;
+      bool satisfied = false;
       statuses[t] = RunQuerySession(options, t, slices[t], &sent[t],
-                                    &replies[t], &ok);
-      satisfied[t] = ok;
+                                    &replies[t], &satisfied);
     });
   }
   for (auto& th : threads) th.join();

@@ -54,9 +54,14 @@ ShardedRootService::~ShardedRootService() {
 void ShardedRootService::OnKeyedResult(uint32_t s, net::KeyId key,
                                        const sim::WindowOutput& out) {
   store_.Publish(s, key, out);
-  windows_total_.fetch_add(1, std::memory_order_relaxed);
   if (on_result_) on_result_(key, out);
   if (callback_) callback_(out);
+}
+
+uint64_t ShardedRootService::windows_emitted() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->windows_emitted();
+  return total;
 }
 
 void ShardedRootService::RecordError(const Status& st) {
@@ -151,7 +156,7 @@ Status ShardedRootService::OnMessage(const net::Message& msg) {
     case net::MessageType::kShardCandidateReply: {
       // Exactly-once applies to state-mutating aggregation traffic only.
       if (dedup_.IsDuplicate(msg.src, msg.seq)) return Status::OK();
-      auto shard = net::KeyedBatch::PeekShard(msg.payload_bytes());
+      auto shard = net::KeyedBatchReader::PeekShard(msg.payload_bytes());
       if (!shard.ok() || *shard >= shards_.size()) {
         c_bad_frame_->Increment();
         return Status::OK();

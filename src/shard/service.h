@@ -26,11 +26,11 @@ namespace dema::shard {
 ///
 /// Each shard has a *strand* — a serialized task queue drained on the
 /// executor — so shards progress concurrently while every individual shard
-/// stays single-threaded (the per-key roots are plain sequential state
-/// machines). Inbound keyed frames are routed by the frame's shard index
-/// (`KeyedBatch::PeekShard`, no full decode on the run-loop thread); query
-/// frames are answered inline from the thread-safe `ResultStore`, so queries
-/// never wait behind window aggregation.
+/// stays single-threaded (a shard's root core and key slab are plain
+/// sequential state). Inbound keyed frames are routed by the frame's shard
+/// index (`KeyedBatchReader::PeekShard`, no full decode on the run-loop
+/// thread); query frames are answered inline from the thread-safe
+/// `ResultStore`, so queries never wait behind window aggregation.
 ///
 /// Implements `sim::RootNodeLogic`, so the existing drivers and the TCP
 /// serve loop host it exactly like the single-root node.
@@ -55,9 +55,7 @@ class ShardedRootService final : public sim::RootNodeLogic {
   }
 
   /// Total per-key windows emitted across all shards.
-  uint64_t windows_emitted() const override {
-    return windows_total_.load(std::memory_order_relaxed);
-  }
+  uint64_t windows_emitted() const override;
 
   /// True when every strand is drained and every per-key root is idle.
   bool idle() const override;
@@ -120,7 +118,6 @@ class ShardedRootService final : public sim::RootNodeLogic {
   /// Transport-level duplicate suppression over outer frames (run-loop
   /// thread only).
   net::SeqDedup dedup_;
-  std::atomic<uint64_t> windows_total_{0};
   KeyedResultFn on_result_;
   sim::ResultCallback callback_;
   mutable std::mutex error_mu_;

@@ -221,8 +221,16 @@ std::vector<Event> MergeSortedRuns(std::vector<std::vector<Event>> runs) {
 
 Result<std::vector<Event>> SelectRanksFromRuns(
     std::vector<std::vector<Event>> runs, const std::vector<uint64_t>& ranks) {
+  std::vector<Event> out;
+  DEMA_RETURN_NOT_OK(SelectRanksFromRunsInto(&runs, ranks, &out));
+  return out;
+}
+
+Status SelectRanksFromRunsInto(std::vector<std::vector<Event>>* runs,
+                               const std::vector<uint64_t>& ranks,
+                               std::vector<Event>* out) {
   uint64_t total = 0;
-  for (const auto& run : runs) total += run.size();
+  for (const auto& run : *runs) total += run.size();
   for (uint64_t rank : ranks) {
     if (rank < 1 || rank > total) {
       return Status::InvalidArgument("rank " + std::to_string(rank) +
@@ -230,8 +238,8 @@ Result<std::vector<Event>> SelectRanksFromRuns(
                                      std::to_string(total) + "]");
     }
   }
-  std::vector<Event> out(ranks.size());
-  if (ranks.empty()) return out;
+  out->assign(ranks.size(), Event{});
+  if (ranks.empty()) return Status::OK();
 
   // Visit the requested ranks in ascending order so one forward pass of the
   // tournament serves all of them, galloping over the gaps; the merger never
@@ -241,7 +249,7 @@ Result<std::vector<Event>> SelectRanksFromRuns(
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return ranks[a] < ranks[b]; });
 
-  LoserTreeMerger merger(std::move(runs));
+  LoserTreeMerger merger(std::move(*runs));
   uint64_t produced = 0;
   Event current{};
   for (size_t idx : order) {
@@ -250,9 +258,10 @@ Result<std::vector<Event>> SelectRanksFromRuns(
       current = merger.Next();
       produced = ranks[idx];
     }
-    out[idx] = current;  // duplicate ranks reuse the event already produced
+    (*out)[idx] = current;  // duplicate ranks reuse the event already produced
   }
-  return out;
+  *runs = merger.TakeRuns();
+  return Status::OK();
 }
 
 }  // namespace dema::stream

@@ -50,6 +50,9 @@ class LoserTreeMerger {
   /// Events not yet produced.
   uint64_t remaining() const { return remaining_; }
 
+  /// Hands the runs back (unchanged); the merger is spent afterwards.
+  std::vector<std::vector<Event>> TakeRuns() { return std::move(runs_); }
+
  private:
   /// Replays the tournament from leaf \p runner upward (tree engine).
   void Replay(size_t runner);
@@ -90,5 +93,12 @@ std::vector<Event> MergeSortedRuns(std::vector<std::vector<Event>> runs);
 /// outside [1, total events].
 Result<std::vector<Event>> SelectRanksFromRuns(
     std::vector<std::vector<Event>> runs, const std::vector<uint64_t>& ranks);
+
+/// \brief `SelectRanksFromRuns` that leaves \p runs intact and writes the
+/// picked events into \p out, so a caller selecting window after window
+/// keeps reusing both buffers.
+Status SelectRanksFromRunsInto(std::vector<std::vector<Event>>* runs,
+                               const std::vector<uint64_t>& ranks,
+                               std::vector<Event>* out);
 
 }  // namespace dema::stream

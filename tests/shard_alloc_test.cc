@@ -1,0 +1,181 @@
+// Heap-allocation bound on the root-shard path. A counting global
+// `operator new` measures what `RootShard` allocates per key-window once its
+// buffers are warm: each window feeds one synopsis frame and one reply frame
+// per local, covering every key, exactly as the keyed service does.
+//
+// This is its own test binary because it replaces the global allocator.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <map>
+#include <new>
+#include <vector>
+
+#include "common/clock.h"
+#include "dema/protocol.h"
+#include "dema/slice.h"
+#include "net/keyed.h"
+#include "obs/registry.h"
+#include "shard/config.h"
+#include "shard/root_shard.h"
+
+namespace {
+
+std::atomic<uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace dema {
+namespace {
+
+/// Keeps the frames the shard sends, for the test to answer.
+class FrameSink final : public transport::Transport {
+ public:
+  Status Send(net::Message m) override {
+    frames.push_back(std::move(m));
+    return Status::OK();
+  }
+  net::Channel* Inbox(NodeId) override { return nullptr; }
+  transport::LinkTrafficMap LinkTraffic() const override { return {}; }
+  std::map<net::MessageType, net::TrafficCounters> TrafficByType()
+      const override {
+    return {};
+  }
+  void Shutdown() override {}
+
+  std::vector<net::Message> frames;
+};
+
+constexpr uint64_t kKeys = 512;
+constexpr size_t kLocals = 2;
+constexpr uint64_t kEventsPerKeyLocal = 4;
+constexpr uint64_t kGamma = 2'000;
+
+/// Sorted events of (key, local, window): a few values spread so the two
+/// locals' slices overlap for some keys and not for others.
+std::vector<Event> KeyEvents(net::KeyId key, NodeId node, net::WindowId w) {
+  std::vector<Event> events;
+  for (uint32_t i = 0; i < kEventsPerKeyLocal; ++i) {
+    Event e;
+    e.value = static_cast<double>((key * 7 + node * 13 + i * 29 + w * 3) % 101);
+    e.timestamp = static_cast<TimestampUs>(w) * kMicrosPerSecond + i;
+    e.node = node;
+    e.seq = i;
+    events.push_back(e);
+  }
+  std::sort(events.begin(), events.end());
+  return events;
+}
+
+net::Message SynopsisFrame(NodeId node, net::WindowId w) {
+  net::KeyedBatchWriter batch(0);
+  for (net::KeyId key = 0; key < kKeys; ++key) {
+    std::vector<Event> events = KeyEvents(key, node, w);
+    core::SynopsisBatch synopsis;
+    synopsis.window_id = w;
+    synopsis.node = node;
+    synopsis.local_window_size = events.size();
+    synopsis.gamma_used = kGamma;
+    synopsis.slices = *core::CutIntoSlices(events, node, kGamma);
+    batch.Add(key, synopsis);
+  }
+  return batch.Finish(net::MessageType::kShardSynopsisBatch, node, 0);
+}
+
+/// Answers the candidate requests the shard sent to \p node.
+net::Message ReplyFrame(const std::vector<net::Message>& requests, NodeId node,
+                        net::WindowId w) {
+  net::KeyedBatchWriter batch(0);
+  for (const net::Message& frame : requests) {
+    if (frame.dst != node) continue;
+    auto reader = net::KeyedBatchReader::Open(frame.payload_bytes());
+    EXPECT_TRUE(reader.ok()) << reader.status();
+    net::KeyedEntryView entry;
+    while (reader->Next(&entry)) {
+      net::Reader r(entry.payload);
+      auto req = core::CandidateRequest::Deserialize(&r);
+      EXPECT_TRUE(req.ok()) << req.status();
+      if (req->slice_indices.empty()) continue;  // a release, no reply
+      core::CandidateReply reply;
+      reply.window_id = w;
+      reply.node = node;
+      reply.events = KeyEvents(entry.key, node, w);  // one slice holds all
+      batch.Add(entry.key, reply);
+    }
+  }
+  return batch.Finish(net::MessageType::kShardCandidateReply, node, 0);
+}
+
+TEST(ShardAllocations, RootShardKeyWindowStaysWithinBound) {
+  shard::ShardedConfig config;
+  config.num_locals = kLocals;
+  config.num_shards = 1;
+  config.num_keys = kKeys;
+  config.gamma = kGamma;
+  config.quantiles = {0.5, 0.99};
+  obs::Registry registry;
+  RealClock clock;
+  FrameSink transport;
+  uint64_t emitted = 0;
+  shard::RootShard shard(0, config, &transport, &clock, &registry,
+                         [&emitted](net::KeyId, const sim::WindowOutput&) {
+                           ++emitted;
+                         });
+
+  constexpr net::WindowId kWarmup = 2;
+  constexpr net::WindowId kMeasured = 3;
+  uint64_t allocations = 0;
+  for (net::WindowId w = 0; w < kWarmup + kMeasured; ++w) {
+    std::vector<net::Message> synopses;
+    for (NodeId node = 1; node <= kLocals; ++node) {
+      synopses.push_back(SynopsisFrame(node, w));
+    }
+    transport.frames.clear();
+    transport.frames.reserve(16);
+    const uint64_t before_synopses = g_allocations.load();
+    for (const net::Message& frame : synopses) {
+      ASSERT_TRUE(shard.OnFrame(frame).ok());
+    }
+    const uint64_t synopsis_allocations = g_allocations.load() - before_synopses;
+
+    std::vector<net::Message> replies;
+    for (NodeId node = 1; node <= kLocals; ++node) {
+      replies.push_back(ReplyFrame(transport.frames, node, w));
+    }
+    transport.frames.clear();
+    const uint64_t before_replies = g_allocations.load();
+    for (const net::Message& frame : replies) {
+      ASSERT_TRUE(shard.OnFrame(frame).ok());
+    }
+    const uint64_t reply_allocations = g_allocations.load() - before_replies;
+    if (w >= kWarmup) allocations += synopsis_allocations + reply_allocations;
+    ASSERT_EQ(emitted, (w + 1) * kKeys) << "window " << w;
+  }
+  ASSERT_TRUE(shard.idle());
+
+  const double per_key_window =
+      static_cast<double>(allocations) / static_cast<double>(kMeasured * kKeys);
+  // One full single-key root per key, behind a buffering transport and an
+  // owning envelope codec, took 54.1 allocations per key-window on this
+  // path; the shared core must stay at or below a third of that.
+  constexpr double kBound = 54.1 / 3;
+  EXPECT_LE(per_key_window, kBound);
+  RecordProperty("allocations_per_key_window", std::to_string(per_key_window));
+  std::printf("root-shard allocations per key-window: %.2f\n", per_key_window);
+}
+
+}  // namespace
+}  // namespace dema

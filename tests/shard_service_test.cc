@@ -1,6 +1,8 @@
 // Scale and concurrency tests for the sharded root service: a 10k-key run
 // across 4 shards must match 10k independent single-key runs exactly, and
 // the query API must answer concurrent multi-key reads while windows close.
+// Also: a malformed keyed frame is dropped whole, and a keyed local's
+// retained-memory gauges sum over all of its keys.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +12,15 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "dema/protocol.h"
+#include "dema/slice.h"
+#include "net/keyed.h"
 #include "net/network.h"
 #include "shard/config.h"
 #include "shard/key.h"
+#include "shard/local_mux.h"
 #include "shard/result_store.h"
+#include "shard/root_shard.h"
 #include "shard/sim_run.h"
 #include "sim/driver.h"
 #include "sim/topology.h"
@@ -216,6 +223,128 @@ TEST(ShardConcurrent, QueriesRaceWindowCloseAndStaySnapshotConsistent) {
     EXPECT_EQ(a.global_size, last.global_size);
     EXPECT_EQ(a.values, last.values);
   }
+}
+
+/// Keeps every frame sent through it.
+class FrameSink final : public transport::Transport {
+ public:
+  Status Send(net::Message m) override {
+    frames.push_back(std::move(m));
+    return Status::OK();
+  }
+  net::Channel* Inbox(NodeId) override { return nullptr; }
+  transport::LinkTrafficMap LinkTraffic() const override { return {}; }
+  std::map<net::MessageType, net::TrafficCounters> TrafficByType()
+      const override {
+    return {};
+  }
+  void Shutdown() override {}
+
+  std::vector<net::Message> frames;
+};
+
+TEST(ShardMalformedFrame, TruncatedLastEntryAppliesNothing) {
+  // One local, so every accepted synopsis runs identification at once and
+  // sends a candidate request: a half-applied frame would be visible.
+  shard::ShardedConfig config;
+  config.num_locals = 1;
+  config.num_shards = 1;
+  config.num_keys = 4;
+  config.gamma = 16;
+  obs::Registry registry;
+  RealClock clock;
+  FrameSink transport;
+  uint64_t emitted = 0;
+  shard::RootShard shard(0, config, &transport, &clock, &registry,
+                         [&emitted](net::KeyId, const sim::WindowOutput&) {
+                           ++emitted;
+                         });
+
+  net::KeyedBatchWriter batch(0);
+  for (net::KeyId key = 0; key < config.num_keys; ++key) {
+    std::vector<Event> events;
+    for (uint32_t i = 0; i < 3; ++i) {
+      events.push_back(Event{static_cast<double>(key * 10 + i),
+                             static_cast<TimestampUs>(i), 1, i});
+    }
+    core::SynopsisBatch synopsis;
+    synopsis.window_id = 0;
+    synopsis.node = 1;
+    synopsis.local_window_size = events.size();
+    synopsis.gamma_used = 16;
+    synopsis.slices = *core::CutIntoSlices(events, 1, 16);
+    batch.Add(key, synopsis);
+  }
+  const net::Message intact =
+      batch.Finish(net::MessageType::kShardSynopsisBatch, 1, 0);
+  net::Message truncated = intact;
+  truncated.payload.resize(truncated.payload.size() - 3);
+
+  ASSERT_TRUE(shard.OnFrame(truncated).ok());
+  EXPECT_EQ(registry.FindCounter("shard.bad_frame{shard=0}")->Value(), 1u);
+  EXPECT_TRUE(transport.frames.empty()) << "no key may send a request";
+  EXPECT_TRUE(shard.idle()) << "no key may hold a pending window";
+  EXPECT_EQ(emitted, 0u);
+  EXPECT_EQ(registry.FindCounter("dema.synopsis_slices{shard=0}")->Value(), 0u);
+
+  // Every key's state is untouched: the intact frame is each key's first
+  // synopsis, and every key asks for its candidates in one request frame.
+  ASSERT_TRUE(shard.OnFrame(intact).ok());
+  EXPECT_EQ(registry.FindCounter("shard.bad_frame{shard=0}")->Value(), 1u);
+  EXPECT_EQ(registry.FindCounter("dema.duplicates_ignored{shard=0}")->Value(),
+            0u);
+  ASSERT_EQ(transport.frames.size(), 1u);
+  EXPECT_EQ(transport.frames[0].type, net::MessageType::kShardCandidateRequest);
+  auto requests = net::KeyedBatchReader::Open(transport.frames[0].payload_bytes());
+  ASSERT_TRUE(requests.ok()) << requests.status();
+  EXPECT_EQ(requests->size(), config.num_keys);
+}
+
+TEST(ShardLocalGauges, RetainedGaugesSumOverKeys) {
+  // All of a keyed node's per-key locals share `local.retained_*{node=N}`;
+  // the gauges must read the node's total, not the last key's count.
+  constexpr uint64_t kKeys = 8;
+  constexpr uint32_t kEvents = 5;
+  obs::Registry registry;
+  RealClock clock;
+  FrameSink transport;
+  shard::KeyedLocalNodeOptions opts;
+  opts.id = 1;
+  opts.num_shards = 2;
+  opts.num_keys = kKeys;
+  opts.registry = &registry;
+  shard::KeyedLocalNode node(opts, &transport, &clock);
+  for (net::KeyId key = 0; key < kKeys; ++key) {
+    for (uint32_t i = 0; i < kEvents; ++i) {
+      ASSERT_TRUE(node.OnEvent(key, Event{static_cast<double>(i),
+                                          static_cast<TimestampUs>(i), 1, i})
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(node.OnWatermark(opts.window_len_us).ok());
+  const obs::Gauge* windows = registry.FindGauge("local.retained_windows{node=1}");
+  const obs::Gauge* events = registry.FindGauge("local.retained_events{node=1}");
+  const obs::Gauge* peak =
+      registry.FindGauge("local.retained_events_peak{node=1}");
+  ASSERT_NE(windows, nullptr);
+  ASSERT_NE(events, nullptr);
+  ASSERT_NE(peak, nullptr);
+  EXPECT_EQ(windows->Value(), static_cast<int64_t>(kKeys));
+  EXPECT_EQ(events->Value(), static_cast<int64_t>(kKeys * kEvents));
+  EXPECT_EQ(peak->Value(), static_cast<int64_t>(kKeys * kEvents));
+
+  // Releasing one key's window takes exactly its events out; the peak stays.
+  net::KeyedBatchWriter release(shard::ShardOfKey(0, opts.num_shards));
+  core::CandidateRequest req;
+  req.window_id = 0;
+  release.Add(0, req);
+  ASSERT_TRUE(
+      node.OnMessage(release.Finish(net::MessageType::kShardCandidateRequest,
+                                    0, 1))
+          .ok());
+  EXPECT_EQ(windows->Value(), static_cast<int64_t>(kKeys - 1));
+  EXPECT_EQ(events->Value(), static_cast<int64_t>((kKeys - 1) * kEvents));
+  EXPECT_EQ(peak->Value(), static_cast<int64_t>(kKeys * kEvents));
 }
 
 }  // namespace

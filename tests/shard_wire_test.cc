@@ -1,13 +1,16 @@
 // Wire-format and configuration tests for the keyed sharding layer: keyed
-// envelope round-trips, the strict outer<->inner type mapping, the shard
-// routing fast path, and the fail-fast config validation (shard/worker
-// counts of 0 must be rejected, never silently clamped).
+// envelope round-trips through the view codec, the strict outer<->inner
+// type mapping, the shard routing fast path, and the fail-fast config
+// validation (shard/worker counts of 0 must be rejected, never silently
+// clamped).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "dema/protocol.h"
 #include "net/keyed.h"
 #include "net/message.h"
 #include "net/serializer.h"
@@ -19,75 +22,121 @@ namespace dema {
 namespace {
 
 using net::KeyedAnswer;
-using net::KeyedBatch;
-using net::KeyedEntry;
+using net::KeyedBatchReader;
+using net::KeyedBatchWriter;
+using net::KeyedEntryView;
 using net::KeyedQuery;
 using net::KeyedQueryReply;
 using net::MessageType;
 using net::Reader;
 using net::Writer;
 
-TEST(KeyedBatchWire, RoundTrip) {
-  KeyedBatch batch;
-  batch.shard = 7;
-  batch.event_count = 12345;
-  batch.entries.push_back(KeyedEntry{42, {1, 2, 3, 4}});
-  batch.entries.push_back(KeyedEntry{~0ull - 5, {}});
-  batch.entries.push_back(KeyedEntry{0, {0xff}});
+/// Serialized keyed batch of shard \p shard holding \p entries.
+std::vector<uint8_t> Frame(uint32_t shard,
+                           const std::vector<std::pair<net::KeyId,
+                                                       std::vector<uint8_t>>>&
+                               entries) {
+  KeyedBatchWriter writer(shard);
+  for (const auto& [key, payload] : entries) writer.AddBytes(key, payload, 0);
+  return writer.Finish(MessageType::kShardSynopsisBatch, 1, 0).payload;
+}
 
-  Writer w;
-  batch.SerializeTo(&w);
-  Reader r(w.buffer());
-  auto out = KeyedBatch::Deserialize(&r);
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(out->shard, 7u);
+std::vector<uint8_t> Bytes(net::ByteSpan span) {
+  return std::vector<uint8_t>(span.begin(), span.end());
+}
+
+TEST(KeyedBatchWire, RoundTrip) {
+  KeyedBatchWriter writer(7);
+  writer.AddBytes(42, std::vector<uint8_t>{1, 2, 3, 4}, 12000);
+  writer.AddBytes(~0ull - 5, {}, 0);
+  writer.AddBytes(0, std::vector<uint8_t>{0xff}, 345);
+  net::Message frame =
+      writer.Finish(MessageType::kShardCandidateReply, /*src=*/2, /*dst=*/0);
+  EXPECT_EQ(frame.type, MessageType::kShardCandidateReply);
+  EXPECT_EQ(frame.src, 2u);
   // event_count is envelope metadata (carried by net::Message), never
   // serialized into the payload itself.
-  EXPECT_EQ(out->event_count, 0u);
-  ASSERT_EQ(out->entries.size(), 3u);
-  EXPECT_EQ(out->entries[0].key, 42u);
-  EXPECT_EQ(out->entries[0].payload, (std::vector<uint8_t>{1, 2, 3, 4}));
-  EXPECT_EQ(out->entries[1].key, ~0ull - 5);
-  EXPECT_TRUE(out->entries[1].payload.empty());
-  EXPECT_EQ(out->entries[2].payload, (std::vector<uint8_t>{0xff}));
+  EXPECT_EQ(frame.event_count, 12345u);
+  EXPECT_EQ(writer.size(), 0u) << "Finish restarts the writer empty";
+
+  auto batch = KeyedBatchReader::Open(frame.payload_bytes());
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ(batch->shard(), 7u);
+  ASSERT_EQ(batch->size(), 3u);
+  KeyedEntryView e;
+  ASSERT_TRUE(batch->Next(&e));
+  EXPECT_EQ(e.key, 42u);
+  EXPECT_EQ(Bytes(e.payload), (std::vector<uint8_t>{1, 2, 3, 4}));
+  ASSERT_TRUE(batch->Next(&e));
+  EXPECT_EQ(e.key, ~0ull - 5);
+  EXPECT_TRUE(e.payload.empty());
+  ASSERT_TRUE(batch->Next(&e));
+  EXPECT_EQ(e.key, 0u);
+  EXPECT_EQ(Bytes(e.payload), (std::vector<uint8_t>{0xff}));
+  EXPECT_FALSE(batch->Next(&e));
+
+  // The writer is reusable: the next frame starts from an empty batch.
+  writer.AddBytes(5, std::vector<uint8_t>{9}, 1);
+  net::Message second = writer.Finish(MessageType::kShardCandidateReply, 2, 0);
+  EXPECT_EQ(second.payload, Frame(7, {{5, {9}}}));
+  EXPECT_EQ(second.event_count, 1u);
+}
+
+TEST(KeyedBatchWire, TypedEntryIsTheSingleKeyPayload) {
+  // A payload serialized straight into the batch is byte-identical to the
+  // single-key message an unsharded run sends.
+  core::CandidateRequest req;
+  req.window_id = 9;
+  req.slice_indices = {0, 3, 4};
+  KeyedBatchWriter writer(1);
+  writer.Add(11, req);
+  net::Message frame = writer.Finish(MessageType::kShardCandidateRequest, 0, 1);
+  auto batch = KeyedBatchReader::Open(frame.payload_bytes());
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  KeyedEntryView e;
+  ASSERT_TRUE(batch->Next(&e));
+  EXPECT_EQ(e.key, 11u);
+  EXPECT_EQ(Bytes(e.payload),
+            net::MakeMessage(MessageType::kCandidateRequest, 0, 1, req).payload);
 }
 
 TEST(KeyedBatchWire, PeekShardMatchesFullDecode) {
-  KeyedBatch batch;
-  batch.shard = 31;
-  batch.entries.push_back(KeyedEntry{9, {5, 6}});
-  Writer w;
-  batch.SerializeTo(&w);
-  auto peeked = KeyedBatch::PeekShard(w.buffer());
+  const std::vector<uint8_t> frame = Frame(31, {{9, {5, 6}}});
+  auto peeked = KeyedBatchReader::PeekShard(frame);
   ASSERT_TRUE(peeked.ok()) << peeked.status();
   EXPECT_EQ(*peeked, 31u);
+  auto batch = KeyedBatchReader::Open(frame);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ(batch->shard(), *peeked);
 }
 
 TEST(KeyedBatchWire, PeekShardRejectsTruncatedPayload) {
   std::vector<uint8_t> tiny{1, 2};
-  EXPECT_FALSE(KeyedBatch::PeekShard(tiny).ok());
+  EXPECT_FALSE(KeyedBatchReader::PeekShard(tiny).ok());
 }
 
 TEST(KeyedBatchWire, DeserializeRejectsTruncatedEntry) {
-  KeyedBatch batch;
-  batch.shard = 1;
-  batch.entries.push_back(KeyedEntry{3, {9, 9, 9, 9}});
-  Writer w;
-  batch.SerializeTo(&w);
-  std::vector<uint8_t> cut(w.buffer().begin(), w.buffer().end() - 2);
-  Reader r(cut);
-  EXPECT_FALSE(KeyedBatch::Deserialize(&r).ok());
+  const std::vector<uint8_t> frame = Frame(1, {{2, {7}}, {3, {9, 9, 9, 9}}});
+  ASSERT_TRUE(KeyedBatchReader::Open(frame).ok());
+  // The last entry loses two payload bytes: the whole frame is rejected,
+  // including the intact first entry.
+  std::vector<uint8_t> cut(frame.begin(), frame.end() - 2);
+  EXPECT_FALSE(KeyedBatchReader::Open(cut).ok());
+  // Trailing bytes after the last entry reject the frame too.
+  std::vector<uint8_t> padded = frame;
+  padded.push_back(0);
+  EXPECT_FALSE(KeyedBatchReader::Open(padded).ok());
+  // So does an entry count the buffer cannot hold.
+  std::vector<uint8_t> inflated = frame;
+  inflated[4] = 200;
+  EXPECT_FALSE(KeyedBatchReader::Open(inflated).ok());
 }
 
 TEST(KeyedBatchWire, FirstPayloadOffsetIsWhereTheInnerBytesStart) {
-  KeyedBatch batch;
-  batch.shard = 3;
-  batch.entries.push_back(KeyedEntry{77, {0xAB, 0xCD}});
-  Writer w;
-  batch.SerializeTo(&w);
-  ASSERT_GT(w.buffer().size(), net::kKeyedFirstPayloadOffset + 1);
-  EXPECT_EQ(w.buffer()[net::kKeyedFirstPayloadOffset], 0xAB);
-  EXPECT_EQ(w.buffer()[net::kKeyedFirstPayloadOffset + 1], 0xCD);
+  const std::vector<uint8_t> frame = Frame(3, {{77, {0xAB, 0xCD}}});
+  ASSERT_GT(frame.size(), net::kKeyedFirstPayloadOffset + 1);
+  EXPECT_EQ(frame[net::kKeyedFirstPayloadOffset], 0xAB);
+  EXPECT_EQ(frame[net::kKeyedFirstPayloadOffset + 1], 0xCD);
 }
 
 TEST(KeyedTypeMapping, OuterAndInnerAreStrictInverses) {
