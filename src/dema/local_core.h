@@ -1,0 +1,223 @@
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <future>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "common/clock.h"
+#include "dema/protocol.h"
+#include "exec/executor.h"
+#include "obs/registry.h"
+#include "stream/window_manager.h"
+
+namespace dema::core {
+
+/// \brief Configuration of a Dema local node.
+struct DemaLocalNodeOptions {
+  /// This node's id.
+  NodeId id = 1;
+  /// The root node's id.
+  NodeId root_id = 0;
+  /// Window lifespan (same on every node).
+  DurationUs window_len_us = kMicrosPerSecond;
+  /// Slide step; 0 (default) or == window_len_us gives the paper's tumbling
+  /// windows, smaller values give overlapping sliding windows — each window
+  /// id still runs the identification/calculation protocol independently.
+  DurationUs window_slide_us = 0;
+  /// Slice factor until the root broadcasts an update.
+  uint64_t initial_gamma = 10'000;
+  /// How local windows are kept sorted.
+  stream::SortMode sort_mode = stream::SortMode::kSortOnClose;
+  /// Wire encoding for candidate replies.
+  net::EventCodec reply_codec = net::EventCodec::kFixed;
+  /// Metrics sink for the `local.*{node=N}` instruments. When null, the node
+  /// owns a private registry (reachable via `registry()`). Must outlive the
+  /// node when provided.
+  obs::Registry* registry = nullptr;
+  /// Worker pool for closed-window sort+slice. When set, each closed window
+  /// is prepared asynchronously so ingest never blocks on the O(n log n)
+  /// close-time work; synopses still ship in window-id order (sequenced
+  /// completion buffer). When null (default), windows are prepared inline on
+  /// the calling thread — output is byte-identical either way. Must outlive
+  /// the node when provided; may be shared between nodes.
+  exec::Executor* executor = nullptr;
+};
+
+/// \brief Where the local core's outbound payloads go.
+///
+/// The core never touches a transport: the single-key local frames each
+/// payload as its own message to the root, a keyed local serializes it
+/// straight into the keyed batch of the key's shard.
+class LocalSink {
+ public:
+  virtual Status SendSynopsis(const SynopsisBatch& batch) = 0;
+  virtual Status SendReply(const CandidateReply& reply) = 0;
+  virtual Status SendGammaSync(const GammaSyncRequest& sync) = 0;
+
+ protected:
+  ~LocalSink() = default;
+};
+
+/// One window's close-time work product: everything a worker computes off
+/// the ingest thread, sequenced back into window-id order before shipping.
+struct PreparedWindow {
+  net::WindowId id = 0;
+  uint64_t gamma = 0;
+  std::vector<Event> sorted;
+  std::vector<SliceSynopsis> slices;
+  /// Slice-cut failure, surfaced when the window ships.
+  Status status;
+};
+
+/// A shipped window kept for candidate serving, together with the γ it was
+/// cut with (slice index ranges must be reconstructed with the same γ even
+/// after later γ updates).
+struct KeptWindow {
+  net::WindowId id = 0;
+  uint64_t gamma = 0;
+  /// Already served once: kept only in the bounded served ring (oldest id
+  /// evicted first), because a reply can be lost in flight and the root's
+  /// retried request must find the events again.
+  bool served = false;
+  std::vector<Event> sorted;
+};
+
+/// \brief Compact per-stream protocol state: everything one local stream
+/// (one key of a keyed local, or the whole single-key local) owns. The
+/// shared `LocalCore` does all the work on it.
+struct LocalStream {
+  stream::WindowManager windows;
+  /// Sorted events of shipped windows, ascending by id: retained ones until
+  /// the root releases them, then the served ring. Released together.
+  std::vector<KeptWindow> kept;
+  /// γ schedule: (effective-from window id, γ), ascending. Always non-empty.
+  std::vector<std::pair<net::WindowId, uint64_t>> gamma_schedule;
+  /// γ in effect at the start of known history; the answer for window ids
+  /// older than every remaining schedule entry. Survives checkpoints.
+  uint64_t oldest_known_gamma;
+  net::WindowId next_window_to_emit = 0;
+  /// Sequenced completion buffer: futures for submitted window closes, in
+  /// window-id (== submission) order. Only the front may ship, so synopses
+  /// leave in id order no matter how the pool reorders completions.
+  std::vector<std::future<PreparedWindow>> inflight_closes;
+
+  /// A fresh stream for a core with options \p o.
+  explicit LocalStream(const DemaLocalNodeOptions& o);
+  /// Windows currently retained for candidate serving (memory accounting).
+  size_t retained_windows() const {
+    return static_cast<size_t>(std::count_if(
+        kept.begin(), kept.end(), [](const KeptWindow& w) { return !w.served; }));
+  }
+};
+
+/// \brief Dema's edge-side protocol (Sections 3.1, 3.3), shared by every
+/// stream it serves.
+///
+/// Sorts each closed local window, cuts it into γ-sized slices, ships only
+/// the slice synopses to the root, and retains the window's events until the
+/// root's candidate request arrives — at which point it replies with the
+/// requested slices' events and drops the window. γ updates from the root
+/// take effect per window id.
+///
+/// Holds what streams share — options, cached `local.*{node=N}` instruments,
+/// clock, executor, scratch and the node's retained-memory totals — and
+/// works on one `LocalStream` per call. It has no transport: payloads leave
+/// through a `LocalSink`.
+///
+/// Not thread-safe; callers serialize all calls.
+class LocalCore {
+ public:
+  /// Recently served windows kept per stream for re-serving.
+  static constexpr size_t kServedWindowCap = 4;
+
+  /// \p clock must outlive the core.
+  LocalCore(DemaLocalNodeOptions options, const Clock* clock);
+
+  /// Routes one event into \p s; a late one (below the watermark) is
+  /// counted into `local.late_events` and dropped.
+  void OnEvent(LocalStream* s, const Event& e);
+  /// Ships synopses for every window id of \p s the watermark closed —
+  /// including empty windows — and retains their events. With an executor,
+  /// submits the sort+slice per window and drains whatever has completed
+  /// (in id order) without blocking.
+  Status OnWatermark(LocalStream* s, TimestampUs watermark_us, LocalSink* sink);
+  /// Blocks until every executor-submitted window close of \p s has been
+  /// prepared and its synopsis shipped (no-op without an executor or when
+  /// nothing is in flight). Call before `Checkpoint` — a snapshot must not
+  /// race in-flight closes — and at end of stream. Idempotent.
+  Status Quiesce(LocalStream* s, LocalSink* sink) {
+    return DrainPreparedCloses(s, /*block=*/true, sink);
+  }
+  /// Decodes and applies one payload of type \p type (candidate request, γ
+  /// update or shutdown).
+  Status OnPayload(LocalStream* s, net::MessageType type,
+                   net::ByteSpan payload, LocalSink* sink);
+  /// Asks the root for the current slice factor. Call after `Restore`: the
+  /// node may have missed γ broadcasts while it was down, and cutting the
+  /// next windows with a stale factor skews the cost model until the next
+  /// regular broadcast happens to arrive.
+  Status ResyncGamma(LocalSink* sink) const;
+
+  /// Slice factor that would apply to window \p id of \p s right now. For
+  /// historic ids older than every schedule entry (possible after pruning or
+  /// restore), returns the oldest-known effective γ rather than a future
+  /// entry's value.
+  uint64_t GammaForWindow(const LocalStream& s, net::WindowId id) const;
+
+  /// Serializes the complete mutable state of \p s — open window buffers,
+  /// watermark, retained (shipped but unreleased) windows, γ schedule, and
+  /// the emission frontier — so a restarted edge device can resume without
+  /// violating the protocol (checkpoint/recovery support).
+  void Checkpoint(const LocalStream& s, net::Writer* w) const;
+  /// Replaces \p s with a `Checkpoint` snapshot taken by a core with the
+  /// same options. Fails (leaving \p s unusable) on corrupt or incompatible
+  /// snapshots.
+  Status Restore(LocalStream* s, net::Reader* r);
+
+  /// Counts one transport-level duplicate absorbed before the core.
+  void CountDuplicate() { c_duplicates_ignored_->Increment(); }
+
+  const DemaLocalNodeOptions& options() const { return options_; }
+  /// The registry this core records into (the options-provided one, or the
+  /// core's own private registry).
+  obs::Registry* registry() const { return registry_; }
+  uint64_t events_ingested() const { return c_events_ingested_->Value(); }
+
+ private:
+  /// Ships ready prepared windows from the front of the completion buffer;
+  /// blocks on stragglers only when \p block is set.
+  Status DrainPreparedCloses(LocalStream* s, bool block, LocalSink* sink);
+  /// Sends one prepared window's synopsis batch, retains its events, and
+  /// prunes the γ schedule (common tail of both paths).
+  Status ShipPrepared(LocalStream* s, PreparedWindow prepared,
+                      LocalSink* sink);
+  Status HandleCandidateRequest(LocalStream* s, const CandidateRequest& req,
+                                LocalSink* sink);
+  /// Applies a change of the retained totals to the gauges and raises the
+  /// peak gauge.
+  void AddRetained(int64_t windows, int64_t events);
+
+  DemaLocalNodeOptions options_;
+  const Clock* clock_;
+  std::unique_ptr<obs::Registry> owned_registry_;
+  obs::Registry* registry_;
+  /// Windows and events retained over every stream (memory accounting).
+  int64_t retained_windows_ = 0;
+  int64_t retained_events_ = 0;
+  /// Scratch reply, reused by every serve.
+  CandidateReply reply_;
+  /// Cached registry instruments.
+  obs::Counter* c_events_ingested_;
+  obs::Counter* c_late_events_;
+  obs::Counter* c_windows_shipped_;
+  obs::Counter* c_send_failures_;
+  obs::Counter* c_duplicates_ignored_;
+  obs::Gauge* g_retained_windows_;
+  obs::Gauge* g_retained_events_;
+  obs::Gauge* g_retained_events_peak_;
+};
+
+}  // namespace dema::core

@@ -38,7 +38,7 @@ struct ExecutorOptions {
 /// closed window here so the ingest thread never blocks on O(n log n) work.
 /// `Submit` is thread-safe and returns a `std::future` for the task's result;
 /// completion order is whatever the pool produces — callers that need ordered
-/// effects sequence the futures themselves (see `DemaLocalNode`'s per-window
+/// effects sequence the futures themselves (see `LocalCore`'s per-window
 /// completion buffer).
 ///
 /// Instruments (in the configured registry):

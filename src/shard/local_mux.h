@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "common/clock.h"
-#include "dema/local_node.h"
+#include "dema/local_core.h"
 #include "net/dedup.h"
 #include "net/keyed.h"
 #include "shard/config.h"
@@ -26,29 +24,28 @@ struct KeyedLocalNodeOptions {
   uint64_t initial_gamma = 10'000;
   stream::SortMode sort_mode = stream::SortMode::kSortOnClose;
   net::EventCodec reply_codec = net::EventCodec::kFixed;
-  /// Shared metrics sink; the per-key locals label `local.*{node=N}` so they
-  /// aggregate per hosting node. When null the mux owns one.
+  /// Shared metrics sink; the keys record into `local.*{node=N}`, so the
+  /// instruments aggregate per hosting node. When null the mux owns one.
   obs::Registry* registry = nullptr;
-  /// Optional sort+slice pool for the per-key locals (usually null: keyed
-  /// windows are small, and the shard service's pool is for the root side).
-  exec::Executor* executor = nullptr;
 };
 
-/// \brief A multi-tenant local node: one unmodified `DemaLocalNode` per key,
+/// \brief A multi-tenant local node: the Dema local protocol for every key,
 /// multiplexed onto keyed frames.
 ///
-/// Every key's events feed that key's private window/sort/slice state
-/// machine; at each watermark the synopses of all keys that closed a window
-/// go straight into ONE `kShardSynopsisBatch` frame per shard — the
-/// per-(local, shard) batching that keeps the frame count independent of
-/// the key count. Inbound keyed candidate requests and gamma updates are
-/// validated whole, then each entry is handed to its key's local as a view
-/// into the frame, and the resulting candidate replies are batched the same
-/// way.
+/// One `core::LocalCore` holds what all keys share (options, instruments,
+/// scratch, the node's retained-memory totals); each key owns only a compact
+/// `core::LocalStream` in a flat slab indexed by key id, with its private
+/// window/sort/slice state. At each watermark the synopses of all keys that
+/// closed a window go straight into ONE `kShardSynopsisBatch` frame per
+/// shard — the per-(local, shard) batching that keeps the frame count
+/// independent of the key count. Inbound keyed candidate requests and gamma
+/// updates are validated whole and deduplicated once per frame, then each
+/// entry's payload is decoded in place from the frame on its key's state,
+/// and the resulting candidate replies are batched the same way.
 ///
 /// Not thread-safe (same contract as `DemaLocalNode`): the hosting run loop
 /// serializes calls.
-class KeyedLocalNode {
+class KeyedLocalNode final : private core::LocalSink {
  public:
   /// \p transport and \p clock must outlive the node.
   KeyedLocalNode(KeyedLocalNodeOptions options,
@@ -64,65 +61,53 @@ class KeyedLocalNode {
 
   /// Ends every key's stream (empty windows included, so each per-key root
   /// can align all locals).
-  Status OnFinish(TimestampUs final_watermark_us);
+  Status OnFinish(TimestampUs final_watermark_us) {
+    return OnWatermark(final_watermark_us);
+  }
 
   /// Handles one keyed frame from the service (kShardCandidateRequest or
   /// kShardGammaUpdate; anything else is counted and dropped).
   Status OnMessage(const net::Message& outer);
 
-  /// Blocks until every per-key async window close has shipped (no-op
-  /// without an executor) and flushes the resulting frames.
-  Status Quiesce();
-
-  /// The registry the per-key locals record into.
-  obs::Registry* registry() const { return registry_; }
+  /// The registry the keys record into.
+  obs::Registry* registry() const { return core_.registry(); }
 
  private:
-  /// The transport the per-key locals send through: each message's payload
-  /// is appended to the outbox batch of its (shard, type), under the key
-  /// being served.
-  class KeyTransport final : public transport::Transport {
-   public:
-    explicit KeyTransport(KeyedLocalNode* owner) : owner_(owner) {}
-    Status Send(net::Message m) override { return owner_->Stash(m); }
-    /// Per-key locals are fed by their owner, never from an inbox.
-    net::Channel* Inbox(NodeId) override { return nullptr; }
-    /// The keyed frame on the real transport carries the wire cost.
-    transport::LinkTrafficMap LinkTraffic() const override { return {}; }
-    std::map<net::MessageType, net::TrafficCounters> TrafficByType()
-        const override {
-      return {};
-    }
-    void Shutdown() override {}
+  // core::LocalSink, for the key in `current_key_`.
+  Status SendSynopsis(const core::SynopsisBatch& batch) override {
+    return Stash(net::MessageType::kShardSynopsisBatch, batch);
+  }
+  Status SendReply(const core::CandidateReply& reply) override {
+    return Stash(net::MessageType::kShardCandidateReply, reply);
+  }
+  /// Keyed runs never resync γ; failing loudly flags a programming error.
+  Status SendGammaSync(const core::GammaSyncRequest&) override {
+    return net::KeyedOuterType(net::MessageType::kGammaSyncRequest).status();
+  }
+  /// Appends \p payload to the outbox batch of the key's (shard, \p type).
+  template <typename Payload>
+  Status Stash(net::MessageType type, const Payload& payload) {
+    const uint32_t shard = shard_of_[current_key_];
+    outbox_.Batch(shard, type, shard, options_.service_id)
+        ->Add(current_key_, payload);
+    return Status::OK();
+  }
 
-   private:
-    KeyedLocalNode* owner_;
-  };
-
-  /// Appends \p m to the outbox under `current_key_`.
-  Status Stash(const net::Message& m);
-  /// Sends the batches the call produced; fails on a message type keyed
-  /// frames never carry.
-  Status Flush();
+  /// Sends the batches the call produced.
+  void Flush() { outbox_.Flush(options_.id, transport_, c_send_failures_); }
 
   KeyedLocalNodeOptions options_;
   transport::Transport* transport_;
-  std::unique_ptr<obs::Registry> owned_registry_;
-  obs::Registry* registry_;
-  KeyTransport key_transport_{this};
-  /// Per-key locals, indexed by key id.
-  std::vector<std::unique_ptr<core::DemaLocalNode>> locals_;
-  /// Cached shard of each key (hot path: one array read per stashed entry).
+  core::LocalCore core_;
+  /// Per-key protocol state, indexed by key id.
+  std::vector<core::LocalStream> streams_;
+  /// Cached shard of each key (hot path: one array read per sent entry).
   std::vector<uint32_t> shard_of_;
   /// Transport-level duplicate suppression over outer keyed frames.
   net::SeqDedup dedup_;
-  /// The key whose local is being called.
+  /// The key whose stream the core is serving.
   net::KeyId current_key_ = 0;
   KeyedOutbox outbox_;
-  /// Entries stashed since the last flush.
-  size_t stashed_ = 0;
-  /// First unbatchable message type stashed since the last flush.
-  Status stash_error_;
   obs::Counter* c_frames_;
   obs::Counter* c_bad_frame_;
   obs::Counter* c_unknown_key_;

@@ -213,8 +213,6 @@ Result<ShardedTcpLocalReport> RunShardedTcpLocal(
     if (!run_status.ok()) break;
     run_status = node.OnWatermark(end);
     if (!run_status.ok()) break;
-    run_status = node.Quiesce();
-    if (!run_status.ok()) break;
     // Serve whatever candidate requests arrived while streaming.
     while (auto msg = inbox->TryPop()) {
       run_status = handle(*msg);

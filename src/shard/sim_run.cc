@@ -107,9 +107,6 @@ Status ShardedSimHarness::Run(const KeyedWorkloadConfig& workload) {
     for (auto& local : locals_) {
       DEMA_RETURN_NOT_OK(local->OnWatermark(end));
     }
-    for (auto& local : locals_) {
-      DEMA_RETURN_NOT_OK(local->Quiesce());
-    }
     DEMA_RETURN_NOT_OK(PumpMessages());
     if (deadlines) {
       DEMA_RETURN_NOT_OK(service_->Tick());

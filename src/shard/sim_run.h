@@ -34,8 +34,9 @@ struct KeyedWorkloadConfig {
 /// \brief In-process sharded deployment on the simulation fabric: the shard
 /// service as node 0 plus N keyed local nodes, driven synchronously.
 ///
-/// The driver mirrors `SyncDriver` exactly — generate one window per (key,
-/// local), watermark, quiesce, pump until quiescent — with one addition:
+/// The driver mirrors `SyncDriver` — generate one window per (key, local),
+/// watermark, pump until quiescent; keyed locals close windows inline, so
+/// there is no quiesce step — with one addition:
 /// after draining the service inbox it waits for all shard strands to drain
 /// before pumping the local inboxes, so executor-backed runs produce the
 /// same per-key message sequences as a single-threaded run.

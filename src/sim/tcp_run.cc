@@ -342,7 +342,7 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
         // restored watermark (== e.timestamp) accepts as on-time. In-flight
         // executor closes must land first — a snapshot taken mid-close would
         // silently drop those windows' events.
-        run_status = dema_local->FlushPendingCloses();
+        run_status = dema_local->Quiesce();
         if (!run_status.ok()) break;
         net::Writer w;
         w.PutU64(static_cast<uint64_t>(wid) * workload.window_len_us);

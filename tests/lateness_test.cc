@@ -9,6 +9,7 @@
 #include "common/clock.h"
 #include "dema/local_node.h"
 #include "gen/disorder.h"
+#include "obs/registry.h"
 #include "sim/driver.h"
 #include "sim/topology.h"
 #include "stream/quantile.h"
@@ -150,6 +151,8 @@ TEST(AllowedLateness, InsufficientLatenessDropsButCompletes) {
   load.max_disorder_us = MillisUs(100);
   load.allowed_lateness_us = 0;  // aggressive watermark: some drops expected
 
+  obs::Registry registry;
+  config.registry = &registry;
   RealClock clock;
   net::Network network(&clock);
   auto system_result = sim::BuildSystem(config, &network, &clock);
@@ -163,6 +166,14 @@ TEST(AllowedLateness, InsufficientLatenessDropsButCompletes) {
   for (const auto& out : driver.outputs()) total_in_windows += out.global_size;
   EXPECT_LT(total_in_windows, driver.events_ingested());  // something dropped
   EXPECT_GT(total_in_windows, driver.events_ingested() * 8 / 10);  // not much
+  // Every drop is visible: the locals' late-event counters add up to exactly
+  // the events missing from the windows.
+  uint64_t late = 0;
+  for (const auto& [name, value] : registry.CounterValues()) {
+    if (name.rfind("local.late_events{", 0) == 0) late += value;
+  }
+  EXPECT_GT(late, 0u);
+  EXPECT_EQ(late, driver.events_ingested() - total_in_windows);
 }
 
 TEST(WindowManagerLateness, HeldBackWatermarkAdmitsStragglers) {

@@ -1,8 +1,9 @@
 // Scale and concurrency tests for the sharded root service: a 10k-key run
 // across 4 shards must match 10k independent single-key runs exactly, and
 // the query API must answer concurrent multi-key reads while windows close.
-// Also: a malformed keyed frame is dropped whole, and a keyed local's
-// retained-memory gauges sum over all of its keys.
+// Also: a malformed keyed frame is dropped whole, a keyed local's
+// retained-memory gauges sum over all of its keys, and a keyed local counts
+// the duplicate frames it drops.
 
 #include <gtest/gtest.h>
 
@@ -345,6 +346,47 @@ TEST(ShardLocalGauges, RetainedGaugesSumOverKeys) {
   EXPECT_EQ(windows->Value(), static_cast<int64_t>(kKeys - 1));
   EXPECT_EQ(events->Value(), static_cast<int64_t>((kKeys - 1) * kEvents));
   EXPECT_EQ(peak->Value(), static_cast<int64_t>(kKeys * kEvents));
+}
+
+TEST(ShardLocalDedup, DuplicateFrameIsCountedAndServedOnce) {
+  // A transport retransmission repeats a frame with its sequence number: the
+  // keyed local must drop the copy once per frame, count it like a
+  // single-key local does, and never serve the keys a second time.
+  constexpr uint64_t kKeys = 4;
+  obs::Registry registry;
+  RealClock clock;
+  FrameSink transport;
+  shard::KeyedLocalNodeOptions opts;
+  opts.id = 1;
+  opts.num_keys = kKeys;
+  opts.registry = &registry;
+  shard::KeyedLocalNode node(opts, &transport, &clock);
+  for (net::KeyId key = 0; key < kKeys; ++key) {
+    ASSERT_TRUE(node.OnEvent(key, Event{1.0 + key, 5, 1, 0}).ok());
+  }
+  ASSERT_TRUE(node.OnWatermark(opts.window_len_us).ok());
+  transport.frames.clear();
+
+  net::KeyedBatchWriter requests(0);
+  core::CandidateRequest req;
+  req.window_id = 0;
+  req.slice_indices = {0};
+  for (net::KeyId key = 0; key < kKeys; ++key) requests.Add(key, req);
+  net::Message frame =
+      requests.Finish(net::MessageType::kShardCandidateRequest, 0, 1);
+  frame.seq = 7;
+  ASSERT_TRUE(node.OnMessage(frame).ok());
+  ASSERT_TRUE(node.OnMessage(frame).ok());
+
+  ASSERT_EQ(transport.frames.size(), 1u);
+  EXPECT_EQ(transport.frames[0].type, net::MessageType::kShardCandidateReply);
+  auto replies = net::KeyedBatchReader::Open(transport.frames[0].payload_bytes());
+  ASSERT_TRUE(replies.ok()) << replies.status();
+  EXPECT_EQ(replies->size(), kKeys);
+  const obs::Counter* duplicates =
+      registry.FindCounter("local.duplicates_ignored{node=1}");
+  ASSERT_NE(duplicates, nullptr);
+  EXPECT_EQ(duplicates->Value(), 1u);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@
 //   --adaptive --per-node-gamma --naive-selection
 //   --csv=PATH                  also dump the table as CSV
 //   --metrics-out=PATH          dump the run's metrics registry + per-window
-//                               trace spans as JSON (run/serve/cluster)
+//                               trace spans as JSON (run/serve/cluster/shard)
 //   --metrics-log-ms=MS         log all counters/gauges every MS milliseconds
 //                               while the run is live
 //
@@ -911,6 +911,12 @@ int CmdShard(const Flags& flags) {
             << " events across " << sc.num_keys << " keys / " << sc.num_shards
             << " shards, " << FmtCount(harness.service()->windows_emitted())
             << " per-key windows emitted\n";
+  const std::string metrics_out = flags.GetString("metrics-out", "");
+  if (!metrics_out.empty()) {
+    st = obs::WriteObsFile(metrics_out, *harness.registry(), nullptr);
+    if (!st.ok()) return Fail("metrics export failed: " + st.ToString());
+    std::cerr << "demactl: metrics written to " << metrics_out << "\n";
+  }
   return 0;
 }
 
@@ -1008,6 +1014,7 @@ int main(int argc, char** argv) {
          "               queues (0 = unbounded; default 1024)\n"
          "  shard        in-process multi-tenant run: --shards= --keys=\n"
          "               --locals= --workers= --windows= --rate=\n"
+         "               --metrics-out=PATH\n"
          "  query        concurrent queries against a sharded root:\n"
          "               --root=H:P --keys=K | --keys-list=a,b,c\n"
          "               --quantiles= --concurrency= --until-window=\n"
