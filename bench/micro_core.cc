@@ -29,16 +29,72 @@ std::vector<Event> RandomEvents(size_t n, uint64_t seed, NodeId node = 1) {
   return events;
 }
 
+/// A sensor random walk in [0, 10000] with step stddev 25, the value shape
+/// of a local window in the paper's setting.
+std::vector<Event> WalkEvents(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Event> events;
+  events.reserve(n);
+  double pos = 5'000;
+  for (uint32_t i = 0; i < n; ++i) {
+    pos = std::clamp(pos + rng.Normal(0, 25), 0.0, 10'000.0);
+    events.push_back(Event{pos, static_cast<TimestampUs>(i), 1, i});
+  }
+  return events;
+}
+
+/// Closed windows of range(0) events: uniform values when range(1) is 0, a
+/// random walk when it is 1. Several distinct windows (as many as fit in
+/// about 24 MB, at most 16) are cycled through, so the branch predictor
+/// cannot learn one input's comparisons and flatter `std::sort`.
+std::vector<std::vector<Event>> WindowInputs(const benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  std::vector<std::vector<Event>> inputs(
+      std::clamp<size_t>(1'000'000 / n, 1, 16));
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    inputs[i] = state.range(1) == 0 ? RandomEvents(n, 11 + i)
+                                    : WalkEvents(n, 11 + i);
+  }
+  return inputs;
+}
+
+/// Times the close-time sort every local runs (`stream::SortEvents`).
 void BM_SortWindow(benchmark::State& state) {
-  auto events = RandomEvents(state.range(0), 11);
+  const auto inputs = WindowInputs(state);
+  std::vector<Event> copy;
+  size_t next = 0;
   for (auto _ : state) {
-    auto copy = events;
-    std::sort(copy.begin(), copy.end());
+    copy = inputs[next++ % inputs.size()];
+    stream::SortEvents(&copy);
     benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SortWindow)->Arg(1'000)->Arg(100'000)->Arg(1'000'000);
+/// The `std::sort` reference it must match.
+void BM_SortWindowStdSort(benchmark::State& state) {
+  const auto inputs = WindowInputs(state);
+  std::vector<Event> copy;
+  size_t next = 0;
+  for (auto _ : state) {
+    copy = inputs[next++ % inputs.size()];
+    std::sort(copy.begin(), copy.end());
+    benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+/// Uniform windows of 1k to 1M events, and a 20,000-event walk: one
+/// star_inline local window.
+void SortWindowArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n", "walk"})
+      ->Args({1'000, 0})
+      ->Args({100'000, 0})
+      ->Args({1'000'000, 0})
+      ->Args({20'000, 1});
+}
+BENCHMARK(BM_SortWindow)->Apply(SortWindowArgs);
+BENCHMARK(BM_SortWindowStdSort)->Apply(SortWindowArgs);
 
 void BM_IncrementalSortedInsert(benchmark::State& state) {
   auto events = RandomEvents(state.range(0), 13);

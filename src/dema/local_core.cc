@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "dema/slice.h"
 
@@ -41,7 +42,7 @@ PreparedWindow Prepare(net::WindowId id, uint64_t gamma, NodeId node,
   prepared.id = id;
   prepared.gamma = gamma;
   if (events.empty()) return prepared;
-  if (!is_sorted) std::sort(events.begin(), events.end());
+  if (!is_sorted) stream::SortEvents(&events);
   auto slices = CutIntoSlices(events, node, gamma);
   if (!slices.ok()) {
     prepared.status = slices.status();
@@ -68,6 +69,7 @@ LocalCore::LocalCore(DemaLocalNodeOptions options, const Clock* clock)
   const std::string label = "{node=" + std::to_string(options_.id) + "}";
   c_events_ingested_ = registry_->GetCounter("local.events_ingested" + label);
   c_late_events_ = registry_->GetCounter("local.late_events" + label);
+  c_rejected_values_ = registry_->GetCounter("local.rejected_values" + label);
   c_windows_shipped_ = registry_->GetCounter("local.windows_shipped" + label);
   c_send_failures_ = registry_->GetCounter("local.send_failures" + label);
   c_duplicates_ignored_ = registry_->GetCounter("local.duplicates_ignored" + label);
@@ -112,6 +114,13 @@ uint64_t LocalCore::GammaForWindow(const LocalStream& s,
 
 void LocalCore::OnEvent(LocalStream* s, const Event& e) {
   c_events_ingested_->Increment();
+  if (!std::isfinite(e.value)) {
+    // NaN has no place in the total order, and the root rejects a synopsis
+    // carrying any non-finite value as `bad_value`: drop the event, not the
+    // window.
+    c_rejected_values_->Increment();
+    return;
+  }
   if (!s->windows.OnEvent(e)) c_late_events_->Increment();
 }
 

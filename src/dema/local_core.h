@@ -38,8 +38,8 @@ struct DemaLocalNodeOptions {
   /// node when provided.
   obs::Registry* registry = nullptr;
   /// Worker pool for closed-window sort+slice. When set, each closed window
-  /// is prepared asynchronously so ingest never blocks on the O(n log n)
-  /// close-time work; synopses still ship in window-id order (sequenced
+  /// is prepared asynchronously so ingest never blocks on the close-time
+  /// sort and slice cut; synopses still ship in window-id order (sequenced
   /// completion buffer). When null (default), windows are prepared inline on
   /// the calling thread — output is byte-identical either way. Must outlive
   /// the node when provided; may be shared between nodes.
@@ -136,8 +136,9 @@ class LocalCore {
   /// \p clock must outlive the core.
   LocalCore(DemaLocalNodeOptions options, const Clock* clock);
 
-  /// Routes one event into \p s; a late one (below the watermark) is
-  /// counted into `local.late_events` and dropped.
+  /// Routes one event into \p s. A late one (below the watermark) is
+  /// counted into `local.late_events` and dropped; one whose value is NaN
+  /// or ±Inf is counted into `local.rejected_values` and dropped.
   void OnEvent(LocalStream* s, const Event& e);
   /// Ships synopses for every window id of \p s the watermark closed —
   /// including empty windows — and retains their events. With an executor,
@@ -212,6 +213,7 @@ class LocalCore {
   /// Cached registry instruments.
   obs::Counter* c_events_ingested_;
   obs::Counter* c_late_events_;
+  obs::Counter* c_rejected_values_;
   obs::Counter* c_windows_shipped_;
   obs::Counter* c_send_failures_;
   obs::Counter* c_duplicates_ignored_;

@@ -35,7 +35,7 @@ struct ExecutorOptions {
 /// \brief Fixed-size worker pool with a bounded task queue and futures.
 ///
 /// The data-plane offload point: local nodes submit the sort+slice of each
-/// closed window here so the ingest thread never blocks on O(n log n) work.
+/// closed window here so the ingest thread never blocks on close-time work.
 /// `Submit` is thread-safe and returns a `std::future` for the task's result;
 /// completion order is whatever the pool produces — callers that need ordered
 /// effects sequence the futures themselves (see `LocalCore`'s per-window

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -10,14 +11,31 @@ namespace dema::stream {
 
 /// \brief How a local window keeps its events ordered.
 enum class SortMode {
-  /// Buffer unsorted, sort once when the window closes. Fastest in practice
-  /// (one O(n log n) pass, cache friendly) and the default.
+  /// Buffer unsorted, sort once when the window closes (`SortEvents`).
+  /// Fastest in practice and the default.
   kSortOnClose,
   /// Keep events ordered at all times (the paper's "incrementally sorts
   /// arriving events"). Useful when slices must be emitted before the window
   /// closes; costs O(log n) per insert with worse constants.
   kIncremental,
 };
+
+/// Windows below this many events are sorted with `std::sort`: the radix
+/// sort's fixed cost (clearing and prefix-summing its histograms) dominates
+/// tiny windows.
+inline constexpr size_t kRadixSortMinEvents = 256;
+
+/// \brief Sorts \p events into the global event order
+/// `(value, timestamp, node, seq)`; the result equals
+/// `std::sort(events->begin(), events->end())` element for element.
+///
+/// Precondition: every value is finite (locals drop NaN and ±Inf at ingest).
+/// Windows of `kRadixSortMinEvents` or more go through an LSD radix sort on
+/// an order-preserving 64-bit key of the value, with runs of equal keys
+/// re-sorted by the full comparator; smaller ones use `std::sort`. Buffers
+/// are reused per thread, so the call allocates nothing once they have
+/// grown, and `*events` may come back with a different capacity.
+void SortEvents(std::vector<Event>* events);
 
 /// \brief Collects one local window's events and yields them fully sorted.
 ///
@@ -31,7 +49,18 @@ class SortedWindowBuffer {
       : mode_(mode) {}
 
   /// Adds one event.
-  void Add(const Event& e);
+  void Add(const Event& e) {
+    if (mode_ == SortMode::kSortOnClose) {
+      vec_.push_back(e);
+    } else {
+      ordered_.insert(e);
+    }
+  }
+
+  /// Makes room for \p n events up front (no-op for kIncremental).
+  void Reserve(size_t n) {
+    if (mode_ == SortMode::kSortOnClose) vec_.reserve(n);
+  }
 
   /// Number of events added so far.
   uint64_t size() const;
@@ -39,15 +68,15 @@ class SortedWindowBuffer {
   /// True when nothing was added.
   bool empty() const { return size() == 0; }
 
-  /// Finishes the window: returns all events sorted and leaves the buffer
-  /// empty and reusable.
+  /// Finishes the window: returns all events sorted (`SortEvents`) and
+  /// leaves the buffer empty and reusable.
   std::vector<Event> TakeSorted();
 
   /// Finishes the window without paying for the sort on this thread: returns
   /// the events as cheaply as possible and reports through \p is_sorted
   /// whether they already obey the global order (kIncremental) or still need
   /// sorting (kSortOnClose insertion order). Used by the executor-backed
-  /// close path, which moves the O(n log n) sort onto a worker.
+  /// close path, which moves the sort onto a worker.
   std::vector<Event> TakeRaw(bool* is_sorted);
 
   /// Visits every buffered event (in insertion or sorted order depending on

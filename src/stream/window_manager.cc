@@ -7,19 +7,31 @@ bool WindowManager::OnEvent(const Event& e) {
     ++late_events_;
     return false;
   }
+  if (hot_ != nullptr && e.timestamp >= hot_start_us_ &&
+      e.timestamp < hot_end_us_) {
+    hot_->Add(e);
+    return true;
+  }
   assign_scratch_.clear();
   assigner_.AssignWindows(e.timestamp, &assign_scratch_);
   for (WindowId id : assign_scratch_) {
     auto it = open_.find(id);
     if (it == open_.end()) {
       it = open_.emplace(id, SortedWindowBuffer(sort_mode_)).first;
+      it->second.Reserve(last_closed_size_);
     }
     it->second.Add(e);
+    if (tumbling_) {
+      hot_ = &it->second;
+      hot_start_us_ = assigner_.WindowStart(id);
+      hot_end_us_ = assigner_.WindowEnd(id);
+    }
   }
   return true;
 }
 
 ClosedWindow WindowManager::CloseBuffer(WindowId id, SortedWindowBuffer* buf) {
+  last_closed_size_ = buf->size();
   if (!defer_sort_) return ClosedWindow{id, buf->TakeSorted(), true};
   bool is_sorted = true;
   std::vector<Event> events = buf->TakeRaw(&is_sorted);
@@ -30,6 +42,7 @@ std::vector<ClosedWindow> WindowManager::AdvanceWatermark(TimestampUs watermark_
   std::vector<ClosedWindow> closed;
   if (watermark_us <= watermark_us_) return closed;
   watermark_us_ = watermark_us;
+  hot_ = nullptr;
   auto it = open_.begin();
   while (it != open_.end() && assigner_.WindowEnd(it->first) <= watermark_us_) {
     closed.push_back(CloseBuffer(it->first, &it->second));
@@ -44,6 +57,7 @@ std::vector<ClosedWindow> WindowManager::Flush() {
     closed.push_back(CloseBuffer(id, &buf));
   }
   open_.clear();
+  hot_ = nullptr;
   return closed;
 }
 
@@ -68,6 +82,7 @@ Status WindowManager::RestoreFrom(net::Reader* r) {
   DEMA_RETURN_NOT_OK(r->GetU64(&late));
   DEMA_RETURN_NOT_OK(r->GetU32(&num_windows));
   open_.clear();
+  hot_ = nullptr;
   watermark_us_ = watermark;
   late_events_ = late;
   for (uint32_t i = 0; i < num_windows; ++i) {

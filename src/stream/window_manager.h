@@ -41,10 +41,20 @@ class WindowManager {
   /// Creates a manager for the given window shape.
   explicit WindowManager(WindowSpec spec,
                          SortMode sort_mode = SortMode::kSortOnClose)
-      : assigner_(spec), sort_mode_(sort_mode) {}
+      : assigner_(spec), tumbling_(spec.IsTumbling()), sort_mode_(sort_mode) {}
+
+  // A move carries the open buffers' map nodes, and with them the cached
+  // hot buffer; a copy would leave that pointer in the source's map. A
+  // moved-from manager may only be destroyed or assigned to.
+  WindowManager(const WindowManager&) = delete;
+  WindowManager& operator=(const WindowManager&) = delete;
+  WindowManager(WindowManager&&) = default;
+  WindowManager& operator=(WindowManager&&) = default;
 
   /// Routes one event into its window. Returns false iff the event was late
-  /// (its window already closed) and therefore dropped.
+  /// (its window already closed) and therefore dropped. With tumbling
+  /// windows, an event for the same window as the previous one goes
+  /// straight to that window's buffer.
   bool OnEvent(const Event& e);
 
   /// Advances the event-time watermark to \p watermark_us and returns every
@@ -89,10 +99,19 @@ class WindowManager {
   ClosedWindow CloseBuffer(WindowId id, SortedWindowBuffer* buf);
 
   SlidingWindowAssigner assigner_;
+  bool tumbling_;
   SortMode sort_mode_;
   bool defer_sort_ = false;
   std::map<WindowId, SortedWindowBuffer> open_;
   std::vector<WindowId> assign_scratch_;
+  /// Tumbling windows only: the open buffer the last event went to and its
+  /// window's [start, end). Null when unset; reset whenever `open_` drops
+  /// entries, so it never dangles.
+  SortedWindowBuffer* hot_ = nullptr;
+  TimestampUs hot_start_us_ = 0;
+  TimestampUs hot_end_us_ = 0;
+  /// Events in the last window closed; a new buffer reserves this many.
+  size_t last_closed_size_ = 0;
   TimestampUs watermark_us_ = 0;
   uint64_t late_events_ = 0;
 };

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/clock.h"
 #include "dema/local_node.h"
 #include "dema/protocol.h"
 #include "dema/root_node.h"
 #include "net/network.h"
+#include "obs/registry.h"
+#include "sim/pump.h"
+#include "stream/quantile.h"
 
 namespace dema::core {
 namespace {
@@ -471,6 +476,71 @@ TEST(DemaRootNodeValidation, BadQuantilesFailAtConstruction) {
   DemaRootNodeOptions max_q;
   max_q.quantiles = {1.0};
   EXPECT_TRUE(first_message_status(max_q).ok());
+}
+
+TEST(DemaLocalIngest, NonFiniteValuesAreDroppedNotTheWindow) {
+  // A NaN or ±Inf in a local's window would have no place in the total
+  // order, and the root rejects a synopsis that carries one — striking an
+  // honest local and losing the window. The local drops just those events.
+  RealClock clock;
+  obs::Registry registry;
+  net::Network network(&clock);
+  ASSERT_TRUE(network.RegisterNode(0).ok());
+  ASSERT_TRUE(network.RegisterNode(1).ok());
+  ASSERT_TRUE(network.RegisterNode(2).ok());
+  DemaRootNodeOptions root_opts;
+  root_opts.locals = {1, 2};
+  root_opts.quantiles = {0.25, 0.5, 1.0};
+  root_opts.initial_gamma = 4;
+  root_opts.registry = &registry;
+  DemaRootNode root(root_opts, &network, &clock);
+  std::vector<sim::WindowOutput> outputs;
+  root.SetResultCallback(
+      [&](const sim::WindowOutput& out) { outputs.push_back(out); });
+  std::vector<std::unique_ptr<DemaLocalNode>> locals;
+  for (NodeId id : {1u, 2u}) {
+    DemaLocalNodeOptions opts;
+    opts.id = id;
+    opts.initial_gamma = 4;
+    opts.registry = &registry;
+    locals.push_back(std::make_unique<DemaLocalNode>(opts, &network, &clock));
+  }
+
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> local1 = {7, kNaN, 3, 9, 1, 5};
+  const std::vector<double> local2 = {8, 2, -kInf, 6, 4};
+  std::vector<double> finite;
+  for (size_t i = 0; i < 2; ++i) {
+    const auto& values = i == 0 ? local1 : local2;
+    for (uint32_t seq = 0; seq < values.size(); ++seq) {
+      const NodeId node = static_cast<NodeId>(i + 1);
+      ASSERT_TRUE(
+          locals[i]->OnEvent(Event{values[seq], 100 + seq, node, seq}).ok());
+      if (std::isfinite(values[seq])) finite.push_back(values[seq]);
+    }
+    ASSERT_TRUE(locals[i]->OnWatermark(SecondsUs(1)).ok());
+  }
+  std::vector<sim::PumpNode> nodes = {{0, &root}};
+  for (size_t i = 0; i < locals.size(); ++i) {
+    nodes.push_back({static_cast<NodeId>(i + 1), locals[i].get()});
+  }
+  ASSERT_TRUE(sim::PumpToQuiescence(&network, nodes).ok());
+
+  ASSERT_EQ(outputs.size(), 1u);
+  EXPECT_FALSE(outputs[0].degraded);
+  EXPECT_EQ(outputs[0].global_size, finite.size());
+  for (size_t q = 0; q < root_opts.quantiles.size(); ++q) {
+    auto exact = stream::ExactQuantileValues(finite, root_opts.quantiles[q]);
+    ASSERT_TRUE(exact.ok());
+    EXPECT_EQ(outputs[0].values[q], *exact) << "q=" << root_opts.quantiles[q];
+  }
+  EXPECT_EQ(registry.GetCounter("dema.rejected")->Value(), 0u);
+  EXPECT_EQ(registry.GetCounter("local.rejected_values{node=1}")->Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("local.rejected_values{node=2}")->Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("local.events_ingested{node=1}")->Value(),
+            local1.size());
+  EXPECT_TRUE(root.idle());
 }
 
 }  // namespace
