@@ -8,6 +8,7 @@
 #include "common/clock.h"
 #include "dema/adaptive_gamma.h"
 #include "dema/root_node.h"
+#include "sim/pump.h"
 
 using namespace dema;
 
@@ -36,23 +37,6 @@ DriftResult RunDrift(bool adaptive, uint64_t fixed_gamma, uint64_t windows,
       bench::Unwrap(sim::BuildSystem(config, &network, &clock), "build");
   system.root->SetResultCallback([](const sim::WindowOutput&) {});
 
-  auto pump = [&] {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      while (auto msg = network.Inbox(system.root_id)->TryPop()) {
-        bench::UnwrapStatus(system.root->OnMessage(*msg), "root message");
-        progress = true;
-      }
-      for (size_t i = 0; i < system.locals.size(); ++i) {
-        while (auto msg = network.Inbox(system.local_ids[i])->TryPop()) {
-          bench::UnwrapStatus(system.locals[i]->OnMessage(*msg), "local message");
-          progress = true;
-        }
-      }
-    }
-  };
-
   for (uint64_t w = 0; w < windows; ++w) {
     double rate = phase_rates[(w * phase_rates.size()) / windows];
     TimestampUs start = static_cast<TimestampUs>(w) * config.window_len_us;
@@ -70,7 +54,8 @@ DriftResult RunDrift(bool adaptive, uint64_t fixed_gamma, uint64_t windows,
       bench::UnwrapStatus(
           system.locals[i]->OnWatermark(start + config.window_len_us), "watermark");
     }
-    pump();
+    bench::UnwrapStatus(
+        sim::PumpToQuiescence(&network, sim::SystemPumpNodes(system)), "pump");
   }
 
   DriftResult result;

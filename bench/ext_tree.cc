@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < leaves; ++i) {
       load.generators[i].node = tree.local_ids[i];
     }
-    sim::TreeSyncDriver driver(&tree, &network);
+    sim::SyncDriver driver(&tree, &network);
     bench::UnwrapStatus(driver.Run(load), "tree run");
 
     uint64_t root_msgs = 0, root_bytes = 0;

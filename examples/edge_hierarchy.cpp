@@ -32,7 +32,7 @@ int main() {
     std::cerr << "setup failed: " << tree_result.status() << "\n";
     return 1;
   }
-  sim::TreeSystem tree = std::move(tree_result).MoveValueUnsafe();
+  sim::System tree = std::move(tree_result).MoveValueUnsafe();
 
   // Voltage readings: ~230 V nominal with per-floor load variation.
   sim::WorkloadConfig load;
@@ -49,7 +49,7 @@ int main() {
     load.generators.push_back(gcfg);
   }
 
-  sim::TreeSyncDriver driver(&tree, &network);
+  sim::SyncDriver driver(&tree, &network);
   Status st = driver.Run(load);
   if (!st.ok()) {
     std::cerr << "run failed: " << st << "\n";

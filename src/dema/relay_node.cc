@@ -15,6 +15,9 @@ DemaRelayNode::DemaRelayNode(DemaRelayNodeOptions options, transport::Transport*
 }
 
 Status DemaRelayNode::OnMessage(const net::Message& msg) {
+  // A retransmitted message carries its original sequence number; absorb it
+  // before it reaches the per-window state.
+  if (dedup_.IsDuplicate(msg.src, msg.seq)) return Status::OK();
   net::Reader r(msg.payload_bytes());
   switch (msg.type) {
     case net::MessageType::kSynopsisBatch: {

@@ -6,6 +6,7 @@
 
 #include "common/clock.h"
 #include "dema/protocol.h"
+#include "net/dedup.h"
 #include "transport/transport.h"
 #include "sim/node.h"
 
@@ -37,6 +38,8 @@ struct DemaRelayNodeOptions {
 ///    child; the pre-sorted child replies are loser-tree merged into one
 ///    sorted reply upward. The relay never retains raw events.
 ///  * γ updates are forwarded to every child.
+///  * Transport-level repeats (a second delivery of one (src, seq)) are
+///    dropped, as at the root and the locals.
 ///
 /// Relays nest: a relay's parent may be another relay.
 class DemaRelayNode final : public sim::NodeLogic {
@@ -46,6 +49,9 @@ class DemaRelayNode final : public sim::NodeLogic {
                 const Clock* clock);
 
   Status OnMessage(const net::Message& msg) override;
+
+  /// Transport-level repeats (same (src, seq)) dropped so far.
+  uint64_t duplicates_ignored() const { return dedup_.duplicates_seen(); }
 
   /// Windows awaiting child synopses or replies (memory accounting).
   size_t pending_windows() const {
@@ -84,6 +90,8 @@ class DemaRelayNode final : public sim::NodeLogic {
   /// parent's candidate request arrives.
   std::map<net::WindowId, std::vector<std::pair<NodeId, uint32_t>>> forwarded_;
   std::map<net::WindowId, PendingDown> pending_down_;
+  /// Transport-level duplicate suppression over message sequence numbers.
+  net::SeqDedup dedup_;
 };
 
 }  // namespace dema::core

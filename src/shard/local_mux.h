@@ -9,6 +9,7 @@
 #include "net/keyed.h"
 #include "shard/config.h"
 #include "shard/outbox.h"
+#include "sim/node.h"
 
 namespace dema::shard {
 
@@ -45,7 +46,7 @@ struct KeyedLocalNodeOptions {
 ///
 /// Not thread-safe (same contract as `DemaLocalNode`): the hosting run loop
 /// serializes calls.
-class KeyedLocalNode final : private core::LocalSink {
+class KeyedLocalNode final : public sim::NodeLogic, private core::LocalSink {
  public:
   /// \p transport and \p clock must outlive the node.
   KeyedLocalNode(KeyedLocalNodeOptions options,
@@ -67,7 +68,7 @@ class KeyedLocalNode final : private core::LocalSink {
 
   /// Handles one keyed frame from the service (kShardCandidateRequest or
   /// kShardGammaUpdate; anything else is counted and dropped).
-  Status OnMessage(const net::Message& outer);
+  Status OnMessage(const net::Message& outer) override;
 
   /// The registry the keys record into.
   obs::Registry* registry() const { return core_.registry(); }

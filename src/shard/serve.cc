@@ -77,7 +77,7 @@ Result<ShardedServeReport> RunShardedTcpRoot(
         done_at == std::chrono::steady_clock::time_point::max()) {
       // Strands may still be retiring the last frames; settle them so the
       // traffic and idle checks below see a finished system.
-      run_status = service.WaitIdle();
+      run_status = service.Quiesce();
       if (!run_status.ok()) break;
       done_at = std::chrono::steady_clock::now();
     }
@@ -113,7 +113,7 @@ Result<ShardedServeReport> RunShardedTcpRoot(
       break;
     }
   }
-  if (run_status.ok()) run_status = service.WaitIdle();
+  if (run_status.ok()) run_status = service.Quiesce();
   auto wall_end = std::chrono::steady_clock::now();
 
   // Release the locals. Best effort: a local that never connected (or

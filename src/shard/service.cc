@@ -48,7 +48,7 @@ ShardedRootService::ShardedRootService(ShardedConfig config,
 ShardedRootService::~ShardedRootService() {
   // Strand tasks reference the shards; make sure none are queued or running
   // before members start destructing.
-  (void)WaitIdle();
+  (void)Quiesce();
 }
 
 void ShardedRootService::OnKeyedResult(uint32_t s, net::KeyId key,
@@ -109,7 +109,7 @@ void ShardedRootService::RunStrand(uint32_t s) {
   }
 }
 
-Status ShardedRootService::WaitIdle() {
+Status ShardedRootService::Quiesce() {
   for (auto& strand_ptr : strands_) {
     Strand& strand = *strand_ptr;
     std::unique_lock<std::mutex> lock(strand.mu);

@@ -69,8 +69,10 @@ class ShardedRootService final : public sim::RootNodeLogic {
 
   /// Blocks until every strand's queue is empty and no strand task is
   /// running, then returns the first error any strand task produced (sticky;
-  /// also returned by subsequent OnMessage calls).
-  Status WaitIdle();
+  /// also returned by subsequent OnMessage calls). The in-process pump calls
+  /// it after each drain of the service inbox, so the candidate requests the
+  /// strands produce are on the fabric before the local inboxes are examined.
+  Status Quiesce() override;
 
   /// Answers a query in-process (same path the kShardQuery handler uses).
   net::KeyedQueryReply Query(const net::KeyedQuery& query) const {

@@ -1,5 +1,7 @@
 #include "shard/sim_run.h"
 
+#include "sim/pump.h"
+
 namespace dema::shard {
 
 ShardedSimHarness::ShardedSimHarness(const ShardedConfig& config,
@@ -32,33 +34,6 @@ ShardedSimHarness::ShardedSimHarness(const ShardedConfig& config,
   }
 }
 
-Status ShardedSimHarness::PumpMessages() {
-  net::Channel* service_inbox = network_.Inbox(0);
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    while (auto msg = service_inbox->TryPop()) {
-      DEMA_RETURN_NOT_OK(service_->OnMessage(*msg));
-      progress = true;
-    }
-    // Strand barrier: candidate requests the shards produce must be on the
-    // fabric before the local inboxes are examined, or a "quiescent" check
-    // could race the executor.
-    DEMA_RETURN_NOT_OK(service_->WaitIdle());
-    for (size_t i = 0; i < locals_.size(); ++i) {
-      net::Channel* inbox = network_.Inbox(static_cast<NodeId>(i + 1));
-      while (auto msg = inbox->TryPop()) {
-        DEMA_RETURN_NOT_OK(locals_[i]->OnMessage(*msg));
-        progress = true;
-      }
-    }
-    if (!progress && network_.delayed_in_flight() > 0) {
-      progress = network_.FlushDelayed() > 0;
-    }
-  }
-  return Status::OK();
-}
-
 Status ShardedSimHarness::Run(const KeyedWorkloadConfig& workload) {
   DEMA_RETURN_NOT_OK(init_status_);
 
@@ -89,6 +64,13 @@ Status ShardedSimHarness::Run(const KeyedWorkloadConfig& workload) {
         outputs_by_key_[key].push_back(out);
       });
 
+  // The service drains first; its Quiesce is the strand barrier.
+  std::vector<sim::PumpNode> nodes = {{0, service_.get()}};
+  for (size_t i = 0; i < locals_.size(); ++i) {
+    nodes.push_back({static_cast<NodeId>(i + 1), locals_[i].get()});
+  }
+  auto pump = [&] { return sim::PumpToQuiescence(&network_, nodes); };
+
   const bool deadlines = config_.root_deadline_ticks > 0;
   for (uint64_t w = 0; w < workload.num_windows; ++w) {
     const TimestampUs start =
@@ -107,10 +89,10 @@ Status ShardedSimHarness::Run(const KeyedWorkloadConfig& workload) {
     for (auto& local : locals_) {
       DEMA_RETURN_NOT_OK(local->OnWatermark(end));
     }
-    DEMA_RETURN_NOT_OK(PumpMessages());
+    DEMA_RETURN_NOT_OK(pump());
     if (deadlines) {
       DEMA_RETURN_NOT_OK(service_->Tick());
-      DEMA_RETURN_NOT_OK(PumpMessages());
+      DEMA_RETURN_NOT_OK(pump());
     }
   }
 
@@ -119,7 +101,7 @@ Status ShardedSimHarness::Run(const KeyedWorkloadConfig& workload) {
   for (auto& local : locals_) {
     DEMA_RETURN_NOT_OK(local->OnFinish(final_ts));
   }
-  DEMA_RETURN_NOT_OK(PumpMessages());
+  DEMA_RETURN_NOT_OK(pump());
   if (deadlines) {
     service_->NoteWindowHorizon(workload.num_windows - 1);
     // Burn through the retry/degrade budget so faulty runs terminate.
@@ -128,7 +110,7 @@ Status ShardedSimHarness::Run(const KeyedWorkloadConfig& workload) {
                              2;
          ++t) {
       DEMA_RETURN_NOT_OK(service_->Tick());
-      DEMA_RETURN_NOT_OK(PumpMessages());
+      DEMA_RETURN_NOT_OK(pump());
       if (service_->idle()) break;
     }
   }

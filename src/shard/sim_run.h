@@ -35,11 +35,11 @@ struct KeyedWorkloadConfig {
 /// service as node 0 plus N keyed local nodes, driven synchronously.
 ///
 /// The driver mirrors `SyncDriver` — generate one window per (key, local),
-/// watermark, pump until quiescent; keyed locals close windows inline, so
-/// there is no quiesce step — with one addition:
-/// after draining the service inbox it waits for all shard strands to drain
-/// before pumping the local inboxes, so executor-backed runs produce the
-/// same per-key message sequences as a single-threaded run.
+/// watermark, then `sim::PumpToQuiescence` over the service and the locals,
+/// on any delivery mode of the fabric. The pump's per-node `Quiesce` is the
+/// service's strand barrier: every strand drains before the local inboxes
+/// are examined, so executor-backed runs produce the same per-key message
+/// sequences as a single-threaded run.
 class ShardedSimHarness {
  public:
   /// \p net_options configures fault injection on the fabric (tamper, drops,
@@ -69,10 +69,6 @@ class ShardedSimHarness {
   obs::Registry* registry() { return service_->registry(); }
 
  private:
-  /// Pumps all inboxes (service first, strand barrier, then locals) until
-  /// the fabric is quiescent.
-  Status PumpMessages();
-
   ShardedConfig config_;
   RealClock clock_;
   net::Network network_;

@@ -64,12 +64,32 @@ Status SyncDriver::Run(const WorkloadConfig& workload) {
   if (!system_->root->idle()) {
     return Status::Internal("root still has pending windows after run");
   }
+  for (const auto& relay : system_->relays) {
+    if (relay->pending_windows() != 0) {
+      return Status::Internal("relay still has pending windows after run");
+    }
+  }
   return Status::OK();
 }
 
 Status SyncDriver::Start(const WorkloadConfig& workload) {
-  if (workload.generators.size() != system_->locals.size()) {
-    return Status::InvalidArgument("generator count != local node count");
+  feeds_.clear();
+  for (size_t i = 0; i < system_->locals.size(); ++i) {
+    if (system_->sensors.empty()) {
+      feeds_.push_back({i, nullptr});
+      continue;
+    }
+    for (StreamNode& sensor : system_->sensors[i]) {
+      feeds_.push_back({i, &sensor});
+    }
+  }
+  if (workload.generators.size() != feeds_.size()) {
+    return Status::InvalidArgument("generator count != event source count");
+  }
+  if (!system_->sensors.empty() && workload.max_disorder_us > 0) {
+    return Status::InvalidArgument(
+        "a sensor-fed system takes ordered intervals, not a disordered "
+        "workload");
   }
   workload_ = workload;
   gens_.clear();
@@ -89,19 +109,26 @@ Status SyncDriver::Step(uint64_t w) {
   const DurationUs len = workload_.window_len_us;
   TimestampUs start = static_cast<TimestampUs>(w) * len;
   TimestampUs end = start + len;
-  for (size_t i = 0; i < gens_.size(); ++i) {
-    // Generate for every local, crashed or not, so each local's event
-    // sequence is the same under every fault plan.
-    std::vector<Event> events = gens_[i]->GenerateWindow(start, len);
-    LocalNodeLogic* local = system_->locals[i].get();
+  for (size_t g = 0; g < gens_.size(); ++g) {
+    // Generate for every source, crashed local or not, so each source's
+    // event sequence is the same under every fault plan.
+    std::vector<Event> events = gens_[g]->GenerateWindow(start, len);
+    const Feed& feed = feeds_[g];
+    LocalNodeLogic* local = system_->locals[feed.local].get();
     if (local == nullptr) continue;
     Status st;
-    local_busy_us_[i] += TimedUs(
-        [&]() -> Status {
-          for (const Event& e : events) DEMA_RETURN_NOT_OK(local->OnEvent(e));
-          return Status::OK();
-        },
-        &st);
+    if (feed.sensor != nullptr) {
+      // Sensor work, not the local's: the local is charged when the pump
+      // delivers the batches.
+      st = feed.sensor->Ship(events, end);
+    } else {
+      local_busy_us_[feed.local] += TimedUs(
+          [&]() -> Status {
+            for (const Event& e : events) DEMA_RETURN_NOT_OK(local->OnEvent(e));
+            return Status::OK();
+          },
+          &st);
+    }
     DEMA_RETURN_NOT_OK(st);
     events_ingested_ += events.size();
     if (record_events_) {
@@ -109,18 +136,15 @@ Status SyncDriver::Step(uint64_t w) {
       rec.insert(rec.end(), events.begin(), events.end());
     }
   }
-  for (size_t i = 0; i < system_->locals.size(); ++i) {
-    LocalNodeLogic* local = system_->locals[i].get();
-    if (local == nullptr) continue;
-    Status st;
-    local_busy_us_[i] += TimedUs([&] { return local->OnWatermark(end); }, &st);
-    DEMA_RETURN_NOT_OK(st);
-  }
-  // Outside TimedUs: waiting for the worker pool is driver synchronization
-  // (keeps threaded message sequences identical to inline runs), not node
-  // busy time — a real ingest thread keeps ingesting while the pool sorts.
-  for (const auto& local : system_->locals) {
-    if (local != nullptr) DEMA_RETURN_NOT_OK(local->Quiesce());
+  if (system_->sensors.empty()) {
+    for (size_t i = 0; i < system_->locals.size(); ++i) {
+      LocalNodeLogic* local = system_->locals[i].get();
+      if (local == nullptr) continue;
+      Status st;
+      local_busy_us_[i] +=
+          TimedUs([&] { return local->OnWatermark(end); }, &st);
+      DEMA_RETURN_NOT_OK(st);
+    }
   }
   DEMA_RETURN_NOT_OK(Pump());
   // Drives the root's deadline machinery; a no-op with deadline_ticks == 0.
@@ -131,6 +155,14 @@ Status SyncDriver::Step(uint64_t w) {
 Status SyncDriver::Finish() {
   const TimestampUs horizon =
       static_cast<TimestampUs>(workload_.num_windows) * workload_.window_len_us;
+  for (const Feed& feed : feeds_) {
+    if (feed.sensor == nullptr || system_->locals[feed.local] == nullptr) {
+      continue;
+    }
+    DEMA_RETURN_NOT_OK(feed.sensor->Finish(horizon));
+  }
+  // Delivers the sensors' end-of-stream markers before the locals finish.
+  DEMA_RETURN_NOT_OK(Pump());
   for (size_t i = 0; i < system_->locals.size(); ++i) {
     LocalNodeLogic* local = system_->locals[i].get();
     if (local == nullptr) continue;
@@ -225,15 +257,17 @@ struct RunObs {
 };
 }  // namespace
 
-Result<RunMetrics> RunSync(const SystemConfig& system_config,
-                           const WorkloadConfig& workload) {
+Result<RunMetrics> RunBuilt(
+    const SystemConfig& system_config, const WorkloadConfig& workload,
+    const SystemBuilder& build,
+    const std::function<void(const net::Network&)>& inspect) {
   RealClock clock;
   SystemConfig config = system_config;
   RunObs run_obs(&config);
   net::Network::Options net_options;
   net_options.registry = config.registry;
   net::Network network(&clock, net_options);
-  DEMA_ASSIGN_OR_RETURN(System system, BuildSystem(config, &network, &clock));
+  DEMA_ASSIGN_OR_RETURN(System system, build(config, &network, &clock));
   WorkloadConfig load = workload;
   load.window_len_us = config.window_len_us;
   load.window_slide_us = config.window_slide_us;
@@ -281,7 +315,13 @@ Result<RunMetrics> RunSync(const SystemConfig& system_config,
                                                                   : "local";
   metrics.registry = run_obs.registry;
   metrics.tracer = run_obs.tracer;
+  if (inspect) inspect(network);
   return metrics;
+}
+
+Result<RunMetrics> RunSync(const SystemConfig& system_config,
+                           const WorkloadConfig& workload) {
+  return RunBuilt(system_config, workload, BuildSystem);
 }
 
 }  // namespace dema::sim

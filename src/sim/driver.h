@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -16,8 +17,9 @@ namespace dema::sim {
 
 /// \brief Per-local-node workload description for a run.
 struct WorkloadConfig {
-  /// Value distribution and pacing for each local node's generator; one entry
-  /// per local node (entry i drives local_ids[i]).
+  /// Value distribution and pacing of each event source: one entry per
+  /// local node (entry i drives local_ids[i]) or, for a system with a sensor
+  /// tier, one per sensor in local-major order.
   std::vector<gen::GeneratorConfig> generators;
   /// Number of window-lengths of event time to generate (for tumbling
   /// windows this is exactly the number of emitted windows; for sliding
@@ -54,12 +56,14 @@ WorkloadConfig MakeUniformWorkload(size_t num_locals, uint64_t num_windows,
                                    const std::vector<double>& scale_rates = {},
                                    uint64_t seed_base = 1000);
 
-/// \brief Deterministic single-threaded driver (tests, accuracy experiments,
-/// network-cost accounting, and the fault/topology harness `RunScenario`).
+/// \brief Deterministic single-threaded driver of every in-process system —
+/// flat, tree and tiered (tests, accuracy experiments, network-cost
+/// accounting, and the fault/topology harness `RunScenario`).
 ///
-/// Generates each window's events for every node, feeds them through the
-/// node logic, then pumps messages until the system is quiescent. All
-/// ordering is deterministic given the generator seeds.
+/// Generates each window's events for every source, hands them to the
+/// locals — directly, or through the sensors' `EventBatch` and `TimeAdvance`
+/// messages in a tiered system — then pumps messages until the system is
+/// quiescent. All ordering is deterministic given the generator seeds.
 class SyncDriver {
  public:
   /// Wires the driver; \p system nodes must be registered on \p network.
@@ -73,9 +77,10 @@ class SyncDriver {
   /// accounts. A harness that changes the system between windows calls it,
   /// then `Step` for each window and `Finish`; `Run` does the same.
   Status Start(const WorkloadConfig& workload);
-  /// Runs window \p w: generates every local's events, feeds those of the
-  /// live locals (a null local is crashed, and its events are lost at the
-  /// source), advances the live locals' watermarks to the window end,
+  /// Runs window \p w: generates every source's events, hands those of the
+  /// live locals on (a null local is crashed, and its events are lost at the
+  /// source), advances the watermarks of the live, directly fed locals to
+  /// the window end (a sensor-fed local's clock comes from its sensors),
   /// pumps, ticks the root and pumps again.
   Status Step(uint64_t w);
   /// Ends every live local's stream at the workload horizon and pumps.
@@ -95,7 +100,7 @@ class SyncDriver {
     return recorded_;
   }
 
-  /// Total events fed to the locals.
+  /// Total events handed to the locals (directly or through sensors).
   uint64_t events_ingested() const { return events_ingested_; }
 
   /// Busy seconds of local node \p i (work it performed on its own "CPU").
@@ -110,10 +115,18 @@ class SyncDriver {
   /// with held-back watermarks.
   Status RunDisordered();
 
+  /// Where generator i's events go: local `local`, through `sensor` when
+  /// the local is sensor-fed.
+  struct Feed {
+    size_t local = 0;
+    StreamNode* sensor = nullptr;
+  };
+
   System* system_;
   net::Network* network_;
   WorkloadConfig workload_;
   std::vector<std::unique_ptr<gen::StreamGenerator>> gens_;
+  std::vector<Feed> feeds_;
   std::vector<WindowOutput> outputs_;
   std::vector<std::vector<Event>> recorded_;
   bool record_events_ = false;
@@ -121,6 +134,20 @@ class SyncDriver {
   std::vector<double> local_busy_us_;
   double root_busy_us_ = 0;
 };
+
+/// \brief Builds a system from a config (with the observability slots
+/// filled) on a fabric.
+using SystemBuilder = std::function<Result<System>(
+    const SystemConfig&, net::Network*, const Clock*)>;
+
+/// \brief The body of every in-process runner: builds \p system_config's
+/// topology with \p build on a fresh fabric, runs \p workload (window
+/// length and slide copied from the config) through a `SyncDriver` and
+/// returns the metrics. \p inspect, when set, reads the fabric after the run.
+Result<RunMetrics> RunBuilt(
+    const SystemConfig& system_config, const WorkloadConfig& workload,
+    const SystemBuilder& build,
+    const std::function<void(const net::Network&)>& inspect = {});
 
 /// \brief Convenience: builds the system + network and runs the synchronous
 /// driver, returning metrics with network accounting (no meaningful wall

@@ -30,7 +30,10 @@ namespace dema::sim {
 ///    straight through to the wrapped logic.
 ///
 /// Driver-side `OnEvent`/`OnWatermark` calls are forwarded unchanged, so an
-/// adapted node still works in the flat (generator-fed) setup.
+/// adapted node still works in the flat (generator-fed) setup. A sensor-fed
+/// edge must take its clock only from its sensors: a driver watermark would
+/// close a window before the queued batches are applied, dropping them as
+/// late.
 class IngestAdapter final : public LocalNodeLogic {
  public:
   /// Wraps \p inner; \p children are the stream-node ids feeding this edge.
@@ -43,6 +46,7 @@ class IngestAdapter final : public LocalNodeLogic {
   }
   Status OnFinish(TimestampUs final_watermark_us) override;
   Status OnMessage(const net::Message& msg) override;
+  Status Quiesce() override { return inner_->Quiesce(); }
 
   /// Events ingested from stream-node batches.
   uint64_t events_ingested() const { return events_ingested_; }

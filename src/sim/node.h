@@ -42,6 +42,13 @@ class NodeLogic {
 
   /// Handles one message from this node's inbox.
   virtual Status OnMessage(const net::Message& msg) = 0;
+
+  /// Blocks until the node's asynchronous work has settled and everything
+  /// it produced is on the transport (no-op for nodes without a worker
+  /// pool). The in-process pump calls it after each drain of the node's
+  /// inbox, so a threaded run produces the exact message sequence of an
+  /// inline run; real-time runners only need it before checkpoints.
+  virtual Status Quiesce() { return Status::OK(); }
 };
 
 /// \brief Edge-side logic: ingests a colocated event stream and talks to the
@@ -60,12 +67,6 @@ class LocalNodeLogic : public NodeLogic {
   /// instant is closed and shipped (including empty ones, so the root can
   /// align all locals).
   virtual Status OnFinish(TimestampUs final_watermark_us) = 0;
-
-  /// Blocks until every asynchronously closing window has shipped (no-op for
-  /// nodes without a worker pool). The synchronous driver calls this after
-  /// each watermark so a threaded run produces the exact message sequence of
-  /// an inline run; real-time runners only need it before checkpoints.
-  virtual Status Quiesce() { return Status::OK(); }
 };
 
 /// \brief Root-side logic: aggregates local contributions into global

@@ -30,20 +30,24 @@ struct PumpNode {
   double* busy_us = nullptr;
 };
 
-/// \brief The root, then the locals of \p system, in pump order. When given,
-/// \p root_busy_us and \p local_busy_us (one entry per local) become their
-/// busy-time accounts.
+/// \brief The root, then the relays, then the locals of \p system, in pump
+/// order. When given, \p root_busy_us and \p local_busy_us (one entry per
+/// local) become their busy-time accounts; relays stay untimed.
 std::vector<PumpNode> SystemPumpNodes(
     const System& system, double* root_busy_us = nullptr,
     std::vector<double>* local_busy_us = nullptr);
 
-/// \brief The single-threaded delivery loop of every simulated system.
+/// \brief The single-threaded delivery loop of every in-process system.
 ///
-/// Drains the inboxes of \p nodes, in the order given, until none yields a
-/// message. Then, when hop events are pending, advances the fabric's virtual
-/// clock by one tick (event-driven delivery); otherwise releases the
-/// held-back delayed messages (quiescence means their delay has "elapsed").
-/// Repeats until neither yields anything. Fails on the first node error.
+/// One round drains the inbox of each of \p nodes, in the order given, and
+/// then calls the node's `Quiesce` (never charged to its busy time), so the
+/// sends of a node's worker pool land before the next node is drained. After
+/// a round that delivered nothing and left every pumped inbox empty, the
+/// fabric advances its virtual clock by one tick when hop events are pending
+/// (event-driven delivery), or else releases the held-back delayed messages
+/// (quiescence means their delay has "elapsed"). Returns once a round finds
+/// every pumped inbox empty with nothing pending in events or delays. Fails
+/// on the first node error.
 Status PumpToQuiescence(net::Network* network,
                         const std::vector<PumpNode>& nodes);
 

@@ -4,29 +4,10 @@
 
 namespace dema::sim {
 
-StreamNode::StreamNode(StreamNodeOptions options, transport::Transport* transport,
-                       std::unique_ptr<gen::StreamGenerator> generator)
-    : options_(options), transport_(transport), generator_(std::move(generator)) {
+StreamNode::StreamNode(StreamNodeOptions options,
+                       transport::Transport* transport)
+    : options_(options), transport_(transport) {
   if (options_.batch_size == 0) options_.batch_size = 1;
-}
-
-Result<std::unique_ptr<StreamNode>> StreamNode::Create(StreamNodeOptions options,
-                                                       transport::Transport* transport) {
-  options.generator.node = options.id;  // events carry the sensor's identity
-  DEMA_ASSIGN_OR_RETURN(auto generator,
-                        gen::StreamGenerator::Create(options.generator));
-  return std::unique_ptr<StreamNode>(
-      new StreamNode(options, transport, std::move(generator)));
-}
-
-Status StreamNode::SendBatch(std::vector<Event> events) {
-  if (events.empty()) return Status::OK();
-  net::EventBatch batch;
-  batch.sorted = false;  // raw sensor order = event-time order, not value order
-  batch.codec = options_.codec;
-  batch.events = std::move(events);
-  return transport_->Send(net::MakeMessage(net::MessageType::kEventBatch,
-                                         options_.id, options_.parent, batch));
 }
 
 Status StreamNode::SendTimeAdvance(TimestampUs watermark_us, bool final_marker) {
@@ -37,15 +18,19 @@ Status StreamNode::SendTimeAdvance(TimestampUs watermark_us, bool final_marker) 
                                          options_.id, options_.parent, advance));
 }
 
-Status StreamNode::PumpInterval(TimestampUs start_us, DurationUs len_us) {
-  std::vector<Event> events = generator_->GenerateWindow(start_us, len_us);
-  events_produced_ += events.size();
+Status StreamNode::Ship(const std::vector<Event>& events,
+                        TimestampUs watermark_us) {
   for (size_t begin = 0; begin < events.size(); begin += options_.batch_size) {
     size_t end = std::min(events.size(), begin + options_.batch_size);
-    DEMA_RETURN_NOT_OK(SendBatch(
-        std::vector<Event>(events.begin() + begin, events.begin() + end)));
+    net::EventBatch batch;
+    batch.sorted = false;  // raw sensor order = event-time order, not value order
+    batch.codec = options_.codec;
+    batch.events.assign(events.begin() + begin, events.begin() + end);
+    DEMA_RETURN_NOT_OK(
+        transport_->Send(net::MakeMessage(net::MessageType::kEventBatch,
+                                          options_.id, options_.parent, batch)));
   }
-  return SendTimeAdvance(start_us + len_us, /*final_marker=*/false);
+  return SendTimeAdvance(watermark_us, /*final_marker=*/false);
 }
 
 Status StreamNode::Finish(TimestampUs final_watermark_us) {

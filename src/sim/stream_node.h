@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
-#include "common/result.h"
-#include "gen/generator.h"
+#include "common/event.h"
+#include "common/status.h"
 #include "net/codec.h"
 #include "transport/transport.h"
 
@@ -21,49 +21,37 @@ struct StreamNodeOptions {
   /// weak devices with small buffers; the default keeps framing overhead
   /// around 1% without batching whole windows.
   size_t batch_size = 256;
-  /// The sensor's value process and pacing.
-  gen::GeneratorConfig generator;
   /// Wire encoding for the sensor's event batches.
   net::EventCodec codec = net::EventCodec::kFixed;
 };
 
-/// \brief A data-stream node: generates raw sensor events and ships them to
-/// its parent local node over the network (Section 2.3, tier (i)).
+/// \brief A data-stream node: ships raw sensor events to its parent local
+/// node over the network (Section 2.3, tier (i)).
 ///
 /// Events travel in small `EventBatch` messages; a `TimeAdvance` marker
-/// follows each pumped interval so the edge can advance its watermark (the
-/// minimum across its sensors). The driver pumps all stream nodes interval
-/// by interval.
+/// follows each shipped interval so the edge can advance its watermark (the
+/// minimum across its sensors). The driver generates each sensor's readings
+/// and ships them interval by interval.
 class StreamNode {
  public:
-  /// Builds a stream node; fails on invalid generator configuration.
-  static Result<std::unique_ptr<StreamNode>> Create(StreamNodeOptions options,
-                                                    transport::Transport* transport);
+  /// \p transport must outlive the node.
+  StreamNode(StreamNodeOptions options, transport::Transport* transport);
 
-  /// Generates every event with event time in [start, start + len), ships
-  /// them in batches, and follows up with a TimeAdvance(start + len) marker.
-  Status PumpInterval(TimestampUs start_us, DurationUs len_us);
+  /// Ships \p events — one interval's readings, in event-time order — in
+  /// batches, then a TimeAdvance(\p watermark_us) marker.
+  Status Ship(const std::vector<Event>& events, TimestampUs watermark_us);
 
   /// Ships the final TimeAdvance marker (end of stream).
   Status Finish(TimestampUs final_watermark_us);
-
-  /// Events produced so far.
-  uint64_t events_produced() const { return events_produced_; }
 
   /// This node's id.
   NodeId id() const { return options_.id; }
 
  private:
-  StreamNode(StreamNodeOptions options, transport::Transport* transport,
-             std::unique_ptr<gen::StreamGenerator> generator);
-
-  Status SendBatch(std::vector<Event> events);
   Status SendTimeAdvance(TimestampUs watermark_us, bool final_marker);
 
   StreamNodeOptions options_;
   transport::Transport* transport_;
-  std::unique_ptr<gen::StreamGenerator> generator_;
-  uint64_t events_produced_ = 0;
 };
 
 }  // namespace dema::sim

@@ -7,12 +7,14 @@
 
 #include "common/clock.h"
 #include "common/result.h"
+#include "dema/relay_node.h"
 #include "exec/executor.h"
 #include "net/codec.h"
 #include "net/network.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "sim/node.h"
+#include "sim/stream_node.h"
 #include "stream/sorted_buffer.h"
 #include "transport/transport.h"
 
@@ -126,8 +128,8 @@ struct SystemConfig {
   uint64_t qdigest_k = 256;
 };
 
-/// \brief A fully wired topology: the root plus its local nodes, registered
-/// on a network.
+/// \brief A fully wired topology, registered on a network: the root, its
+/// local nodes and, for the tree and tiered shapes, one more tier.
 struct System {
   NodeId root_id = 0;
   std::vector<NodeId> local_ids;
@@ -137,6 +139,14 @@ struct System {
   std::shared_ptr<exec::Executor> executor;
   std::unique_ptr<RootNodeLogic> root;
   std::vector<std::unique_ptr<LocalNodeLogic>> locals;
+  /// Relay tier between the root and the locals (`BuildTreeSystem`); empty
+  /// otherwise.
+  std::vector<NodeId> relay_ids;
+  std::vector<std::unique_ptr<core::DemaRelayNode>> relays;
+  /// Data-stream tier (`BuildTieredSystem`): `sensors[i]` feed `locals[i]`,
+  /// which then take events and their clock only from these sensors. Empty
+  /// otherwise: the driver feeds each local directly.
+  std::vector<std::vector<StreamNode>> sensors;
 };
 
 /// \brief Validates \p config (node counts, window spec, quantiles).

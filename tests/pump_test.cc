@@ -1,12 +1,14 @@
-// Quiescence-pump tests: the tree and tiered drivers share the flat driver's
-// delivery loop, so a fabric that holds messages back (delayed inline
-// delivery or event-driven hops) still completes every window, oracle-exact.
+// Quiescence-pump tests: tree and tiered systems run through the flat
+// driver's window loop and delivery loop, so a fabric that holds messages
+// back (delayed inline delivery or event-driven hops) still completes every
+// window, oracle-exact; and the pump delivers what a node's Quiesce sends.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "common/clock.h"
+#include "sim/pump.h"
 #include "sim/tiered.h"
 #include "sim/tree.h"
 #include "stream/quantile.h"
@@ -75,6 +77,13 @@ TEST_P(HeldBackDelivery, EmitsEveryWindowExactly) {
   net::Network network(&clock, FabricOptions(GetParam().fabric));
   std::vector<std::vector<double>> fed;
   std::vector<WindowOutput> outputs;
+  auto run = [&](System* system, const WorkloadConfig& load) {
+    fed = FedValues(load.generators);
+    SyncDriver driver(system, &network);
+    Status st = driver.Run(load);
+    EXPECT_TRUE(st.ok()) << st;
+    outputs = driver.outputs();
+  };
 
   if (GetParam().topology == Topology::kTree) {
     TreeConfig config;
@@ -91,11 +100,7 @@ TEST_P(HeldBackDelivery, EmitsEveryWindowExactly) {
     for (size_t i = 0; i < tree->local_ids.size(); ++i) {
       load.generators[i].node = tree->local_ids[i];
     }
-    fed = FedValues(load.generators);
-    TreeSyncDriver driver(&*tree, &network);
-    Status st = driver.Run(load);
-    ASSERT_TRUE(st.ok()) << st;
-    outputs = driver.outputs();
+    run(&*tree, load);
   } else {
     TieredConfig config;
     config.system.kind = SystemKind::kDema;
@@ -107,11 +112,7 @@ TEST_P(HeldBackDelivery, EmitsEveryWindowExactly) {
     MakeTieredWorkload(&config, /*node_event_rate=*/3000, Uniform01k());
     auto tiered = BuildTieredSystem(config, &network, &clock);
     ASSERT_TRUE(tiered.ok()) << tiered.status();
-    fed = FedValues(config.sensor_generators);
-    TieredSyncDriver driver(&*tiered, &network);
-    Status st = driver.Run(kWindows, kWindowLen);
-    ASSERT_TRUE(st.ok()) << st;
-    outputs = driver.outputs();
+    run(&*tiered, TieredWorkload(config, kWindows));
   }
 
   EXPECT_EQ(network.delayed_in_flight(), 0u);
@@ -139,6 +140,41 @@ INSTANTIATE_TEST_SUITE_P(
                       PumpCase{Topology::kTiered, Fabric::kDelayedInline},
                       PumpCase{Topology::kTiered, Fabric::kEvent}),
     CaseName);
+
+TEST(PumpToQuiescence, DeliversWhatQuiesceSendsToAnEarlierNode) {
+  // A threaded local ships a closed window from Quiesce, after the root's
+  // inbox was drained in the same round; the pump must not stop there.
+  struct Counter final : NodeLogic {
+    int received = 0;
+    Status OnMessage(const net::Message&) override {
+      ++received;
+      return Status::OK();
+    }
+  };
+  struct LateSender final : NodeLogic {
+    net::Network* network = nullptr;
+    bool sent = false;
+    Status OnMessage(const net::Message&) override { return Status::OK(); }
+    Status Quiesce() override {
+      if (sent) return Status::OK();
+      sent = true;
+      net::TimeAdvance advance;
+      return network->Send(
+          net::MakeMessage(net::MessageType::kTimeAdvance, 1, 0, advance));
+    }
+  };
+  RealClock clock;
+  net::Network network(&clock);
+  ASSERT_TRUE(network.RegisterNode(0).ok());
+  ASSERT_TRUE(network.RegisterNode(1).ok());
+  Counter first;
+  LateSender second;
+  second.network = &network;
+  ASSERT_TRUE(PumpToQuiescence(&network, {{0, &first}, {1, &second}}).ok());
+  EXPECT_TRUE(second.sent);
+  EXPECT_EQ(first.received, 1);
+  EXPECT_EQ(network.Inbox(0)->size(), 0u);
+}
 
 }  // namespace
 }  // namespace dema::sim

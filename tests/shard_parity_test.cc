@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "net/network.h"
 #include "shard/config.h"
 #include "shard/sim_run.h"
+#include "sim/tick/topology.h"
 #include "sim/driver.h"
 #include "sim/topology.h"
 
@@ -231,6 +233,85 @@ TEST(ShardParity, QueryStoreServesLatestWindowPerKey) {
   bad_q.quantiles = {0.123456};  // not configured
   EXPECT_FALSE(harness.service()->Query(bad_q).error.empty());
 }
+
+enum class KeyedFabric { kDelayedInline, kEvent, kEventStar };
+
+class KeyedHarnessDelivery : public ::testing::TestWithParam<KeyedFabric> {};
+
+TEST_P(KeyedHarnessDelivery, EveryKeyMatchesPlainInlineRun) {
+  // The harness drains through the shared pump, so a fabric that holds
+  // messages back (delayed inline delivery, event-driven hops, routed hops)
+  // still completes every key's windows, with the plain inline results.
+  shard::ShardedConfig sc;
+  sc.num_locals = 2;
+  sc.num_shards = 2;
+  sc.num_keys = 16;
+  sc.workers = 2;
+  sc.quantiles = {0.5, 0.9};
+  sc.gamma = 32;
+  shard::KeyedWorkloadConfig load;
+  load.num_windows = 3;
+  load.event_rate = 400;
+  load.distribution = TestDistribution();
+  load.seed_base = 808;
+
+  shard::ShardedSimHarness plain(sc);
+  ASSERT_TRUE(plain.init_status().ok()) << plain.init_status();
+  ASSERT_TRUE(plain.Run(load).ok());
+
+  net::Network::Options options;
+  switch (GetParam()) {
+    case KeyedFabric::kDelayedInline:
+      options.delay_us_max = 500;
+      options.fault_seed = 7;
+      break;
+    case KeyedFabric::kEventStar: {
+      auto star = tick::Topology::Build("star", sc.num_locals + 1);
+      ASSERT_TRUE(star.ok()) << star.status();
+      options.topology = *star;
+      [[fallthrough]];
+    }
+    case KeyedFabric::kEvent:
+      options.delivery = net::Network::DeliveryMode::kEvent;
+      break;
+  }
+  shard::ShardedSimHarness harness(sc, options);
+  ASSERT_TRUE(harness.init_status().ok()) << harness.init_status();
+  Status st = harness.Run(load);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(harness.network()->pending_events(), 0u);
+  EXPECT_EQ(harness.network()->delayed_in_flight(), 0u);
+
+  for (net::KeyId key = 0; key < sc.num_keys; ++key) {
+    const auto& got = harness.outputs_by_key()[key];
+    const auto& want = plain.outputs_by_key()[key];
+    ASSERT_EQ(got.size(), load.num_windows) << "key " << key;
+    ASSERT_EQ(want.size(), load.num_windows) << "key " << key;
+    for (size_t w = 0; w < want.size(); ++w) {
+      EXPECT_EQ(got[w].window_id, want[w].window_id) << "key " << key;
+      EXPECT_EQ(got[w].global_size, want[w].global_size) << "key " << key;
+      EXPECT_EQ(got[w].values, want[w].values)
+          << "key " << key << " window " << w;
+      EXPECT_FALSE(got[w].degraded) << "key " << key;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, KeyedHarnessDelivery,
+    ::testing::Values(KeyedFabric::kDelayedInline, KeyedFabric::kEvent,
+                      KeyedFabric::kEventStar),
+    [](const ::testing::TestParamInfo<KeyedFabric>& info) {
+      switch (info.param) {
+        case KeyedFabric::kDelayedInline:
+          return std::string("DelayedInline");
+        case KeyedFabric::kEvent:
+          return std::string("Event");
+        case KeyedFabric::kEventStar:
+          return std::string("EventStar");
+      }
+      return std::string("Unknown");
+    });
 
 }  // namespace
 }  // namespace dema

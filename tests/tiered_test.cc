@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "common/clock.h"
 #include "sim/ingest_adapter.h"
@@ -48,10 +49,10 @@ TEST(TieredTopology, SensorIdsAreDisjointFromAggregationTier) {
   net::Network network(&clock);
   auto tiered = BuildTieredSystem(config, &network, &clock);
   ASSERT_TRUE(tiered.ok()) << tiered.status();
-  ASSERT_EQ(tiered->sensors.size(), 12u);
-  ASSERT_EQ(tiered->sensor_ids.size(), 3u);
-  for (const auto& ids : tiered->sensor_ids) {
-    for (NodeId id : ids) EXPECT_GT(id, 3u);
+  ASSERT_EQ(tiered->sensors.size(), 3u);
+  for (const auto& sensors : tiered->sensors) {
+    ASSERT_EQ(sensors.size(), 4u);
+    for (const StreamNode& sensor : sensors) EXPECT_GT(sensor.id(), 3u);
   }
 }
 
@@ -80,8 +81,8 @@ TEST_P(TieredExactness, MatchesFlatOracleSemantics) {
     }
   }
 
-  TieredSyncDriver driver(&*tiered, &network);
-  ASSERT_TRUE(driver.Run(kWindows, kMicrosPerSecond).ok());
+  SyncDriver driver(&*tiered, &network);
+  ASSERT_TRUE(driver.Run(TieredWorkload(config, kWindows)).ok());
   ASSERT_EQ(driver.outputs().size(), kWindows);
   for (const WindowOutput& out : driver.outputs()) {
     ASSERT_EQ(out.global_size, oracle_values[out.window_id].size());
@@ -110,6 +111,48 @@ INSTANTIATE_TEST_SUITE_P(Systems, TieredExactness,
                            return name;
                          });
 
+TEST(TieredTopology, ThreadedRunMatchesInline) {
+  // A worker pool closes the edges' windows off the ingest thread; the pump
+  // quiesces each edge through its ingest adapter, so the run sends the same
+  // messages and emits the same windows as the inline one.
+  struct Run {
+    std::vector<WindowOutput> outputs;
+    std::map<net::MessageType, net::TrafficCounters> by_type;
+  };
+  auto run = [](size_t workers) {
+    TieredConfig config = BaseConfig(SystemKind::kDema, 3, 2);
+    config.system.workers = workers;
+    config.system.quantiles = {0.25, 0.5, 0.9};
+    RealClock clock;
+    net::Network network(&clock);
+    auto tiered = BuildTieredSystem(config, &network, &clock);
+    EXPECT_TRUE(tiered.ok()) << tiered.status();
+    SyncDriver driver(&*tiered, &network);
+    Status st = driver.Run(TieredWorkload(config, 4));
+    EXPECT_TRUE(st.ok()) << st;
+    return Run{driver.outputs(), network.StatsByType()};
+  };
+  Run inline_run = run(0);
+  Run threaded = run(2);
+  ASSERT_EQ(inline_run.outputs.size(), 4u);
+  ASSERT_EQ(threaded.outputs.size(), inline_run.outputs.size());
+  for (size_t i = 0; i < inline_run.outputs.size(); ++i) {
+    const WindowOutput& want = inline_run.outputs[i];
+    const WindowOutput& got = threaded.outputs[i];
+    EXPECT_EQ(got.window_id, want.window_id);
+    EXPECT_EQ(got.global_size, want.global_size);
+    EXPECT_EQ(got.values, want.values) << "window " << want.window_id;
+    EXPECT_FALSE(got.degraded);
+  }
+  ASSERT_EQ(threaded.by_type.size(), inline_run.by_type.size());
+  for (const auto& [type, want] : inline_run.by_type) {
+    const net::TrafficCounters& got = threaded.by_type[type];
+    EXPECT_EQ(got.messages, want.messages) << net::MessageTypeToString(type);
+    EXPECT_EQ(got.bytes, want.bytes) << net::MessageTypeToString(type);
+    EXPECT_EQ(got.events, want.events) << net::MessageTypeToString(type);
+  }
+}
+
 TEST(TieredTopology, TierTrafficSplitsCorrectly) {
   TieredConfig dema_config = BaseConfig(SystemKind::kDema);
   auto dema_metrics = RunTiered(dema_config, 3);
@@ -120,14 +163,15 @@ TEST(TieredTopology, TierTrafficSplitsCorrectly) {
   ASSERT_TRUE(central_metrics.ok()) << central_metrics.status();
 
   // The sensor tier carries every raw event regardless of the system.
-  EXPECT_EQ(dema_metrics->sensor_tier.events, dema_metrics->events_produced);
+  EXPECT_EQ(dema_metrics->sensor_tier.events,
+            dema_metrics->run.events_ingested);
   EXPECT_EQ(central_metrics->sensor_tier.events,
-            central_metrics->events_produced);
+            central_metrics->run.events_ingested);
   EXPECT_EQ(dema_metrics->sensor_tier.bytes, central_metrics->sensor_tier.bytes);
 
   // The aggregation tier is where Dema wins.
   EXPECT_EQ(central_metrics->aggregation_tier.events,
-            central_metrics->events_produced);
+            central_metrics->run.events_ingested);
   EXPECT_LT(dema_metrics->aggregation_tier.events,
             central_metrics->aggregation_tier.events / 2);
 }
@@ -227,12 +271,16 @@ TEST(StreamNode, ProducesBatchesAndMarkers) {
   opts.id = 7;
   opts.parent = 1;
   opts.batch_size = 100;
-  opts.generator.distribution = Uniform01k();
-  opts.generator.event_rate = 1000;
-  auto sensor = StreamNode::Create(opts, &network);
-  ASSERT_TRUE(sensor.ok()) << sensor.status();
-  ASSERT_TRUE((*sensor)->PumpInterval(0, SecondsUs(1)).ok());
-  EXPECT_EQ((*sensor)->events_produced(), 1000u);
+  gen::GeneratorConfig gcfg;
+  gcfg.node = opts.id;
+  gcfg.distribution = Uniform01k();
+  gcfg.event_rate = 1000;
+  auto gen = gen::StreamGenerator::Create(gcfg);
+  ASSERT_TRUE(gen.ok()) << gen.status();
+  std::vector<Event> readings = (*gen)->GenerateWindow(0, SecondsUs(1));
+  ASSERT_EQ(readings.size(), 1000u);
+  StreamNode sensor(opts, &network);
+  ASSERT_TRUE(sensor.Ship(readings, SecondsUs(1)).ok());
 
   // 10 full batches + 1 time-advance marker.
   net::Channel* inbox = network.Inbox(1);

@@ -7,6 +7,8 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "dema/local_node.h"
+#include "dema/root_node.h"
 #include "sim/tree.h"
 #include "stream/quantile.h"
 
@@ -65,7 +67,7 @@ TreeRun RunTree(const TreeConfig& config, uint64_t windows, double rate) {
     }
   }
 
-  TreeSyncDriver driver(&*tree, &network);
+  SyncDriver driver(&*tree, &network);
   Status st = driver.Run(load);
   EXPECT_TRUE(st.ok()) << st;
   run.outputs = driver.outputs();
@@ -120,7 +122,7 @@ TEST(TreeTopology, RelayCutsRootFanIn) {
   WorkloadConfig load = MakeUniformWorkload(8, 3, 2000, Uniform01k());
   load.window_len_us = config.window_len_us;
   for (size_t i = 0; i < 8; ++i) load.generators[i].node = tree->local_ids[i];
-  TreeSyncDriver driver(&*tree, &network);
+  SyncDriver driver(&*tree, &network);
   ASSERT_TRUE(driver.Run(load).ok());
 
   // The root receives exactly one synopsis batch per relay per window,
@@ -135,6 +137,57 @@ TEST(TreeTopology, RelayCutsRootFanIn) {
   }
   // Root link carries only relay traffic: 3 synopses + <=3 replies per relay.
   EXPECT_LE(root_inbound, 2u * 3 * 2);
+}
+
+TEST(TreeTopology, RelaysAbsorbDuplicateDeliveries) {
+  // An at-least-once fabric repeats messages with their original sequence
+  // numbers; a relay must drop the repeats as the root and the locals do,
+  // instead of failing the run on a "duplicate" synopsis or a reply for a
+  // window it already answered.
+  TreeConfig config;
+  config.num_relays = 2;
+  config.locals_per_relay = 2;
+  config.gamma = 64;
+  config.quantiles = {0.25, 0.5, 0.9};
+  constexpr uint64_t kWindows = 4;
+  for (uint64_t seed : {1, 2, 3}) {
+    RealClock clock;
+    net::Network::Options options;
+    options.duplicate_prob = 0.2;
+    options.fault_seed = seed;
+    net::Network network(&clock, options);
+    auto tree = BuildTreeSystem(config, &network, &clock);
+    ASSERT_TRUE(tree.ok()) << tree.status();
+    WorkloadConfig load = MakeUniformWorkload(tree->local_ids.size(), kWindows,
+                                              2000, Uniform01k());
+    load.window_len_us = config.window_len_us;
+    for (size_t i = 0; i < tree->local_ids.size(); ++i) {
+      load.generators[i].node = tree->local_ids[i];
+    }
+    SyncDriver driver(&*tree, &network);
+    driver.set_record_events(true);
+    Status st = driver.Run(load);
+    ASSERT_TRUE(st.ok()) << "seed " << seed << ": " << st;
+
+    ASSERT_EQ(driver.outputs().size(), kWindows) << "seed " << seed;
+    for (const WindowOutput& out : driver.outputs()) {
+      std::vector<double> values;
+      for (const Event& e : driver.recorded_events()[out.window_id]) {
+        values.push_back(e.value);
+      }
+      EXPECT_FALSE(out.degraded) << "seed " << seed;
+      ASSERT_EQ(out.global_size, values.size()) << "seed " << seed;
+      for (size_t qi = 0; qi < config.quantiles.size(); ++qi) {
+        auto oracle = stream::ExactQuantileValues(values, config.quantiles[qi]);
+        ASSERT_TRUE(oracle.ok()) << oracle.status();
+        EXPECT_EQ(out.values[qi], *oracle)
+            << "seed " << seed << " window " << out.window_id;
+      }
+    }
+    uint64_t ignored = 0;
+    for (const auto& relay : tree->relays) ignored += relay->duplicates_ignored();
+    EXPECT_GT(ignored, 0u) << "seed " << seed;
+  }
 }
 
 TEST(TreeTopology, GammaUpdatePropagatesToLeaves) {
@@ -158,8 +211,9 @@ TEST(TreeTopology, GammaUpdatePropagatesToLeaves) {
     auto forwarded = network.Inbox(tree->local_ids[leaf])->TryPop();
     ASSERT_TRUE(forwarded.has_value());
     EXPECT_EQ(forwarded->type, net::MessageType::kGammaUpdate);
-    ASSERT_TRUE(tree->locals[leaf]->OnMessage(*forwarded).ok());
-    EXPECT_EQ(tree->locals[leaf]->GammaForWindow(0), 7u);
+    auto* local = static_cast<core::DemaLocalNode*>(tree->locals[leaf].get());
+    ASSERT_TRUE(local->OnMessage(*forwarded).ok());
+    EXPECT_EQ(local->GammaForWindow(0), 7u);
   }
 }
 

@@ -318,7 +318,7 @@ int CmdTree(const Flags& flags) {
   net::Network network(&clock, net_options);
   auto tree_result = sim::BuildTreeSystem(config, &network, &clock);
   if (!tree_result.ok()) return Fail(tree_result.status().ToString());
-  sim::TreeSystem tree = std::move(tree_result).MoveValueUnsafe();
+  sim::System tree = std::move(tree_result).MoveValueUnsafe();
 
   gen::DistributionParams dist;
   auto kind_result =
@@ -335,7 +335,7 @@ int CmdTree(const Flags& flags) {
   load.window_len_us = config.window_len_us;
   for (size_t i = 0; i < leaves; ++i) load.generators[i].node = tree.local_ids[i];
 
-  sim::TreeSyncDriver driver(&tree, &network);
+  sim::SyncDriver driver(&tree, &network);
   Status st = driver.Run(load);
   if (!st.ok()) return Fail(st.ToString());
 
