@@ -64,7 +64,9 @@ DriftResult RunDrift(bool adaptive, uint64_t fixed_gamma, uint64_t windows,
   result.wire_bytes = total.counters.bytes;
   auto* root = static_cast<core::DemaRootNode*>(system.root.get());
   result.final_gamma = root->current_gamma();
-  result.model_cost = 2 * root->stats().synopsis_slices + root->stats().candidate_events;
+  const obs::Registry& registry = *root->registry();
+  result.model_cost = 2 * registry.CounterValue("dema.synopsis_slices") +
+                      registry.CounterValue("dema.candidate_events");
   return result;
 }
 

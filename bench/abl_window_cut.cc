@@ -40,12 +40,14 @@ int main(int argc, char** argv) {
       config.naive_selection = naive;
       config.quantiles = {0.5};
       auto metrics = bench::Unwrap(sim::RunSync(config, load), "sync run");
+      const obs::Registry& registry = *metrics.registry;
       bench::UnwrapStatus(
-          table.AddRow({overlap.name, naive ? "naive" : "window-cut",
-                        FmtCount(metrics.dema.candidate_events),
-                        FmtCount(metrics.network_total.events),
-                        FmtBytes(metrics.network_total.bytes),
-                        FmtCount(metrics.dema.candidate_slices)}),
+          table.AddRow(
+              {overlap.name, naive ? "naive" : "window-cut",
+               FmtCount(registry.CounterValue("dema.candidate_events")),
+               FmtCount(metrics.network_total.events),
+               FmtBytes(metrics.network_total.bytes),
+               FmtCount(registry.CounterValue("dema.candidate_slices"))}),
           "table row");
     }
   }

@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
     // Figures report the registry histogram (`root.window_latency_us`) — the
     // same instrument `--metrics-out` exports — so the paper numbers and live
     // observability can never disagree.
-    const auto& lat = metrics.latency_hist;
+    const obs::Histogram::Summary lat =
+        metrics.registry->HistogramSummary("root.window_latency_us");
     bench::UnwrapStatus(
         table.AddRow({sim::SystemKindToString(kind),
                       FmtF(lat.mean / 1000.0, 2), FmtF(lat.p50 / 1000.0, 2),

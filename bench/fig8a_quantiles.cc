@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
         table.AddRow({FmtF(q * 100, 0) + "%",
                       FmtRate(metrics.sim_throughput_eps),
                       FmtF(metrics.sim_throughput_eps, 0),
-                      FmtCount(metrics.dema.candidate_events)}),
+                      FmtCount(metrics.registry->CounterValue(
+                          "dema.candidate_events"))}),
         "table row");
   }
   bench::EmitTable(table, flags);

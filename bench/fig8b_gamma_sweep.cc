@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
           table.AddRow({std::to_string(gamma), inst.name,
                         FmtRate(metrics.sim_throughput_eps),
                         FmtF(metrics.sim_throughput_eps, 0),
-                        FmtCount(metrics.dema.candidate_events),
+                        FmtCount(metrics.registry->CounterValue(
+                            "dema.candidate_events")),
                         FmtCount(metrics.network_total.events)}),
           "table row");
     }

@@ -44,6 +44,11 @@ struct ModeResult {
   double select_us_p99 = 0;
   int64_t peak_retained_events = 0;
 
+  /// p99 of the run's `root.window_latency_us`, in microseconds.
+  double WindowLatencyP99() const {
+    return metrics.registry->HistogramSummary("root.window_latency_us").p99;
+  }
+
   /// Wire bytes the run moved per ingested event (protocol overhead per
   /// datum; on the TCP mode these are bytes actually written to sockets).
   double BytesPerEvent() const {
@@ -88,7 +93,7 @@ std::string ModeJson(const ModeResult& r) {
       .Field("root_select_us_total", r.select_us_total)
       .Field("root_select_count", r.select_count)
       .Field("root_select_us_p99", r.select_us_p99)
-      .Field("window_latency_us_p99", r.metrics.latency_hist.p99)
+      .Field("window_latency_us_p99", r.WindowLatencyP99())
       .Field("peak_retained_events", r.peak_retained_events)
       .Field("bytes_per_event", r.BytesPerEvent());
   return w.Finish();
@@ -242,8 +247,8 @@ std::string SimJson(const SimResult& r) {
       .Field("locals", r.report.num_locals)
       .Field("events", r.report.events_ingested)
       .Field("exact_windows", r.report.exact_windows)
-      .Field("sim_ticks", r.report.sim_ticks)
-      .Field("sim_events", r.report.sim_events)
+      .Field("sim_ticks", r.report.counter("sim.ticks"))
+      .Field("sim_events", r.report.counter("sim.events"))
       .Field("event_queue_peak", r.report.event_queue_peak)
       .Field("virtual_time_us", r.report.virtual_time_us)
       .Field("throughput_eps", r.report.throughput_eps)
@@ -309,7 +314,7 @@ int main(int argc, char** argv) {
                       FmtF(r->metrics.sim_throughput_eps, 0),
                       FmtF(static_cast<double>(r->select_us_total) / 1e3, 3),
                       FmtF(r->select_us_p99, 1),
-                      FmtF(r->metrics.latency_hist.p99 / 1e3, 3),
+                      FmtF(r->WindowLatencyP99() / 1e3, 3),
                       FmtCount(static_cast<uint64_t>(r->peak_retained_events)),
                       FmtF(r->BytesPerEvent(), 2)}),
         "table row");
@@ -353,7 +358,7 @@ int main(int argc, char** argv) {
                         FmtCount(sim_run.report.num_locals),
                         FmtCount(sim_run.report.events_ingested),
                         FmtCount(sim_run.report.exact_windows),
-                        FmtCount(sim_run.report.sim_events),
+                        FmtCount(sim_run.report.counter("sim.events")),
                         FmtCount(sim_run.report.event_queue_peak),
                         FmtF(sim_run.report.throughput_eps, 0)}),
       "sim table row");

@@ -16,6 +16,7 @@
 #include "dema/adaptive_gamma.h"
 #include "dema/root_node.h"
 #include "gen/generator.h"
+#include "sim/pump.h"
 #include "sim/topology.h"
 
 using namespace dema;
@@ -55,25 +56,6 @@ int main() {
   root->SetResultCallback(
       [&](const sim::WindowOutput& out) { outputs.push_back(out); });
 
-  auto pump = [&] {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      while (auto msg = network.Inbox(system.root_id)->TryPop()) {
-        Status st = system.root->OnMessage(*msg);
-        if (!st.ok()) std::cerr << "root: " << st << "\n";
-        progress = true;
-      }
-      for (size_t i = 0; i < system.locals.size(); ++i) {
-        while (auto msg = network.Inbox(system.local_ids[i])->TryPop()) {
-          Status st = system.locals[i]->OnMessage(*msg);
-          if (!st.ok()) std::cerr << "local: " << st << "\n";
-          progress = true;
-        }
-      }
-    }
-  };
-
   for (uint64_t w = 0; w < kWindows; ++w) {
     double rate = RateForWindow(w);
     TimestampUs start = static_cast<TimestampUs>(w) * config.window_len_us;
@@ -98,17 +80,24 @@ int main() {
       }
       (void)system.locals[i]->OnWatermark(start + config.window_len_us);
     }
-    pump();
+    Status st = sim::PumpToQuiescence(&network, sim::SystemPumpNodes(system));
+    if (!st.ok()) {
+      std::cerr << "pump: " << st << "\n";
+      return 1;
+    }
 
-    const auto& stats = root->stats();
+    const uint64_t candidate_slices =
+        root->registry()->CounterValue("dema.candidate_slices");
+    const uint64_t candidate_events =
+        root->registry()->CounterValue("dema.candidate_events");
     (void)table.AddRow(
         {std::to_string(w), FmtRate(rate),
          FmtCount(outputs.empty() ? 0 : outputs.back().global_size),
-         FmtCount(stats.candidate_slices - last_candidate_slices),
-         FmtCount(stats.candidate_events - last_candidate_events),
+         FmtCount(candidate_slices - last_candidate_slices),
+         FmtCount(candidate_events - last_candidate_events),
          std::to_string(root->current_gamma())});
-    last_candidate_slices = stats.candidate_slices;
-    last_candidate_events = stats.candidate_events;
+    last_candidate_slices = candidate_slices;
+    last_candidate_events = candidate_events;
   }
   table.Print(std::cout);
 

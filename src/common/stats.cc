@@ -4,29 +4,6 @@
 
 namespace dema {
 
-double PercentileTracker::Percentile(double p) {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  if (p <= 0.0) return samples_.front();
-  if (p >= 1.0) return samples_.back();
-  // Nearest-rank with linear interpolation between adjacent order statistics.
-  double idx = p * static_cast<double>(samples_.size() - 1);
-  size_t lo = static_cast<size_t>(std::floor(idx));
-  size_t hi = static_cast<size_t>(std::ceil(idx));
-  double frac = idx - static_cast<double>(lo);
-  return samples_[lo] + (samples_[hi] - samples_[lo]) * frac;
-}
-
-double PercentileTracker::Mean() const {
-  if (samples_.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : samples_) sum += x;
-  return sum / static_cast<double>(samples_.size());
-}
-
 void MpeAccumulator::Add(double exact, double approx) {
   double err;
   if (exact != 0.0) {

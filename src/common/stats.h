@@ -4,11 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "common/time.h"
 
 namespace dema {
 
@@ -68,78 +63,6 @@ class OnlineStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// \brief Exact percentile over a buffered sample.
-///
-/// Stores all observations; `Percentile(p)` sorts lazily. Used for latency
-/// reporting where sample counts are modest (one per window).
-class PercentileTracker {
- public:
-  /// Adds one observation.
-  void Add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-
-  /// Number of observations.
-  size_t count() const { return samples_.size(); }
-
-  /// Exact p-th percentile, p in [0, 1]; 0 when empty.
-  double Percentile(double p);
-
-  /// Arithmetic mean; 0 when empty.
-  double Mean() const;
-
-  /// Clears all samples.
-  void Reset() {
-    samples_.clear();
-    sorted_ = false;
-  }
-
- private:
-  std::vector<double> samples_;
-  bool sorted_ = false;
-};
-
-/// \brief Thread-safe latency recorder in microseconds.
-///
-/// Each window result records one latency sample; the driver reads the
-/// summary at the end of a run.
-class LatencyRecorder {
- public:
-  /// Records one latency sample.
-  void Record(DurationUs latency_us) {
-    std::lock_guard<std::mutex> lock(mu_);
-    tracker_.Add(static_cast<double>(latency_us));
-  }
-
-  /// Summary of the recorded latencies.
-  struct Summary {
-    uint64_t count = 0;
-    double mean_us = 0;
-    double p50_us = 0;
-    double p95_us = 0;
-    double p99_us = 0;
-    double max_us = 0;
-  };
-
-  /// Computes the summary over everything recorded so far.
-  Summary Summarize() {
-    std::lock_guard<std::mutex> lock(mu_);
-    Summary s;
-    s.count = tracker_.count();
-    s.mean_us = tracker_.Mean();
-    s.p50_us = tracker_.Percentile(0.50);
-    s.p95_us = tracker_.Percentile(0.95);
-    s.p99_us = tracker_.Percentile(0.99);
-    s.max_us = tracker_.Percentile(1.0);
-    return s;
-  }
-
- private:
-  std::mutex mu_;
-  PercentileTracker tracker_;
 };
 
 /// \brief Mean percentage error between an approximation and a reference.

@@ -107,28 +107,6 @@ RootStream RootCore::NewStream() const {
   return s;
 }
 
-DemaRootStats RootCore::stats() const {
-  DemaRootStats s;
-  s.windows = c_windows_->Value();
-  s.synopsis_slices = c_synopsis_slices_->Value();
-  s.candidate_slices = c_candidate_slices_->Value();
-  s.candidate_events = c_candidate_events_->Value();
-  s.global_events = c_global_events_->Value();
-  s.classes.separate = c_class_separate_->Value();
-  s.classes.compound = c_class_compound_->Value();
-  s.classes.cover = c_class_cover_->Value();
-  s.gamma_updates_sent = c_gamma_updates_sent_->Value();
-  s.duplicates_ignored = c_duplicates_ignored_->Value();
-  s.clock_skew_windows = c_clock_skew_windows_->Value();
-  s.retries = c_retries_->Value();
-  s.degraded_windows = c_degraded_windows_->Value();
-  s.send_failures = c_send_failures_->Value();
-  s.rejected_payloads = c_rejected_->Value();
-  s.quarantines = c_quarantined_->Value();
-  s.readmissions = c_readmitted_->Value();
-  return s;
-}
-
 int64_t RootCore::LocalIndex(NodeId node) const {
   auto it = std::lower_bound(
       local_index_.begin(), local_index_.end(), node,

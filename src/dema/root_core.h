@@ -41,8 +41,9 @@ struct DemaRootNodeOptions {
   /// Only valid with a single quantile (checked at construction).
   bool use_naive_selection = false;
   /// Tolerate at-least-once delivery: duplicate synopses/replies are ignored
-  /// (counted in stats) instead of failing the node. On by default — IoT
-  /// transports retransmit; turn off to assert exactly-once in tests.
+  /// (counted in `dema.duplicates_ignored`) instead of failing the node. On
+  /// by default — IoT transports retransmit; turn off to assert exactly-once
+  /// in tests.
   bool tolerate_duplicates = true;
   /// Per-window progress deadline, measured in `Tick()` calls: a pending
   /// window that makes no progress for this many ticks gets its candidate
@@ -87,44 +88,6 @@ struct DemaRootNodeOptions {
   /// Optional per-window span recorder; when set, every emitted window
   /// records one `obs::WindowTrace`. Must outlive the node.
   obs::TraceRecorder* tracer = nullptr;
-};
-
-/// \brief Aggregate algorithm counters across all completed windows.
-///
-/// A point-in-time view materialized from the node's registry instruments
-/// (the registry is the source of truth; this struct keeps the historical
-/// accessor shape).
-struct DemaRootStats {
-  uint64_t windows = 0;
-  /// Slice synopses received (identification step volume).
-  uint64_t synopsis_slices = 0;
-  /// Slices marked candidate by window-cut.
-  uint64_t candidate_slices = 0;
-  /// Raw events transferred in calculation steps.
-  uint64_t candidate_events = 0;
-  /// Sum of global window sizes.
-  uint64_t global_events = 0;
-  /// Accumulated slice classification diagnostics.
-  SliceClassCounts classes;
-  /// γ update messages sent (one per recipient local node).
-  uint64_t gamma_updates_sent = 0;
-  /// Duplicate deliveries ignored (at-least-once transport tolerance).
-  uint64_t duplicates_ignored = 0;
-  /// Windows whose local close stamp was ahead of the root clock (latency
-  /// clamped to 0 instead of underflowing).
-  uint64_t clock_skew_windows = 0;
-  /// Candidate-request retransmissions sent by the deadline machinery.
-  uint64_t retries = 0;
-  /// Windows emitted best-effort after recovery was exhausted.
-  uint64_t degraded_windows = 0;
-  /// Transport send failures tolerated while recovery was enabled.
-  uint64_t send_failures = 0;
-  /// Inbound payloads rejected by the validation pass (all reasons).
-  uint64_t rejected_payloads = 0;
-  /// Quarantine entries (a re-offending probation local counts again).
-  uint64_t quarantines = 0;
-  /// Locals fully re-admitted after a clean probation.
-  uint64_t readmissions = 0;
 };
 
 /// \brief Where the root core's outbound traffic and results go.
@@ -283,7 +246,6 @@ class RootCore {
   const DemaRootNodeOptions& options() const { return options_; }
   obs::Registry* registry() const { return registry_; }
   uint64_t windows_emitted() const { return c_windows_->Value(); }
-  DemaRootStats stats() const;
 
  private:
   using PendingWindow = RootPendingWindow;

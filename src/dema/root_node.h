@@ -46,10 +46,6 @@ class DemaRootNode final : public sim::RootNodeLogic {
   /// dropped"). No-op unless deadlines are enabled.
   void NoteWindowHorizon(net::WindowId last);
 
-  /// Algorithm counters over all completed windows (snapshot of the
-  /// registry-backed instruments).
-  DemaRootStats stats() const { return core_.stats(); }
-
   /// Construction-time option validation result; every OnMessage returns
   /// this error while it is not OK.
   const Status& init_status() const { return core_.init_status(); }

@@ -68,7 +68,6 @@ void Network::ChargeLocked(const Message& m) {
 }
 
 void Network::CountDropLocked(const char* cause) {
-  ++messages_dropped_;
   c_dropped_->Increment();
   registry_->GetCounter(std::string("net.dropped{cause=") + cause + "}")
       ->Increment();
@@ -112,7 +111,6 @@ bool Network::CorruptFrameLocked(Message* m) {
       ExtendCrc32c(ExtendCrc32c(0, header.data(), header.size()),
                    m->payload.data(), m->payload.size());
   if (recomputed != trailer_crc) {
-    ++messages_corrupted_;
     c_corrupted_->Increment();
     c_corrupted_frame_->Increment();
     return true;  // receiver detects the flip and drops the frame
@@ -146,7 +144,6 @@ void Network::MaybeTamperLocked(Message* m) {
   // the root's validation pass can tell it apart from an honest message.
   m->EnsureOwnedPayload();
   m->payload[kNodeFieldOffset] ^= 0x01;
-  ++messages_corrupted_;
   c_corrupted_->Increment();
   c_corrupted_payload_->Increment();
 }
@@ -249,7 +246,6 @@ Status Network::Send(Message m) {
         // it, which is exactly the reorder at-least-once transports exhibit.
         extra = static_cast<uint64_t>(fault_rng_.UniformInt(
             1, static_cast<int64_t>(options_.delay_us_max)));
-        ++messages_delayed_;
         c_delayed_->Increment();
         delayed = true;
       }
@@ -312,11 +308,6 @@ void Network::SetNodeTamper(NodeId id, bool tampering) {
   }
 }
 
-uint64_t Network::messages_corrupted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return messages_corrupted_;
-}
-
 void Network::EnqueueEventLocked(Message m, uint64_t extra_delay_us) {
   HopEvent ev;
   // An injected delay is queueing before the first hop starts, not wire time.
@@ -331,10 +322,9 @@ void Network::EnqueueEventLocked(Message m, uint64_t extra_delay_us) {
       return;
     }
     first_hop_us =
-        options_.topology->link(ev.path[0]).spec.TransferTimeUs(m.WireBytes());
+        options_.topology->link(ev.path[0]).spec.HopTimeUs(m.WireBytes());
   } else {
-    double us = options_.link_model.TransferTimeUs(m.WireBytes());
-    first_hop_us = us < 1.0 ? 1 : static_cast<uint64_t>(us);
+    first_hop_us = options_.link_model.HopTimeUs(m.WireBytes());
   }
   ev.msg = std::move(m);
   events_.Push(ev.hop_start_us + first_hop_us, std::move(ev));
@@ -374,7 +364,7 @@ uint64_t Network::AdvanceEvents() {
           ++ev.next_hop;
           ev.hop_start_us = now;
           uint64_t t = options_.topology->link(ev.path[ev.next_hop])
-                           .spec.TransferTimeUs(ev.msg.WireBytes());
+                           .spec.HopTimeUs(ev.msg.WireBytes());
           events_.Push(now + t, std::move(ev));
           continue;
         }
@@ -435,16 +425,6 @@ uint64_t Network::FlushDelayed() {
     if (ch->Push(std::move(held))) ++delivered;
   }
   return delivered;
-}
-
-uint64_t Network::messages_dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return messages_dropped_;
-}
-
-uint64_t Network::messages_delayed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return messages_delayed_;
 }
 
 size_t Network::delayed_in_flight() const {

@@ -21,24 +21,6 @@
 
 namespace dema::net {
 
-/// \brief Analytic model of a point-to-point link.
-///
-/// Used for *reporting* only: the paper excludes network transfer time from
-/// latency ("dominated by the network setup"), so the fabric never delays
-/// delivery; it accumulates the simulated wire time a deployment would spend.
-struct LinkModel {
-  /// Link bandwidth; default 25 Gbit/s as in the paper's cluster.
-  double bandwidth_bytes_per_sec = 25e9 / 8.0;
-  /// One-way propagation + framing latency per message.
-  DurationUs base_latency_us = 50;
-
-  /// Simulated wire time for a message of \p bytes.
-  double TransferTimeUs(uint64_t bytes) const {
-    return static_cast<double>(base_latency_us) +
-           static_cast<double>(bytes) / bandwidth_bytes_per_sec * 1e6;
-  }
-};
-
 /// \brief In-process network fabric connecting simulated nodes.
 ///
 /// Each registered node owns an inbox `Channel`; `Send` delivers a framed
@@ -57,7 +39,7 @@ class Network : public transport::Transport {
     /// injector's multimap is the only buffering). The default.
     kInline,
     /// Discrete-event delivery: `Send` enqueues a hop event on the central
-    /// tick queue at `now + link.TransferTimeUs(bytes)`; nothing reaches an
+    /// tick queue at `now + link.HopTimeUs(bytes)`; nothing reaches an
     /// inbox until the driver calls `AdvanceEvents`. With a routed
     /// `Options::topology` every message traverses its multi-hop path, one
     /// event per link. Fault injectors keep their exact RNG draw order, so
@@ -70,8 +52,13 @@ class Network : public transport::Transport {
   };
 
   struct Options {
-    /// Analytic link model for simulated transfer-time reporting.
-    LinkModel link_model;
+    /// Model of every direct link: its exact transfer time is accumulated
+    /// as the simulated wire time a deployment would spend (reporting
+    /// only — the paper excludes network transfer time from latency,
+    /// "dominated by the network setup"); its whole-microsecond hop time
+    /// paces event-driven delivery without a routed `topology`. Defaults
+    /// to 25 Gbit/s, as in the paper's cluster, and 50 us per message.
+    tick::LinkSpec link_model;
     /// Fault injection: probability that a sent message is delivered twice
     /// (models at-least-once transports that retransmit). Duplicates are
     /// charged to the link metrics like any other transfer, and additionally
@@ -173,8 +160,9 @@ class Network : public transport::Transport {
   /// corruption only the root's validation layer can catch.
   void SetNodeTamper(NodeId id, bool tampering);
 
-  /// Messages corrupted by injection so far (frame flips + field tampers).
-  uint64_t messages_corrupted() const;
+  /// Messages corrupted by injection so far (frame flips + field tampers):
+  /// the `net.corrupted` counter.
+  uint64_t messages_corrupted() const { return c_corrupted_->Value(); }
 
   /// Delivers every held-back (delayed) message in due order, regardless of
   /// the virtual clock; returns how many were delivered. Drivers call this at
@@ -204,11 +192,13 @@ class Network : public transport::Transport {
   /// High-water mark of the event queue (event mode).
   uint64_t event_queue_peak() const;
 
-  /// Messages silently dropped by fault injection so far (all causes).
-  uint64_t messages_dropped() const;
+  /// Messages silently dropped by fault injection so far (all causes): the
+  /// `net.dropped` counter.
+  uint64_t messages_dropped() const { return c_dropped_->Value(); }
 
-  /// Messages that were held back for delayed redelivery so far.
-  uint64_t messages_delayed() const;
+  /// Messages that were held back for delayed redelivery so far: the
+  /// `net.delayed` counter.
+  uint64_t messages_delayed() const { return c_delayed_->Value(); }
 
   /// Held-back messages not yet redelivered.
   size_t delayed_in_flight() const;
@@ -250,7 +240,7 @@ class Network : public transport::Transport {
   std::vector<NodeId> nodes() const;
 
   /// The link model in use.
-  const LinkModel& link_model() const { return options_.link_model; }
+  const tick::LinkSpec& link_model() const { return options_.link_model; }
 
   /// The registry this fabric records into (the options-provided one, or the
   /// fabric's own private registry).
@@ -331,9 +321,6 @@ class Network : public transport::Transport {
   std::map<LinkKey, double> transfer_us_;
   Rng fault_rng_{1};
   uint64_t duplicates_injected_ = 0;
-  uint64_t messages_dropped_ = 0;
-  uint64_t messages_delayed_ = 0;
-  uint64_t messages_corrupted_ = 0;
   /// Per-(src, dst) next sequence number (1-based).
   std::map<LinkKey, uint32_t> next_seq_;
   /// Directed links currently partitioned.

@@ -132,6 +132,16 @@ const Histogram* Registry::FindHistogram(const std::string& name) const {
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
+uint64_t Registry::CounterValue(const std::string& name) const {
+  const Counter* c = FindCounter(name);
+  return c == nullptr ? 0 : c->Value();
+}
+
+Histogram::Summary Registry::HistogramSummary(const std::string& name) const {
+  const Histogram* h = FindHistogram(name);
+  return h == nullptr ? Histogram::Summary{} : h->Summarize();
+}
+
 std::map<std::string, uint64_t> Registry::CounterValues() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, uint64_t> out;

@@ -114,6 +114,11 @@ class Registry {
   const Gauge* FindGauge(const std::string& name) const;
   const Histogram* FindHistogram(const std::string& name) const;
 
+  /// Current value of counter \p name; 0 when it was never created.
+  uint64_t CounterValue(const std::string& name) const;
+  /// Summary of histogram \p name; all zeroes when it was never created.
+  Histogram::Summary HistogramSummary(const std::string& name) const;
+
   /// Snapshot of every counter's current value, keyed by name.
   std::map<std::string, uint64_t> CounterValues() const;
   /// Snapshot of every gauge's current value, keyed by name.

@@ -97,8 +97,13 @@ Status SyncDriver::Start(const WorkloadConfig& workload) {
     DEMA_ASSIGN_OR_RETURN(auto g, gen::StreamGenerator::Create(cfg));
     gens_.push_back(std::move(g));
   }
-  system_->root->SetResultCallback(
-      [this](const WindowOutput& out) { outputs_.push_back(out); });
+  obs::Histogram* latency =
+      network_->registry()->GetHistogram("root.window_latency_us");
+  system_->root->SetResultCallback([this, latency](const WindowOutput& out) {
+    latency->Record(out.latency_us < 0 ? 0
+                                       : static_cast<uint64_t>(out.latency_us));
+    outputs_.push_back(out);
+  });
   if (record_events_) recorded_.assign(workload.num_windows, {});
   local_busy_us_.assign(system_->locals.size(), 0.0);
   root_busy_us_ = 0;
@@ -236,26 +241,23 @@ Status SyncDriver::RunDisordered() {
 // ---------------------------------------------------------------------------
 
 namespace {
-/// Run-owned observability state: when the caller did not supply a registry
-/// or tracer, the run creates them and hands ownership out via RunMetrics so
-/// callers can export after the system itself is gone.
-struct RunObs {
-  std::shared_ptr<obs::Registry> registry;
-  std::shared_ptr<obs::TraceRecorder> tracer;
-
-  /// Fills any null observability slots of \p config with run-owned sinks.
-  explicit RunObs(SystemConfig* config) {
-    if (config->registry == nullptr) {
-      registry = std::make_shared<obs::Registry>();
-      config->registry = registry.get();
-    }
-    if (config->tracer == nullptr) {
-      tracer = std::make_shared<obs::TraceRecorder>();
-      config->tracer = tracer.get();
-    }
+/// The sink \p slot points at, as a non-owning alias; when \p slot is null,
+/// a fresh run-owned sink, which \p slot then points at.
+template <typename Sink>
+std::shared_ptr<Sink> RunSink(Sink** slot) {
+  if (*slot != nullptr) {
+    return std::shared_ptr<Sink>(std::shared_ptr<Sink>(), *slot);
   }
-};
+  auto owned = std::make_shared<Sink>();
+  *slot = owned.get();
+  return owned;
+}
 }  // namespace
+
+void BindRunObs(SystemConfig* config, RunMetrics* metrics) {
+  metrics->registry = RunSink(&config->registry);
+  metrics->tracer = RunSink(&config->tracer);
+}
 
 Result<RunMetrics> RunBuilt(
     const SystemConfig& system_config, const WorkloadConfig& workload,
@@ -263,7 +265,8 @@ Result<RunMetrics> RunBuilt(
     const std::function<void(const net::Network&)>& inspect) {
   RealClock clock;
   SystemConfig config = system_config;
-  RunObs run_obs(&config);
+  RunMetrics metrics;
+  BindRunObs(&config, &metrics);
   net::Network::Options net_options;
   net_options.registry = config.registry;
   net::Network network(&clock, net_options);
@@ -276,7 +279,6 @@ Result<RunMetrics> RunBuilt(
   DEMA_RETURN_NOT_OK(driver.Run(load));
   auto wall_end = std::chrono::steady_clock::now();
 
-  RunMetrics metrics;
   metrics.events_ingested = driver.events_ingested();
   metrics.windows_emitted = system.root->windows_emitted();
   metrics.wall_seconds =
@@ -285,23 +287,10 @@ Result<RunMetrics> RunBuilt(
       metrics.wall_seconds > 0
           ? static_cast<double>(metrics.events_ingested) / metrics.wall_seconds
           : 0;
-  LatencyRecorder latency;
-  obs::Histogram* latency_hist =
-      config.registry->GetHistogram("root.window_latency_us");
-  for (const WindowOutput& out : driver.outputs()) {
-    latency.Record(out.latency_us);
-    latency_hist->Record(
-        out.latency_us < 0 ? 0 : static_cast<uint64_t>(out.latency_us));
-  }
-  metrics.latency = latency.Summarize();
-  metrics.latency_hist = latency_hist->Summarize();
   auto total = network.TotalStats();
   metrics.network_total = total.counters;
   metrics.simulated_transfer_us = total.simulated_transfer_us;
   metrics.by_type = network.StatsByType();
-  if (auto* dema_root = dynamic_cast<core::DemaRootNode*>(system.root.get())) {
-    metrics.dema = dema_root->stats();
-  }
   metrics.root_busy_seconds = driver.root_busy_seconds();
   metrics.max_local_busy_seconds = driver.max_local_busy_seconds();
   double bottleneck_seconds =
@@ -313,8 +302,6 @@ Result<RunMetrics> RunBuilt(
   metrics.bottleneck =
       metrics.root_busy_seconds >= metrics.max_local_busy_seconds ? "root"
                                                                   : "local";
-  metrics.registry = run_obs.registry;
-  metrics.tracer = run_obs.tracer;
   if (inspect) inspect(network);
   return metrics;
 }

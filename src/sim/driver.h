@@ -64,6 +64,8 @@ WorkloadConfig MakeUniformWorkload(size_t num_locals, uint64_t num_windows,
 /// locals — directly, or through the sensors' `EventBatch` and `TimeAdvance`
 /// messages in a tiered system — then pumps messages until the system is
 /// quiescent. All ordering is deterministic given the generator seeds.
+/// Every emitted window's latency is recorded in the fabric registry's
+/// `root.window_latency_us` histogram.
 class SyncDriver {
  public:
   /// Wires the driver; \p system nodes must be registered on \p network.
@@ -134,6 +136,12 @@ class SyncDriver {
   std::vector<double> local_busy_us_;
   double root_busy_us_ = 0;
 };
+
+/// \brief Points \p metrics' observability handles at the run's sinks:
+/// \p config's registry and tracer when set (as non-owning aliases), or
+/// fresh run-owned ones, which then fill \p config's null slots. Every
+/// runner calls it first, so `RunMetrics::registry` is always set.
+void BindRunObs(SystemConfig* config, RunMetrics* metrics);
 
 /// \brief Builds a system from a config (with the observability slots
 /// filled) on a fabric.

@@ -5,37 +5,11 @@
 namespace dema::sim {
 
 std::string RunMetricsToJson(const RunMetrics& metrics) {
-  JsonWriter latency;
-  latency.Field("count", metrics.latency.count)
-      .Field("mean_us", metrics.latency.mean_us)
-      .Field("p50_us", metrics.latency.p50_us)
-      .Field("p95_us", metrics.latency.p95_us)
-      .Field("p99_us", metrics.latency.p99_us)
-      .Field("max_us", metrics.latency.max_us);
-
-  JsonWriter latency_hist;
-  latency_hist.Field("count", metrics.latency_hist.count)
-      .Field("mean_us", metrics.latency_hist.mean)
-      .Field("p50_us", metrics.latency_hist.p50)
-      .Field("p95_us", metrics.latency_hist.p95)
-      .Field("p99_us", metrics.latency_hist.p99)
-      .Field("max_us", metrics.latency_hist.max);
-
   JsonWriter network;
   network.Field("messages", metrics.network_total.messages)
       .Field("bytes", metrics.network_total.bytes)
       .Field("events", metrics.network_total.events)
       .Field("simulated_transfer_us", metrics.simulated_transfer_us);
-
-  JsonWriter dema_stats;
-  dema_stats.Field("windows", metrics.dema.windows)
-      .Field("synopsis_slices", metrics.dema.synopsis_slices)
-      .Field("candidate_slices", metrics.dema.candidate_slices)
-      .Field("candidate_events", metrics.dema.candidate_events)
-      .Field("global_events", metrics.dema.global_events)
-      .Field("gamma_updates_sent", metrics.dema.gamma_updates_sent)
-      .Field("duplicates_ignored", metrics.dema.duplicates_ignored)
-      .Field("clock_skew_windows", metrics.dema.clock_skew_windows);
 
   JsonWriter root;
   root.Field("events_ingested", metrics.events_ingested)
@@ -46,10 +20,10 @@ std::string RunMetricsToJson(const RunMetrics& metrics) {
       .Field("root_busy_seconds", metrics.root_busy_seconds)
       .Field("max_local_busy_seconds", metrics.max_local_busy_seconds)
       .Field("bottleneck", metrics.bottleneck)
-      .RawField("latency", latency.Finish())
-      .RawField("latency_hist", latency_hist.Finish())
-      .RawField("network", network.Finish())
-      .RawField("dema", dema_stats.Finish());
+      .RawField("network", network.Finish());
+  if (metrics.registry != nullptr) {
+    root.RawField("registry", metrics.registry->ToJson());
+  }
   return root.Finish();
 }
 

@@ -5,8 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "common/stats.h"
-#include "dema/root_node.h"
 #include "net/network.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -23,21 +21,12 @@ struct RunMetrics {
   double wall_seconds = 0;
   /// events_ingested / wall_seconds.
   double throughput_eps = 0;
-  /// Window-result latency summary (local close -> root emit), from the
-  /// exact per-sample recorder.
-  LatencyRecorder::Summary latency;
-  /// The same distribution from the registry histogram
-  /// `root.window_latency_us` — the instrument the observability layer
-  /// exports, surfaced here so bench figures report what the system records.
-  obs::Histogram::Summary latency_hist;
   /// Wire traffic summed over all links.
   net::TrafficCounters network_total;
   /// Modelled transfer time over all links.
   double simulated_transfer_us = 0;
   /// Traffic broken down by message type.
   std::map<net::MessageType, net::TrafficCounters> by_type;
-  /// Dema-only algorithm counters (zeroes for baselines).
-  core::DemaRootStats dema;
 
   // --- simulated-parallel model (filled by RunSync) ---
   //
@@ -58,15 +47,19 @@ struct RunMetrics {
 
   // --- observability handles ---
   //
-  // The run's metrics registry and per-window trace recorder, kept alive for
-  // post-run export (`demactl --metrics-out`, `obs::ObsToJson`). Null when
-  // the caller supplied its own registry via `SystemConfig::registry`.
+  // The run's metrics registry and per-window trace recorder: the one place
+  // the run's counters (`dema.*`, `root.*`, `net.*`, ...) and its window
+  // latency (`root.window_latency_us`) live. Always set by the runners:
+  // run-owned, or a non-owning alias of the caller's `SystemConfig::registry`
+  // / `tracer`, which must then outlive these handles.
   std::shared_ptr<obs::Registry> registry;
   std::shared_ptr<obs::TraceRecorder> tracer;
 };
 
 /// \brief Renders the metrics as a compact JSON object (machine-readable
-/// output for `demactl --json` and tooling).
+/// output for `demactl --json` and tooling): the run's scalars, its wire
+/// totals under `"network"` and, when set, the registry's `ToJson()` under
+/// `"registry"`.
 std::string RunMetricsToJson(const RunMetrics& metrics);
 
 }  // namespace dema::sim

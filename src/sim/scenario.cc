@@ -279,31 +279,13 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
   }
 
   report.events_ingested = driver.events_ingested();
-  report.messages_dropped = network.messages_dropped();
   report.duplicates_injected = network.duplicates_injected();
-  report.messages_delayed = network.messages_delayed();
-  report.messages_corrupted = network.messages_corrupted();
-  if (dema_root != nullptr) {
-    const core::DemaRootStats root_stats = dema_root->stats();
-    report.root_retries = root_stats.retries;
-    report.rejected_payloads = root_stats.rejected_payloads;
-    report.quarantines = root_stats.quarantines;
-    report.readmissions = root_stats.readmissions;
-  }
   report.event_queue_peak = network.event_queue_peak();
   report.virtual_time_us = network.virtual_now_us();
   auto total = network.TotalStats();
   report.network_total = total.counters;
   report.simulated_transfer_us = total.simulated_transfer_us;
   report.counters = registry.CounterValues();
-  if (auto tick_it = report.counters.find("sim.ticks");
-      tick_it != report.counters.end()) {
-    report.sim_ticks = tick_it->second;
-  }
-  if (auto ev_it = report.counters.find("sim.events");
-      ev_it != report.counters.end()) {
-    report.sim_events = ev_it->second;
-  }
 
   report.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
@@ -354,21 +336,11 @@ std::string DescribeScenarioDiff(const ScenarioReport& a,
       !field("mismatched_windows", a.mismatched_windows,
              b.mismatched_windows) ||
       !field("missing_windows", a.missing_windows, b.missing_windows) ||
-      !field("sim_ticks", a.sim_ticks, b.sim_ticks) ||
-      !field("sim_events", a.sim_events, b.sim_events) ||
       !field("event_queue_peak", a.event_queue_peak, b.event_queue_peak) ||
       !field("virtual_time_us", a.virtual_time_us, b.virtual_time_us) ||
-      !field("messages_dropped", a.messages_dropped, b.messages_dropped) ||
       !field("duplicates_injected", a.duplicates_injected,
              b.duplicates_injected) ||
-      !field("messages_delayed", a.messages_delayed, b.messages_delayed) ||
-      !field("messages_corrupted", a.messages_corrupted,
-             b.messages_corrupted) ||
-      !field("restarts", a.restarts, b.restarts) ||
-      !field("root_retries", a.root_retries, b.root_retries) ||
-      !field("rejected_payloads", a.rejected_payloads, b.rejected_payloads) ||
-      !field("quarantines", a.quarantines, b.quarantines) ||
-      !field("readmissions", a.readmissions, b.readmissions)) {
+      !field("restarts", a.restarts, b.restarts)) {
     return out.str();
   }
   if (a.counters != b.counters) {

@@ -62,26 +62,18 @@ struct ScenarioReport {
   uint64_t missing_windows = 0;
   bool root_idle = false;
   /// Discrete-event accounting (zero on the inline fabric).
-  uint64_t sim_ticks = 0;
-  uint64_t sim_events = 0;
   uint64_t event_queue_peak = 0;
   uint64_t virtual_time_us = 0;
-  /// Fault-fabric accounting.
-  uint64_t messages_dropped = 0;
+  /// Fault-fabric accounting without a registry counter.
   uint64_t duplicates_injected = 0;
-  uint64_t messages_delayed = 0;
-  /// Frames flipped (CRC-dropped) plus payloads field-tampered.
-  uint64_t messages_corrupted = 0;
   uint64_t restarts = 0;
-  /// Root recovery and corruption-defense accounting (Dema root only).
-  uint64_t root_retries = 0;
-  uint64_t rejected_payloads = 0;
-  uint64_t quarantines = 0;
-  uint64_t readmissions = 0;
   /// Wire accounting (endpoint-to-endpoint, identical to a flat run).
   net::TrafficCounters network_total;
   double simulated_transfer_us = 0;
-  /// Full registry counter snapshot (for determinism comparison).
+  /// The run registry's counters at the end of the run: the fabric's
+  /// (`sim.ticks`, `sim.events`, `net.dropped`, `net.delayed`,
+  /// `net.corrupted`, ...) and the root's (`root.retries`, `dema.rejected`,
+  /// `dema.quarantined`, `dema.readmitted`, ...).
   std::map<std::string, uint64_t> counters;
   /// Timings (not part of the deterministic surface).
   double wall_seconds = 0;
@@ -95,6 +87,11 @@ struct ScenarioReport {
   std::string violation;
 
   bool Invariant() const { return violation.empty(); }
+  /// Value of counter \p name in `counters`; 0 when it was never created.
+  uint64_t counter(const std::string& name) const {
+    auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+  }
 };
 
 /// \brief Runs \p system_config / \p workload over the fabric
@@ -108,8 +105,8 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
                                    const ScenarioOptions& options);
 
 /// \brief Human-readable first difference between two scenario reports'
-/// deterministic surfaces (per-window outputs, verdict counts, sim.*
-/// accounting, fault and root-defense counters, restarts, and the full
+/// deterministic surfaces (per-window outputs, verdict counts, event-queue
+/// and virtual-time accounting, injected duplicates, restarts, and the full
 /// counter snapshot); empty when byte-identical.
 std::string DescribeScenarioDiff(const ScenarioReport& a,
                                  const ScenarioReport& b);

@@ -8,12 +8,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "dema/local_node.h"
-#include "dema/root_node.h"
 #include "net/serializer.h"
 #include "stream/window.h"
 
@@ -99,39 +98,37 @@ net::Message ShutdownMessage(NodeId src, NodeId dst) {
   return m;
 }
 
-/// One-line child report for the forked-cluster pipe. Extended with the
-/// session-resilience counters so the parent can both merge cluster-wide
-/// accounting and assert that scheduled connection faults actually fired.
-void WriteChildReport(int fd, const TcpLocalReport& report) {
-  ::dprintf(fd,
-            "ok events=%llu kills=%llu down=%llu redials=%llu replayed=%llu "
-            "partial=%llu\n",
-            static_cast<unsigned long long>(report.events_ingested),
-            static_cast<unsigned long long>(report.conn_kills),
-            static_cast<unsigned long long>(report.peer_down),
-            static_cast<unsigned long long>(report.reconnects),
-            static_cast<unsigned long long>(report.replayed_frames),
-            static_cast<unsigned long long>(report.partial_frame_drops));
-}
+/// Session-resilience counters a forked local reports to the parent, which
+/// adds them into the run registry: injected severances, unclean peer
+/// losses, successful redials, frames replayed onto resumed sessions, and
+/// mid-frame bytes dropped by kills.
+constexpr const char* kSessionCounters[] = {
+    "net.conn_kills{layer=inject}", "net.peer_down", "net.reconnects",
+    "net.replayed_frames", "net.partial_frame_drops"};
 
-/// Run-owned observability state (mirrors the driver runners): when the
-/// caller did not supply a registry or tracer, the run creates them and hands
-/// ownership out via RunMetrics.
-struct RunObs {
-  std::shared_ptr<obs::Registry> registry;
-  std::shared_ptr<obs::TraceRecorder> tracer;
-
-  explicit RunObs(SystemConfig* config) {
-    if (config->registry == nullptr) {
-      registry = std::make_shared<obs::Registry>();
-      config->registry = registry.get();
-    }
-    if (config->tracer == nullptr) {
-      tracer = std::make_shared<obs::TraceRecorder>();
-      config->tracer = tracer.get();
-    }
+/// Runs local \p node on a registry of its own and writes its one-line
+/// report to the forked-cluster pipe \p fd: `ok events=N` and each of
+/// `kSessionCounters` as `name=value`, or `error <status>`. Returns whether
+/// the local succeeded.
+bool RunChildLocal(int fd, const SystemConfig& config,
+                   const WorkloadConfig& workload, NodeId node,
+                   const TcpLocalOptions& options) {
+  obs::Registry registry;
+  SystemConfig child_config = config;
+  child_config.registry = &registry;
+  auto report = RunTcpLocal(child_config, workload, node, options);
+  if (!report.ok()) {
+    ::dprintf(fd, "error %s\n", report.status().ToString().c_str());
+    return false;
   }
-};
+  std::string line = "ok events=" + std::to_string(report->events_ingested);
+  for (const char* name : kSessionCounters) {
+    line += std::string(" ") + name + "=" +
+            std::to_string(registry.CounterValue(name));
+  }
+  ::dprintf(fd, "%s\n", line.c_str());
+  return true;
+}
 
 }  // namespace
 
@@ -141,7 +138,8 @@ Result<RunMetrics> RunTcpRoot(const SystemConfig& config,
   DEMA_RETURN_NOT_OK(ValidateSystemConfig(config));
   RealClock clock;
   SystemConfig cfg = config;
-  RunObs run_obs(&cfg);
+  RunMetrics metrics;
+  BindRunObs(&cfg, &metrics);
 
   transport::TcpTransportOptions topts;
   topts.listen_host = options.listen_host;
@@ -161,13 +159,11 @@ Result<RunMetrics> RunTcpRoot(const SystemConfig& config,
 
   DEMA_ASSIGN_OR_RETURN(auto root, BuildRootLogic(cfg, &transport, &clock));
 
-  LatencyRecorder latency;
-  obs::Histogram* latency_hist =
+  obs::Histogram* latency =
       cfg.registry->GetHistogram("root.window_latency_us");
   uint64_t windows_done = 0;  // only touched by this (the root's) thread
   root->SetResultCallback([&](const WindowOutput& out) {
-    latency.Record(out.latency_us);
-    latency_hist->Record(
+    latency->Record(
         out.latency_us < 0 ? 0 : static_cast<uint64_t>(out.latency_us));
     ++windows_done;
     if (options.on_result) options.on_result(out);
@@ -220,23 +216,15 @@ Result<RunMetrics> RunTcpRoot(const SystemConfig& config,
   transport.Shutdown();
   DEMA_RETURN_NOT_OK(run_status);
 
-  RunMetrics metrics;
   metrics.windows_emitted = windows_done;
   metrics.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
-  metrics.latency = latency.Summarize();
-  metrics.latency_hist = latency_hist->Summarize();
   // Every link of the star topology terminates at the root, so received
   // (local->root) plus sent (root->local) socket bytes cover the cluster.
   AccumulateTraffic(transport.ReceivedTraffic(), &metrics.network_total);
   AccumulateTraffic(transport.LinkTraffic(), &metrics.network_total);
   MergeByType(transport.ReceivedByType(), &metrics.by_type);
   MergeByType(transport.TrafficByType(), &metrics.by_type);
-  if (auto* dema_root = dynamic_cast<core::DemaRootNode*>(root.get())) {
-    metrics.dema = dema_root->stats();
-  }
-  metrics.registry = run_obs.registry;
-  metrics.tracer = run_obs.tracer;
   return metrics;
 }
 
@@ -397,16 +385,6 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
 
   report.sent_links = transport.LinkTraffic();
   report.sent_by_type = transport.TrafficByType();
-  // Resilience accounting for the parent's cluster-wide merge. Read off the
-  // transport's registry so it works both with a caller-provided registry
-  // and the transport-owned fallback.
-  obs::Registry* reg = transport.registry();
-  report.conn_kills = reg->GetCounter("net.conn_kills{layer=inject}")->Value();
-  report.peer_down = reg->GetCounter("net.peer_down")->Value();
-  report.reconnects = reg->GetCounter("net.reconnects")->Value();
-  report.replayed_frames = reg->GetCounter("net.replayed_frames")->Value();
-  report.partial_frame_drops =
-      reg->GetCounter("net.partial_frame_drops")->Value();
   return report;
 }
 
@@ -536,16 +514,12 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
         lopts.restore_path = ckpt;
         lopts.seq_epoch = 1;
         lopts.session = fault.session;
-        auto report = RunTcpLocal(config, workload, node, lopts);
-        if (report.ok()) {
-          // Lifetime total: the checkpoint carried generation 1's count.
-          WriteChildReport(pipe_fds[1], *report);
-        } else {
-          ::dprintf(pipe_fds[1], "error %s\n",
-                    report.status().ToString().c_str());
-        }
+        // Reports the lifetime total: the checkpoint carried generation 1's
+        // count.
+        const bool ok = RunChildLocal(pipe_fds[1], config, workload, node,
+                                      lopts);
         ::close(pipe_fds[1]);
-        ::_exit(report.ok() ? 0 : 1);
+        ::_exit(ok ? 0 : 1);
       }
       TcpLocalOptions lopts;
       lopts.root_host = host;
@@ -563,15 +537,9 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
       }
       lopts.write_stall_after_frames = fault.write_stall_after_frames;
       lopts.write_stall_us = fault.write_stall_us;
-      auto report = RunTcpLocal(config, workload, node, lopts);
-      if (report.ok()) {
-        WriteChildReport(pipe_fds[1], *report);
-      } else {
-        ::dprintf(pipe_fds[1], "error %s\n",
-                  report.status().ToString().c_str());
-      }
+      const bool ok = RunChildLocal(pipe_fds[1], config, workload, node, lopts);
       ::close(pipe_fds[1]);
-      ::_exit(report.ok() ? 0 : 1);
+      ::_exit(ok ? 0 : 1);
     }
     ::close(pipe_fds[1]);
     children.push_back(Child{pid, pipe_fds[0]});
@@ -583,10 +551,10 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
   ropts.on_result = fault.on_result;
   auto metrics = RunTcpRoot(config, workload.ExpectedWindows(), ropts);
 
-  // Collect every child regardless of the root's outcome.
-  uint64_t events_total = 0;
-  uint64_t kills_total = 0, down_total = 0, redials_total = 0;
-  uint64_t replayed_total = 0, partial_total = 0;
+  // Collect every child regardless of the root's outcome. The children's
+  // session counters are added into the run registry, where the root's own
+  // already live, so the cluster totals are read from one place.
+  std::map<std::string, uint64_t> totals;
   Status child_status = Status::OK();
   for (const Child& c : children) {
     std::string text;
@@ -598,20 +566,13 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
     ::close(c.report_fd);
     int wstatus = 0;
     ::waitpid(c.pid, &wstatus, 0);
-    unsigned long long events = 0, kills = 0, down = 0, redials = 0,
-                       replayed = 0, partial = 0;
-    int matched = std::sscanf(
-        text.c_str(),
-        "ok events=%llu kills=%llu down=%llu redials=%llu replayed=%llu "
-        "partial=%llu",
-        &events, &kills, &down, &redials, &replayed, &partial);
-    if (matched >= 1) {
-      events_total += events;
-      kills_total += kills;
-      down_total += down;
-      redials_total += redials;
-      replayed_total += replayed;
-      partial_total += partial;
+    std::istringstream line(text);
+    std::string word;
+    if (line >> word && word == "ok") {
+      while (line >> word) {
+        const size_t eq = word.rfind('=');
+        totals[word.substr(0, eq)] += std::stoull(word.substr(eq + 1));
+      }
     } else if (child_status.ok()) {
       child_status = Status::Internal(
           "local node process failed: " +
@@ -620,23 +581,15 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
   }
   DEMA_RETURN_NOT_OK(child_status);
   DEMA_RETURN_NOT_OK(metrics.status());
-
-  // Fold the children's resilience accounting into the run registry: the
-  // root's own counters already live there, so after this merge the cluster
-  // totals are observable from one place (`metrics.registry`).
-  if (metrics->registry != nullptr) {
-    obs::Registry* reg = metrics->registry.get();
-    reg->GetCounter("net.conn_kills{layer=inject}")->Increment(kills_total);
-    reg->GetCounter("net.peer_down")->Increment(down_total);
-    reg->GetCounter("net.reconnects")->Increment(redials_total);
-    reg->GetCounter("net.replayed_frames")->Increment(replayed_total);
-    reg->GetCounter("net.partial_frame_drops")->Increment(partial_total);
+  for (const char* name : kSessionCounters) {
+    metrics->registry->GetCounter(name)->Increment(totals[name]);
   }
 
-  metrics->events_ingested = events_total;
+  metrics->events_ingested = totals["events"];
   metrics->throughput_eps =
       metrics->wall_seconds > 0
-          ? static_cast<double>(events_total) / metrics->wall_seconds
+          ? static_cast<double>(metrics->events_ingested) /
+                metrics->wall_seconds
           : 0;
   return std::move(metrics).MoveValueUnsafe();
 }
@@ -659,22 +612,9 @@ Result<TcpConnChaosReport> RunTcpConnChaos(const SystemConfig& config,
     report.outputs.push_back(out);
     if (fault.on_result) fault.on_result(out);
   };
-  SystemConfig tcp_config = config;
-  tcp_config.registry = nullptr;  // own registry: children's counters merge
-  tcp_config.tracer = nullptr;
-  DEMA_ASSIGN_OR_RETURN(report.metrics, RunTcpClusterForked(
-                                            tcp_config, workload, f, host,
-                                            port));
-  if (report.metrics.registry != nullptr) {
-    obs::Registry* reg = report.metrics.registry.get();
-    report.conn_kills =
-        reg->GetCounter("net.conn_kills{layer=inject}")->Value();
-    report.peer_down = reg->GetCounter("net.peer_down")->Value();
-    report.reconnects = reg->GetCounter("net.reconnects")->Value();
-    report.replayed_frames = reg->GetCounter("net.replayed_frames")->Value();
-    report.partial_frame_drops =
-        reg->GetCounter("net.partial_frame_drops")->Value();
-  }
+  DEMA_ASSIGN_OR_RETURN(report.metrics,
+                        RunTcpClusterForked(config, workload, f, host, port));
+  const obs::Registry& registry = *report.metrics.registry;
 
   // --- reference run: the deterministic in-process fabric, fault-free ---
   // Runs after the forked run on purpose: forking must precede thread
@@ -696,10 +636,12 @@ Result<TcpConnChaosReport> RunTcpConnChaos(const SystemConfig& config,
   auto violate = [&](const std::string& why) {
     if (report.violation.empty()) report.violation = why;
   };
-  if (!fault.conn_kill.empty() && report.conn_kills == 0) {
+  const uint64_t conn_kills =
+      registry.CounterValue("net.conn_kills{layer=inject}");
+  if (!fault.conn_kill.empty() && conn_kills == 0) {
     violate("conn-kill schedule never fired: the run proved nothing");
   }
-  if (report.conn_kills > 0 && report.replayed_frames == 0) {
+  if (conn_kills > 0 && registry.CounterValue("net.replayed_frames") == 0) {
     violate("connections were severed but no frame was ever replayed");
   }
   if (report.outputs.size() != report.reference.size()) {

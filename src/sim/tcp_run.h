@@ -107,14 +107,6 @@ struct TcpLocalReport {
   /// Bytes/messages/events actually written to the socket, per link.
   transport::LinkTrafficMap sent_links;
   std::map<net::MessageType, net::TrafficCounters> sent_by_type;
-  /// Session-resilience accounting from this local's transport registry:
-  /// injected severances, unclean peer losses, successful redials, frames
-  /// replayed onto resumed sessions, and mid-frame bytes dropped by kills.
-  uint64_t conn_kills = 0;
-  uint64_t peer_down = 0;
-  uint64_t reconnects = 0;
-  uint64_t replayed_frames = 0;
-  uint64_t partial_frame_drops = 0;
 };
 
 /// \brief Runs the root role over TCP: hosts node 0, accepts local
@@ -139,7 +131,9 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
 /// \brief Runs a whole cluster on this machine as real OS processes: binds
 /// the root listener, forks one child per local node (each running
 /// `RunTcpLocal` against loopback), runs the root in this process, and
-/// merges the children's reports into the returned metrics.
+/// merges the children's reports into the returned metrics: their ingest
+/// count into `events_ingested`, their session counters into the run
+/// registry (the caller's `SystemConfig::registry` when set).
 ///
 /// Must be called before this process creates any threads (it forks).
 Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
@@ -191,19 +185,15 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
 
 /// \brief Outcome of a connection-chaos parity run (`RunTcpConnChaos`).
 struct TcpConnChaosReport {
-  /// Metrics of the faulted forked run (children's resilience counters are
-  /// merged into `metrics.registry`'s `net.*` counters).
+  /// Metrics of the faulted forked run; `metrics.registry` holds the
+  /// cluster-wide session counters (`net.conn_kills{layer=inject}`,
+  /// `net.peer_down`, `net.reconnects`, `net.replayed_frames`,
+  /// `net.partial_frame_drops`) of the root and every local.
   RunMetrics metrics;
   /// Window results of the faulted run, in emission order.
   std::vector<WindowOutput> outputs;
   /// Reference results from a fault-free in-process run of the same workload.
   std::vector<WindowOutput> reference;
-  /// Cluster-wide resilience accounting (root + all locals).
-  uint64_t conn_kills = 0;
-  uint64_t peer_down = 0;
-  uint64_t reconnects = 0;
-  uint64_t replayed_frames = 0;
-  uint64_t partial_frame_drops = 0;
   uint64_t degraded_windows = 0;
   uint64_t mismatched_windows = 0;
   /// First contract violation; empty when the run held the invariant:

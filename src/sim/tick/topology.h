@@ -30,14 +30,20 @@ const char* LinkTierName(LinkTier tier);
 /// \brief Bandwidth/latency model of one physical link.
 struct LinkSpec {
   double bandwidth_bytes_per_sec = 25e9 / 8.0;
+  /// One-way propagation + framing latency per message.
   DurationUs base_latency_us = 50;
 
-  /// Virtual microseconds a message of \p bytes occupies this link
-  /// (propagation + serialization), never less than 1 so event time always
-  /// advances across a hop.
-  uint64_t TransferTimeUs(uint64_t bytes) const {
-    double us = static_cast<double>(base_latency_us) +
-                static_cast<double>(bytes) / bandwidth_bytes_per_sec * 1e6;
+  /// Microseconds a message of \p bytes occupies this link (propagation +
+  /// serialization), exactly: the simulated wire time the fabric reports.
+  double TransferTimeUs(uint64_t bytes) const {
+    return static_cast<double>(base_latency_us) +
+           static_cast<double>(bytes) / bandwidth_bytes_per_sec * 1e6;
+  }
+
+  /// `TransferTimeUs` truncated to whole virtual microseconds, never less
+  /// than 1 so event time always advances across a hop.
+  uint64_t HopTimeUs(uint64_t bytes) const {
+    const double us = TransferTimeUs(bytes);
     return us < 1.0 ? 1 : static_cast<uint64_t>(us);
   }
 };

@@ -104,7 +104,7 @@ TEST(Chaos, FaultFreeRunIsAllExact) {
   EXPECT_TRUE(report->Invariant()) << report->violation;
   EXPECT_EQ(report->exact_windows, 5u);
   EXPECT_EQ(report->degraded_windows, 0u);
-  EXPECT_EQ(report->messages_dropped, 0u);
+  EXPECT_EQ(report->counter("net.dropped"), 0u);
 }
 
 TEST(Chaos, SeededScheduleReplaysIdentically) {
@@ -133,10 +133,10 @@ TEST(Chaos, SeededScheduleReplaysIdentically) {
     EXPECT_EQ(a.global_size, b.global_size) << "window " << a.window_id;
     EXPECT_EQ(a.values, b.values) << "window " << a.window_id;
   }
-  EXPECT_EQ(first->messages_dropped, second->messages_dropped);
+  EXPECT_EQ(first->counter("net.dropped"), second->counter("net.dropped"));
   EXPECT_EQ(first->duplicates_injected, second->duplicates_injected);
-  EXPECT_EQ(first->messages_delayed, second->messages_delayed);
-  EXPECT_EQ(first->root_retries, second->root_retries);
+  EXPECT_EQ(first->counter("net.delayed"), second->counter("net.delayed"));
+  EXPECT_EQ(first->counter("root.retries"), second->counter("root.retries"));
 }
 
 TEST(Chaos, HeavyLossDegradesExplicitlyInsteadOfStalling) {
@@ -149,7 +149,7 @@ TEST(Chaos, HeavyLossDegradesExplicitlyInsteadOfStalling) {
   EXPECT_TRUE(report->Invariant()) << report->violation;
   EXPECT_EQ(report->missing_windows, 0u);
   EXPECT_EQ(report->mismatched_windows, 0u);
-  EXPECT_GT(report->messages_dropped, 0u);
+  EXPECT_GT(report->counter("net.dropped"), 0u);
   // With this seed, synopsis losses are unrecoverable: windows degrade, each
   // carrying a cause and a rank-error bound.
   EXPECT_GT(report->degraded_windows, 0u);
@@ -189,16 +189,17 @@ TEST(Chaos, CorruptFramesAreDetectedNeverSilentlyWrong) {
   EXPECT_TRUE(report->Invariant()) << report->violation;
   EXPECT_EQ(report->mismatched_windows, 0u);
   EXPECT_EQ(report->missing_windows, 0u);
-  EXPECT_GT(report->messages_corrupted, 0u);
+  EXPECT_GT(report->counter("net.corrupted"), 0u);
   // Honest traffic is never rejected by validation: the CRC layer catches
   // wire corruption before the payloads reach the root.
-  EXPECT_EQ(report->rejected_payloads, 0u);
-  EXPECT_EQ(report->quarantines, 0u);
+  EXPECT_EQ(report->counter("dema.rejected"), 0u);
+  EXPECT_EQ(report->counter("dema.quarantined"), 0u);
 
   // The corruption schedule replays deterministically.
   auto replay = RunInline(config, load, *plan);
   ASSERT_TRUE(replay.ok()) << replay.status();
-  EXPECT_EQ(report->messages_corrupted, replay->messages_corrupted);
+  EXPECT_EQ(report->counter("net.corrupted"),
+            replay->counter("net.corrupted"));
   ASSERT_EQ(report->windows.size(), replay->windows.size());
   for (size_t i = 0; i < report->windows.size(); ++i) {
     EXPECT_EQ(report->windows[i].output.values,
@@ -220,10 +221,10 @@ TEST(Chaos, TamperingLocalIsQuarantinedThenReadmitted) {
   auto report = RunInline(config, ChaosWorkload(config, /*windows=*/10), *plan);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->Invariant()) << report->violation;
-  EXPECT_GT(report->messages_corrupted, 0u);
-  EXPECT_GT(report->rejected_payloads, 0u);
-  EXPECT_GE(report->quarantines, 1u);
-  EXPECT_GE(report->readmissions, 1u);
+  EXPECT_GT(report->counter("net.corrupted"), 0u);
+  EXPECT_GT(report->counter("dema.rejected"), 0u);
+  EXPECT_GE(report->counter("dema.quarantined"), 1u);
+  EXPECT_GE(report->counter("dema.readmitted"), 1u);
   bool saw_quarantine_cause = false;
   for (const WindowVerdict& w : report->windows) {
     if (w.output.degrade_cause == "quarantine") saw_quarantine_cause = true;

@@ -133,31 +133,6 @@ TEST(OnlineStats, MergeWithEmptyIsIdentity) {
   EXPECT_EQ(b.mean(), 3.0);
 }
 
-TEST(PercentileTracker, ExactOrderStatistics) {
-  PercentileTracker t;
-  for (int i = 100; i >= 1; --i) t.Add(i);
-  EXPECT_EQ(t.Percentile(0.0), 1);
-  EXPECT_EQ(t.Percentile(1.0), 100);
-  EXPECT_NEAR(t.Percentile(0.5), 50.5, 1e-9);
-  EXPECT_NEAR(t.Mean(), 50.5, 1e-9);
-}
-
-TEST(PercentileTracker, EmptyIsZero) {
-  PercentileTracker t;
-  EXPECT_EQ(t.Percentile(0.5), 0.0);
-  EXPECT_EQ(t.Mean(), 0.0);
-}
-
-TEST(LatencyRecorder, SummaryPercentiles) {
-  LatencyRecorder rec;
-  for (int i = 1; i <= 100; ++i) rec.Record(i * 1000);
-  auto s = rec.Summarize();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_NEAR(s.p50_us, 50500, 1000);
-  EXPECT_NEAR(s.p99_us, 99010, 1000);
-  EXPECT_EQ(s.max_us, 100000);
-}
-
 TEST(MpeAccumulator, AccuracyDefinition) {
   MpeAccumulator acc;
   acc.Add(100, 100);  // exact

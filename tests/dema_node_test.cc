@@ -316,7 +316,7 @@ TEST_F(DemaRootNodeTest, SynopsisFromUnknownNodeRejected) {
   batch.gamma_used = 4;
   auto msg = net::MakeMessage(net::MessageType::kSynopsisBatch, 99, 0, batch);
   EXPECT_TRUE(root_->OnMessage(msg).ok());
-  EXPECT_EQ(root_->stats().rejected_payloads, 1u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.rejected"), 1u);
   EXPECT_EQ(
       root_->registry()->GetCounter("dema.rejected{reason=unknown_node}")->Value(),
       1u);
@@ -340,25 +340,12 @@ TEST_F(DemaRootNodeTest, StatsAccumulate) {
   SendWindow(1, 0, {1, 2, 3, 4, 5, 6, 7, 8});
   SendWindow(2, 0, {11, 12, 13, 14});
   ServeRequests();
-  const DemaRootStats& stats = root_->stats();
-  EXPECT_EQ(stats.windows, 1u);
-  EXPECT_EQ(stats.global_events, 12u);
-  EXPECT_EQ(stats.synopsis_slices, 3u);  // 2 + 1
-  EXPECT_GE(stats.candidate_slices, 1u);
-  EXPECT_GE(stats.candidate_events, 1u);
-}
-
-TEST_F(DemaRootNodeTest, StatsMirrorRegistryCounters) {
-  SendWindow(1, 0, {1, 2, 3, 4});
-  SendWindow(2, 0, {5, 6, 7, 8});
-  ServeRequests();
-  auto counters = root_->registry()->CounterValues();
-  const DemaRootStats stats = root_->stats();
-  EXPECT_EQ(counters.at("dema.windows"), stats.windows);
-  EXPECT_EQ(counters.at("dema.global_events"), stats.global_events);
-  EXPECT_EQ(counters.at("dema.synopsis_slices"), stats.synopsis_slices);
-  EXPECT_EQ(counters.at("dema.candidate_slices"), stats.candidate_slices);
-  EXPECT_EQ(counters.at("dema.candidate_events"), stats.candidate_events);
+  const obs::Registry& registry = *root_->registry();
+  EXPECT_EQ(registry.CounterValue("dema.windows"), 1u);
+  EXPECT_EQ(registry.CounterValue("dema.global_events"), 12u);
+  EXPECT_EQ(registry.CounterValue("dema.synopsis_slices"), 3u);  // 2 + 1
+  EXPECT_GE(registry.CounterValue("dema.candidate_slices"), 1u);
+  EXPECT_GE(registry.CounterValue("dema.candidate_events"), 1u);
 }
 
 TEST_F(DemaRootNodeTest, GammaBroadcastCountsOneUpdatePerLocal) {
@@ -382,8 +369,9 @@ TEST_F(DemaRootNodeTest, GammaBroadcastCountsOneUpdatePerLocal) {
   SendWindow(2, 0, run2);
   ServeRequests();
 
-  EXPECT_EQ(root_->stats().windows, 1u);
-  EXPECT_EQ(root_->stats().gamma_updates_sent, opts.locals.size());
+  EXPECT_EQ(root_->registry()->CounterValue("dema.windows"), 1u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.gamma_updates_sent"),
+            opts.locals.size());
 }
 
 TEST(DemaRootNodeClock, PeerCloseAheadClampsLatencyToZero) {
@@ -413,7 +401,7 @@ TEST(DemaRootNodeClock, PeerCloseAheadClampsLatencyToZero) {
 
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_EQ(outputs[0].latency_us, 0);
-  EXPECT_EQ(root.stats().clock_skew_windows, 1u);
+  EXPECT_EQ(root.registry()->CounterValue("dema.clock_skew_windows"), 1u);
 
   // A window closed behind the clock keeps its real latency and does not
   // count as skewed.
@@ -429,7 +417,7 @@ TEST(DemaRootNodeClock, PeerCloseAheadClampsLatencyToZero) {
   ASSERT_TRUE(root.OnMessage(ok_msg).ok());
   ASSERT_EQ(outputs.size(), 2u);
   EXPECT_EQ(outputs[1].latency_us, 2'000);
-  EXPECT_EQ(root.stats().clock_skew_windows, 1u);
+  EXPECT_EQ(root.registry()->CounterValue("dema.clock_skew_windows"), 1u);
 }
 
 TEST(DemaRootNodeValidation, BadQuantilesFailAtConstruction) {

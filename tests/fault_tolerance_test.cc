@@ -76,7 +76,8 @@ TEST_P(DuplicateDelivery, DemaStaysExactUnderRetransmission) {
     auto* root = static_cast<core::DemaRootNode*>(system.root.get());
     // Some duplicates land on the root (synopses/replies) — they must have
     // been absorbed, not processed twice.
-    EXPECT_GE(network.duplicates_injected(), root->stats().duplicates_ignored);
+    EXPECT_GE(network.duplicates_injected(),
+              root->registry()->CounterValue("dema.duplicates_ignored"));
   }
 }
 
@@ -268,7 +269,7 @@ TEST(RootDeadlines, RetriesCandidateRequestAfterLostReply) {
   auto retry = PopFrom(&rig.network, 1);
   ASSERT_TRUE(retry.has_value());
   EXPECT_EQ(retry->type, net::MessageType::kCandidateRequest);
-  EXPECT_EQ(rig.root.stats().retries, 1u);
+  EXPECT_EQ(rig.root.registry()->CounterValue("root.retries"), 1u);
 
   // The local re-serves the window (it kept a served copy), and the window
   // completes exactly.
@@ -280,7 +281,7 @@ TEST(RootDeadlines, RetriesCandidateRequestAfterLostReply) {
   EXPECT_FALSE(rig.outputs[0].degraded);
   EXPECT_EQ(rig.outputs[0].global_size, 4u);
   EXPECT_DOUBLE_EQ(rig.outputs[0].values[0], 10.0);  // median of {0,10,20,30}
-  EXPECT_EQ(rig.root.stats().degraded_windows, 0u);
+  EXPECT_EQ(rig.root.registry()->CounterValue("dema.degraded_windows"), 0u);
 }
 
 TEST(RootDeadlines, ExhaustedRetriesDegradeWithCauseAndBound) {
@@ -309,7 +310,7 @@ TEST(RootDeadlines, ExhaustedRetriesDegradeWithCauseAndBound) {
   // The synopsis-only estimate still lands inside the observed value range.
   EXPECT_GE(out.values[0], 0.0);
   EXPECT_LE(out.values[0], 30.0);
-  EXPECT_EQ(rig.root.stats().degraded_windows, 1u);
+  EXPECT_EQ(rig.root.registry()->CounterValue("dema.degraded_windows"), 1u);
 }
 
 TEST(RootDeadlines, GammaResyncRepliesWithCurrentGamma) {
@@ -362,13 +363,14 @@ TEST(MalformedPayloads, RootRejectsTruncatedSynopsis) {
   uint64_t rejected = 0;
   for (size_t cut : {0u, 4u, 12u, 30u}) {
     EXPECT_TRUE(root.OnMessage(Corrupt(msg, cut)).ok()) << "cut=" << cut;
-    EXPECT_EQ(root.stats().rejected_payloads, ++rejected) << "cut=" << cut;
+    EXPECT_EQ(root.registry()->CounterValue("dema.rejected"), ++rejected)
+        << "cut=" << cut;
   }
   EXPECT_EQ(root.registry()->GetCounter("dema.rejected{reason=decode}")->Value(),
             rejected);
   // The intact message still works.
   EXPECT_TRUE(root.OnMessage(msg).ok());
-  EXPECT_EQ(root.stats().rejected_payloads, rejected);
+  EXPECT_EQ(root.registry()->CounterValue("dema.rejected"), rejected);
 }
 
 TEST(MalformedPayloads, RootRejectsInconsistentSliceCounts) {
@@ -391,7 +393,7 @@ TEST(MalformedPayloads, RootRejectsInconsistentSliceCounts) {
   auto msg = net::MakeMessage(net::MessageType::kSynopsisBatch, 1, 0, batch);
   // The inconsistent batch is dropped and counted instead of poisoning the run.
   EXPECT_TRUE(root.OnMessage(msg).ok());
-  EXPECT_GE(root.stats().rejected_payloads, 1u);
+  EXPECT_GE(root.registry()->CounterValue("dema.rejected"), 1u);
 }
 
 TEST(MalformedPayloads, LocalRejectsGarbageRequests) {

@@ -40,11 +40,17 @@ TEST(RunMetricsJson, RoundShape) {
   metrics.windows_emitted = 5;
   metrics.sim_throughput_eps = 123.5;
   metrics.bottleneck = "root";
+  metrics.registry = std::make_shared<obs::Registry>();
+  metrics.registry->GetCounter("dema.candidate_events")->Increment(7);
   std::string json = sim::RunMetricsToJson(metrics);
   EXPECT_NE(json.find("\"events_ingested\":100"), std::string::npos);
   EXPECT_NE(json.find("\"bottleneck\":\"root\""), std::string::npos);
-  EXPECT_NE(json.find("\"latency\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"dema\":{"), std::string::npos);
+  // The run registry is embedded whole.
+  EXPECT_NE(
+      json.find(R"("registry":{"counters":{"dema.candidate_events":7})"),
+      std::string::npos);
+  EXPECT_EQ(json.find("\"latency\":{"), std::string::npos);
+  EXPECT_EQ(json.find("\"dema\":{"), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
 }

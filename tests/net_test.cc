@@ -322,11 +322,15 @@ TEST(Network, TotalAndPerTypeStats) {
 }
 
 TEST(Network, LinkModelTransferTime) {
-  LinkModel model;
+  tick::LinkSpec model;
   model.bandwidth_bytes_per_sec = 1e6;  // 1 MB/s
   model.base_latency_us = 100;
   EXPECT_DOUBLE_EQ(model.TransferTimeUs(1'000'000), 100 + 1e6);
   EXPECT_DOUBLE_EQ(model.TransferTimeUs(0), 100);
+  // The event queue's hop time is whole microseconds, never below 1.
+  EXPECT_EQ(model.HopTimeUs(1'000'000), 100u + 1'000'000u);
+  model.base_latency_us = 0;
+  EXPECT_EQ(model.HopTimeUs(0), 1u);
 }
 
 TEST(Network, CloseAllStopsProducers) {

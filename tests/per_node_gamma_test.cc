@@ -62,8 +62,9 @@ HeteroRun RunHetero(bool per_node, uint64_t windows) {
   run.recorded = driver.recorded_events();
   run.gamma_small = root->current_gamma_for(1);
   run.gamma_big = root->current_gamma_for(2);
-  run.candidate_events = root->stats().candidate_events;
-  run.synopsis_slices = root->stats().synopsis_slices;
+  run.candidate_events =
+      root->registry()->CounterValue("dema.candidate_events");
+  run.synopsis_slices = root->registry()->CounterValue("dema.synopsis_slices");
   return run;
 }
 

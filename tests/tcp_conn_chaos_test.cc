@@ -58,13 +58,14 @@ TEST(TcpConnChaos, RepeatedMidWindowKillsYieldExactQuantiles) {
 
   auto report = sim::RunTcpConnChaos(config, workload, fault);
   ASSERT_TRUE(report.ok()) << report.status();
+  const obs::Registry& registry = *report->metrics.registry;
 
   // The invariant is the whole point: faults fired AND results are exact.
   EXPECT_TRUE(report->Invariant()) << report->violation;
-  EXPECT_GT(report->conn_kills, 0u);
-  EXPECT_GT(report->peer_down, 0u);
-  EXPECT_GT(report->reconnects, 0u);
-  EXPECT_GT(report->replayed_frames, 0u);
+  EXPECT_GT(registry.CounterValue("net.conn_kills{layer=inject}"), 0u);
+  EXPECT_GT(registry.CounterValue("net.peer_down"), 0u);
+  EXPECT_GT(registry.CounterValue("net.reconnects"), 0u);
+  EXPECT_GT(registry.CounterValue("net.replayed_frames"), 0u);
   EXPECT_EQ(report->degraded_windows, 0u);
   EXPECT_EQ(report->mismatched_windows, 0u);
   EXPECT_EQ(report->outputs.size(), workload.ExpectedWindows());
@@ -90,11 +91,37 @@ TEST(TcpConnChaos, KillsPlusFrameCorruptionStillExact) {
 
   auto report = sim::RunTcpConnChaos(config, workload, fault);
   ASSERT_TRUE(report.ok()) << report.status();
+  const obs::Registry& registry = *report->metrics.registry;
   EXPECT_TRUE(report->Invariant()) << report->violation;
-  EXPECT_GT(report->conn_kills, 0u);
-  EXPECT_GT(report->replayed_frames, 0u);
+  EXPECT_GT(registry.CounterValue("net.conn_kills{layer=inject}"), 0u);
+  EXPECT_GT(registry.CounterValue("net.replayed_frames"), 0u);
   EXPECT_EQ(report->degraded_windows, 0u);
   EXPECT_EQ(report->mismatched_windows, 0u);
+}
+
+TEST(TcpConnChaos, ForkedClusterMergesSessionCountersIntoCallerRegistry) {
+  // Regression: the forked cluster merged its children's session counters
+  // only into a run-owned registry, so a caller-supplied one never saw the
+  // locals' kills, redials and replays.
+  sim::SystemConfig config = ChaosConfig(3);
+  obs::Registry reg;
+  config.registry = &reg;
+  sim::WorkloadConfig workload =
+      ChaosWorkload(config, /*windows=*/4, /*rate=*/5'000);
+
+  sim::TcpClusterFaultOptions fault;
+  auto plan = sim::ParseConnKillSpec("2@2..10");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  fault.conn_kill = *plan;
+  fault.session.heartbeat_interval_us = MillisUs(20);
+  fault.session.auto_reconnect = true;
+
+  auto metrics = sim::RunTcpClusterForked(config, workload, fault);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(metrics->registry.get(), &reg);
+  EXPECT_GT(reg.CounterValue("net.conn_kills{layer=inject}"), 0u);
+  EXPECT_GT(reg.CounterValue("net.replayed_frames"), 0u);
+  EXPECT_EQ(metrics->windows_emitted, workload.ExpectedWindows());
 }
 
 TEST(TcpConnChaos, RejectsFaultFreeAndMisconfiguredRuns) {

@@ -52,7 +52,7 @@ TEST(TcpCrashRestart, ForkedClusterSurvivesKillAndRelaunch) {
   EXPECT_EQ(metrics->windows_emitted, workload.ExpectedWindows());
   EXPECT_EQ(metrics->events_ingested, reference->events_ingested);
   // Recovery, not degradation: every window completed exactly.
-  EXPECT_EQ(metrics->dema.degraded_windows, 0u);
+  EXPECT_EQ(metrics->registry->CounterValue("dema.degraded_windows"), 0u);
 }
 
 TEST(TcpCrashRestart, CrashNeedsDeadlinesAndCheckpointDir) {

@@ -38,7 +38,9 @@ TEST_P(ThreadedSystems, CompletesAndReportsMetrics) {
   EXPECT_EQ(metrics->windows_emitted, 4u);
   EXPECT_EQ(metrics->events_ingested, 2u * 4u * 20'000u);
   EXPECT_GT(metrics->throughput_eps, 0);
-  EXPECT_EQ(metrics->latency.count, 4u);
+  EXPECT_EQ(
+      metrics->registry->HistogramSummary("root.window_latency_us").count,
+      4u);
   EXPECT_GT(metrics->network_total.messages, 0u);
   EXPECT_GT(metrics->network_total.bytes, 0u);
 }
@@ -89,7 +91,7 @@ TEST(RunSyncMetrics, AdaptiveGammaRunsToCompletion) {
   auto metrics = sim::RunSync(config, load);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(metrics->windows_emitted, 8u);
-  EXPECT_GE(metrics->dema.gamma_updates_sent, 1u);
+  EXPECT_GE(metrics->registry->CounterValue("dema.gamma_updates_sent"), 1u);
 }
 
 TEST(RunSyncMetrics, MismatchedGeneratorCountFails) {
@@ -108,10 +110,12 @@ TEST(RunSyncMetrics, DemaStatsArePopulated) {
   config.gamma = 1000;
   auto metrics = sim::RunSync(config, SmallWorkload(2));
   ASSERT_TRUE(metrics.ok()) << metrics.status();
-  EXPECT_EQ(metrics->dema.windows, 4u);
-  EXPECT_GT(metrics->dema.synopsis_slices, 0u);
-  EXPECT_GT(metrics->dema.candidate_events, 0u);
-  EXPECT_EQ(metrics->dema.global_events, metrics->events_ingested);
+  const obs::Registry& registry = *metrics->registry;
+  EXPECT_EQ(registry.CounterValue("dema.windows"), 4u);
+  EXPECT_GT(registry.CounterValue("dema.synopsis_slices"), 0u);
+  EXPECT_GT(registry.CounterValue("dema.candidate_events"), 0u);
+  EXPECT_EQ(registry.CounterValue("dema.global_events"),
+            metrics->events_ingested);
 }
 
 TEST(RunSyncMetrics, PerTypeTrafficBreakdown) {

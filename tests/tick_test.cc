@@ -290,8 +290,8 @@ TEST(Scenario, FaultFreeRunsMatchFlatOracleOnEveryTopology) {
     EXPECT_TRUE(report->Invariant()) << topology << ": " << report->violation;
     EXPECT_EQ(report->exact_windows, load.num_windows) << topology;
     EXPECT_EQ(report->degraded_windows, 0u) << topology;
-    EXPECT_GT(report->sim_events, 0u) << topology;
-    EXPECT_GT(report->sim_ticks, 0u) << topology;
+    EXPECT_GT(report->counter("sim.events"), 0u) << topology;
+    EXPECT_GT(report->counter("sim.ticks"), 0u) << topology;
   }
 }
 
@@ -330,8 +330,8 @@ TEST(Scenario, SameSeedIsByteIdenticalAcrossRunsEvenUnderChaos) {
   auto second = sim::RunScenario(config, load, options);
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_TRUE(first->Invariant()) << first->violation;
-  EXPECT_GT(first->messages_dropped + first->duplicates_injected +
-                first->messages_delayed,
+  EXPECT_GT(first->counter("net.dropped") + first->duplicates_injected +
+                first->counter("net.delayed"),
             0u);
   EXPECT_EQ(sim::DescribeScenarioDiff(*first, *second), "");
 
@@ -354,7 +354,7 @@ TEST(Scenario, FaultFreeBaselineIsExactOnInlineFabric) {
   EXPECT_TRUE(report->Invariant()) << report->violation;
   EXPECT_EQ(report->topology, "inline");
   EXPECT_EQ(report->exact_windows, load.num_windows);
-  EXPECT_EQ(report->sim_events, 0u);
+  EXPECT_EQ(report->counter("sim.events"), 0u);
 }
 
 TEST(Scenario, RejectsScheduledFaults) {

@@ -284,8 +284,8 @@ class QuarantineRootTest : public ::testing::Test {
 TEST_F(QuarantineRootTest, RejectionsCountWithoutQuarantineWhenDisabled) {
   Init(/*strikes=*/0, 8, 2);
   for (int i = 0; i < 5; ++i) SendCorruptWindow(3, 0, /*claimed=*/4);
-  EXPECT_EQ(root_->stats().rejected_payloads, 5u);
-  EXPECT_EQ(root_->stats().quarantines, 0u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.rejected"), 5u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.quarantined"), 0u);
   EXPECT_EQ(
       root_->registry()->GetCounter("dema.rejected{reason=node_mismatch}")->Value(),
       5u);
@@ -311,7 +311,7 @@ TEST_F(QuarantineRootTest, CorruptSynopsisLeavesHonestQuantileExact) {
   SendWindow(1, 0, n1);
   SendWindow(2, 0, n2);
   SendCorruptWindow(3, 0, /*claimed=*/20);
-  EXPECT_EQ(root_->stats().quarantines, 1u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.quarantined"), 1u);
   ServeRequests();
 
   ASSERT_EQ(outputs_.size(), 1u);
@@ -329,7 +329,7 @@ TEST_F(QuarantineRootTest, CorruptSynopsisLeavesHonestQuantileExact) {
 TEST_F(QuarantineRootTest, QuarantinedLocalIsReleasedAndItsBatchesDropped) {
   Init(/*strikes=*/1, /*probation_windows=*/4, 2);
   SendCorruptWindow(3, 0, 4);
-  ASSERT_EQ(root_->stats().quarantines, 1u);
+  ASSERT_EQ(root_->registry()->CounterValue("dema.quarantined"), 1u);
   // A quarantined local's (even well-formed) batch is dropped, counted, and
   // answered with a release so it does not retain the window forever.
   SendWindow(1, 1, {1, 2});
@@ -366,7 +366,7 @@ TEST_F(QuarantineRootTest, StripsAcceptedSlicesWhenQuarantineLandsMidWindow) {
   SendWindow(1, 0, {1, 2, 3});
   SendCorruptWindow(3, 1, 2);
   SendCorruptWindow(3, 1, 2);  // second strike -> quarantine
-  EXPECT_EQ(root_->stats().quarantines, 1u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.quarantined"), 1u);
   SendWindow(2, 0, {4, 5, 6});
   ServeRequests();
   ASSERT_EQ(outputs_.size(), 1u);
@@ -421,7 +421,7 @@ TEST_F(QuarantineRootTest, TamperedReplyDegradesInFlightWindow) {
           ->OnMessage(net::MakeMessage(net::MessageType::kCandidateReply, 3, 0,
                                        forged))
           .ok());
-  EXPECT_EQ(root_->stats().quarantines, 1u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.quarantined"), 1u);
   ASSERT_EQ(outputs_.size(), 1u);
   EXPECT_TRUE(outputs_[0].degraded);
   EXPECT_EQ(outputs_[0].degrade_cause, "quarantine");
@@ -432,7 +432,7 @@ TEST_F(QuarantineRootTest, ProbationReadmitsCleanLocalAndRelapsesOffender) {
   Init(/*strikes=*/1, /*probation_windows=*/1, /*probation_clean=*/1);
   // Window 0: node 3 tampers -> quarantined; honest pair completes.
   SendCorruptWindow(3, 0, 2);
-  EXPECT_EQ(root_->stats().quarantines, 1u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.quarantined"), 1u);
   SendWindow(1, 0, {1, 2});
   SendWindow(2, 0, {3, 4});
   ServeRequests();
@@ -450,20 +450,20 @@ TEST_F(QuarantineRootTest, ProbationReadmitsCleanLocalAndRelapsesOffender) {
   EXPECT_EQ(outputs_[1].values[0], Oracle({1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(outputs_[1].global_size, 6u);
   // One clean window was all probation required: fully re-admitted.
-  EXPECT_EQ(root_->stats().readmissions, 1u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.readmitted"), 1u);
 
   // A re-admitted local that relapses is quarantined again, and a
   // *probation* local re-quarantines on its first strike.
   SendCorruptWindow(3, 2, 2);
-  EXPECT_EQ(root_->stats().quarantines, 2u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.quarantined"), 2u);
   SendWindow(1, 2, {1, 2});
   SendWindow(2, 2, {3, 4});
   ServeRequests();
   ASSERT_EQ(outputs_.size(), 3u);
   EXPECT_TRUE(outputs_[2].degraded);
   SendCorruptWindow(3, 3, 2);  // strike while on probation
-  EXPECT_EQ(root_->stats().quarantines, 3u);
-  EXPECT_EQ(root_->stats().readmissions, 1u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.quarantined"), 3u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.readmitted"), 1u);
 }
 
 }  // namespace

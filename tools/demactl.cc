@@ -186,12 +186,19 @@ void EmitTable(const Table& table, const Flags& flags) {
   }
 }
 
+/// Mean window latency of a run, from its `root.window_latency_us`.
+std::string MeanLatency(const sim::RunMetrics& metrics) {
+  const double mean_us =
+      metrics.registry->HistogramSummary("root.window_latency_us").mean;
+  return FmtF(mean_us / 1000.0, 2) + " ms";
+}
+
 std::vector<std::string> MetricsRow(const char* name,
                                     const sim::RunMetrics& metrics) {
   return {name,
           FmtCount(metrics.events_ingested),
           FmtRate(metrics.sim_throughput_eps),
-          FmtF(metrics.latency.mean_us / 1000.0, 2) + " ms",
+          MeanLatency(metrics),
           FmtCount(metrics.network_total.events),
           FmtBytes(metrics.network_total.bytes),
           metrics.bottleneck};
@@ -236,12 +243,6 @@ int CmdRun(const Flags& flags) {
   std::cout << "ingested " << FmtCount(driver.events_ingested()) << " events; "
             << FmtCount(total.counters.events) << " raw events / "
             << FmtBytes(total.counters.bytes) << " on the wire\n";
-  obs::Histogram* latency_hist =
-      command_obs.registry.GetHistogram("root.window_latency_us");
-  for (const sim::WindowOutput& out : driver.outputs()) {
-    latency_hist->Record(
-        out.latency_us < 0 ? 0 : static_cast<uint64_t>(out.latency_us));
-  }
   command_obs.Export(flags);
   return 0;
 }
@@ -356,12 +357,6 @@ int CmdTree(const Flags& flags) {
   std::cout << leaves << " leaves through " << config.num_relays
             << " relays; root uplink carried " << FmtBytes(uplink) << " for "
             << FmtCount(driver.events_ingested()) << " events.\n";
-  auto* latency_hist =
-      command_obs.registry.GetHistogram("root.window_latency_us");
-  for (const sim::WindowOutput& out : driver.outputs()) {
-    latency_hist->Record(
-        out.latency_us < 0 ? 0 : static_cast<uint64_t>(out.latency_us));
-  }
   command_obs.Export(flags);
   return 0;
 }
@@ -443,8 +438,7 @@ void PrintTcpMetrics(const sim::RunMetrics& metrics, const Flags& flags) {
                "wire bytes"});
   (void)table.AddRow({FmtCount(metrics.windows_emitted),
                       FmtCount(metrics.events_ingested),
-                      FmtRate(metrics.throughput_eps),
-                      FmtF(metrics.latency.mean_us / 1000.0, 2) + " ms",
+                      FmtRate(metrics.throughput_eps), MeanLatency(metrics),
                       FmtCount(metrics.network_total.events),
                       FmtBytes(metrics.network_total.bytes)});
   EmitTable(table, flags);
@@ -636,10 +630,15 @@ int CmdConnChaos(const Flags& flags) {
   if (!report_result.ok()) return Fail(report_result.status().ToString());
   sim::TcpConnChaosReport report = std::move(report_result).MoveValueUnsafe();
 
-  std::cout << "conn chaos: " << report.conn_kills << " kills injected, "
-            << report.peer_down << " peer-down, " << report.reconnects
-            << " redials, " << report.replayed_frames << " frames replayed, "
-            << report.partial_frame_drops << " partial-frame drops\n"
+  const obs::Registry& registry = *report.metrics.registry;
+  std::cout << "conn chaos: "
+            << registry.CounterValue("net.conn_kills{layer=inject}")
+            << " kills injected, " << registry.CounterValue("net.peer_down")
+            << " peer-down, " << registry.CounterValue("net.reconnects")
+            << " redials, " << registry.CounterValue("net.replayed_frames")
+            << " frames replayed, "
+            << registry.CounterValue("net.partial_frame_drops")
+            << " partial-frame drops\n"
             << "parity: " << report.outputs.size() << " windows vs "
             << report.reference.size() << " reference, "
             << report.degraded_windows << " degraded, "
@@ -715,14 +714,15 @@ int CmdChaos(const Flags& flags) {
   std::cout << report.exact_windows << " exact, " << report.degraded_windows
             << " degraded, " << report.mismatched_windows << " mismatched, "
             << report.missing_windows << " missing; faults: "
-            << report.messages_dropped << " dropped, "
+            << report.counter("net.dropped") << " dropped, "
             << report.duplicates_injected << " duplicated, "
-            << report.messages_delayed << " delayed, "
-            << report.messages_corrupted << " corrupted; "
-            << report.root_retries << " root retries, " << report.restarts
-            << " restarts; defense: " << report.rejected_payloads
-            << " rejected, " << report.quarantines << " quarantined, "
-            << report.readmissions << " re-admitted\n";
+            << report.counter("net.delayed") << " delayed, "
+            << report.counter("net.corrupted") << " corrupted; "
+            << report.counter("root.retries") << " root retries, "
+            << report.restarts << " restarts; defense: "
+            << report.counter("dema.rejected") << " rejected, "
+            << report.counter("dema.quarantined") << " quarantined, "
+            << report.counter("dema.readmitted") << " re-admitted\n";
 
   if (flags.Has("verify-determinism")) {
     auto second = sim::RunScenario(config, load, options);
@@ -824,12 +824,12 @@ int CmdSim(const Flags& flags) {
                         FmtCount(report.events_ingested),
                         FmtCount(report.exact_windows),
                         FmtCount(report.degraded_windows),
-                        FmtCount(report.sim_ticks),
-                        FmtCount(report.sim_events),
+                        FmtCount(report.counter("sim.ticks")),
+                        FmtCount(report.counter("sim.events")),
                         FmtCount(report.event_queue_peak),
                         FmtF(report.virtual_time_us / 1000.0, 1) + " ms",
                         FmtRate(report.sim_throughput_eps),
-                        FmtCount(report.messages_dropped)});
+                        FmtCount(report.counter("net.dropped"))});
     if (!report.Invariant()) {
       std::cerr << "demactl: " << spec << ": " << report.violation << "\n";
       ok = false;
