@@ -99,7 +99,9 @@ RootCore::RootCore(DemaRootNodeOptions options, const Clock* clock)
 RootStream RootCore::NewStream() const {
   RootStream s(initial_gamma_);
   const size_t n = options_.locals.size();
-  if (options_.quarantine_strikes > 0) s.health.assign(n, LocalReputation{});
+  if (options_.recovery.quarantine_strikes > 0) {
+    s.health.assign(n, LocalReputation{});
+  }
   if (options_.per_node_gamma) {
     s.node_gamma.assign(n, initial_gamma_);
     s.node_last_broadcast.assign(n, initial_gamma_.current());
@@ -198,7 +200,7 @@ void RootCore::MarkEmitted(RootStream* s, net::WindowId id) {
     auto it = std::lower_bound(above.begin(), above.end(), id);
     if (it == above.end() || *it != id) above.insert(it, id);
   }
-  if (options_.quarantine_strikes > 0) {
+  if (options_.recovery.quarantine_strikes > 0) {
     // Quarantine time is measured in emitted windows (the only clock every
     // configuration shares); the last one opens probation.
     for (LocalReputation& h : s->health) {
@@ -224,7 +226,7 @@ Status RootCore::RejectPayload(RootStream* s, NodeId src, const char* reason,
     by_reason += "," + options_.instrument_label;
   }
   registry_->GetCounter(by_reason + "}")->Increment();
-  if (options_.quarantine_strikes == 0) return Status::OK();
+  if (options_.recovery.quarantine_strikes == 0) return Status::OK();
   const int64_t idx = LocalIndex(src);
   if (idx < 0) return Status::OK();
   return AddStrike(s, static_cast<size_t>(idx), sink);
@@ -241,7 +243,7 @@ Status RootCore::AddStrike(RootStream* s, size_t idx, RootSink* sink) {
       // has not earned back the benefit of a fresh strike budget.
       return QuarantineLocal(s, idx, sink);
     case LocalReputation::State::kHealthy:
-      if (++h.strikes >= options_.quarantine_strikes) {
+      if (++h.strikes >= options_.recovery.quarantine_strikes) {
         return QuarantineLocal(s, idx, sink);
       }
       return Status::OK();
@@ -250,7 +252,7 @@ Status RootCore::AddStrike(RootStream* s, size_t idx, RootSink* sink) {
 }
 
 bool RootCore::IsQuarantined(const RootStream& s, size_t idx) const {
-  return options_.quarantine_strikes > 0 &&
+  return options_.recovery.quarantine_strikes > 0 &&
          s.health[idx].state == LocalReputation::State::kQuarantined;
 }
 
@@ -285,9 +287,10 @@ Status RootCore::QuarantineLocal(RootStream* s, size_t idx, RootSink* sink) {
   LocalReputation& h = s->health[idx];
   h.state = LocalReputation::State::kQuarantined;
   h.strikes = 0;
-  h.probation_windows_left = std::max<uint64_t>(options_.probation_windows, 1);
+  h.probation_windows_left =
+      std::max<uint64_t>(options_.recovery.probation_windows, 1);
   h.clean_windows_needed =
-      std::max<uint32_t>(options_.probation_clean_windows, 1);
+      std::max<uint32_t>(options_.recovery.probation_clean_windows, 1);
   c_quarantined_->Increment();
   const NodeId node = options_.locals[idx];
 
@@ -336,7 +339,7 @@ Status RootCore::QuarantineLocal(RootStream* s, size_t idx, RootSink* sink) {
 }
 
 void RootCore::CreditCleanWindow(RootStream* s, const PendingWindow& w) {
-  if (options_.quarantine_strikes == 0) return;
+  if (options_.recovery.quarantine_strikes == 0) return;
   for (size_t i = 0; i < options_.locals.size(); ++i) {
     LocalReputation& h = s->health[i];
     if (h.state != LocalReputation::State::kProbation) continue;
@@ -353,7 +356,7 @@ void RootCore::CreditCleanWindow(RootStream* s, const PendingWindow& w) {
 }
 
 Status RootCore::BestEffort(Status sent) {
-  if (sent.ok() || options_.deadline_ticks == 0) return sent;
+  if (sent.ok() || options_.recovery.deadline_ticks == 0) return sent;
   c_send_failures_->Increment();
   return Status::OK();
 }
@@ -465,7 +468,7 @@ Status RootCore::HandleGammaSync(RootStream* s, const GammaSyncRequest& sync,
 }
 
 void RootCore::NoteWindowHorizon(RootStream* s, net::WindowId last) const {
-  if (options_.deadline_ticks == 0) return;
+  if (options_.recovery.deadline_ticks == 0) return;
   s->any_window_seen = true;
   s->highest_window_seen = std::max(s->highest_window_seen, last);
 }
@@ -479,7 +482,7 @@ Status RootCore::HandleSynopsisBatch(RootStream* s, const SynopsisBatch& batch,
     return RejectPayload(s, src, "unknown_node", sink);
   }
   const size_t idx = static_cast<size_t>(found);
-  const bool quarantine = options_.quarantine_strikes > 0;
+  const bool quarantine = options_.recovery.quarantine_strikes > 0;
   if (const char* reason =
           ValidateSynopsisBatch(batch, src, options_.strict_validation)) {
     // The payload is untrusted, but its claimed size is still the only
@@ -497,12 +500,8 @@ Status RootCore::HandleSynopsisBatch(RootStream* s, const SynopsisBatch& batch,
   if (IsEmitted(*s, batch.window_id)) {
     // A delayed or retransmitted synopsis for a window that already emitted
     // (possibly degraded); it must not resurrect a pending entry.
-    if (options_.tolerate_duplicates) {
-      c_duplicates_ignored_->Increment();
-      return Status::OK();
-    }
-    return Status::AlreadyExists("synopsis for emitted window " +
-                                 std::to_string(batch.window_id));
+    c_duplicates_ignored_->Increment();
+    return Status::OK();
   }
   s->any_window_seen = true;
   s->highest_window_seen = std::max(s->highest_window_seen, batch.window_id);
@@ -510,12 +509,8 @@ Status RootCore::HandleSynopsisBatch(RootStream* s, const SynopsisBatch& batch,
   PendingWindow* w = GetOrCreatePending(s, batch.window_id);
   if (fresh) StampTrace(&w->trace.first_synopsis_us);
   if (w->Has(idx, PendingWindow::kSynopsis)) {
-    if (options_.tolerate_duplicates) {
-      c_duplicates_ignored_->Increment();
-      return Status::OK();
-    }
-    return Status::AlreadyExists("duplicate synopsis from node " +
-                                 std::to_string(batch.node));
+    c_duplicates_ignored_->Increment();
+    return Status::OK();
   }
   w->Set(idx, PendingWindow::kSynopsis);
   ++w->synopses_received;
@@ -525,9 +520,9 @@ Status RootCore::HandleSynopsisBatch(RootStream* s, const SynopsisBatch& batch,
   w->slices.insert(w->slices.end(), batch.slices.begin(), batch.slices.end());
   c_synopsis_slices_->Increment(batch.slices.size());
   StampTrace(&w->trace.last_synopsis_us);
-  if (options_.deadline_ticks > 0) {
+  if (options_.recovery.deadline_ticks > 0) {
     // Progress: push the deadline out and refund the retry budget.
-    w->next_check_tick = tick_ + options_.deadline_ticks;
+    w->next_check_tick = tick_ + options_.recovery.deadline_ticks;
     w->retries = 0;
   }
   return MaybeRunIdentification(s, w, sink);
@@ -599,8 +594,8 @@ Status RootCore::RunIdentification(RootStream* s, PendingWindow* w,
     return Status::Internal("window-cut produced no candidates for window " +
                             std::to_string(w->id));
   }
-  if (options_.deadline_ticks > 0) {
-    w->next_check_tick = tick_ + options_.deadline_ticks;
+  if (options_.recovery.deadline_ticks > 0) {
+    w->next_check_tick = tick_ + options_.recovery.deadline_ticks;
     w->retries = 0;
   }
   return Status::OK();
@@ -621,13 +616,9 @@ Status RootCore::HandleCandidateReply(RootStream* s, CandidateReply* reply,
   if (IsQuarantined(*s, idx)) return RejectPayload(s, src, "quarantined", sink);
   PendingWindow* w = FindPending(s, reply->window_id);
   if (w == nullptr) {
-    if (options_.tolerate_duplicates) {
-      // The window already completed; this is a retransmitted reply.
-      c_duplicates_ignored_->Increment();
-      return Status::OK();
-    }
-    return Status::NotFound("reply for unknown window " +
-                            std::to_string(reply->window_id));
+    // The window already completed; this is a retransmitted reply.
+    c_duplicates_ignored_->Increment();
+    return Status::OK();
   }
   if (!w->requests_sent) {
     // No request is out yet, so no honest local can be replying.
@@ -650,12 +641,8 @@ Status RootCore::HandleCandidateReply(RootStream* s, CandidateReply* reply,
     return RejectPayload(s, src, reason, sink);
   }
   if (w->Has(idx, PendingWindow::kReply)) {
-    if (options_.tolerate_duplicates) {
-      c_duplicates_ignored_->Increment();
-      return Status::OK();
-    }
-    return Status::AlreadyExists("duplicate reply from node " +
-                                 std::to_string(reply->node));
+    c_duplicates_ignored_->Increment();
+    return Status::OK();
   }
   w->Set(idx, PendingWindow::kReply);
   w->reply_runs.push_back(std::move(reply->events));
@@ -670,8 +657,8 @@ Status RootCore::HandleCandidateReply(RootStream* s, CandidateReply* reply,
     if (w->trace.first_reply_us == 0) w->trace.first_reply_us = now;
     w->trace.last_reply_us = now;
   }
-  if (options_.deadline_ticks > 0) {
-    w->next_check_tick = tick_ + options_.deadline_ticks;
+  if (options_.recovery.deadline_ticks > 0) {
+    w->next_check_tick = tick_ + options_.recovery.deadline_ticks;
     w->retries = 0;
   }
   if (w->reply_runs.size() == w->expected_replies) {
@@ -794,7 +781,7 @@ Status RootCore::BroadcastGamma(net::WindowId effective_from, uint64_t gamma,
 }
 
 bool RootCore::BeginTick() {
-  if (options_.deadline_ticks == 0) return false;
+  if (options_.recovery.deadline_ticks == 0) return false;
   ++tick_;
   return true;
 }
@@ -806,14 +793,15 @@ Status RootCore::Tick(RootStream* s, RootSink* sink) {
   if (s->any_window_seen) {
     for (net::WindowId id = s->emitted_below; id <= s->highest_window_seen; ++id) {
       if (IsEmitted(*s, id) || FindPending(s, id) != nullptr) continue;
-      GetOrCreatePending(s, id)->next_check_tick = tick_ + options_.deadline_ticks;
+      GetOrCreatePending(s, id)->next_check_tick =
+          tick_ + options_.recovery.deadline_ticks;
     }
   }
   std::vector<std::pair<net::WindowId, const char*>> to_degrade;
   for (const auto& owned : s->pending) {
     PendingWindow& w = *owned;
     if (tick_ < w.next_check_tick) continue;
-    if (w.retries >= options_.max_retries) {
+    if (w.retries >= options_.recovery.max_retries) {
       const char* cause;
       if (w.requests_sent) {
         cause = w.reply_runs.empty() ? "replies_lost" : "replies_partial";
@@ -825,7 +813,7 @@ Status RootCore::Tick(RootStream* s, RootSink* sink) {
     }
     ++w.retries;
     // Exponential backoff between recovery attempts.
-    w.next_check_tick = tick_ + (options_.deadline_ticks << w.retries);
+    w.next_check_tick = tick_ + (options_.recovery.deadline_ticks << w.retries);
     if (!w.requests_sent) {
       // Nothing to re-request in the synopsis phase: a crashed local re-ships
       // its windows after restarting, so the backoff just extends the wait.

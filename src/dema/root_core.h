@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -14,6 +15,44 @@
 #include "sim/node.h"
 
 namespace dema::core {
+
+/// \brief The root's recovery machinery: per-window deadlines with retries,
+/// and the misbehaving-local quarantine. The one declaration of these
+/// settings; every config that runs a Dema root embeds it.
+struct RootRecoveryOptions {
+  /// Per-window progress deadline, measured in `Tick()` calls: a pending
+  /// window that makes no progress for this many ticks gets its candidate
+  /// requests retried (with exponential backoff), and after `max_retries`
+  /// attempts is emitted degraded. 0 (default) disables the deadline
+  /// machinery entirely — the legacy wait-forever behavior. With a deadline
+  /// enabled, transport send failures also become survivable (counted in
+  /// `root.send_failures` instead of failing the node). Drivers tick at
+  /// window boundaries (sim) or run-loop timeouts (TCP).
+  uint64_t deadline_ticks = 0;
+  /// Recovery attempts per window before degrading (with deadlines on).
+  uint32_t max_retries = 3;
+  /// Misbehaving-local quarantine: after this many rejected payloads a local
+  /// is excluded from the window protocol — its payloads are dropped, it is
+  /// left out of completion expectations and the window-cut, and affected
+  /// windows emit through the degraded path with `cause=quarantine` and a
+  /// rank-error bound. 0 (default) disables quarantine; rejections are still
+  /// counted in `dema.rejected{reason=}` and dropped.
+  uint32_t quarantine_strikes = 0;
+  /// Windows a quarantined local sits out before probation begins.
+  uint64_t probation_windows = 8;
+  /// Exact windows a probation local must contribute cleanly before full
+  /// re-admission; any rejection during probation re-quarantines it.
+  uint32_t probation_clean_windows = 2;
+
+  /// Ticks after which every pending window has completed or degraded: the
+  /// full `deadline_ticks << retries` backoff, plus slack for the gap-fill
+  /// tick and in-flight deliveries.
+  uint64_t DrainTicks() const {
+    return deadline_ticks *
+               (uint64_t{2} << std::min<uint32_t>(max_retries, 32)) +
+           deadline_ticks + 64;
+  }
+};
 
 /// \brief Configuration of the Dema root node.
 struct DemaRootNodeOptions {
@@ -40,21 +79,8 @@ struct DemaRootNodeOptions {
   /// Ablation: replace window-cut with naive transitive-overlap selection.
   /// Only valid with a single quantile (checked at construction).
   bool use_naive_selection = false;
-  /// Tolerate at-least-once delivery: duplicate synopses/replies are ignored
-  /// (counted in `dema.duplicates_ignored`) instead of failing the node. On
-  /// by default — IoT transports retransmit; turn off to assert exactly-once
-  /// in tests.
-  bool tolerate_duplicates = true;
-  /// Per-window progress deadline, measured in `Tick()` calls: a pending
-  /// window that makes no progress for this many ticks gets its candidate
-  /// requests retried (with exponential backoff), and after `max_retries`
-  /// attempts is emitted degraded. 0 (default) disables the deadline
-  /// machinery entirely — the legacy wait-forever behavior. With a deadline
-  /// enabled, transport send failures also become survivable (counted in
-  /// `root.send_failures` instead of failing the node).
-  uint64_t deadline_ticks = 0;
-  /// Recovery attempts per window before degrading (with deadlines on).
-  uint32_t max_retries = 3;
+  /// Deadline, retry and quarantine machinery.
+  RootRecoveryOptions recovery;
   /// Hold inbound payloads to the strict flat-topology protocol rules (see
   /// `ValidateSynopsisBatch`): slices form an exact γ-cut of one sorted local
   /// window. Tree builders turn this off — a relay's combined batch
@@ -62,18 +88,6 @@ struct DemaRootNodeOptions {
   /// structural rules (node identity, finite sorted values, sizes that add
   /// up).
   bool strict_validation = true;
-  /// Misbehaving-local quarantine: after this many rejected payloads a local
-  /// is excluded from the window protocol — its payloads are dropped, it is
-  /// left out of completion expectations and the window-cut, and affected
-  /// windows emit through the degraded path with `cause=quarantine` and a
-  /// rank-error bound. 0 (default) disables quarantine; rejections are still
-  /// counted in `dema.rejected{reason=}` and dropped.
-  uint32_t quarantine_strikes = 0;
-  /// Windows a quarantined local sits out before probation begins.
-  uint64_t probation_windows = 8;
-  /// Exact windows a probation local must contribute cleanly before full
-  /// re-admission; any rejection during probation re-quarantines it.
-  uint32_t probation_clean_windows = 2;
   /// Optional label set stamped onto every instrument this node records, as
   /// a comma-separated `key=value` list without braces (e.g. "shard=3" turns
   /// `dema.windows` into `dema.windows{shard=3}` and merges into the

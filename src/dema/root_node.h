@@ -34,10 +34,11 @@ class DemaRootNode final : public sim::RootNodeLogic {
   uint64_t windows_emitted() const override { return core_.windows_emitted(); }
   bool idle() const override { return stream_.pending.empty(); }
 
-  /// Deadline tick (no-op unless `deadline_ticks` > 0): checks every pending
-  /// window for progress, retries candidate requests with exponential
-  /// backoff, and degrades windows whose retry budget ran out — a faulty run
-  /// always terminates with no window pending, never a silent stall.
+  /// Deadline tick (no-op unless `recovery.deadline_ticks` > 0): checks every
+  /// pending window for progress, retries candidate requests with
+  /// exponential backoff, and degrades windows whose retry budget ran out — a
+  /// faulty run always terminates with no window pending, never a silent
+  /// stall.
   Status Tick() override;
 
   /// Tells the deadline machinery that windows up to \p last exist, even if

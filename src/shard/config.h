@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "dema/root_core.h"
 #include "exec/executor.h"
 #include "net/codec.h"
 #include "net/keyed.h"
@@ -45,16 +46,13 @@ struct ShardedConfig {
   stream::SortMode sort_mode = stream::SortMode::kSortOnClose;
   net::EventCodec wire_codec = net::EventCodec::kFixed;
 
-  // --- fault tolerance / corruption defense (per-key roots, PR 5 path) ---
-  uint64_t root_deadline_ticks = 0;
-  uint32_t root_max_retries = 3;
-  uint32_t root_quarantine_strikes = 0;
-  uint64_t root_probation_windows = 8;
-  uint32_t root_probation_clean_windows = 2;
+  /// Deadlines, retries and quarantine of every per-key root.
+  core::RootRecoveryOptions recovery;
 
   // --- observability ---
   /// Shared metrics sink; per-key roots label their instruments `{shard=S}`
-  /// so one registry aggregates per shard. When null the service owns one.
+  /// and keyed locals theirs `{node=N}`, so one registry aggregates per
+  /// shard and per local. When null the service and each local own one.
   obs::Registry* registry = nullptr;
 
   /// Caller-owned executor for the shard strands; overrides `workers` when

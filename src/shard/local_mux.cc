@@ -4,32 +4,32 @@
 
 namespace dema::shard {
 
-KeyedLocalNode::KeyedLocalNode(KeyedLocalNodeOptions options,
+KeyedLocalNode::KeyedLocalNode(const ShardedConfig& config, NodeId id,
                                transport::Transport* transport,
                                const Clock* clock)
-    : options_(std::move(options)),
+    : id_(id),
       transport_(transport),
-      core_({.id = options_.id,
-             .root_id = options_.service_id,
-             .window_len_us = options_.window_len_us,
-             .initial_gamma = options_.initial_gamma,
-             .sort_mode = options_.sort_mode,
-             .reply_codec = options_.reply_codec,
-             .registry = options_.registry},
+      core_({.id = id,
+             .root_id = 0,
+             .window_len_us = config.window_len_us,
+             .initial_gamma = config.gamma,
+             .sort_mode = config.sort_mode,
+             .reply_codec = config.wire_codec,
+             .registry = config.registry},
             clock) {
   obs::Registry* registry = core_.registry();
-  const std::string suffix = "{node=" + std::to_string(options_.id) + "}";
+  const std::string suffix = "{node=" + std::to_string(id) + "}";
   c_frames_ = registry->GetCounter("shard.local.frames" + suffix);
   c_bad_frame_ = registry->GetCounter("shard.local.bad_frame" + suffix);
   c_unknown_key_ = registry->GetCounter("shard.local.unknown_key" + suffix);
   c_send_failures_ =
       registry->GetCounter("shard.local.send_failures" + suffix);
 
-  streams_.reserve(options_.num_keys);
-  shard_of_.reserve(options_.num_keys);
-  for (net::KeyId key = 0; key < options_.num_keys; ++key) {
+  streams_.reserve(config.num_keys);
+  shard_of_.reserve(config.num_keys);
+  for (net::KeyId key = 0; key < config.num_keys; ++key) {
     streams_.emplace_back(core_.options());
-    shard_of_.push_back(ShardOfKey(key, options_.num_shards));
+    shard_of_.push_back(ShardOfKey(key, config.num_shards));
   }
 }
 

@@ -13,23 +13,6 @@
 
 namespace dema::shard {
 
-/// \brief Configuration of a keyed (multi-tenant) local node.
-struct KeyedLocalNodeOptions {
-  /// This node's id (1..num_locals).
-  NodeId id = 1;
-  /// The shard service's node id.
-  NodeId service_id = 0;
-  uint32_t num_shards = 1;
-  uint64_t num_keys = 1;
-  DurationUs window_len_us = kMicrosPerSecond;
-  uint64_t initial_gamma = 10'000;
-  stream::SortMode sort_mode = stream::SortMode::kSortOnClose;
-  net::EventCodec reply_codec = net::EventCodec::kFixed;
-  /// Shared metrics sink; the keys record into `local.*{node=N}`, so the
-  /// instruments aggregate per hosting node. When null the mux owns one.
-  obs::Registry* registry = nullptr;
-};
-
 /// \brief A multi-tenant local node: the Dema local protocol for every key,
 /// multiplexed onto keyed frames.
 ///
@@ -48,12 +31,15 @@ struct KeyedLocalNodeOptions {
 /// serializes calls.
 class KeyedLocalNode final : public sim::NodeLogic, private core::LocalSink {
  public:
+  /// Local \p id (1..num_locals) of the deployment \p config, talking to
+  /// the shard service (node 0). It records into `config.registry`
+  /// (`local.*{node=N}`), or its own registry when that is null.
   /// \p transport and \p clock must outlive the node.
-  KeyedLocalNode(KeyedLocalNodeOptions options,
+  KeyedLocalNode(const ShardedConfig& config, NodeId id,
                  transport::Transport* transport, const Clock* clock);
 
   /// Ingests one event for \p key. Fails on out-of-range keys (the key
-  /// universe is declared in the options).
+  /// universe is declared in the config).
   Status OnEvent(net::KeyId key, const Event& e);
 
   /// Advances every key's watermark; ships all closed windows' synopses as
@@ -85,19 +71,19 @@ class KeyedLocalNode final : public sim::NodeLogic, private core::LocalSink {
   Status SendGammaSync(const core::GammaSyncRequest&) override {
     return net::KeyedOuterType(net::MessageType::kGammaSyncRequest).status();
   }
-  /// Appends \p payload to the outbox batch of the key's (shard, \p type).
+  /// Appends \p payload to the outbox batch of the key's (shard, \p type),
+  /// bound for the shard service (node 0).
   template <typename Payload>
   Status Stash(net::MessageType type, const Payload& payload) {
     const uint32_t shard = shard_of_[current_key_];
-    outbox_.Batch(shard, type, shard, options_.service_id)
-        ->Add(current_key_, payload);
+    outbox_.Batch(shard, type, shard, /*dst=*/0)->Add(current_key_, payload);
     return Status::OK();
   }
 
   /// Sends the batches the call produced.
-  void Flush() { outbox_.Flush(options_.id, transport_, c_send_failures_); }
+  void Flush() { outbox_.Flush(id_, transport_, c_send_failures_); }
 
-  KeyedLocalNodeOptions options_;
+  NodeId id_;
   transport::Transport* transport_;
   core::LocalCore core_;
   /// Per-key protocol state, indexed by key id.

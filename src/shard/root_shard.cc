@@ -15,11 +15,7 @@ core::DemaRootNodeOptions ShardRootOptions(uint32_t index,
   opts.quantiles = config.quantiles;
   opts.initial_gamma = config.gamma;
   opts.adaptive_gamma = config.adaptive_gamma;
-  opts.deadline_ticks = config.root_deadline_ticks;
-  opts.max_retries = config.root_max_retries;
-  opts.quarantine_strikes = config.root_quarantine_strikes;
-  opts.probation_windows = config.root_probation_windows;
-  opts.probation_clean_windows = config.root_probation_clean_windows;
+  opts.recovery = config.recovery;
   opts.instrument_label = ShardLabel(index);
   opts.registry = registry;
   return opts;

@@ -159,29 +159,9 @@ Result<ShardedTcpLocalReport> RunShardedTcpLocal(
       transport.AddPeer(0, options.root_host, options.root_port));
   DEMA_RETURN_NOT_OK(transport.Start());
 
-  KeyedLocalNodeOptions lopts;
-  lopts.id = id;
-  lopts.service_id = 0;
-  lopts.num_shards = config.num_shards;
-  lopts.num_keys = config.num_keys;
-  lopts.window_len_us = config.window_len_us;
-  lopts.initial_gamma = config.gamma;
-  lopts.sort_mode = config.sort_mode;
-  lopts.reply_codec = config.wire_codec;
-  KeyedLocalNode node(lopts, &transport, &clock);
-
-  const size_t i = id - 1;
-  std::vector<std::unique_ptr<gen::StreamGenerator>> gens;
-  gens.reserve(config.num_keys);
-  for (net::KeyId key = 0; key < config.num_keys; ++key) {
-    gen::GeneratorConfig gcfg;
-    gcfg.node = id;
-    gcfg.seed = workload.seed_base + key * kKeySeedStride + i * 7919;
-    gcfg.distribution = workload.distribution;
-    gcfg.event_rate = workload.event_rate;
-    DEMA_ASSIGN_OR_RETURN(auto g, gen::StreamGenerator::Create(gcfg));
-    gens.push_back(std::move(g));
-  }
+  KeyedLocalNode node(config, id, &transport, &clock);
+  DEMA_ASSIGN_OR_RETURN(auto gens,
+                        MakeKeyGenerators(workload, config.num_keys, id));
 
   net::Channel* inbox = transport.Inbox(id);
   auto wall_start = std::chrono::steady_clock::now();

@@ -4,6 +4,23 @@
 
 namespace dema::shard {
 
+Result<std::vector<std::unique_ptr<gen::StreamGenerator>>> MakeKeyGenerators(
+    const KeyedWorkloadConfig& workload, uint64_t num_keys, NodeId id) {
+  std::vector<std::unique_ptr<gen::StreamGenerator>> gens;
+  gens.reserve(num_keys);
+  for (net::KeyId key = 0; key < num_keys; ++key) {
+    gen::GeneratorConfig cfg;
+    cfg.node = id;
+    cfg.seed = workload.seed_base + key * kKeySeedStride +
+               static_cast<uint64_t>(id - 1) * 7919;
+    cfg.distribution = workload.distribution;
+    cfg.event_rate = workload.event_rate;
+    DEMA_ASSIGN_OR_RETURN(auto g, gen::StreamGenerator::Create(cfg));
+    gens.push_back(std::move(g));
+  }
+  return gens;
+}
+
 ShardedSimHarness::ShardedSimHarness(const ShardedConfig& config,
                                      net::Network::Options net_options)
     : config_(config), network_(&clock_, net_options) {
@@ -16,44 +33,25 @@ ShardedSimHarness::ShardedSimHarness(const ShardedConfig& config,
   init_status_ = service_->init_status();
   if (!init_status_.ok()) return;
 
+  // The locals record into the service's registry.
+  config_.registry = service_->registry();
   for (NodeId id : ShardLocalIds(config_)) {
     init_status_ = network_.RegisterNode(id);
     if (!init_status_.ok()) return;
-    KeyedLocalNodeOptions opts;
-    opts.id = id;
-    opts.service_id = 0;
-    opts.num_shards = config_.num_shards;
-    opts.num_keys = config_.num_keys;
-    opts.window_len_us = config_.window_len_us;
-    opts.initial_gamma = config_.gamma;
-    opts.sort_mode = config_.sort_mode;
-    opts.reply_codec = config_.wire_codec;
-    opts.registry = service_->registry();
     locals_.push_back(
-        std::make_unique<KeyedLocalNode>(opts, &network_, &clock_));
+        std::make_unique<KeyedLocalNode>(config_, id, &network_, &clock_));
   }
 }
 
 Status ShardedSimHarness::Run(const KeyedWorkloadConfig& workload) {
   DEMA_RETURN_NOT_OK(init_status_);
 
-  // One generator per (local, key): local i's stream for key k is seeded
-  // `seed_base + k * kKeySeedStride + i * 7919`, matching what
-  // `MakeUniformWorkload` would give local i in a single-key run seeded
-  // `seed_base + k * kKeySeedStride`.
-  std::vector<std::vector<std::unique_ptr<gen::StreamGenerator>>> gens(
-      locals_.size());
-  for (size_t i = 0; i < locals_.size(); ++i) {
-    gens[i].reserve(config_.num_keys);
-    for (net::KeyId key = 0; key < config_.num_keys; ++key) {
-      gen::GeneratorConfig cfg;
-      cfg.node = static_cast<NodeId>(i + 1);
-      cfg.seed = workload.seed_base + key * kKeySeedStride + i * 7919;
-      cfg.distribution = workload.distribution;
-      cfg.event_rate = workload.event_rate;
-      DEMA_ASSIGN_OR_RETURN(auto g, gen::StreamGenerator::Create(cfg));
-      gens[i].push_back(std::move(g));
-    }
+  std::vector<std::vector<std::unique_ptr<gen::StreamGenerator>>> gens;
+  gens.reserve(locals_.size());
+  for (NodeId id : ShardLocalIds(config_)) {
+    DEMA_ASSIGN_OR_RETURN(auto local_gens,
+                          MakeKeyGenerators(workload, config_.num_keys, id));
+    gens.push_back(std::move(local_gens));
   }
 
   outputs_by_key_.assign(config_.num_keys, {});
@@ -71,7 +69,7 @@ Status ShardedSimHarness::Run(const KeyedWorkloadConfig& workload) {
   }
   auto pump = [&] { return sim::PumpToQuiescence(&network_, nodes); };
 
-  const bool deadlines = config_.root_deadline_ticks > 0;
+  const bool deadlines = config_.recovery.deadline_ticks > 0;
   for (uint64_t w = 0; w < workload.num_windows; ++w) {
     const TimestampUs start =
         static_cast<TimestampUs>(w) * config_.window_len_us;
@@ -105,10 +103,7 @@ Status ShardedSimHarness::Run(const KeyedWorkloadConfig& workload) {
   if (deadlines) {
     service_->NoteWindowHorizon(workload.num_windows - 1);
     // Burn through the retry/degrade budget so faulty runs terminate.
-    for (uint64_t t = 0; t < config_.root_deadline_ticks *
-                                 (config_.root_max_retries + 2) +
-                             2;
-         ++t) {
+    for (uint64_t t = 0; t < config_.recovery.DrainTicks(); ++t) {
       DEMA_RETURN_NOT_OK(service_->Tick());
       DEMA_RETURN_NOT_OK(pump());
       if (service_->idle()) break;

@@ -14,10 +14,7 @@
 
 namespace dema::shard {
 
-/// Seed stride between adjacent keys: key k's per-local generator seeds are
-/// `seed_base + k * kKeySeedStride + local_index * 7919`, so the single-key
-/// baseline for key k is exactly `MakeUniformWorkload(..., seed_base + k *
-/// kKeySeedStride)` — the parity tests depend on this identity.
+/// Seed stride between adjacent keys (see `MakeKeyGenerators`).
 inline constexpr uint64_t kKeySeedStride = 1'000'003;
 
 /// \brief Workload of a keyed sim run: every (key, local) pair runs its own
@@ -30,6 +27,14 @@ struct KeyedWorkloadConfig {
   gen::DistributionParams distribution;
   uint64_t seed_base = 1000;
 };
+
+/// \brief One generator per key for keyed local \p id (1-based). Key k's is
+/// seeded `seed_base + k * kKeySeedStride + (id - 1) * 7919`, exactly what
+/// `MakeUniformWorkload(..., seed_base + k * kKeySeedStride)` gives local
+/// \p id in a single-key run, so every key has a plain single-key baseline
+/// (the parity tests depend on this identity).
+Result<std::vector<std::unique_ptr<gen::StreamGenerator>>> MakeKeyGenerators(
+    const KeyedWorkloadConfig& workload, uint64_t num_keys, NodeId id);
 
 /// \brief In-process sharded deployment on the simulation fabric: the shard
 /// service as node 0 plus N keyed local nodes, driven synchronously.

@@ -135,7 +135,7 @@ Result<FaultPlan> ParseFaultSchedule(const std::string& spec) {
     } else if (key == "seed") {
       if (!ParseU64(value, &plan.seed)) return BadSpec(token, "bad seed");
     } else if (key == "deadline") {
-      if (!ParseU64(value, &plan.deadline_ticks)) {
+      if (!ParseU64(value, &plan.recovery.deadline_ticks)) {
         return BadSpec(token, "bad tick count");
       }
     } else if (key == "retries") {
@@ -143,13 +143,13 @@ Result<FaultPlan> ParseFaultSchedule(const std::string& spec) {
       if (!ParseU64(value, &r) || r > UINT32_MAX) {
         return BadSpec(token, "bad retry count");
       }
-      plan.max_retries = static_cast<uint32_t>(r);
+      plan.recovery.max_retries = static_cast<uint32_t>(r);
     } else if (key == "strikes") {
       uint64_t k = 0;
       if (!ParseU64(value, &k) || k > UINT32_MAX) {
         return BadSpec(token, "bad strike count");
       }
-      plan.quarantine_strikes = static_cast<uint32_t>(k);
+      plan.recovery.quarantine_strikes = static_cast<uint32_t>(k);
     } else if (key == "tamper") {
       // Same shape as a partition range: `NODE@FROM..UNTIL`.
       size_t at = value.find('@');

@@ -63,16 +63,16 @@ struct FaultPlan {
   std::vector<CrashEvent> crashes;
   std::vector<PartitionEvent> partitions;
   std::vector<TamperEvent> tampers;
-  /// Root deadline machinery knobs (see `DemaRootNodeOptions`). The harness
-  /// ticks the root once per window boundary.
-  uint64_t deadline_ticks = 4;
-  uint32_t max_retries = 3;
-  /// Misbehaving-local quarantine knobs (see `DemaRootNodeOptions`). On by
-  /// default in chaos runs: honest locals are never rejected, so the strike
-  /// budget only ever fires on injected tampering.
-  uint32_t quarantine_strikes = 3;
-  uint64_t probation_windows = 2;
-  uint32_t probation_clean_windows = 2;
+  /// The root's recovery machinery for the run; it replaces the system's.
+  /// The harness ticks the root once per window boundary. Quarantine is on
+  /// by default in chaos runs: honest locals are never rejected, so the
+  /// strike budget only ever fires on injected tampering. Seeded replays
+  /// depend on these defaults.
+  core::RootRecoveryOptions recovery = {.deadline_ticks = 4,
+                                        .max_retries = 3,
+                                        .quarantine_strikes = 3,
+                                        .probation_windows = 2,
+                                        .probation_clean_windows = 2};
 };
 
 /// \brief Parses a compact fault-schedule spec, e.g.

@@ -27,7 +27,7 @@ Status ValidatePlan(const SystemConfig& config, const ScenarioOptions& options,
   if (faulty && config.kind != SystemKind::kDema) {
     return Status::InvalidArgument("fault plans support only the Dema system");
   }
-  if (faulty && plan.deadline_ticks == 0) {
+  if (faulty && plan.recovery.deadline_ticks == 0) {
     return Status::InvalidArgument(
         "fault plans need deadline_ticks > 0 (the no-stall invariant depends "
         "on the root's deadline machinery)");
@@ -60,7 +60,7 @@ Status ValidatePlan(const SystemConfig& config, const ScenarioOptions& options,
                                      std::to_string(part.a) + " with itself");
     }
   }
-  if (!plan.tampers.empty() && plan.quarantine_strikes == 0) {
+  if (!plan.tampers.empty() && plan.recovery.quarantine_strikes == 0) {
     return Status::InvalidArgument(
         "tamper schedule needs quarantine (strikes > 0): without it a "
         "tampering local stalls every window into its retry budget");
@@ -92,13 +92,7 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
   obs::Registry registry;
   SystemConfig config = system_config;
   config.registry = &registry;
-  if (faulty) {
-    config.root_deadline_ticks = plan.deadline_ticks;
-    config.root_max_retries = plan.max_retries;
-    config.root_quarantine_strikes = plan.quarantine_strikes;
-    config.root_probation_windows = plan.probation_windows;
-    config.root_probation_clean_windows = plan.probation_clean_windows;
-  }
+  if (faulty) config.recovery = plan.recovery;
 
   net::Network::Options net_options;
   net_options.registry = &registry;
@@ -214,12 +208,8 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
   }
 
   // Drain: tick until the retry/degrade budget of every pending window is
-  // provably exhausted. The bound covers the full exponential backoff.
-  const uint64_t max_drain_ticks =
-      plan.deadline_ticks *
-          (uint64_t{2} << std::min<uint32_t>(plan.max_retries, 32)) +
-      plan.deadline_ticks + 64;
-  for (uint64_t i = 0; i < max_drain_ticks; ++i) {
+  // provably exhausted.
+  for (uint64_t i = 0; i < config.recovery.DrainTicks(); ++i) {
     DEMA_RETURN_NOT_OK(driver.Pump());
     if (system.root->idle() && network.pending_events() == 0 &&
         network.delayed_in_flight() == 0) {

@@ -25,9 +25,9 @@ struct ScenarioOptions {
   ///   hop by hop.
   std::string topology = "flat";
   /// Probabilistic faults, scheduled crashes / partitions / tampers, and
-  /// the root's deadline, retry and quarantine knobs. A plan with any fault
-  /// needs the Dema system and deadline_ticks > 0, and its root knobs
-  /// replace the system's; a fault-free plan leaves the system untouched.
+  /// the root's recovery options. A plan with any fault needs the Dema
+  /// system and `recovery.deadline_ticks` > 0, and its `recovery` replaces
+  /// the system's; a fault-free plan leaves the system untouched.
   FaultPlan faults;
 };
 

@@ -411,10 +411,10 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
       return Status::InvalidArgument(
           "a crash needs crash_at_window > 0 and a checkpoint_dir");
     }
-    if (config.root_deadline_ticks == 0) {
+    if (config.recovery.deadline_ticks == 0) {
       return Status::InvalidArgument(
-          "crash recovery needs root_deadline_ticks > 0: the root must retry "
-          "candidate requests that died with the crashed process");
+          "crash recovery needs recovery.deadline_ticks > 0: the root must "
+          "retry candidate requests that died with the crashed process");
     }
   }
   if ((!fault.conn_kill.empty() || fault.corrupt_rate > 0) &&

@@ -175,7 +175,7 @@ struct TcpClusterFaultOptions {
 /// single-threaded supervisor that forks generation 1 (checkpointing, crashes
 /// at the scheduled window), reaps it, and relaunches generation 2 from the
 /// checkpoint with a fresh sequence epoch. The root needs
-/// `root_deadline_ticks` > 0 to retry candidate requests that died with
+/// `recovery.deadline_ticks` > 0 to retry candidate requests that died with
 /// generation 1.
 Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
                                        const WorkloadConfig& workload,

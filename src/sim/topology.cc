@@ -31,14 +31,6 @@ Status ValidateSystemConfig(const SystemConfig& config) {
   if (config.num_locals == 0) {
     return Status::InvalidArgument("need at least one local node");
   }
-  if (config.shards == 0) {
-    return Status::InvalidArgument(
-        "shard count must be at least 1 (0 is not a silent fallback to an "
-        "unsharded topology)");
-  }
-  if (config.keys == 0) {
-    return Status::InvalidArgument("key count must be at least 1");
-  }
   if (config.window_len_us <= 0) {
     return Status::InvalidArgument("window length must be positive");
   }
@@ -84,11 +76,7 @@ Result<std::unique_ptr<RootNodeLogic>> BuildRootLogic(
       opts.adaptive_gamma = config.adaptive_gamma;
       opts.per_node_gamma = config.per_node_gamma;
       opts.use_naive_selection = config.naive_selection;
-      opts.deadline_ticks = config.root_deadline_ticks;
-      opts.max_retries = config.root_max_retries;
-      opts.quarantine_strikes = config.root_quarantine_strikes;
-      opts.probation_windows = config.root_probation_windows;
-      opts.probation_clean_windows = config.root_probation_clean_windows;
+      opts.recovery = config.recovery;
       opts.registry = config.registry;
       opts.tracer = config.tracer;
       return std::unique_ptr<RootNodeLogic>(

@@ -8,6 +8,7 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "dema/relay_node.h"
+#include "dema/root_core.h"
 #include "exec/executor.h"
 #include "net/codec.h"
 #include "net/network.h"
@@ -62,37 +63,12 @@ struct SystemConfig {
   bool per_node_gamma = false;
   bool naive_selection = false;  // ablation: window-cut off
 
-  // --- fault tolerance (Dema root deadline machinery) ---
-  /// Per-window progress deadline in root `Tick()` calls; 0 disables (legacy
-  /// wait-forever behavior). Drivers tick at window boundaries (sim) or
-  /// run-loop timeouts (TCP).
-  uint64_t root_deadline_ticks = 0;
-  /// Candidate-request retry budget per window before degrading.
-  uint32_t root_max_retries = 3;
-
-  // --- corruption defense (Dema root validation + quarantine) ---
-  /// Rejected-payload strikes before a local is quarantined; 0 disables
-  /// quarantine (rejections are still counted and dropped).
-  uint32_t root_quarantine_strikes = 0;
-  /// Emitted windows a quarantined local sits out before probation.
-  uint64_t root_probation_windows = 8;
-  /// Clean windows a probation local must contribute before re-admission.
-  uint32_t root_probation_clean_windows = 2;
+  /// Dema root deadlines, retries and quarantine.
+  core::RootRecoveryOptions recovery;
 
   /// How Dema local nodes keep windows sorted: sort-on-close (default,
   /// fastest) or the paper's incremental insertion.
   stream::SortMode sort_mode = stream::SortMode::kSortOnClose;
-
-  // --- multi-tenant sharding (src/shard subsystem) ---
-  /// Root shards for keyed (multi-tenant) runs. The single-root systems in
-  /// this file ignore the value, but validation still rejects 0 with
-  /// `InvalidArgument`: a zero shard count used to silently fall back to an
-  /// unsharded topology in early drafts, which hid misconfigured `--shards`
-  /// flags — fail fast instead (PR 2 quantile-validation convention).
-  size_t shards = 1;
-  /// Distinct tenant keys for keyed runs (ids 0..keys-1); same fail-fast
-  /// rule as `shards`.
-  uint64_t keys = 1;
 
   // --- parallel data plane (Dema local nodes) ---
   /// Executor worker threads for closed-window sort+slice. 0 (default) keeps

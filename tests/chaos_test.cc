@@ -46,6 +46,17 @@ Result<ScenarioReport> RunInline(const SystemConfig& config,
 
 // --- spec parsing -----------------------------------------------------------
 
+/// Checks all five recovery settings a plan hands the root.
+void ExpectRecovery(const core::RootRecoveryOptions& r, uint64_t deadline,
+                    uint32_t retries, uint32_t strikes, uint64_t probation,
+                    uint32_t clean) {
+  EXPECT_EQ(r.deadline_ticks, deadline);
+  EXPECT_EQ(r.max_retries, retries);
+  EXPECT_EQ(r.quarantine_strikes, strikes);
+  EXPECT_EQ(r.probation_windows, probation);
+  EXPECT_EQ(r.probation_clean_windows, clean);
+}
+
 TEST(FaultScheduleSpec, ParsesEveryKey) {
   auto plan = ParseFaultSchedule(
       "drop=0.03,dup=0.05,delay-us=1500,delay-prob=0.4,seed=7,deadline=2,"
@@ -56,8 +67,8 @@ TEST(FaultScheduleSpec, ParsesEveryKey) {
   EXPECT_EQ(plan->delay_us_max, 1500);
   EXPECT_DOUBLE_EQ(plan->delay_prob, 0.4);
   EXPECT_EQ(plan->seed, 7u);
-  EXPECT_EQ(plan->deadline_ticks, 2u);
-  EXPECT_EQ(plan->max_retries, 5u);
+  ExpectRecovery(plan->recovery, /*deadline=*/2, /*retries=*/5,
+                 /*strikes=*/3, /*probation=*/2, /*clean=*/2);
   ASSERT_EQ(plan->crashes.size(), 1u);
   EXPECT_EQ(plan->crashes[0].node, 2u);
   EXPECT_EQ(plan->crashes[0].at_window, 3u);
@@ -67,6 +78,13 @@ TEST(FaultScheduleSpec, ParsesEveryKey) {
   EXPECT_EQ(plan->partitions[0].b, 0u);
   EXPECT_EQ(plan->partitions[0].from_window, 2u);
   EXPECT_EQ(plan->partitions[0].until_window, 4u);
+
+  // A spec without recovery keys keeps the chaos defaults; seeded chaos
+  // replays stay byte-identical only while they hold.
+  plan = ParseFaultSchedule("drop=0.05,dup=0.05,seed=7,crash=1@2+1");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ExpectRecovery(plan->recovery, /*deadline=*/4, /*retries=*/3,
+                 /*strikes=*/3, /*probation=*/2, /*clean=*/2);
 }
 
 TEST(FaultScheduleSpec, RejectsMalformedSpecs) {
@@ -87,7 +105,8 @@ TEST(FaultScheduleSpec, ParsesCorruptionKeys) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_DOUBLE_EQ(plan->corrupt_prob, 0.07);
   EXPECT_DOUBLE_EQ(plan->tamper_prob, 0.5);
-  EXPECT_EQ(plan->quarantine_strikes, 2u);
+  ExpectRecovery(plan->recovery, /*deadline=*/4, /*retries=*/3,
+                 /*strikes=*/2, /*probation=*/2, /*clean=*/2);
   ASSERT_EQ(plan->tampers.size(), 1u);
   EXPECT_EQ(plan->tampers[0].node, 1u);
   EXPECT_EQ(plan->tampers[0].from_window, 2u);

@@ -191,7 +191,6 @@ class DemaRootNodeTest : public ::testing::Test {
     opts.locals = {1, 2};
     opts.quantiles = {0.5};
     opts.initial_gamma = 4;
-    opts.tolerate_duplicates = false;  // strict mode: protocol violations fail
     root_ = std::make_unique<DemaRootNode>(opts, network_.get(), &clock_);
     root_->SetResultCallback(
         [this](const sim::WindowOutput& out) { outputs_.push_back(out); });
@@ -304,7 +303,14 @@ TEST_F(DemaRootNodeTest, DuplicateSynopsisRejected) {
   dup.local_window_size = 0;
   dup.gamma_used = 4;  // structurally valid, so the duplicate check decides
   auto msg = net::MakeMessage(net::MessageType::kSynopsisBatch, 1, 0, dup);
-  EXPECT_EQ(root_->OnMessage(msg).code(), StatusCode::kAlreadyExists);
+  // At-least-once delivery: the copy is absorbed and counted, never fatal.
+  EXPECT_TRUE(root_->OnMessage(msg).ok());
+  EXPECT_EQ(root_->registry()->CounterValue("dema.duplicates_ignored"), 1u);
+  // The window still completes once, from the original synopsis.
+  SendWindow(2, 0, {3, 4});
+  ServeRequests();
+  ASSERT_EQ(outputs_.size(), 1u);
+  EXPECT_EQ(outputs_[0].global_size, 4u);
 }
 
 TEST_F(DemaRootNodeTest, SynopsisFromUnknownNodeRejected) {
@@ -333,7 +339,12 @@ TEST_F(DemaRootNodeTest, ReplyForUnknownWindowRejected) {
   reply.window_id = 9;
   reply.node = 1;
   auto msg = net::MakeMessage(net::MessageType::kCandidateReply, 1, 0, reply);
-  EXPECT_EQ(root_->OnMessage(msg).code(), StatusCode::kNotFound);
+  // A reply for a window that is not pending is a late retransmission: it is
+  // absorbed and counted, and emits nothing.
+  EXPECT_TRUE(root_->OnMessage(msg).ok());
+  EXPECT_EQ(root_->registry()->CounterValue("dema.duplicates_ignored"), 1u);
+  EXPECT_TRUE(outputs_.empty());
+  EXPECT_TRUE(root_->idle());
 }
 
 TEST_F(DemaRootNodeTest, StatsAccumulate) {

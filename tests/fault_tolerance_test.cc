@@ -225,8 +225,8 @@ struct DeadlineRig {
     core::DemaRootNodeOptions o;
     o.locals = {1};
     o.quantiles = {0.5};
-    o.deadline_ticks = deadline_ticks;
-    o.max_retries = max_retries;
+    o.recovery.deadline_ticks = deadline_ticks;
+    o.recovery.max_retries = max_retries;
     return o;
   }
 
@@ -311,6 +311,35 @@ TEST(RootDeadlines, ExhaustedRetriesDegradeWithCauseAndBound) {
   EXPECT_GE(out.values[0], 0.0);
   EXPECT_LE(out.values[0], 30.0);
   EXPECT_EQ(rig.root.registry()->CounterValue("dema.degraded_windows"), 1u);
+}
+
+TEST(RootDeadlines, DegradesWithinDrainTicks) {
+  // Drivers stop ticking after `RootRecoveryOptions::DrainTicks()`: a window
+  // whose replies never arrive must be emitted degraded within that bound,
+  // across the whole exponential backoff of every retry budget.
+  for (uint64_t deadline : {1u, 4u}) {
+    for (uint32_t retries : {0u, 3u, 6u}) {
+      SCOPED_TRACE("deadline " + std::to_string(deadline) + " retries " +
+                   std::to_string(retries));
+      DeadlineRig rig(deadline, retries);
+      rig.FillWindowZero();
+      auto synopsis = PopFrom(&rig.network, 0);
+      ASSERT_TRUE(synopsis.has_value());
+      ASSERT_TRUE(rig.root.OnMessage(*synopsis).ok());
+
+      const uint64_t drain =
+          DeadlineRig::MakeRootOpts(deadline, retries).recovery.DrainTicks();
+      for (uint64_t tick = 0; tick < drain && rig.outputs.empty(); ++tick) {
+        while (PopFrom(&rig.network, 1).has_value()) {
+        }
+        ASSERT_TRUE(rig.root.Tick().ok());
+      }
+      ASSERT_EQ(rig.outputs.size(), 1u);
+      EXPECT_TRUE(rig.outputs[0].degraded);
+      EXPECT_EQ(rig.outputs[0].degrade_cause, "replies_lost");
+      EXPECT_TRUE(rig.root.idle());
+    }
+  }
 }
 
 TEST(RootDeadlines, GammaResyncRepliesWithCurrentGamma) {

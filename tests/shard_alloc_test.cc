@@ -185,14 +185,14 @@ TEST(ShardAllocations, KeyedLocalKeyWindowStaysWithinBound) {
   RealClock clock;
   FrameSink transport;
   transport.frames.reserve(16);
-  shard::KeyedLocalNodeOptions opts;
-  opts.id = 1;
-  opts.num_shards = 1;
-  opts.num_keys = kKeys;
-  opts.initial_gamma = kGamma;
-  opts.registry = &registry;
+  shard::ShardedConfig config;
+  config.num_shards = 1;
+  config.num_keys = kKeys;
+  config.gamma = kGamma;
+  config.registry = &registry;
+  constexpr NodeId kId = 1;
   const uint64_t before_build = g_allocations.load();
-  shard::KeyedLocalNode local(opts, &transport, &clock);
+  shard::KeyedLocalNode local(config, kId, &transport, &clock);
   const double per_key_build =
       static_cast<double>(g_allocations.load() - before_build) /
       static_cast<double>(kKeys);
@@ -207,11 +207,11 @@ TEST(ShardAllocations, KeyedLocalKeyWindowStaysWithinBound) {
     req.window_id = w;
     req.slice_indices = {0};
     for (net::KeyId key = 0; key < kKeys; ++key) {
-      events.push_back(KeyEvents(key, opts.id, w));
+      events.push_back(KeyEvents(key, kId, w));
       batch.Add(key, req);
     }
     const net::Message requests =
-        batch.Finish(net::MessageType::kShardCandidateRequest, 0, opts.id);
+        batch.Finish(net::MessageType::kShardCandidateRequest, 0, kId);
     transport.frames.clear();
 
     const uint64_t before = g_allocations.load();

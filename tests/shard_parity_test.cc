@@ -45,11 +45,7 @@ std::vector<sim::WindowOutput> BaselineForKey(const shard::ShardedConfig& sc,
   config.adaptive_gamma = sc.adaptive_gamma;
   config.sort_mode = sc.sort_mode;
   config.wire_codec = sc.wire_codec;
-  config.root_deadline_ticks = sc.root_deadline_ticks;
-  config.root_max_retries = sc.root_max_retries;
-  config.root_quarantine_strikes = sc.root_quarantine_strikes;
-  config.root_probation_windows = sc.root_probation_windows;
-  config.root_probation_clean_windows = sc.root_probation_clean_windows;
+  config.recovery = sc.recovery;
 
   RealClock clock;
   net::Network network(&clock);
@@ -155,7 +151,7 @@ TEST(ShardParity, DeadlinesEnabledStillExact) {
   sc.num_keys = 5;
   sc.workers = 2;
   sc.quantiles = {0.5, 0.9};
-  sc.root_deadline_ticks = 4;
+  sc.recovery.deadline_ticks = 4;
 
   shard::ShardedSimHarness harness(sc);
   ASSERT_TRUE(harness.init_status().ok()) << harness.init_status();
@@ -173,6 +169,67 @@ TEST(ShardParity, DeadlinesEnabledStillExact) {
   }
   ExpectKeyParity(sc, harness, load.num_windows, load.event_rate,
                   load.seed_base);
+}
+
+TEST(ShardParity, LossyFabricWithDeadlinesDegradesInsteadOfStalling) {
+  // A lossy fabric loses whole protocol steps of some key-windows. With
+  // deadlines on, the harness must tick long enough for every lost window to
+  // exhaust its retry backoff and degrade: the run completes, and every
+  // window is either exact or explicitly degraded with a cause.
+  shard::ShardedConfig sc;
+  sc.num_locals = 2;
+  sc.num_shards = 2;
+  sc.num_keys = 20;
+  sc.workers = 2;
+  sc.quantiles = {0.5, 0.9};
+  sc.recovery.deadline_ticks = 4;
+  sc.recovery.max_retries = 3;
+  shard::KeyedWorkloadConfig load;
+  load.num_windows = 4;
+  load.event_rate = 400;
+  load.distribution = TestDistribution();
+  load.seed_base = 515;
+
+  shard::ShardedSimHarness clean(sc);
+  ASSERT_TRUE(clean.init_status().ok()) << clean.init_status();
+  Status st = clean.Run(load);
+  ASSERT_TRUE(st.ok()) << st;
+  std::map<std::pair<net::KeyId, net::WindowId>, sim::WindowOutput> exact;
+  for (net::KeyId key = 0; key < sc.num_keys; ++key) {
+    for (const sim::WindowOutput& out : clean.outputs_by_key()[key]) {
+      exact.emplace(std::make_pair(key, out.window_id), out);
+    }
+  }
+
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("fault seed " + std::to_string(seed));
+    net::Network::Options lossy;
+    lossy.drop_prob = 0.2;
+    lossy.fault_seed = seed;
+    shard::ShardedSimHarness harness(sc, lossy);
+    ASSERT_TRUE(harness.init_status().ok()) << harness.init_status();
+    st = harness.Run(load);
+    ASSERT_TRUE(st.ok()) << st;
+    ASSERT_EQ(harness.outputs_by_key().size(), sc.num_keys);
+    for (net::KeyId key = 0; key < sc.num_keys; ++key) {
+      const auto& outputs = harness.outputs_by_key()[key];
+      EXPECT_EQ(outputs.size(), load.num_windows) << "key " << key;
+      for (const sim::WindowOutput& out : outputs) {
+        if (out.degraded) {
+          EXPECT_FALSE(out.degrade_cause.empty())
+              << "key " << key << " window " << out.window_id;
+          continue;
+        }
+        auto want = exact.find({key, out.window_id});
+        ASSERT_NE(want, exact.end())
+            << "key " << key << " window " << out.window_id;
+        EXPECT_EQ(out.global_size, want->second.global_size);
+        EXPECT_EQ(out.values, want->second.values)
+            << "key " << key << " window " << out.window_id
+            << " is neither degraded nor exact";
+      }
+    }
+  }
 }
 
 TEST(ShardParity, QueryStoreServesLatestWindowPerKey) {

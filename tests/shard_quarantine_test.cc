@@ -80,7 +80,7 @@ TEST(ShardQuarantine, TamperedKeyStruckPerShardOthersStayExact) {
   sc.workers = 2;
   sc.quantiles = {0.5};
   sc.gamma = 32;
-  sc.root_quarantine_strikes = 1;  // first bad payload quarantines
+  sc.recovery.quarantine_strikes = 1;  // first bad payload quarantines
 
   shard::ShardedSimHarness harness(sc);
   ASSERT_TRUE(harness.init_status().ok()) << harness.init_status();
@@ -159,7 +159,7 @@ TEST(ShardQuarantine, HonestFabricHasNoStrikes) {
   sc.num_shards = 2;
   sc.num_keys = 4;
   sc.workers = 2;
-  sc.root_quarantine_strikes = 2;
+  sc.recovery.quarantine_strikes = 2;
 
   shard::ShardedSimHarness harness(sc);
   ASSERT_TRUE(harness.init_status().ok()) << harness.init_status();

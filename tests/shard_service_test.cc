@@ -309,12 +309,11 @@ TEST(ShardLocalGauges, RetainedGaugesSumOverKeys) {
   obs::Registry registry;
   RealClock clock;
   FrameSink transport;
-  shard::KeyedLocalNodeOptions opts;
-  opts.id = 1;
-  opts.num_shards = 2;
-  opts.num_keys = kKeys;
-  opts.registry = &registry;
-  shard::KeyedLocalNode node(opts, &transport, &clock);
+  shard::ShardedConfig config;
+  config.num_shards = 2;
+  config.num_keys = kKeys;
+  config.registry = &registry;
+  shard::KeyedLocalNode node(config, /*id=*/1, &transport, &clock);
   for (net::KeyId key = 0; key < kKeys; ++key) {
     for (uint32_t i = 0; i < kEvents; ++i) {
       ASSERT_TRUE(node.OnEvent(key, Event{static_cast<double>(i),
@@ -322,7 +321,7 @@ TEST(ShardLocalGauges, RetainedGaugesSumOverKeys) {
                       .ok());
     }
   }
-  ASSERT_TRUE(node.OnWatermark(opts.window_len_us).ok());
+  ASSERT_TRUE(node.OnWatermark(config.window_len_us).ok());
   const obs::Gauge* windows = registry.FindGauge("local.retained_windows{node=1}");
   const obs::Gauge* events = registry.FindGauge("local.retained_events{node=1}");
   const obs::Gauge* peak =
@@ -335,7 +334,7 @@ TEST(ShardLocalGauges, RetainedGaugesSumOverKeys) {
   EXPECT_EQ(peak->Value(), static_cast<int64_t>(kKeys * kEvents));
 
   // Releasing one key's window takes exactly its events out; the peak stays.
-  net::KeyedBatchWriter release(shard::ShardOfKey(0, opts.num_shards));
+  net::KeyedBatchWriter release(shard::ShardOfKey(0, config.num_shards));
   core::CandidateRequest req;
   req.window_id = 0;
   release.Add(0, req);
@@ -356,15 +355,14 @@ TEST(ShardLocalDedup, DuplicateFrameIsCountedAndServedOnce) {
   obs::Registry registry;
   RealClock clock;
   FrameSink transport;
-  shard::KeyedLocalNodeOptions opts;
-  opts.id = 1;
-  opts.num_keys = kKeys;
-  opts.registry = &registry;
-  shard::KeyedLocalNode node(opts, &transport, &clock);
+  shard::ShardedConfig config;
+  config.num_keys = kKeys;
+  config.registry = &registry;
+  shard::KeyedLocalNode node(config, /*id=*/1, &transport, &clock);
   for (net::KeyId key = 0; key < kKeys; ++key) {
     ASSERT_TRUE(node.OnEvent(key, Event{1.0 + key, 5, 1, 0}).ok());
   }
-  ASSERT_TRUE(node.OnWatermark(opts.window_len_us).ok());
+  ASSERT_TRUE(node.OnWatermark(config.window_len_us).ok());
   transport.frames.clear();
 
   net::KeyedBatchWriter requests(0);

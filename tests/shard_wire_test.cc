@@ -16,7 +16,6 @@
 #include "net/serializer.h"
 #include "shard/config.h"
 #include "shard/key.h"
-#include "sim/topology.h"
 
 namespace dema {
 namespace {
@@ -281,20 +280,6 @@ TEST(ShardedConfigValidation, RejectsZeroKeysAndZeroLocals) {
 TEST(ShardedConfigValidation, AcceptsDefaults) {
   shard::ShardedConfig config;
   EXPECT_TRUE(shard::ValidateShardedConfig(config).ok());
-}
-
-TEST(SystemConfigValidation, RejectsZeroShardsAndZeroKeys) {
-  sim::SystemConfig shards0;
-  shards0.shards = 0;
-  Status st = sim::ValidateSystemConfig(shards0);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-
-  sim::SystemConfig keys0;
-  keys0.keys = 0;
-  st = sim::ValidateSystemConfig(keys0);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

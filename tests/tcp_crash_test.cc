@@ -25,8 +25,8 @@ TEST(TcpCrashRestart, ForkedClusterSurvivesKillAndRelaunch) {
   config.adaptive_gamma = false;
   // The root must retry candidate requests that died with the crashed
   // process; ticks fire on the root's idle beats (~2ms apart).
-  config.root_deadline_ticks = 100;
-  config.root_max_retries = 6;
+  config.recovery.deadline_ticks = 100;
+  config.recovery.max_retries = 6;
 
   gen::DistributionParams dist;
   dist.kind = gen::DistributionKind::kSensorWalk;
@@ -70,10 +70,10 @@ TEST(TcpCrashRestart, CrashNeedsDeadlinesAndCheckpointDir) {
   fault.crash_at_window = 1;
   fault.checkpoint_dir = ::testing::TempDir();
   // Without deadlines the root would stall forever on the dead process.
-  config.root_deadline_ticks = 0;
+  config.recovery.deadline_ticks = 0;
   EXPECT_FALSE(sim::RunTcpClusterForked(config, workload, fault).ok());
 
-  config.root_deadline_ticks = 10;
+  config.recovery.deadline_ticks = 10;
   fault.checkpoint_dir.clear();
   EXPECT_FALSE(sim::RunTcpClusterForked(config, workload, fault).ok());
 }

@@ -202,9 +202,9 @@ class QuarantineRootTest : public ::testing::Test {
     opts.locals = {1, 2, 3};
     opts.quantiles = {0.5};
     opts.initial_gamma = 4;
-    opts.quarantine_strikes = strikes;
-    opts.probation_windows = probation_windows;
-    opts.probation_clean_windows = probation_clean;
+    opts.recovery.quarantine_strikes = strikes;
+    opts.recovery.probation_windows = probation_windows;
+    opts.recovery.probation_clean_windows = probation_clean;
     root_ = std::make_unique<DemaRootNode>(opts, network_.get(), &clock_);
     root_->SetResultCallback(
         [this](const sim::WindowOutput& out) { outputs_.push_back(out); });

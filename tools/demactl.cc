@@ -82,14 +82,6 @@ Result<sim::SystemConfig> BuildConfig(const Flags& flags) {
   config.num_locals = static_cast<size_t>(flags.GetInt("locals", 2));
   config.gamma = static_cast<uint64_t>(flags.GetInt("gamma", 10'000));
   config.quantiles = flags.GetDoubleList("quantiles", {0.5});
-  // Fail at flag-parse time, not mid-run: a bad quantile would otherwise only
-  // surface once the system is built (or, worse, mid-deployment on the root).
-  for (double q : config.quantiles) {
-    if (!(q > 0.0) || q > 1.0) {
-      return Status::InvalidArgument("--quantiles: " + std::to_string(q) +
-                                     " outside (0, 1]");
-    }
-  }
   config.adaptive_gamma = flags.Has("adaptive");
   config.per_node_gamma = flags.Has("per-node-gamma");
   config.naive_selection = flags.Has("naive-selection");
@@ -98,6 +90,10 @@ Result<sim::SystemConfig> BuildConfig(const Flags& flags) {
     config.window_slide_us = MillisUs(flags.GetInt("slide-ms", 1000));
   }
   config.qdigest_hi = flags.GetDouble("qdigest-hi", 1'000'000);
+  // Fail at flag-parse time, not mid-run: a bad flag (say, a quantile outside
+  // (0, 1]) would otherwise only surface once the system is built (or, worse,
+  // mid-deployment on the root).
+  DEMA_RETURN_NOT_OK(sim::ValidateSystemConfig(config));
   return config;
 }
 
@@ -371,12 +367,6 @@ Result<shard::ShardedConfig> BuildShardedConfig(const Flags& flags) {
   sc.workers = static_cast<size_t>(flags.GetInt("workers", 2));
   sc.gamma = static_cast<uint64_t>(flags.GetInt("gamma", 10'000));
   sc.quantiles = flags.GetDoubleList("quantiles", {0.5});
-  for (double q : sc.quantiles) {
-    if (!(q > 0.0) || q > 1.0) {
-      return Status::InvalidArgument("--quantiles: " + std::to_string(q) +
-                                     " outside (0, 1]");
-    }
-  }
   DEMA_RETURN_NOT_OK(shard::ValidateShardedConfig(sc));
   return sc;
 }
@@ -599,7 +589,7 @@ int CmdConnChaos(const Flags& flags) {
     return Fail("chaos supports --system=dema only");
   }
   if (flags.Has("deadline")) {
-    config.root_deadline_ticks =
+    config.recovery.deadline_ticks =
         static_cast<uint64_t>(flags.GetInt("deadline", 0));
   }
   auto load_result = BuildWorkload(flags, config);
