@@ -1,7 +1,6 @@
 #include "dema/local_core.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "dema/slice.h"
@@ -153,7 +152,7 @@ Status LocalCore::OnWatermark(LocalStream* s, TimestampUs watermark_us,
           sink));
     } else if (events.empty()) {
       // Empty windows skip the pool with an already-satisfied future,
-      // keeping the completion buffer strictly sequenced by window id.
+      // keeping the in-flight closes strictly sequenced by window id.
       std::promise<PreparedWindow> ready;
       ready.set_value(Prepare(id, gamma, options_.id, {}, true));
       s->inflight_closes.push_back(ready.get_future());
@@ -165,19 +164,14 @@ Status LocalCore::OnWatermark(LocalStream* s, TimestampUs watermark_us,
           }));
     }
   }
-  // Ship whatever the pool already finished, in order, without waiting.
-  return DrainPreparedCloses(s, /*block=*/false, sink);
+  // The executor path ships nothing here: `Quiesce` ships every prepared
+  // window at one point in the caller's schedule, whatever the pool timing.
+  return Status::OK();
 }
 
-Status LocalCore::DrainPreparedCloses(LocalStream* s, bool block,
-                                      LocalSink* sink) {
+Status LocalCore::Quiesce(LocalStream* s, LocalSink* sink) {
   while (!s->inflight_closes.empty()) {
-    std::future<PreparedWindow>& front = s->inflight_closes.front();
-    if (!block && front.wait_for(std::chrono::seconds(0)) !=
-                      std::future_status::ready) {
-      return Status::OK();  // front still cooking; later windows must wait
-    }
-    PreparedWindow prepared = front.get();
+    PreparedWindow prepared = s->inflight_closes.front().get();
     s->inflight_closes.erase(s->inflight_closes.begin());
     DEMA_RETURN_NOT_OK(ShipPrepared(s, std::move(prepared), sink));
   }

@@ -37,12 +37,14 @@ struct DemaLocalNodeOptions {
   /// owns a private registry (reachable via `registry()`). Must outlive the
   /// node when provided.
   obs::Registry* registry = nullptr;
-  /// Worker pool for closed-window sort+slice. When set, each closed window
-  /// is prepared asynchronously so ingest never blocks on the close-time
-  /// sort and slice cut; synopses still ship in window-id order (sequenced
-  /// completion buffer). When null (default), windows are prepared inline on
-  /// the calling thread — output is byte-identical either way. Must outlive
-  /// the node when provided; may be shared between nodes.
+  /// Worker pool for closed-window sort+slice. When set, `OnWatermark` only
+  /// submits each closed window, so the close-time sort and slice cut of
+  /// many windows and nodes run in parallel on the pool, and `Quiesce` ships
+  /// every submitted window in window-id order. When null (default), windows
+  /// are prepared and shipped inline by `OnWatermark`. The synopses leave in
+  /// the same order either way, so a caller that quiesces where the inline
+  /// path would have shipped gets byte-identical output. Must outlive the
+  /// node when provided; may be shared between nodes.
   exec::Executor* executor = nullptr;
 };
 
@@ -99,9 +101,9 @@ struct LocalStream {
   /// older than every remaining schedule entry. Survives checkpoints.
   uint64_t oldest_known_gamma;
   net::WindowId next_window_to_emit = 0;
-  /// Sequenced completion buffer: futures for submitted window closes, in
-  /// window-id (== submission) order. Only the front may ship, so synopses
-  /// leave in id order no matter how the pool reorders completions.
+  /// Futures for submitted window closes, in window-id (== submission)
+  /// order; `Quiesce` ships them front to back, so synopses leave in id order
+  /// no matter how the pool reorders completions.
   std::vector<std::future<PreparedWindow>> inflight_closes;
 
   /// A fresh stream for a core with options \p o.
@@ -142,16 +144,15 @@ class LocalCore {
   void OnEvent(LocalStream* s, const Event& e);
   /// Ships synopses for every window id of \p s the watermark closed —
   /// including empty windows — and retains their events. With an executor,
-  /// submits the sort+slice per window and drains whatever has completed
-  /// (in id order) without blocking.
+  /// only submits the sort+slice per window; `Quiesce` ships them.
   Status OnWatermark(LocalStream* s, TimestampUs watermark_us, LocalSink* sink);
   /// Blocks until every executor-submitted window close of \p s has been
-  /// prepared and its synopsis shipped (no-op without an executor or when
-  /// nothing is in flight). Call before `Checkpoint` — a snapshot must not
-  /// race in-flight closes — and at end of stream. Idempotent.
-  Status Quiesce(LocalStream* s, LocalSink* sink) {
-    return DrainPreparedCloses(s, /*block=*/true, sink);
-  }
+  /// prepared, then ships their synopses in window-id order (no-op without
+  /// an executor or when nothing is in flight). With an executor, call after
+  /// every `OnWatermark` that should ship — the pump does, per node, after
+  /// draining its inbox — and before `Checkpoint`, which must not race
+  /// in-flight closes. Idempotent.
+  Status Quiesce(LocalStream* s, LocalSink* sink);
   /// Decodes and applies one payload of type \p type (candidate request, γ
   /// update or shutdown).
   Status OnPayload(LocalStream* s, net::MessageType type,
@@ -188,9 +189,6 @@ class LocalCore {
   uint64_t events_ingested() const { return c_events_ingested_->Value(); }
 
  private:
-  /// Ships ready prepared windows from the front of the completion buffer;
-  /// blocks on stragglers only when \p block is set.
-  Status DrainPreparedCloses(LocalStream* s, bool block, LocalSink* sink);
   /// Sends one prepared window's synopsis batch, retains its events, and
   /// prunes the γ schedule (common tail of both paths).
   Status ShipPrepared(LocalStream* s, PreparedWindow prepared,

@@ -38,8 +38,8 @@ struct ExecutorOptions {
 /// closed window here so the ingest thread never blocks on close-time work.
 /// `Submit` is thread-safe and returns a `std::future` for the task's result;
 /// completion order is whatever the pool produces — callers that need ordered
-/// effects sequence the futures themselves (see `LocalCore`'s per-window
-/// completion buffer).
+/// effects sequence the futures themselves (see `LocalCore::Quiesce`, which
+/// ships a stream's closes in window-id order).
 ///
 /// Instruments (in the configured registry):
 ///   exec.workers            gauge     pool size

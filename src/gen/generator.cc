@@ -5,13 +5,15 @@
 
 namespace dema::gen {
 
-StreamGenerator::StreamGenerator(GeneratorConfig config,
+StreamGenerator::StreamGenerator(const GeneratorConfig& config,
                                  std::unique_ptr<ValueDistribution> distribution)
-    : config_(config),
-      distribution_(std::move(distribution)),
-      rng_(config.seed),
+    : node_(config.node),
+      scale_rate_(config.scale_rate),
+      time_jitter_(config.time_jitter),
+      gap_us_(1e6 / config.event_rate),
       next_time_us_(config.start_time_us),
-      gap_us_(1e6 / config.event_rate) {}
+      distribution_(std::move(distribution)),
+      rng_(config.seed) {}
 
 Result<std::unique_ptr<StreamGenerator>> StreamGenerator::Create(
     GeneratorConfig config) {
@@ -31,14 +33,14 @@ Result<std::unique_ptr<StreamGenerator>> StreamGenerator::Create(
 
 Event StreamGenerator::Next() {
   Event e;
-  e.value = distribution_->Next(&rng_) * config_.scale_rate;
+  e.value = distribution_->Next(&rng_) * scale_rate_;
   e.timestamp = next_time_us_;
-  e.node = config_.node;
+  e.node = node_;
   e.seq = next_seq_++;
 
   double gap = gap_us_;
-  if (config_.time_jitter > 0) {
-    gap *= rng_.Uniform(1.0 - config_.time_jitter, 1.0 + config_.time_jitter);
+  if (time_jitter_ > 0) {
+    gap *= rng_.Uniform(1.0 - time_jitter_, 1.0 + time_jitter_);
   }
   // Advance by at least one microsecond so event time strictly increases.
   next_time_us_ += std::max<DurationUs>(1, static_cast<DurationUs>(std::llround(gap)));

@@ -62,19 +62,23 @@ class StreamGenerator {
   /// Event time of the next event to be produced.
   TimestampUs next_time_us() const { return next_time_us_; }
 
-  /// This generator's configuration.
-  const GeneratorConfig& config() const { return config_; }
-
  private:
-  StreamGenerator(GeneratorConfig config,
+  StreamGenerator(const GeneratorConfig& config,
                   std::unique_ptr<ValueDistribution> distribution);
 
-  GeneratorConfig config_;
+  // Only what `Next` reads: a keyed harness keeps one generator per key and
+  // node alive, so every byte here is paid hundreds of thousands of times.
+  NodeId node_;
+  uint32_t next_seq_ = 0;
+  double scale_rate_;
+  double time_jitter_;
+  double gap_us_;
+  TimestampUs next_time_us_;
   std::unique_ptr<ValueDistribution> distribution_;
   Rng rng_;
-  TimestampUs next_time_us_;
-  double gap_us_;
-  uint32_t next_seq_ = 0;
 };
+
+static_assert(sizeof(StreamGenerator) <= 128,
+              "StreamGenerator keeps only what Next() reads");
 
 }  // namespace dema::gen

@@ -304,6 +304,12 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
   auto wall_start = std::chrono::steady_clock::now();
   bool shutdown_received = false;
 
+  // No pump runs here, so a threaded local quiesces right after each
+  // watermark: each window still ships at its boundary, as inline.
+  auto advance = [&](TimestampUs watermark_us) -> Status {
+    DEMA_RETURN_NOT_OK(logic->OnWatermark(watermark_us));
+    return logic->Quiesce();
+  };
   auto handle = [&](const net::Message& msg) -> Status {
     if (msg.type == net::MessageType::kShutdown) {
       shutdown_received = true;
@@ -320,18 +326,15 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
     Event e = gen->Next();
     net::WindowId wid = assigner.AssignWindow(e.timestamp);
     if (wid != last_window) {
-      run_status = logic->OnWatermark(e.timestamp);
+      run_status = advance(e.timestamp);
       if (!run_status.ok()) break;
       last_window = wid;
       if (!options.checkpoint_path.empty()) {
         // Snapshot at the boundary, before any event of window `wid` is
         // ingested. The cutoff is the window start: a restored life skips
         // every regenerated event before it and re-feeds `e`, which the
-        // restored watermark (== e.timestamp) accepts as on-time. In-flight
-        // executor closes must land first — a snapshot taken mid-close would
-        // silently drop those windows' events.
-        run_status = dema_local->Quiesce();
-        if (!run_status.ok()) break;
+        // restored watermark (== e.timestamp) accepts as on-time. `advance`
+        // already landed every executor close, so none races the snapshot.
         net::Writer w;
         w.PutU64(static_cast<uint64_t>(wid) * workload.window_len_us);
         dema_local->Checkpoint(&w);
@@ -350,7 +353,7 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
     if (!run_status.ok()) break;
     ++count;
     if (count % options.watermark_every == 0) {
-      run_status = logic->OnWatermark(e.timestamp);
+      run_status = advance(e.timestamp);
       if (!run_status.ok()) break;
       while (auto msg = inbox->TryPop()) {
         run_status = handle(*msg);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/chaos.h"
 #include "sim/driver.h"
 #include "sim/scenario.h"
@@ -128,34 +130,40 @@ TEST(Chaos, FaultFreeRunIsAllExact) {
 
 TEST(Chaos, SeededScheduleReplaysIdentically) {
   SystemConfig config = ChaosConfig(3);
-  auto plan = ParseFaultSchedule(
-      "drop=0.05,dup=0.05,delay-us=2000,seed=11,crash=1@2+1,partition=2-0@3..4");
-  ASSERT_TRUE(plan.ok()) << plan.status();
   WorkloadConfig load = ChaosWorkload(config, /*windows=*/6);
+  // Schedule seeds 1–11: 11 is the historical one.
+  for (int seed = 1; seed <= 11; ++seed) {
+    SCOPED_TRACE("schedule seed " + std::to_string(seed));
+    auto plan = ParseFaultSchedule(
+        "drop=0.05,dup=0.05,delay-us=2000,seed=" + std::to_string(seed) +
+        ",crash=1@2+1,partition=2-0@3..4");
+    ASSERT_TRUE(plan.ok()) << plan.status();
 
-  auto first = RunInline(config, load, *plan);
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_TRUE(first->Invariant()) << first->violation;
-  EXPECT_EQ(first->restarts, 1u);
+    auto first = RunInline(config, load, *plan);
+    ASSERT_TRUE(first.ok()) << first.status();
+    EXPECT_TRUE(first->Invariant()) << first->violation;
+    EXPECT_EQ(first->restarts, 1u);
 
-  auto second = RunInline(config, load, *plan);
-  ASSERT_TRUE(second.ok()) << second.status();
-  ASSERT_EQ(first->windows.size(), second->windows.size());
-  for (size_t i = 0; i < first->windows.size(); ++i) {
-    const WindowOutput& a = first->windows[i].output;
-    const WindowOutput& b = second->windows[i].output;
-    EXPECT_EQ(first->windows[i].emitted, second->windows[i].emitted)
-        << "window " << a.window_id;
-    EXPECT_EQ(a.degraded, b.degraded) << "window " << a.window_id;
-    EXPECT_EQ(a.degrade_cause, b.degrade_cause) << "window " << a.window_id;
-    EXPECT_EQ(a.rank_error_bound, b.rank_error_bound) << "window " << a.window_id;
-    EXPECT_EQ(a.global_size, b.global_size) << "window " << a.window_id;
-    EXPECT_EQ(a.values, b.values) << "window " << a.window_id;
+    auto second = RunInline(config, load, *plan);
+    ASSERT_TRUE(second.ok()) << second.status();
+    ASSERT_EQ(first->windows.size(), second->windows.size());
+    for (size_t i = 0; i < first->windows.size(); ++i) {
+      const WindowOutput& a = first->windows[i].output;
+      const WindowOutput& b = second->windows[i].output;
+      EXPECT_EQ(first->windows[i].emitted, second->windows[i].emitted)
+          << "window " << a.window_id;
+      EXPECT_EQ(a.degraded, b.degraded) << "window " << a.window_id;
+      EXPECT_EQ(a.degrade_cause, b.degrade_cause) << "window " << a.window_id;
+      EXPECT_EQ(a.rank_error_bound, b.rank_error_bound)
+          << "window " << a.window_id;
+      EXPECT_EQ(a.global_size, b.global_size) << "window " << a.window_id;
+      EXPECT_EQ(a.values, b.values) << "window " << a.window_id;
+    }
+    EXPECT_EQ(first->counter("net.dropped"), second->counter("net.dropped"));
+    EXPECT_EQ(first->duplicates_injected, second->duplicates_injected);
+    EXPECT_EQ(first->counter("net.delayed"), second->counter("net.delayed"));
+    EXPECT_EQ(first->counter("root.retries"), second->counter("root.retries"));
   }
-  EXPECT_EQ(first->counter("net.dropped"), second->counter("net.dropped"));
-  EXPECT_EQ(first->duplicates_injected, second->duplicates_injected);
-  EXPECT_EQ(first->counter("net.delayed"), second->counter("net.delayed"));
-  EXPECT_EQ(first->counter("root.retries"), second->counter("root.retries"));
 }
 
 TEST(Chaos, HeavyLossDegradesExplicitlyInsteadOfStalling) {

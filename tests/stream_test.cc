@@ -155,7 +155,11 @@ std::vector<Event> GridEvents(Rng* rng, size_t n, ValueFn value) {
   constexpr uint64_t kTimestamps = 16, kNodes = 8, kSeqs = 64;
   std::vector<uint64_t> ids(kTimestamps * kNodes * kSeqs);
   for (uint64_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  std::shuffle(ids.begin(), ids.end(), rng->engine());
+  // Fisher–Yates over Rng's own draws, so the order does not depend on the
+  // standard library's shuffle.
+  for (size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[rng->UniformInt(0, static_cast<int64_t>(i))]);
+  }
   std::vector<Event> events;
   for (size_t i = 0; i < n; ++i) {
     // Past the grid, ids repeat with a fresh seq block, staying distinct.
@@ -173,7 +177,7 @@ std::vector<Event> GridEvents(Rng* rng, size_t n, ValueFn value) {
 /// exponent, both signs, subnormals included.
 double AnyFiniteDouble(Rng* rng) {
   while (true) {
-    const uint64_t bits = rng->engine()();
+    const uint64_t bits = rng->NextU64();
     double v = 0;
     std::memcpy(&v, &bits, sizeof(v));
     if (std::isfinite(v)) return v;

@@ -1,10 +1,11 @@
 // Equality tests for the executor-backed window-close path: a sim run with
 // --workers >= 2 must produce byte-identical window outputs to the inline
 // run on the same seed (window ids, global sizes, and quantile values; only
-// wall-clock latency may differ).
+// wall-clock latency may differ), on every seed of a range.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/clock.h"
@@ -54,6 +55,15 @@ std::vector<sim::WindowOutput> RunOnce(SystemConfig config,
   return driver.outputs();
 }
 
+/// Workload seeds each replay contract is checked over: 1–20 plus the
+/// test's historical seed, so no single stream can make it pass.
+std::vector<uint64_t> Seeds(uint64_t historical) {
+  std::vector<uint64_t> seeds;
+  for (uint64_t seed = 1; seed <= 20; ++seed) seeds.push_back(seed);
+  if (historical > 20) seeds.push_back(historical);
+  return seeds;
+}
+
 /// Asserts deterministic equality: everything except wall-clock latency.
 void ExpectSameOutputs(const std::vector<sim::WindowOutput>& inline_out,
                        const std::vector<sim::WindowOutput>& threaded_out) {
@@ -82,14 +92,16 @@ TEST(ThreadedClose, MatchesInlineBitForBit) {
   config.quantiles = {0.25, 0.5, 0.99};
   config.gamma = 500;
 
-  WorkloadConfig load = Workload(config.num_locals, 6, 8'000);
-
-  config.workers = 0;
-  auto inline_out = RunOnce(config, load);
-  config.workers = 3;
-  auto threaded_out = RunOnce(config, load);
-  ASSERT_FALSE(inline_out.empty());
-  ExpectSameOutputs(inline_out, threaded_out);
+  for (uint64_t seed : Seeds(1000)) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    WorkloadConfig load = Workload(config.num_locals, 6, 8'000, seed);
+    config.workers = 0;
+    auto inline_out = RunOnce(config, load);
+    config.workers = 3;
+    auto threaded_out = RunOnce(config, load);
+    ASSERT_FALSE(inline_out.empty());
+    ExpectSameOutputs(inline_out, threaded_out);
+  }
 }
 
 TEST(ThreadedClose, MatchesInlineWithAdaptiveGamma) {
@@ -103,14 +115,16 @@ TEST(ThreadedClose, MatchesInlineWithAdaptiveGamma) {
   config.gamma = 1'000;
   config.adaptive_gamma = true;
 
-  WorkloadConfig load = Workload(config.num_locals, 8, 5'000, 77);
-
-  config.workers = 0;
-  auto inline_out = RunOnce(config, load);
-  config.workers = 2;
-  auto threaded_out = RunOnce(config, load);
-  ASSERT_FALSE(inline_out.empty());
-  ExpectSameOutputs(inline_out, threaded_out);
+  for (uint64_t seed : Seeds(77)) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    WorkloadConfig load = Workload(config.num_locals, 8, 5'000, seed);
+    config.workers = 0;
+    auto inline_out = RunOnce(config, load);
+    config.workers = 2;
+    auto threaded_out = RunOnce(config, load);
+    ASSERT_FALSE(inline_out.empty());
+    ExpectSameOutputs(inline_out, threaded_out);
+  }
 }
 
 TEST(ThreadedClose, MatchesInlineWithSlidingWindows) {
@@ -121,14 +135,16 @@ TEST(ThreadedClose, MatchesInlineWithSlidingWindows) {
   config.gamma = 400;
   config.window_slide_us = config.window_len_us / 4;
 
-  WorkloadConfig load = Workload(config.num_locals, 5, 4'000, 5);
-
-  config.workers = 0;
-  auto inline_out = RunOnce(config, load);
-  config.workers = 4;
-  auto threaded_out = RunOnce(config, load);
-  ASSERT_GT(inline_out.size(), 5u);  // sliding: more closes than horizons
-  ExpectSameOutputs(inline_out, threaded_out);
+  for (uint64_t seed : Seeds(5)) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    WorkloadConfig load = Workload(config.num_locals, 5, 4'000, seed);
+    config.workers = 0;
+    auto inline_out = RunOnce(config, load);
+    config.workers = 4;
+    auto threaded_out = RunOnce(config, load);
+    ASSERT_GT(inline_out.size(), 5u);  // sliding: more closes than horizons
+    ExpectSameOutputs(inline_out, threaded_out);
+  }
 }
 
 TEST(ThreadedClose, ExecutorMetricsAccountEveryWindow) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "common/clock.h"
 #include "sim/ingest_adapter.h"
@@ -114,13 +115,15 @@ INSTANTIATE_TEST_SUITE_P(Systems, TieredExactness,
 TEST(TieredTopology, ThreadedRunMatchesInline) {
   // A worker pool closes the edges' windows off the ingest thread; the pump
   // quiesces each edge through its ingest adapter, so the run sends the same
-  // messages and emits the same windows as the inline one.
+  // messages and emits the same windows as the inline one, on every seed of
+  // 1–20 and the builder's default 5000.
   struct Run {
     std::vector<WindowOutput> outputs;
     std::map<net::MessageType, net::TrafficCounters> by_type;
   };
-  auto run = [](size_t workers) {
+  auto run = [](size_t workers, uint64_t seed) {
     TieredConfig config = BaseConfig(SystemKind::kDema, 3, 2);
+    MakeTieredWorkload(&config, /*node_event_rate=*/3000, Uniform01k(), seed);
     config.system.workers = workers;
     config.system.quantiles = {0.25, 0.5, 0.9};
     RealClock clock;
@@ -132,24 +135,29 @@ TEST(TieredTopology, ThreadedRunMatchesInline) {
     EXPECT_TRUE(st.ok()) << st;
     return Run{driver.outputs(), network.StatsByType()};
   };
-  Run inline_run = run(0);
-  Run threaded = run(2);
-  ASSERT_EQ(inline_run.outputs.size(), 4u);
-  ASSERT_EQ(threaded.outputs.size(), inline_run.outputs.size());
-  for (size_t i = 0; i < inline_run.outputs.size(); ++i) {
-    const WindowOutput& want = inline_run.outputs[i];
-    const WindowOutput& got = threaded.outputs[i];
-    EXPECT_EQ(got.window_id, want.window_id);
-    EXPECT_EQ(got.global_size, want.global_size);
-    EXPECT_EQ(got.values, want.values) << "window " << want.window_id;
-    EXPECT_FALSE(got.degraded);
-  }
-  ASSERT_EQ(threaded.by_type.size(), inline_run.by_type.size());
-  for (const auto& [type, want] : inline_run.by_type) {
-    const net::TrafficCounters& got = threaded.by_type[type];
-    EXPECT_EQ(got.messages, want.messages) << net::MessageTypeToString(type);
-    EXPECT_EQ(got.bytes, want.bytes) << net::MessageTypeToString(type);
-    EXPECT_EQ(got.events, want.events) << net::MessageTypeToString(type);
+  std::vector<uint64_t> seeds = {5000};
+  for (uint64_t seed = 1; seed <= 20; ++seed) seeds.push_back(seed);
+  for (uint64_t seed : seeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Run inline_run = run(0, seed);
+    Run threaded = run(2, seed);
+    ASSERT_EQ(inline_run.outputs.size(), 4u);
+    ASSERT_EQ(threaded.outputs.size(), inline_run.outputs.size());
+    for (size_t i = 0; i < inline_run.outputs.size(); ++i) {
+      const WindowOutput& want = inline_run.outputs[i];
+      const WindowOutput& got = threaded.outputs[i];
+      EXPECT_EQ(got.window_id, want.window_id);
+      EXPECT_EQ(got.global_size, want.global_size);
+      EXPECT_EQ(got.values, want.values) << "window " << want.window_id;
+      EXPECT_FALSE(got.degraded);
+    }
+    ASSERT_EQ(threaded.by_type.size(), inline_run.by_type.size());
+    for (const auto& [type, want] : inline_run.by_type) {
+      const net::TrafficCounters& got = threaded.by_type[type];
+      EXPECT_EQ(got.messages, want.messages) << net::MessageTypeToString(type);
+      EXPECT_EQ(got.bytes, want.bytes) << net::MessageTypeToString(type);
+      EXPECT_EQ(got.events, want.events) << net::MessageTypeToString(type);
+    }
   }
 }
 

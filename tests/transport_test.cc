@@ -585,7 +585,7 @@ TEST(TransportInterface, NetworkFabricImplementsTransport) {
 // in-process SyncDriver run, then checks that (a) every emitted quantile
 // value is bit-identical and (b) the bytes measured on the TCP sockets per
 // link equal the simulated fabric's per-link accounting.
-TEST(TcpIntegration, LoopbackClusterMatchesSimulationExactly) {
+void ExpectLoopbackClusterMatchesSimulation(uint64_t seed) {
   constexpr size_t kLocals = 3;
   sim::SystemConfig config;
   config.kind = sim::SystemKind::kDema;
@@ -603,7 +603,7 @@ TEST(TcpIntegration, LoopbackClusterMatchesSimulationExactly) {
   dist.hi = 10'000;
   dist.stddev = 25;
   sim::WorkloadConfig workload = sim::MakeUniformWorkload(
-      kLocals, /*num_windows=*/4, /*event_rate=*/5'000, dist);
+      kLocals, /*num_windows=*/4, /*event_rate=*/5'000, dist, {}, seed);
   workload.window_len_us = config.window_len_us;
 
   // --- reference: deterministic in-process run ---
@@ -742,6 +742,14 @@ TEST(TcpIntegration, LoopbackClusterMatchesSimulationExactly) {
     span_events += span.global_size;
   }
   EXPECT_EQ(span_events, sim_dema.at("dema.global_events"));
+}
+
+TEST(TcpIntegration, LoopbackClusterMatchesSimulationExactly) {
+  // 1000 is MakeUniformWorkload's default seed.
+  for (uint64_t seed : {1000, 1001, 1002}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectLoopbackClusterMatchesSimulation(seed);
+  }
 }
 
 }  // namespace
