@@ -22,6 +22,14 @@ auto PendingAt(RootStream* s, net::WindowId id) {
 
 }  // namespace
 
+Status RootSink::SendSynopsis(NodeId, const SynopsisBatch&) {
+  return Status::Internal("root sink has no parent");
+}
+
+Status RootSink::SendReply(NodeId, const CandidateReply&) {
+  return Status::Internal("root sink has no parent");
+}
+
 void RootPendingWindow::Reset(net::WindowId window, size_t num_locals) {
   id = window;
   slices.clear();
@@ -29,6 +37,7 @@ void RootPendingWindow::Reset(net::WindowId window, size_t num_locals) {
   synopses_received = 0;
   global_size = 0;
   last_close_time_us = 0;
+  gamma_used = 0;
   requests_sent = false;
   expected_replies = 0;
   reply_runs.clear();
@@ -87,6 +96,10 @@ RootCore::RootCore(DemaRootNodeOptions options, const Clock* clock)
       options_.quantiles.size() != 1) {
     init_status_ =
         Status::InvalidArgument("naive selection supports exactly one quantile");
+  }
+  if (options_.parent && (options_.recovery.deadline_ticks > 0 ||
+                          options_.recovery.quarantine_strikes > 0)) {
+    init_status_ = Status::InvalidArgument("a relay runs without recovery");
   }
 
   local_index_.reserve(options_.locals.size());
@@ -445,6 +458,10 @@ Status RootCore::OnPayload(RootStream* s, net::MessageType type, NodeId src,
     }
     case net::MessageType::kShutdown:
       return Status::OK();
+    case net::MessageType::kCandidateRequest:
+    case net::MessageType::kGammaUpdate:
+      if (options_.parent) return HandleParentPayload(s, type, src, &r, sink);
+      [[fallthrough]];
     default:
       return Status::Internal(std::string("root got unexpected ") +
                               net::MessageTypeToString(type));
@@ -465,6 +482,42 @@ Status RootCore::HandleGammaSync(RootStream* s, const GammaSyncRequest& sync,
   DEMA_RETURN_NOT_OK(BestEffort(sink->SendGamma(sync.node, update)));
   c_gamma_updates_sent_->Increment();
   return Status::OK();
+}
+
+Status RootCore::HandleParentPayload(RootStream* s, net::MessageType type,
+                                     NodeId src, net::Reader* r,
+                                     RootSink* sink) {
+  if (src != *options_.parent) return RejectPayload(s, src, "unknown_node", sink);
+  if (type == net::MessageType::kGammaUpdate) {
+    auto update = GammaUpdate::Deserialize(r);
+    if (!update.ok()) return RejectPayload(s, src, "decode", sink);
+    return BroadcastGamma(update->effective_from, update->gamma, sink);
+  }
+  auto request = CandidateRequest::Deserialize(r);
+  if (!request.ok()) return RejectPayload(s, src, "decode", sink);
+  PendingWindow* w = FindPending(s, request->window_id);
+  if (w == nullptr ? IsEmitted(*s, request->window_id) : w->requests_sent) {
+    // Already answered: a retransmitted request.
+    c_duplicates_ignored_->Increment();
+    return Status::OK();
+  }
+  if (w == nullptr || !SynopsesComplete(*s, *w)) {
+    // Nothing went up for this window yet, so no honest parent asks.
+    return RejectPayload(s, src, "unexpected_request", sink);
+  }
+  w->cut.candidates.clear();
+  w->cut.candidate_event_count = 0;
+  for (uint32_t i : request->slice_indices) {
+    if (i >= w->slices.size() ||
+        (!w->cut.candidates.empty() && i <= w->cut.candidates.back())) {
+      return RejectPayload(s, src, "slice_index", sink);
+    }
+    w->cut.candidates.push_back(i);
+    w->cut.candidate_event_count += w->slices[i].count;
+  }
+  c_candidate_slices_->Increment(w->cut.candidates.size());
+  c_candidate_events_->Increment(w->cut.candidate_event_count);
+  return SendRequests(s, w, sink);
 }
 
 void RootCore::NoteWindowHorizon(RootStream* s, net::WindowId last) const {
@@ -513,6 +566,7 @@ Status RootCore::HandleSynopsisBatch(RootStream* s, const SynopsisBatch& batch,
     return Status::OK();
   }
   w->Set(idx, PendingWindow::kSynopsis);
+  if (w->synopses_received == 0) w->gamma_used = batch.gamma_used;
   ++w->synopses_received;
   if (quarantine) s->health[idx].last_known_size = batch.local_window_size;
   w->global_size += batch.local_window_size;
@@ -530,6 +584,25 @@ Status RootCore::HandleSynopsisBatch(RootStream* s, const SynopsisBatch& batch,
 
 Status RootCore::RunIdentification(RootStream* s, PendingWindow* w,
                                    RootSink* sink) {
+  if (options_.parent) {
+    // A relay does not cut: it ships the combined batch, and its parent cuts
+    // over every relay's. Relay index == flat slice index, so the parent's
+    // request names positions in `w->slices`.
+    SynopsisBatch up;
+    up.window_id = w->id;
+    up.node = options_.id;
+    up.local_window_size = w->global_size;
+    up.gamma_used = w->gamma_used;
+    up.close_time_us = w->last_close_time_us;
+    up.slices = w->slices;
+    for (size_t i = 0; i < up.slices.size(); ++i) {
+      up.slices[i].node = options_.id;
+      up.slices[i].index = static_cast<uint32_t>(i);
+    }
+    DEMA_RETURN_NOT_OK(sink->SendSynopsis(*options_.parent, up));
+    // The parent never queries an empty window.
+    return w->global_size == 0 ? FinishRelayWindow(s, w) : Status::OK();
+  }
   if (w->global_size == 0) {
     // Every contributing local window was empty; emit an empty result
     // directly — flagged degraded when emptiness is an artifact of
@@ -574,7 +647,10 @@ Status RootCore::RunIdentification(RootStream* s, PendingWindow* w,
   c_class_cover_->Increment(w->cut.classes.cover);
   w->trace.candidate_slices = w->cut.candidates.size();
   w->trace.candidate_events = w->cut.candidate_event_count;
+  return SendRequests(s, w, sink);
+}
 
+Status RootCore::SendRequests(RootStream* s, PendingWindow* w, RootSink* sink) {
   // Every node with a retained (non-empty) window gets a request; an empty
   // index list releases the window's memory on that node.
   GroupRequests(*w);
@@ -591,6 +667,8 @@ Status RootCore::RunIdentification(RootStream* s, PendingWindow* w,
     DEMA_RETURN_NOT_OK(BestEffort(sink->SendRequest(options_.locals[i], req)));
   }
   if (w->expected_replies == 0) {
+    // A relay's parent released the window: no reply is owed.
+    if (options_.parent) return FinishRelayWindow(s, w);
     return Status::Internal("window-cut produced no candidates for window " +
                             std::to_string(w->id));
   }
@@ -692,6 +770,17 @@ Status RootCore::CompleteWindow(RootStream* s, PendingWindow* w,
                             ") do not match window-cut expectation (" +
                             std::to_string(w->cut.candidate_event_count) + ")");
   }
+  if (options_.parent) {
+    // A relay does not select: one merged sorted run goes up, as a local's
+    // reply would.
+    CandidateReply up;
+    up.window_id = w->id;
+    up.node = options_.id;
+    up.events = stream::MergeSortedRuns(std::move(w->reply_runs));
+    w->reply_runs.clear();
+    DEMA_RETURN_NOT_OK(sink->SendReply(*options_.parent, up));
+    return FinishRelayWindow(s, w);
+  }
 
   within_ranks_.clear();
   for (const RankSelection& sel : w->cut.selections) {
@@ -738,6 +827,13 @@ Status RootCore::CompleteWindow(RootStream* s, PendingWindow* w,
     }
   }
   Recycle(std::move(completed));
+  return Status::OK();
+}
+
+Status RootCore::FinishRelayWindow(RootStream* s, PendingWindow* w) {
+  c_windows_->Increment();
+  MarkEmitted(s, w->id);
+  Recycle(TakePending(s, w->id));
   return Status::OK();
 }
 

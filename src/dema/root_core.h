@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,11 +84,18 @@ struct DemaRootNodeOptions {
   RootRecoveryOptions recovery;
   /// Hold inbound payloads to the strict flat-topology protocol rules (see
   /// `ValidateSynopsisBatch`): slices form an exact γ-cut of one sorted local
-  /// window. Tree builders turn this off — a relay's combined batch
-  /// legitimately interleaves its children's cuts — keeping only the
-  /// structural rules (node identity, finite sorted values, sizes that add
-  /// up).
+  /// window. A node whose `locals` are relays turns this off — a relay's
+  /// combined batch legitimately interleaves its children's cuts — keeping
+  /// only the structural rules (node identity, finite sorted values, sizes
+  /// that add up).
   bool strict_validation = true;
+  /// Set on a relay: the upstream node (the root, or another relay). A relay
+  /// collects, deduplicates and validates its `locals` (its children) like
+  /// the root, but ships each complete synopsis set upward as one combined
+  /// batch instead of running window-cut, fans the parent's candidate
+  /// request out to the children, and merges their replies into one sorted
+  /// reply upward instead of selecting. Relays run without `recovery`.
+  std::optional<NodeId> parent;
   /// Optional label set stamped onto every instrument this node records, as
   /// a comma-separated `key=value` list without braces (e.g. "shard=3" turns
   /// `dema.windows` into `dema.windows{shard=3}` and merges into the
@@ -118,6 +126,11 @@ class RootSink {
   virtual Status SendGamma(NodeId dst, const GammaUpdate& update) = 0;
   /// Publishes one emitted window.
   virtual void Emit(const sim::WindowOutput& out) = 0;
+  /// Relays only: send the combined synopsis batch, and later the merged
+  /// candidate reply, to the parent \p dst. A sink without a parent keeps
+  /// these defaults, which fail.
+  virtual Status SendSynopsis(NodeId dst, const SynopsisBatch& batch);
+  virtual Status SendReply(NodeId dst, const CandidateReply& reply);
 
  protected:
   ~RootSink() = default;
@@ -142,6 +155,8 @@ struct RootPendingWindow {
   size_t synopses_received = 0;
   uint64_t global_size = 0;
   TimestampUs last_close_time_us = 0;
+  /// `gamma_used` of the first accepted synopsis (a relay forwards it).
+  uint32_t gamma_used = 0;
   bool requests_sent = false;
   size_t expected_replies = 0;
   std::vector<std::vector<Event>> reply_runs;
@@ -219,7 +234,9 @@ struct RootStream {
 
 /// \brief The Dema root protocol (Sections 3.1 and 3.3), shared by every
 /// stream it serves: validation, quarantine and probation, window-cut,
-/// candidate requests, merge and rank-select, deadlines and γ.
+/// candidate requests, merge and rank-select, deadlines and γ. With
+/// `parent` set it is a relay's protocol: the same collect, validate and
+/// request fan-out, with window-cut and selection left to the parent.
 ///
 /// Holds what streams share — options, the local-id index, cached
 /// instruments, clock, tracer, scratch buffers and a pool of recycled
@@ -273,6 +290,11 @@ class RootCore {
                               NodeId src, RootSink* sink);
   Status HandleGammaSync(RootStream* s, const GammaSyncRequest& sync,
                          NodeId src, RootSink* sink);
+  /// Relays only: a candidate request or γ update from the parent. The
+  /// request's indices name slices of the combined batch, which are the
+  /// window's flat slice positions.
+  Status HandleParentPayload(RootStream* s, net::MessageType type, NodeId src,
+                             net::Reader* r, RootSink* sink);
   /// Drops an inbound payload that failed validation: counts it into
   /// `dema.rejected` (total and per \p reason) and, with quarantine enabled
   /// and \p src a known local, adds a strike — possibly quarantining it.
@@ -324,10 +346,16 @@ class RootCore {
   std::unique_ptr<PendingWindow> TakePending(RootStream* s, net::WindowId id);
   /// Returns a finished window's buffers to the pool.
   void Recycle(std::unique_ptr<PendingWindow> w);
-  /// All synopses in: run window-cut and fire candidate requests.
+  /// All synopses in: run window-cut and fire candidate requests (a relay
+  /// ships the combined batch upward instead).
   Status RunIdentification(RootStream* s, PendingWindow* w, RootSink* sink);
-  /// All replies in: merge, select, emit, adapt γ.
+  /// Sends every retained local its grouped share of `w->cut.candidates`.
+  Status SendRequests(RootStream* s, PendingWindow* w, RootSink* sink);
+  /// All replies in: merge, select, emit, adapt γ (a relay merges and
+  /// replies upward instead).
   Status CompleteWindow(RootStream* s, PendingWindow* w, RootSink* sink);
+  /// Relays only: counts and retires window \p w once nothing more is owed.
+  Status FinishRelayWindow(RootStream* s, PendingWindow* w);
   Status BroadcastGamma(net::WindowId effective_from, uint64_t gamma,
                         RootSink* sink);
   /// Per-node mode: feed each node's (l_i, m_i) observation and send

@@ -14,6 +14,18 @@ Status DemaRootNode::TransportSink::SendGamma(NodeId dst,
       net::MakeMessage(net::MessageType::kGammaUpdate, id_, dst, update));
 }
 
+Status DemaRootNode::TransportSink::SendSynopsis(NodeId dst,
+                                                 const SynopsisBatch& batch) {
+  return transport_->Send(
+      net::MakeMessage(net::MessageType::kSynopsisBatch, id_, dst, batch));
+}
+
+Status DemaRootNode::TransportSink::SendReply(NodeId dst,
+                                              const CandidateReply& reply) {
+  return transport_->Send(
+      net::MakeMessage(net::MessageType::kCandidateReply, id_, dst, reply));
+}
+
 DemaRootNode::DemaRootNode(DemaRootNodeOptions options,
                            transport::Transport* transport, const Clock* clock)
     : core_(std::move(options), clock),

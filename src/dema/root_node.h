@@ -19,6 +19,11 @@ namespace dema::core {
 /// exact quantile event(s). Windows complete independently, so several can
 /// be in flight.
 ///
+/// With `DemaRootNodeOptions::parent` set the node is a relay, the middle
+/// tier of a tree (Lee et al.'s multi-hop setting): its "locals" are its
+/// children, it speaks the local protocol to its parent, and it keeps the
+/// root's dedup, validation and `dema.*` instruments. Relays nest.
+///
 /// A thin adapter: the protocol lives in `RootCore`, run here on one
 /// stream, with transport-level dedup, decode and a transport sink around it.
 class DemaRootNode final : public sim::RootNodeLogic {
@@ -73,6 +78,8 @@ class DemaRootNode final : public sim::RootNodeLogic {
         : id_(id), transport_(transport) {}
     Status SendRequest(NodeId dst, const CandidateRequest& req) override;
     Status SendGamma(NodeId dst, const GammaUpdate& update) override;
+    Status SendSynopsis(NodeId dst, const SynopsisBatch& batch) override;
+    Status SendReply(NodeId dst, const CandidateReply& reply) override;
     void Emit(const sim::WindowOutput& out) override {
       if (callback) callback(out);
     }

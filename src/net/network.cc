@@ -236,7 +236,6 @@ Status Network::Send(Message m) {
         // Retransmission: the wire carries the message again.
         ChargeLocked(m);
         dup_sent_.Charge(m.src, m.dst, m.type, m.WireBytes(), m.event_count);
-        ++duplicates_injected_;
         duplicate = true;
       }
       uint64_t extra = 0;
@@ -433,8 +432,11 @@ size_t Network::delayed_in_flight() const {
 }
 
 uint64_t Network::duplicates_injected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return duplicates_injected_;
+  uint64_t total = 0;
+  for (const auto& [type, counters] : dup_sent_.ByType()) {
+    total += counters.messages;
+  }
+  return total;
 }
 
 Network::LinkStats Network::GetLinkStats(NodeId src, NodeId dst) const {

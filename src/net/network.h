@@ -314,13 +314,14 @@ class Network : public transport::Transport {
   obs::Counter* c_corrupted_;
   obs::Counter* c_corrupted_frame_;
   obs::Counter* c_corrupted_payload_;
+  obs::Counter* c_sim_ticks_;
+  obs::Counter* c_sim_events_;
   mutable std::mutex mu_;
   std::map<NodeId, std::unique_ptr<Channel>> inboxes_;
   std::vector<NodeId> order_;
   /// Modelled wire time per link (reporting only; not a registry metric).
   std::map<LinkKey, double> transfer_us_;
   Rng fault_rng_{1};
-  uint64_t duplicates_injected_ = 0;
   /// Per-(src, dst) next sequence number (1-based).
   std::map<LinkKey, uint32_t> next_seq_;
   /// Directed links currently partitioned.
@@ -338,13 +339,12 @@ class Network : public transport::Transport {
   std::multimap<uint64_t, Message> delayed_;
   /// Central virtual-time event queue (event-driven mode).
   tick::TickQueue<HopEvent> events_;
-  obs::Counter* c_sim_ticks_;
-  obs::Counter* c_sim_events_;
   /// Lazily-created `sim.hop_latency_us{tier=...}` histograms by tier.
   std::array<obs::Histogram*, tick::kNumLinkTiers> hop_latency_ = {};
 
  public:
-  /// Number of duplicate deliveries injected so far.
+  /// Number of duplicate deliveries injected so far, read from the
+  /// `net.duplicates.messages{type=...}` counters.
   uint64_t duplicates_injected() const;
 };
 

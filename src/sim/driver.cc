@@ -65,7 +65,7 @@ Status SyncDriver::Run(const WorkloadConfig& workload) {
     return Status::Internal("root still has pending windows after run");
   }
   for (const auto& relay : system_->relays) {
-    if (relay->pending_windows() != 0) {
+    if (!relay->idle()) {
       return Status::Internal("relay still has pending windows after run");
     }
   }

@@ -269,7 +269,6 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
   }
 
   report.events_ingested = driver.events_ingested();
-  report.duplicates_injected = network.duplicates_injected();
   report.event_queue_peak = network.event_queue_peak();
   report.virtual_time_us = network.virtual_now_us();
   auto total = network.TotalStats();
@@ -328,8 +327,6 @@ std::string DescribeScenarioDiff(const ScenarioReport& a,
       !field("missing_windows", a.missing_windows, b.missing_windows) ||
       !field("event_queue_peak", a.event_queue_peak, b.event_queue_peak) ||
       !field("virtual_time_us", a.virtual_time_us, b.virtual_time_us) ||
-      !field("duplicates_injected", a.duplicates_injected,
-             b.duplicates_injected) ||
       !field("restarts", a.restarts, b.restarts)) {
     return out.str();
   }

@@ -64,16 +64,16 @@ struct ScenarioReport {
   /// Discrete-event accounting (zero on the inline fabric).
   uint64_t event_queue_peak = 0;
   uint64_t virtual_time_us = 0;
-  /// Fault-fabric accounting without a registry counter.
-  uint64_t duplicates_injected = 0;
+  /// Scheduled crash-restarts (no registry counter).
   uint64_t restarts = 0;
   /// Wire accounting (endpoint-to-endpoint, identical to a flat run).
   net::TrafficCounters network_total;
   double simulated_transfer_us = 0;
   /// The run registry's counters at the end of the run: the fabric's
   /// (`sim.ticks`, `sim.events`, `net.dropped`, `net.delayed`,
-  /// `net.corrupted`, ...) and the root's (`root.retries`, `dema.rejected`,
-  /// `dema.quarantined`, `dema.readmitted`, ...).
+  /// `net.corrupted`, `net.duplicates.*`, ...) and the root's
+  /// (`root.retries`, `dema.rejected`, `dema.quarantined`, `dema.readmitted`,
+  /// ...).
   std::map<std::string, uint64_t> counters;
   /// Timings (not part of the deterministic surface).
   double wall_seconds = 0;
@@ -92,6 +92,17 @@ struct ScenarioReport {
     auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second;
   }
+  /// Duplicate deliveries the fabric injected: the snapshot's
+  /// `net.duplicates.messages{type=...}` counters, summed.
+  uint64_t duplicates() const {
+    const std::string prefix = "net.duplicates.messages{type=";
+    uint64_t sum = 0;
+    for (auto it = counters.lower_bound(prefix);
+         it != counters.end() && it->first.starts_with(prefix); ++it) {
+      sum += it->second;
+    }
+    return sum;
+  }
 };
 
 /// \brief Runs \p system_config / \p workload over the fabric
@@ -106,8 +117,8 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
 
 /// \brief Human-readable first difference between two scenario reports'
 /// deterministic surfaces (per-window outputs, verdict counts, event-queue
-/// and virtual-time accounting, injected duplicates, restarts, and the full
-/// counter snapshot); empty when byte-identical.
+/// and virtual-time accounting, restarts, and the full counter snapshot,
+/// injected duplicates included); empty when byte-identical.
 std::string DescribeScenarioDiff(const ScenarioReport& a,
                                  const ScenarioReport& b);
 

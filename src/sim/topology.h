@@ -7,8 +7,7 @@
 
 #include "common/clock.h"
 #include "common/result.h"
-#include "dema/relay_node.h"
-#include "dema/root_core.h"
+#include "dema/root_node.h"
 #include "exec/executor.h"
 #include "net/codec.h"
 #include "net/network.h"
@@ -115,10 +114,10 @@ struct System {
   std::shared_ptr<exec::Executor> executor;
   std::unique_ptr<RootNodeLogic> root;
   std::vector<std::unique_ptr<LocalNodeLogic>> locals;
-  /// Relay tier between the root and the locals (`BuildTreeSystem`); empty
-  /// otherwise.
+  /// Relay tier between the root and the locals (`BuildTreeSystem`): root
+  /// nodes with a parent. Empty otherwise.
   std::vector<NodeId> relay_ids;
-  std::vector<std::unique_ptr<core::DemaRelayNode>> relays;
+  std::vector<std::unique_ptr<core::DemaRootNode>> relays;
   /// Data-stream tier (`BuildTieredSystem`): `sensors[i]` feed `locals[i]`,
   /// which then take events and their clock only from these sensors. Empty
   /// otherwise: the driver feeds each local directly.

@@ -37,12 +37,15 @@ Result<System> BuildTreeSystem(const TreeConfig& config, net::Network* network,
           std::make_unique<core::DemaLocalNode>(leaf_opts, network, clock));
     }
 
-    core::DemaRelayNodeOptions relay_opts;
+    core::DemaRootNodeOptions relay_opts;
     relay_opts.id = relay_id;
     relay_opts.parent = tree.root_id;
-    relay_opts.children = children;
+    relay_opts.locals = children;  // a relay's "locals" are its leaves
+    relay_opts.initial_gamma = config.gamma;
+    relay_opts.instrument_label = "node=" + std::to_string(relay_id);
+    relay_opts.registry = config.registry;
     tree.relays.push_back(
-        std::make_unique<core::DemaRelayNode>(relay_opts, network, clock));
+        std::make_unique<core::DemaRootNode>(relay_opts, network, clock));
   }
 
   core::DemaRootNodeOptions root_opts;

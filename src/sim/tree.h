@@ -23,8 +23,9 @@ struct TreeConfig {
   DurationUs window_len_us = kMicrosPerSecond;
   std::vector<double> quantiles = {0.5};
   uint64_t gamma = 1'000;
-  /// Shared metrics registry for the top root and the leaf locals (relays
-  /// record no metrics). Null: each node owns its own.
+  /// Shared metrics registry for every node: the top root records unlabelled
+  /// `dema.*`, each relay the same instruments labelled `{node=<id>}`, the
+  /// leaves `local.*{node=<id>}`. Null: each node owns its own.
   obs::Registry* registry = nullptr;
   /// Span sink for the top root's window traces. Null: spans are dropped.
   obs::TraceRecorder* tracer = nullptr;

@@ -1284,7 +1284,7 @@ void TcpTransport::TryWrite(Conn* conn) {
   }
   if (conn->want_write) {
     conn->want_write = false;
-    loop_.Modify(conn->fd, draining_ ? 0 : EPOLLIN);
+    loop_.Modify(conn->fd, draining_ ? 0u : uint32_t{EPOLLIN});
   }
   if (draining_ && conn->wq.empty() && !conn->flushed) {
     // Every session routed here must be closed and drained before the
@@ -1388,7 +1388,7 @@ void TcpTransport::BeginDrain() {
     if (c->registered) {
       // Stop delivering inbound frames (the old reader threads exited at the
       // stop flag); keep the write side open to flush.
-      loop_.Modify(c->fd, c->want_write ? EPOLLOUT : 0);
+      loop_.Modify(c->fd, c->want_write ? uint32_t{EPOLLOUT} : 0u);
       DrainConnOutbox(c);
       if (!c->flushed) TryWrite(c);
     } else {

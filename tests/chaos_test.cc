@@ -160,7 +160,7 @@ TEST(Chaos, SeededScheduleReplaysIdentically) {
       EXPECT_EQ(a.values, b.values) << "window " << a.window_id;
     }
     EXPECT_EQ(first->counter("net.dropped"), second->counter("net.dropped"));
-    EXPECT_EQ(first->duplicates_injected, second->duplicates_injected);
+    EXPECT_EQ(first->duplicates(), second->duplicates());
     EXPECT_EQ(first->counter("net.delayed"), second->counter("net.delayed"));
     EXPECT_EQ(first->counter("root.retries"), second->counter("root.retries"));
   }

@@ -330,7 +330,7 @@ TEST(Scenario, SameSeedIsByteIdenticalAcrossRunsEvenUnderChaos) {
   auto second = sim::RunScenario(config, load, options);
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_TRUE(first->Invariant()) << first->violation;
-  EXPECT_GT(first->counter("net.dropped") + first->duplicates_injected +
+  EXPECT_GT(first->counter("net.dropped") + first->duplicates() +
                 first->counter("net.delayed"),
             0u);
   EXPECT_EQ(sim::DescribeScenarioDiff(*first, *second), "");

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 
 #include "common/clock.h"
 #include "common/rng.h"
@@ -29,11 +31,15 @@ struct TreeRun {
   uint64_t events = 0;
 };
 
-TreeRun RunTree(const TreeConfig& config, uint64_t windows, double rate) {
+/// Runs \p config for \p windows windows; \p prepare, when given, sees the
+/// built tree before the first event.
+TreeRun RunTree(const TreeConfig& config, uint64_t windows, double rate,
+                const std::function<void(System*)>& prepare = nullptr) {
   RealClock clock;
   net::Network network(&clock);
   auto tree = BuildTreeSystem(config, &network, &clock);
   EXPECT_TRUE(tree.ok()) << tree.status();
+  if (prepare) prepare(&*tree);
 
   size_t leaves = config.num_relays * config.locals_per_relay;
   WorkloadConfig load =
@@ -185,9 +191,106 @@ TEST(TreeTopology, RelaysAbsorbDuplicateDeliveries) {
       }
     }
     uint64_t ignored = 0;
-    for (const auto& relay : tree->relays) ignored += relay->duplicates_ignored();
+    for (size_t r = 0; r < tree->relays.size(); ++r) {
+      ignored += tree->relays[r]->registry()->CounterValue(
+          "dema.duplicates_ignored{node=" + std::to_string(tree->relay_ids[r]) +
+          "}");
+    }
     EXPECT_GT(ignored, 0u) << "seed " << seed;
   }
+}
+
+TEST(TreeTopology, RelayRejectsForgedAndTamperedChildPayloads) {
+  // A relay validates its children as the root validates its locals: a
+  // synopsis from an unknown sender and a child batch that is no γ-cut are
+  // counted and dropped, never fatal, and the honest synopses that follow
+  // still complete every window exactly.
+  obs::Registry registry;
+  TreeConfig config;
+  config.num_relays = 2;
+  config.locals_per_relay = 2;
+  config.gamma = 64;
+  config.registry = &registry;
+  auto slice = [](NodeId node, uint32_t index, uint64_t count, double lo,
+                  double hi) {
+    core::SliceSynopsis s;
+    s.node = node;
+    s.index = index;
+    s.count = count;
+    s.first = Event{lo, 1000, node, 0};
+    s.last = Event{hi, 2000, node, 1};
+    return s;
+  };
+  TreeRun run = RunTree(config, /*windows=*/3, /*rate=*/2000, [&](System* tree) {
+    core::DemaRootNode* relay = tree->relays[0].get();
+    const NodeId relay_id = tree->relay_ids[0];
+    core::SynopsisBatch forged;
+    forged.node = 99;
+    forged.gamma_used = 4;
+    forged.local_window_size = 1;
+    forged.slices = {slice(99, 0, 1, 5, 5)};
+    Status st = relay->OnMessage(net::MakeMessage(
+        net::MessageType::kSynopsisBatch, 99, relay_id, forged));
+    EXPECT_TRUE(st.ok()) << st;
+    // Structurally sound, but slice 0 holds 5 events under γ = 4.
+    const NodeId leaf = tree->local_ids[0];
+    core::SynopsisBatch tampered;
+    tampered.node = leaf;
+    tampered.gamma_used = 4;
+    tampered.local_window_size = 8;
+    tampered.slices = {slice(leaf, 0, 5, 1, 2), slice(leaf, 1, 3, 3, 4)};
+    st = relay->OnMessage(net::MakeMessage(net::MessageType::kSynopsisBatch,
+                                           leaf, relay_id, tampered));
+    EXPECT_TRUE(st.ok()) << st;
+  });
+  ASSERT_EQ(run.outputs.size(), 3u);
+  for (const auto& out : run.outputs) {
+    EXPECT_FALSE(out.degraded);
+    EXPECT_DOUBLE_EQ(out.values[0], run.oracle[out.window_id][0])
+        << "window " << out.window_id;
+  }
+  EXPECT_EQ(registry.CounterValue("dema.rejected{node=1}"), 2u);
+  EXPECT_EQ(registry.CounterValue("dema.rejected{reason=unknown_node,node=1}"),
+            1u);
+  EXPECT_EQ(registry.CounterValue("dema.rejected{reason=slice_size,node=1}"),
+            1u);
+  EXPECT_EQ(registry.CounterValue("dema.rejected{node=2}"), 0u);
+  EXPECT_EQ(registry.CounterValue("dema.rejected"), 0u);  // the root's
+}
+
+TEST(TreeTopology, RelayRejectsRequestsItNeverInvited) {
+  // Only the parent may request candidates, and only for a window the relay
+  // forwarded; anything else is counted and dropped, and the run stays exact.
+  obs::Registry registry;
+  TreeConfig config;
+  config.num_relays = 2;
+  config.locals_per_relay = 2;
+  config.gamma = 64;
+  config.registry = &registry;
+  TreeRun run = RunTree(config, /*windows=*/2, /*rate=*/2000, [](System* tree) {
+    core::DemaRootNode* relay = tree->relays[0].get();
+    const NodeId relay_id = tree->relay_ids[0];
+    core::CandidateRequest request;
+    request.window_id = 0;
+    request.slice_indices = {0};
+    Status st = relay->OnMessage(net::MakeMessage(
+        net::MessageType::kCandidateRequest, tree->local_ids[0], relay_id,
+        request));
+    EXPECT_TRUE(st.ok()) << st;
+    st = relay->OnMessage(net::MakeMessage(net::MessageType::kCandidateRequest,
+                                           tree->root_id, relay_id, request));
+    EXPECT_TRUE(st.ok()) << st;
+  });
+  ASSERT_EQ(run.outputs.size(), 2u);
+  for (const auto& out : run.outputs) {
+    EXPECT_DOUBLE_EQ(out.values[0], run.oracle[out.window_id][0])
+        << "window " << out.window_id;
+  }
+  EXPECT_EQ(registry.CounterValue("dema.rejected{reason=unknown_node,node=1}"),
+            1u);
+  EXPECT_EQ(
+      registry.CounterValue("dema.rejected{reason=unexpected_request,node=1}"),
+      1u);
 }
 
 TEST(TreeTopology, GammaUpdatePropagatesToLeaves) {
@@ -233,17 +336,20 @@ TEST(TreeTopology, ThreeLevelTreeComposes) {
   root_opts.strict_validation = false;
   core::DemaRootNode root(root_opts, &network, &clock);
 
-  core::DemaRelayNodeOptions a_opts;
+  // Relays are root nodes with a parent. Relay A hears relay B's combined
+  // batch, so it too keeps only the structural validation rules.
+  core::DemaRootNodeOptions a_opts;
   a_opts.id = 1;
   a_opts.parent = 0;
-  a_opts.children = {2, 3};
-  core::DemaRelayNode relay_a(a_opts, &network, &clock);
+  a_opts.locals = {2, 3};
+  a_opts.strict_validation = false;
+  core::DemaRootNode relay_a(a_opts, &network, &clock);
 
-  core::DemaRelayNodeOptions b_opts;
+  core::DemaRootNodeOptions b_opts;
   b_opts.id = 2;
   b_opts.parent = 1;
-  b_opts.children = {4, 5};
-  core::DemaRelayNode relay_b(b_opts, &network, &clock);
+  b_opts.locals = {4, 5};
+  core::DemaRootNode relay_b(b_opts, &network, &clock);
 
   auto make_leaf = [&](NodeId id, NodeId parent) {
     core::DemaLocalNodeOptions opts;

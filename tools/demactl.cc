@@ -300,11 +300,6 @@ int CmdTree(const Flags& flags) {
   config.locals_per_relay = static_cast<size_t>(flags.GetInt("per-relay", 3));
   config.gamma = static_cast<uint64_t>(flags.GetInt("gamma", 1'000));
   config.quantiles = flags.GetDoubleList("quantiles", {0.5});
-  for (double q : config.quantiles) {
-    if (!(q > 0.0) || q > 1.0) {
-      return Fail("--quantiles: " + std::to_string(q) + " outside (0, 1]");
-    }
-  }
   CommandObs command_obs(nullptr, flags);
   config.registry = &command_obs.registry;
   config.tracer = &command_obs.tracer;
@@ -705,7 +700,7 @@ int CmdChaos(const Flags& flags) {
             << " degraded, " << report.mismatched_windows << " mismatched, "
             << report.missing_windows << " missing; faults: "
             << report.counter("net.dropped") << " dropped, "
-            << report.duplicates_injected << " duplicated, "
+            << report.duplicates() << " duplicated, "
             << report.counter("net.delayed") << " delayed, "
             << report.counter("net.corrupted") << " corrupted; "
             << report.counter("root.retries") << " root retries, "
