@@ -108,8 +108,8 @@ std::string ModeJson(const ModeResult& r) {
 /// retention window) so CI can gate its overhead against the bare transport.
 ModeResult RunTcpMode(const std::string& mode, const sim::SystemConfig& base,
                       const sim::WorkloadConfig& load,
-                      const sim::TcpSessionTuning& session =
-                          sim::TcpSessionTuning()) {
+                      const transport::TcpSessionOptions& session =
+                          transport::TcpSessionOptions()) {
   sim::SystemConfig config = base;
   ModeResult result;
   result.mode = mode;
@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
   // acks per read pass, every data frame retained until acked. Its events/s
   // is gated against the baseline like the bare transport's, so ack and
   // retention overhead cannot creep past the regression bar unnoticed.
-  sim::TcpSessionTuning session;
+  transport::TcpSessionOptions session;
   session.heartbeat_interval_us = MillisUs(5);
   session.auto_reconnect = true;
   ModeResult tcp_hb_run = RunTcpMode("tcp_resilient", config, load, session);

@@ -65,20 +65,25 @@ RootCore::RootCore(DemaRootNodeOptions options, const Clock* clock)
   c_synopsis_slices_ = registry_->GetCounter("dema.synopsis_slices" + label);
   c_candidate_slices_ = registry_->GetCounter("dema.candidate_slices" + label);
   c_candidate_events_ = registry_->GetCounter("dema.candidate_events" + label);
-  c_global_events_ = registry_->GetCounter("dema.global_events" + label);
-  c_class_separate_ = registry_->GetCounter("dema.classes.separate" + label);
-  c_class_compound_ = registry_->GetCounter("dema.classes.compound" + label);
-  c_class_cover_ = registry_->GetCounter("dema.classes.cover" + label);
   c_gamma_updates_sent_ = registry_->GetCounter("dema.gamma_updates_sent" + label);
   c_duplicates_ignored_ = registry_->GetCounter("dema.duplicates_ignored" + label);
-  c_clock_skew_windows_ = registry_->GetCounter("dema.clock_skew_windows" + label);
-  c_degraded_windows_ = registry_->GetCounter("dema.degraded_windows" + label);
-  c_retries_ = registry_->GetCounter("root.retries" + label);
-  c_send_failures_ = registry_->GetCounter("root.send_failures" + label);
   c_rejected_ = registry_->GetCounter("dema.rejected" + label);
-  c_quarantined_ = registry_->GetCounter("dema.quarantined" + label);
-  c_readmitted_ = registry_->GetCounter("dema.readmitted" + label);
-  h_select_us_ = registry_->GetHistogram("root.select_us" + label);
+  if (!options_.parent) {
+    // A relay neither cuts, selects nor emits, and runs without recovery:
+    // these stay null there, and so unexported.
+    c_global_events_ = registry_->GetCounter("dema.global_events" + label);
+    c_class_separate_ = registry_->GetCounter("dema.classes.separate" + label);
+    c_class_compound_ = registry_->GetCounter("dema.classes.compound" + label);
+    c_class_cover_ = registry_->GetCounter("dema.classes.cover" + label);
+    c_clock_skew_windows_ =
+        registry_->GetCounter("dema.clock_skew_windows" + label);
+    c_degraded_windows_ = registry_->GetCounter("dema.degraded_windows" + label);
+    c_retries_ = registry_->GetCounter("root.retries" + label);
+    c_send_failures_ = registry_->GetCounter("root.send_failures" + label);
+    c_quarantined_ = registry_->GetCounter("dema.quarantined" + label);
+    c_readmitted_ = registry_->GetCounter("dema.readmitted" + label);
+    h_select_us_ = registry_->GetHistogram("root.select_us" + label);
+  }
 
   // Fail fast on option errors: a bad quantile must not poison a running
   // cluster per-window after synopses already shipped.

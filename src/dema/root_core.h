@@ -423,22 +423,23 @@ class RootCore {
   obs::Counter* c_synopsis_slices_;
   obs::Counter* c_candidate_slices_;
   obs::Counter* c_candidate_events_;
-  obs::Counter* c_global_events_;
-  obs::Counter* c_class_separate_;
-  obs::Counter* c_class_compound_;
-  obs::Counter* c_class_cover_;
   obs::Counter* c_gamma_updates_sent_;
   obs::Counter* c_duplicates_ignored_;
-  obs::Counter* c_clock_skew_windows_;
-  obs::Counter* c_degraded_windows_;
-  obs::Counter* c_retries_;
-  obs::Counter* c_send_failures_;
   obs::Counter* c_rejected_;
-  obs::Counter* c_quarantined_;
-  obs::Counter* c_readmitted_;
+  /// The root's alone (null on a relay, which never reaches their uses).
+  obs::Counter* c_global_events_ = nullptr;
+  obs::Counter* c_class_separate_ = nullptr;
+  obs::Counter* c_class_compound_ = nullptr;
+  obs::Counter* c_class_cover_ = nullptr;
+  obs::Counter* c_clock_skew_windows_ = nullptr;
+  obs::Counter* c_degraded_windows_ = nullptr;
+  obs::Counter* c_retries_ = nullptr;
+  obs::Counter* c_send_failures_ = nullptr;
+  obs::Counter* c_quarantined_ = nullptr;
+  obs::Counter* c_readmitted_ = nullptr;
   /// Calculation-step selection time (rank-select over the reply runs,
   /// wall-clock µs).
-  obs::Histogram* h_select_us_;
+  obs::Histogram* h_select_us_ = nullptr;
 };
 
 }  // namespace dema::core

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -10,7 +9,7 @@
 #include "net/keyed.h"
 #include "shard/config.h"
 #include "shard/sim_run.h"
-#include "transport/transport.h"
+#include "sim/tcp_run.h"
 
 namespace dema::shard {
 
@@ -18,77 +17,24 @@ namespace dema::shard {
 /// 0; anything >= this is a query session).
 inline constexpr NodeId kFirstQueryClientId = 1000;
 
-/// \brief Options for the sharded TCP root (the `demactl serve --role=root
-/// --shards=S` process).
-struct ShardedServeOptions {
-  std::string listen_host = "127.0.0.1";
-  uint16_t listen_port = 0;
-  /// Pre-bound, already-listening socket to adopt; -1 = bind fresh.
-  int adopted_listen_fd = -1;
-  DurationUs timeout_us = 120 * kMicrosPerSecond;
-  size_t inbox_capacity = 1024;
-  /// Per-connection outbox bound in messages (0 = unbounded); a full outbox
-  /// backpressures the sender instead of queueing without limit.
-  size_t outbox_capacity = 1024;
-  /// Windows every key is expected to emit (the workload horizon).
-  uint64_t expected_windows = 0;
-  /// After every window completed, keep answering queries for up to this
-  /// long before releasing the locals; a query client's `kShutdown` frame
-  /// ends the linger early. 0 = release immediately.
-  DurationUs linger_us = 0;
-  /// Heartbeat period for idle connections (`demactl serve
-  /// --heartbeat-us`): dead query clients and locals are detected and
-  /// reaped instead of holding sessions forever. 0 disables.
-  DurationUs heartbeat_interval_us = 0;
-  /// Silent heartbeat intervals before a peer is declared dead.
-  int heartbeat_misses = 3;
-  std::function<void(uint16_t)> on_listening;
-};
+/// \brief Runs the sharded root service over TCP on `sim::ServeTcpRoot`:
+/// hosts node 0, accepts keyed locals and query clients, aggregates until
+/// every key emitted \p expected_windows windows — answering `kShardQuery`
+/// frames concurrently the whole time — then lingers (`linger_us`), releases
+/// the locals and returns. `windows_emitted` counts per-key windows; the
+/// queries answered are `shard.queries` in `registry`.
+Result<sim::RunMetrics> RunShardedTcpRoot(const ShardedConfig& config,
+                                          uint64_t expected_windows,
+                                          const sim::TcpRootOptions& options);
 
-/// \brief What the sharded TCP root measured.
-struct ShardedServeReport {
-  /// Per-key windows emitted (expected: expected_windows * num_keys).
-  uint64_t windows_emitted = 0;
-  double wall_seconds = 0;
-  uint64_t queries_answered = 0;
-  /// Socket traffic by message type (received + sent merged).
-  std::map<net::MessageType, net::TrafficCounters> by_type;
-};
-
-/// \brief Runs the sharded root service over TCP: hosts node 0, accepts
-/// keyed locals and query clients, aggregates until every key emitted
-/// `expected_windows` windows — answering `kShardQuery` frames concurrently
-/// the whole time — then lingers (see `linger_us`), broadcasts `kShutdown`
-/// to the locals, and returns.
-Result<ShardedServeReport> RunShardedTcpRoot(const ShardedConfig& config,
-                                             const ShardedServeOptions& options);
-
-/// \brief Options for one keyed TCP local process / thread.
-struct ShardedTcpLocalOptions {
-  std::string root_host = "127.0.0.1";
-  uint16_t root_port = 0;
-  DurationUs timeout_us = 120 * kMicrosPerSecond;
-  /// Per-connection outbox bound in messages (0 = unbounded).
-  size_t outbox_capacity = 1024;
-  /// Heartbeat period (0 disables); with `auto_reconnect` the local redials
-  /// the root after a severed connection and replays unacked frames.
-  DurationUs heartbeat_interval_us = 0;
-  int heartbeat_misses = 3;
-  bool auto_reconnect = false;
-};
-
-/// \brief What a keyed local measured.
-struct ShardedTcpLocalReport {
-  uint64_t events_ingested = 0;
-  transport::LinkTrafficMap sent_links;
-};
-
-/// \brief Runs keyed local node \p id over TCP: dials the root, streams
-/// every key's generated windows through the per-key state machines, serves
-/// candidate requests, and returns after the root's `kShutdown`.
-Result<ShardedTcpLocalReport> RunShardedTcpLocal(
+/// \brief Runs keyed local node \p id over TCP: dials the root
+/// (`sim::DialRoot`), streams every key's generated windows through the
+/// per-key state machines, serves candidate requests, and returns after the
+/// root's `kShutdown`. Checkpoint, restore and crash options are refused:
+/// they apply to a flat Dema local only.
+Result<sim::TcpLocalReport> RunShardedTcpLocal(
     const ShardedConfig& config, const KeyedWorkloadConfig& workload,
-    NodeId id, const ShardedTcpLocalOptions& options);
+    NodeId id, const sim::TcpLocalOptions& options);
 
 /// \brief Options for the concurrent query client (`demactl query`).
 struct ShardQueryOptions {

@@ -240,20 +240,6 @@ Status SyncDriver::RunDisordered() {
 // Convenience runners
 // ---------------------------------------------------------------------------
 
-namespace {
-/// The sink \p slot points at, as a non-owning alias; when \p slot is null,
-/// a fresh run-owned sink, which \p slot then points at.
-template <typename Sink>
-std::shared_ptr<Sink> RunSink(Sink** slot) {
-  if (*slot != nullptr) {
-    return std::shared_ptr<Sink>(std::shared_ptr<Sink>(), *slot);
-  }
-  auto owned = std::make_shared<Sink>();
-  *slot = owned.get();
-  return owned;
-}
-}  // namespace
-
 void BindRunObs(SystemConfig* config, RunMetrics* metrics) {
   metrics->registry = RunSink(&config->registry);
   metrics->tracer = RunSink(&config->tracer);

@@ -137,6 +137,18 @@ class SyncDriver {
   double root_busy_us_ = 0;
 };
 
+/// \brief The sink \p slot points at, as a non-owning alias; when \p slot
+/// is null, a fresh run-owned sink, which \p slot then points at.
+template <typename Sink>
+std::shared_ptr<Sink> RunSink(Sink** slot) {
+  if (*slot != nullptr) {
+    return std::shared_ptr<Sink>(std::shared_ptr<Sink>(), *slot);
+  }
+  auto owned = std::make_shared<Sink>();
+  *slot = owned.get();
+  return owned;
+}
+
 /// \brief Points \p metrics' observability handles at the run's sinks:
 /// \p config's registry and tracer when set (as non-owning aliases), or
 /// fresh run-owned ones, which then fill \p config's null slots. Every

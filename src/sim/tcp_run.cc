@@ -8,6 +8,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,31 +26,13 @@ namespace {
 // root's stream to it has a permanent gap), and its run pays this in full.
 constexpr DurationUs kShutdownAckWaitUs = SecondsUs(2);
 
-DurationUs ElapsedUs(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
+/// Root inbox bound in messages; a full inbox backpressures the TCP readers
+/// and in turn the senders.
+constexpr size_t kRootInboxCapacity = 1024;
 
-void AccumulateTraffic(const transport::LinkTrafficMap& links,
-                       net::TrafficCounters* total) {
-  for (const auto& [link, counters] : links) {
-    (void)link;
-    total->messages += counters.messages;
-    total->bytes += counters.bytes;
-    total->events += counters.events;
-  }
-}
-
-void MergeByType(const std::map<net::MessageType, net::TrafficCounters>& in,
-                 std::map<net::MessageType, net::TrafficCounters>* out) {
-  for (const auto& [type, counters] : in) {
-    net::TrafficCounters& slot = (*out)[type];
-    slot.messages += counters.messages;
-    slot.bytes += counters.bytes;
-    slot.events += counters.events;
-  }
-}
+/// A flat TCP local hands a watermark to its logic, and serves the requests
+/// waiting in its inbox, every this many events.
+constexpr size_t kWatermarkEvery = 4096;
 
 /// Writes \p bytes to \p path via a temp file + rename, so a crash mid-write
 /// never leaves a truncated checkpoint behind.
@@ -132,50 +115,52 @@ bool RunChildLocal(int fd, const SystemConfig& config,
 
 }  // namespace
 
-Result<RunMetrics> RunTcpRoot(const SystemConfig& config,
-                              uint64_t expected_windows,
-                              const TcpRootOptions& options) {
-  DEMA_RETURN_NOT_OK(ValidateSystemConfig(config));
-  RealClock clock;
-  SystemConfig cfg = config;
-  RunMetrics metrics;
-  BindRunObs(&cfg, &metrics);
-
+Status ServeTcpRoot(const TcpRootOptions& options,
+                    const std::vector<NodeId>& locals,
+                    uint64_t expected_windows, const RootLogicBuilder& build,
+                    RunMetrics* metrics) {
   transport::TcpTransportOptions topts;
   topts.listen_host = options.listen_host;
   topts.listen_port = options.listen_port;
   topts.adopted_listen_fd = options.adopted_listen_fd;
-  topts.inbox_capacity = options.root_inbox_capacity;
+  topts.inbox_capacity = kRootInboxCapacity;
   topts.outbox_capacity = options.outbox_capacity;
-  topts.heartbeat_interval_us = options.session.heartbeat_interval_us;
-  topts.heartbeat_misses = options.session.heartbeat_misses;
-  topts.auto_reconnect = options.session.auto_reconnect;
-  topts.retransmit_timeout_us = options.session.retransmit_timeout_us;
-  topts.registry = cfg.registry;
+  topts.session = options.session;
+  topts.registry = metrics->registry.get();
   transport::TcpTransport transport(topts);
   DEMA_RETURN_NOT_OK(transport.AddLocalNode(0));
   DEMA_RETURN_NOT_OK(transport.Start());
   if (options.on_listening) options.on_listening(transport.bound_port());
 
-  DEMA_ASSIGN_OR_RETURN(auto root, BuildRootLogic(cfg, &transport, &clock));
+  DEMA_ASSIGN_OR_RETURN(std::unique_ptr<RootNodeLogic> root, build(&transport));
+  // A caller's registry may carry an earlier run's window count.
+  const uint64_t windows_before = root->windows_emitted();
+  const uint64_t windows_target = windows_before + expected_windows;
 
-  obs::Histogram* latency =
-      cfg.registry->GetHistogram("root.window_latency_us");
-  uint64_t windows_done = 0;  // only touched by this (the root's) thread
-  root->SetResultCallback([&](const WindowOutput& out) {
-    latency->Record(
-        out.latency_us < 0 ? 0 : static_cast<uint64_t>(out.latency_us));
-    ++windows_done;
-    if (options.on_result) options.on_result(out);
-  });
-
-  auto wall_start = std::chrono::steady_clock::now();
+  using SteadyClock = std::chrono::steady_clock;
+  const auto wall_start = SteadyClock::now();
+  const auto deadline =
+      wall_start + std::chrono::microseconds(options.timeout_us);
+  auto linger_end = SteadyClock::time_point::max();
   net::Channel* inbox = transport.Inbox(0);
   Status run_status = Status::OK();
-  while (windows_done < expected_windows) {
-    if (ElapsedUs(wall_start) > options.timeout_us) {
+  for (;;) {
+    if (linger_end == SteadyClock::time_point::max() &&
+        root->windows_emitted() >= windows_target) {
+      if (options.linger_us <= 0) break;
+      // Keep serving (queries) for the linger; settle the root first so
+      // what it serves is final.
+      run_status = root->Quiesce();
+      if (!run_status.ok()) break;
+      linger_end =
+          SteadyClock::now() + std::chrono::microseconds(options.linger_us);
+    }
+    const auto now = SteadyClock::now();
+    if (now >= linger_end) break;
+    if (now > deadline) {
       run_status = Status::Internal(
-          "tcp root timed out with " + std::to_string(windows_done) + "/" +
+          "tcp root timed out with " +
+          std::to_string(root->windows_emitted() - windows_before) + "/" +
           std::to_string(expected_windows) + " windows emitted");
       break;
     }
@@ -184,48 +169,153 @@ Result<RunMetrics> RunTcpRoot(const SystemConfig& config,
       // Idle beat: with deadlines configured the root retries stalled
       // windows (e.g. requests that died with a crashed local) and
       // eventually degrades them; a no-op otherwise.
-      Status st = root->Tick();
-      if (!st.ok()) {
-        run_status = st;
+      run_status = root->Tick();
+      if (!run_status.ok()) break;
+      continue;
+    }
+    if (msg->type == net::MessageType::kShutdown) {
+      // A query client (or operator tool) releases the cluster early.
+      if (std::find(locals.begin(), locals.end(), msg->src) == locals.end()) {
         break;
       }
       continue;
     }
-    if (msg->type == net::MessageType::kShutdown) continue;
-    Status st = root->OnMessage(*msg);
-    if (!st.ok()) {
-      run_status = st;
-      break;
-    }
+    run_status = root->OnMessage(*msg);
+    if (!run_status.ok()) break;
   }
-  auto wall_end = std::chrono::steady_clock::now();
+  if (run_status.ok()) run_status = root->Quiesce();
+  const auto wall_end = SteadyClock::now();
 
   // Release the locals. Best effort: a local that never connected (or
   // already died) simply has no route.
-  for (NodeId id : LocalIds(config)) {
-    Status st = transport.Send(ShutdownMessage(0, id));
-    (void)st;
-  }
+  for (NodeId id : locals) (void)transport.Send(ShutdownMessage(0, id));
   // End of stream is a protocol step: keep the listener open until every
   // local has acknowledged its kShutdown. A local whose connection was cut
   // around the broadcast redials and gets it on replay; closing at once
   // would leave it redialing a dead port until its own timeout. Bounded,
-  // because a local that died never acknowledges.
-  (void)transport.AwaitAcked(kShutdownAckWaitUs);
+  // because a local that died never acknowledges. Other peers (query
+  // clients) are not waited for.
+  (void)transport.AwaitAcked(kShutdownAckWaitUs, locals);
   // Flushes the shutdown broadcasts and settles all traffic counters.
   transport.Shutdown();
   DEMA_RETURN_NOT_OK(run_status);
 
-  metrics.windows_emitted = windows_done;
-  metrics.wall_seconds =
+  metrics->windows_emitted = root->windows_emitted() - windows_before;
+  metrics->wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   // Every link of the star topology terminates at the root, so received
   // (local->root) plus sent (root->local) socket bytes cover the cluster.
-  AccumulateTraffic(transport.ReceivedTraffic(), &metrics.network_total);
-  AccumulateTraffic(transport.LinkTraffic(), &metrics.network_total);
-  MergeByType(transport.ReceivedByType(), &metrics.by_type);
-  MergeByType(transport.TrafficByType(), &metrics.by_type);
+  for (const auto& links :
+       {transport.ReceivedTraffic(), transport.LinkTraffic()}) {
+    for (const auto& [link, c] : links) metrics->network_total += c;
+  }
+  for (const auto& types :
+       {transport.ReceivedByType(), transport.TrafficByType()}) {
+    for (const auto& [type, c] : types) metrics->by_type[type] += c;
+  }
+  return Status::OK();
+}
+
+Result<RunMetrics> RunTcpRoot(const SystemConfig& config,
+                              uint64_t expected_windows,
+                              const TcpRootOptions& options) {
+  DEMA_RETURN_NOT_OK(ValidateSystemConfig(config));
+  RealClock clock;
+  SystemConfig cfg = config;
+  RunMetrics metrics;
+  BindRunObs(&cfg, &metrics);
+  obs::Histogram* latency =
+      cfg.registry->GetHistogram("root.window_latency_us");
+  auto build = [&](transport::Transport* transport)
+      -> Result<std::unique_ptr<RootNodeLogic>> {
+    DEMA_ASSIGN_OR_RETURN(auto root, BuildRootLogic(cfg, transport, &clock));
+    root->SetResultCallback([&](const WindowOutput& out) {
+      latency->Record(
+          out.latency_us < 0 ? 0 : static_cast<uint64_t>(out.latency_us));
+      if (options.on_result) options.on_result(out);
+    });
+    return root;
+  };
+  DEMA_RETURN_NOT_OK(ServeTcpRoot(options, LocalIds(config), expected_windows,
+                                  build, &metrics));
   return metrics;
+}
+
+Result<std::unique_ptr<transport::TcpTransport>> DialRoot(
+    NodeId id, const TcpLocalOptions& options, obs::Registry* registry) {
+  transport::TcpTransportOptions topts;
+  topts.listen = false;  // pure client: replies arrive over the dialed conn
+  topts.registry = registry;
+  topts.seq_epoch = options.seq_epoch;
+  topts.outbox_capacity = options.outbox_capacity;
+  topts.session = options.session;
+  topts.kill_conn_schedule = options.kill_conn_frames;
+  topts.write_stall_after_frames = options.write_stall_after_frames;
+  topts.write_stall_us = options.write_stall_us;
+  topts.corrupt_rate = options.corrupt_rate;
+  topts.corrupt_seed = options.corrupt_seed;
+  auto transport = std::make_unique<transport::TcpTransport>(topts);
+  DEMA_RETURN_NOT_OK(transport->AddLocalNode(id));
+  DEMA_RETURN_NOT_OK(
+      transport->AddPeer(0, options.root_host, options.root_port));
+  DEMA_RETURN_NOT_OK(transport->Start());
+  return transport;
+}
+
+Result<core::DemaLocalNode*> CheckpointableLocal(const TcpLocalOptions& options,
+                                                 NodeLogic* logic) {
+  auto* dema_local = dynamic_cast<core::DemaLocalNode*>(logic);
+  const bool uses_faults = !options.checkpoint_path.empty() ||
+                           !options.restore_path.empty() ||
+                           options.crash_at_window > 0;
+  if (uses_faults && dema_local == nullptr) {
+    return Status::InvalidArgument(
+        "checkpoint/restore/crash options require a flat Dema local");
+  }
+  return dema_local;
+}
+
+LocalInbox::LocalInbox(transport::TcpTransport* transport, NodeId id,
+                       NodeLogic* logic, DurationUs timeout_us)
+    : transport_(transport),
+      id_(id),
+      logic_(logic),
+      inbox_(transport->Inbox(id)),
+      deadline_(std::chrono::steady_clock::now() +
+                std::chrono::microseconds(timeout_us)) {}
+
+Status LocalInbox::Handle(const net::Message& msg) {
+  if (msg.type == net::MessageType::kShutdown) {
+    released_ = true;
+    return Status::OK();
+  }
+  return logic_->OnMessage(msg);
+}
+
+Status LocalInbox::Drain() {
+  while (auto msg = inbox_->TryPop()) DEMA_RETURN_NOT_OK(Handle(*msg));
+  return Status::OK();
+}
+
+Result<TcpLocalReport> LocalInbox::Finish(Status run_status,
+                                          uint64_t events_ingested) {
+  // Serve candidate requests until the root is satisfied and releases us.
+  while (run_status.ok() && !released_) {
+    if (std::chrono::steady_clock::now() > deadline_) {
+      run_status = Status::Internal("tcp local " + std::to_string(id_) +
+                                    " timed out waiting for shutdown");
+    } else if (auto msg = inbox_->PopFor(MillisUs(2))) {
+      run_status = Handle(*msg);
+    }
+  }
+  transport_->Shutdown();
+  // An error after the shutdown marker is teardown noise, not a failure.
+  if (!run_status.ok() && !released_) return run_status;
+
+  TcpLocalReport report;
+  report.events_ingested = events_ingested;
+  report.sent_links = transport_->LinkTraffic();
+  return report;
 }
 
 Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
@@ -237,25 +327,8 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
                                    std::to_string(id));
   }
   RealClock clock;
-
-  transport::TcpTransportOptions topts;
-  topts.listen = false;  // pure client: replies arrive over the dialed conn
-  topts.registry = config.registry;
-  topts.seq_epoch = options.seq_epoch;
-  topts.outbox_capacity = options.outbox_capacity;
-  topts.heartbeat_interval_us = options.session.heartbeat_interval_us;
-  topts.heartbeat_misses = options.session.heartbeat_misses;
-  topts.auto_reconnect = options.session.auto_reconnect;
-  topts.retransmit_timeout_us = options.session.retransmit_timeout_us;
-  topts.kill_conn_schedule = options.kill_conn_frames;
-  topts.write_stall_after_frames = options.write_stall_after_frames;
-  topts.write_stall_us = options.write_stall_us;
-  topts.corrupt_rate = options.corrupt_rate;
-  topts.corrupt_seed = options.corrupt_seed;
-  transport::TcpTransport transport(topts);
-  DEMA_RETURN_NOT_OK(transport.AddLocalNode(id));
-  DEMA_RETURN_NOT_OK(transport.AddPeer(0, options.root_host, options.root_port));
-  DEMA_RETURN_NOT_OK(transport.Start());
+  DEMA_ASSIGN_OR_RETURN(auto transport,
+                        DialRoot(id, options, config.registry));
 
   // Process-local worker pool for this node's closed-window sort+slice
   // (declared before the logic so it outlives the node at teardown).
@@ -268,19 +341,12 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
     executor = std::make_unique<exec::Executor>(exec_opts);
     local_config.executor = executor.get();
   }
-  DEMA_ASSIGN_OR_RETURN(auto logic,
-                        BuildLocalLogic(local_config, id, &transport, &clock));
+  DEMA_ASSIGN_OR_RETURN(
+      auto logic, BuildLocalLogic(local_config, id, transport.get(), &clock));
   DEMA_ASSIGN_OR_RETURN(auto gen,
                         gen::StreamGenerator::Create(workload.generators[id - 1]));
-
-  const bool uses_faults = !options.checkpoint_path.empty() ||
-                           !options.restore_path.empty() ||
-                           options.crash_at_window > 0;
-  auto* dema_local = dynamic_cast<core::DemaLocalNode*>(logic.get());
-  if (uses_faults && dema_local == nullptr) {
-    return Status::InvalidArgument(
-        "checkpoint/restore/crash options require the Dema protocol");
-  }
+  DEMA_ASSIGN_OR_RETURN(core::DemaLocalNode * dema_local,
+                        CheckpointableLocal(options, logic.get()));
 
   // Relaunch path: replace the blank node state with the checkpoint snapshot,
   // re-learn the slice factor from the root, and fast-forward the (fully
@@ -297,12 +363,10 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
     while (gen->next_time_us() < resume_cutoff_us) (void)gen->Next();
   }
 
-  net::Channel* inbox = transport.Inbox(id);
   stream::TumblingWindowAssigner assigner(workload.window_len_us);
   const TimestampUs end_time =
       static_cast<TimestampUs>(workload.num_windows) * workload.window_len_us;
-  auto wall_start = std::chrono::steady_clock::now();
-  bool shutdown_received = false;
+  LocalInbox inbox(transport.get(), id, logic.get(), options.timeout_us);
 
   // No pump runs here, so a threaded local quiesces right after each
   // watermark: each window still ships at its boundary, as inline.
@@ -310,19 +374,11 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
     DEMA_RETURN_NOT_OK(logic->OnWatermark(watermark_us));
     return logic->Quiesce();
   };
-  auto handle = [&](const net::Message& msg) -> Status {
-    if (msg.type == net::MessageType::kShutdown) {
-      shutdown_received = true;
-      return Status::OK();
-    }
-    return logic->OnMessage(msg);
-  };
 
-  TcpLocalReport report;
   uint64_t count = 0;
   net::WindowId last_window = 0;
   Status run_status = Status::OK();
-  while (gen->next_time_us() < end_time && !shutdown_received) {
+  while (gen->next_time_us() < end_time && !inbox.released()) {
     Event e = gen->Next();
     net::WindowId wid = assigner.AssignWindow(e.timestamp);
     if (wid != last_window) {
@@ -345,57 +401,30 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
         // Simulated hard crash: synopses already handed to the transport may
         // or may not reach the root (Shutdown flushes what it can); the
         // in-memory node state is simply gone.
-        transport.Shutdown();
+        transport->Shutdown();
         ::_exit(kTcpCrashExitCode);
       }
     }
     run_status = logic->OnEvent(e);
     if (!run_status.ok()) break;
     ++count;
-    if (count % options.watermark_every == 0) {
+    if (count % kWatermarkEvery == 0) {
       run_status = advance(e.timestamp);
       if (!run_status.ok()) break;
-      while (auto msg = inbox->TryPop()) {
-        run_status = handle(*msg);
-        if (!run_status.ok()) break;
-      }
+      run_status = inbox.Drain();
       if (!run_status.ok()) break;
     }
+  }
+  if (run_status.ok() && !inbox.released()) {
+    run_status = logic->OnFinish(end_time);
   }
   // A restored life reports its lifetime total (the checkpoint carries the
   // previous life's count), so the cluster-wide sum stays comparable to a
   // fault-free run.
-  report.events_ingested = (dema_local != nullptr && !options.restore_path.empty())
-                               ? dema_local->events_ingested()
-                               : count;
-  if (run_status.ok() && !shutdown_received) {
-    run_status = logic->OnFinish(end_time);
-  }
-  // Serve candidate requests until the root is satisfied and releases us.
-  while (run_status.ok() && !shutdown_received) {
-    if (ElapsedUs(wall_start) > options.timeout_us) {
-      run_status = Status::Internal("tcp local " + std::to_string(id) +
-                                    " timed out waiting for shutdown");
-      break;
-    }
-    auto msg = inbox->PopFor(MillisUs(2));
-    if (!msg) continue;
-    run_status = handle(*msg);
-  }
-  transport.Shutdown();
-  // An error after the shutdown marker is teardown noise, not a failure.
-  if (!run_status.ok() && !shutdown_received) return run_status;
-
-  report.sent_links = transport.LinkTraffic();
-  report.sent_by_type = transport.TrafficByType();
-  return report;
-}
-
-Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
-                                       const WorkloadConfig& workload,
-                                       const std::string& host, uint16_t port) {
-  return RunTcpClusterForked(config, workload, TcpClusterFaultOptions{}, host,
-                             port);
+  return inbox.Finish(run_status,
+                      (dema_local != nullptr && !options.restore_path.empty())
+                          ? dema_local->events_ingested()
+                          : count);
 }
 
 Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
@@ -446,34 +475,31 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
   std::vector<Child> children;
   for (size_t i = 0; i < config.num_locals; ++i) {
     int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) {
-      ::close(listen_fd);
-      for (const Child& c : children) {
-        ::close(c.report_fd);
-        ::kill(c.pid, SIGKILL);
-        ::waitpid(c.pid, nullptr, 0);
-      }
-      return Status::NetworkError(std::string("pipe failed: ") +
-                                  std::strerror(errno));
-    }
-    pid_t pid = ::fork();
+    const bool piped = ::pipe(pipe_fds) == 0;
+    const pid_t pid = piped ? ::fork() : -1;
     if (pid < 0) {
+      const std::string failed = std::string(piped ? "fork" : "pipe") +
+                                 " failed: " + std::strerror(errno);
       ::close(listen_fd);
-      ::close(pipe_fds[0]);
-      ::close(pipe_fds[1]);
+      if (piped) {
+        ::close(pipe_fds[0]);
+        ::close(pipe_fds[1]);
+      }
       for (const Child& c : children) {
         ::close(c.report_fd);
         ::kill(c.pid, SIGKILL);
         ::waitpid(c.pid, nullptr, 0);
       }
-      return Status::NetworkError(std::string("fork failed: ") +
-                                  std::strerror(errno));
+      return Status::NetworkError(failed);
     }
     if (pid == 0) {
       // Child: run one local node and report back over the pipe.
       ::close(listen_fd);
       ::close(pipe_fds[0]);
       const NodeId node = static_cast<NodeId>(i + 1);
+      TcpLocalOptions lopts;
+      lopts.root_host = host;
+      lopts.root_port = actual_port;
       if (node == fault.crash_node) {
         // Victim child: a still-single-threaded supervisor forks generation 1
         // (which checkpoints every boundary and `_exit`s at the scheduled
@@ -490,9 +516,6 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
         }
         if (gen1 == 0) {
           ::close(pipe_fds[1]);
-          TcpLocalOptions lopts;
-          lopts.root_host = host;
-          lopts.root_port = actual_port;
           lopts.checkpoint_path = ckpt;
           lopts.crash_at_window = fault.crash_at_window;
           auto report = RunTcpLocal(config, workload, node, lopts);
@@ -511,9 +534,6 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
           ::close(pipe_fds[1]);
           ::_exit(1);
         }
-        TcpLocalOptions lopts;
-        lopts.root_host = host;
-        lopts.root_port = actual_port;
         lopts.restore_path = ckpt;
         lopts.seq_epoch = 1;
         lopts.session = fault.session;
@@ -524,9 +544,6 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
         ::close(pipe_fds[1]);
         ::_exit(ok ? 0 : 1);
       }
-      TcpLocalOptions lopts;
-      lopts.root_host = host;
-      lopts.root_port = actual_port;
       lopts.session = fault.session;
       if (!fault.conn_kill.empty()) {
         // Salt by node id: each local severs its link at different points

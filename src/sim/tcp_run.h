@@ -1,9 +1,11 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/time.h"
@@ -14,20 +16,17 @@
 #include "sim/topology.h"
 #include "transport/tcp.h"
 
+namespace dema::core {
+class DemaLocalNode;
+}  // namespace dema::core
+
 namespace dema::sim {
 
-/// \brief Session-resilience knobs shared by the root and local runners,
-/// mapped 1:1 onto `TcpTransportOptions` (see those docs). The default —
-/// interval 0 — leaves heartbeats, dead-peer detection, redial, and replay
-/// off, preserving the historical transport behaviour.
-struct TcpSessionTuning {
-  DurationUs heartbeat_interval_us = 0;
-  int heartbeat_misses = 3;
-  bool auto_reconnect = false;
-  DurationUs retransmit_timeout_us = 0;  ///< 0 derives 4x interval.
-};
+/// \brief The former name of `transport::TcpSessionOptions`, kept for
+/// existing callers.
+using TcpSessionTuning = transport::TcpSessionOptions;
 
-/// \brief Options for a TCP root process / thread.
+/// \brief Options for a TCP root process / thread (flat or sharded).
 struct TcpRootOptions {
   /// Listener address (ignored when adopting a pre-bound socket).
   std::string listen_host = "127.0.0.1";
@@ -39,19 +38,23 @@ struct TcpRootOptions {
   int adopted_listen_fd = -1;
   /// Abort when the run has not completed within this wall time.
   DurationUs timeout_us = 120 * kMicrosPerSecond;
-  /// Root inbox bound; full inboxes backpressure the TCP readers and in
-  /// turn the senders.
-  size_t root_inbox_capacity = 1024;
   /// Per-connection outbox bound in messages (0 = unbounded); a full outbox
   /// blocks `Send` until the peer catches up (`demactl --outbox-cap`).
   size_t outbox_capacity = 1024;
-  /// Heartbeat / reconnect / replay knobs for the root's transport.
-  TcpSessionTuning session;
+  /// Heartbeat / reconnect / replay settings of the root's transport.
+  transport::TcpSessionOptions session;
+  /// After every window completed, keep serving (the sharded root answers
+  /// queries) for up to this long before releasing the locals; a
+  /// `kShutdown` frame from a node that is not a local ends the linger
+  /// early. 0 = release immediately.
+  DurationUs linger_us = 0;
   /// Invoked with the bound port once the listener is up (threaded tests
   /// bind port 0 and hand the result to the locals).
   std::function<void(uint16_t)> on_listening;
   /// Invoked with every emitted window result, in emission order (tests
   /// compare the values against an in-process run of the same workload).
+  /// The sharded root calls it with every per-key window, from its shard
+  /// strands, so there it must be thread-safe.
   std::function<void(const WindowOutput&)> on_result;
 };
 
@@ -65,28 +68,27 @@ struct TcpLocalOptions {
   /// Root address to dial.
   std::string root_host = "127.0.0.1";
   uint16_t root_port = 0;
-  /// Abort when no shutdown arrived within this wall time after finishing.
+  /// Abort when the root's shutdown has not arrived within this wall time
+  /// of the start.
   DurationUs timeout_us = 120 * kMicrosPerSecond;
-  /// Hand watermarks to the logic every this many events.
-  size_t watermark_every = 4096;
-  /// When non-empty (Dema only): write a checkpoint snapshot of the node
-  /// state to this path at every window boundary (atomic rename).
+  /// When non-empty (flat Dema only): write a checkpoint snapshot of the
+  /// node state to this path at every window boundary (atomic rename).
   std::string checkpoint_path;
-  /// When non-empty (Dema only): restore the node from this checkpoint
+  /// When non-empty (flat Dema only): restore the node from this checkpoint
   /// before streaming, re-sync γ with the root, and skip regenerated events
   /// the previous life already ingested.
   std::string restore_path;
-  /// When > 0: simulate a process crash at the boundary of this window id —
-  /// flush the transport (synopses already queued still reach the root) and
-  /// `_exit(kTcpCrashExitCode)` without any cleanup.
+  /// When > 0 (flat Dema only): simulate a process crash at the boundary of
+  /// this window id — flush the transport (synopses already queued still
+  /// reach the root) and `_exit(kTcpCrashExitCode)` without any cleanup.
   net::WindowId crash_at_window = 0;
   /// Sequence-number epoch for the transport; a relaunched process must use
   /// a fresh epoch so the root's dedup window does not swallow its stream.
   uint32_t seq_epoch = 0;
   /// Per-connection outbox bound in messages (0 = unbounded).
   size_t outbox_capacity = 1024;
-  /// Heartbeat / reconnect / replay knobs for this local's transport.
-  TcpSessionTuning session;
+  /// Heartbeat / reconnect / replay settings of this local's transport.
+  transport::TcpSessionOptions session;
   /// Chaos: sever the connection carrying the Nth data frame written, per
   /// entry (sorted; see `TcpTransportOptions::kill_conn_schedule`). Needs
   /// `session.auto_reconnect` to recover.
@@ -106,7 +108,6 @@ struct TcpLocalReport {
   uint64_t events_ingested = 0;
   /// Bytes/messages/events actually written to the socket, per link.
   transport::LinkTrafficMap sent_links;
-  std::map<net::MessageType, net::TrafficCounters> sent_by_type;
 };
 
 /// \brief Runs the root role over TCP: hosts node 0, accepts local
@@ -121,6 +122,22 @@ Result<RunMetrics> RunTcpRoot(const SystemConfig& config,
                               uint64_t expected_windows,
                               const TcpRootOptions& options);
 
+/// \brief Builds a root's logic over the transport the root listens on.
+using RootLogicBuilder =
+    std::function<Result<std::unique_ptr<RootNodeLogic>>(transport::Transport*)>;
+
+/// \brief The TCP root run of `RunTcpRoot` and `shard::RunShardedTcpRoot`:
+/// listens as node 0 (recording into `metrics->registry`, which must be
+/// set), builds the logic with \p build, then pops the inbox for up to 2 ms
+/// at a time, ticking the root when idle, until it emitted
+/// \p expected_windows and lingered, or a node outside \p locals sent
+/// `kShutdown`. It then quiesces the root, releases \p locals with an acked
+/// `kShutdown`, and fills \p metrics' windows, wall time and traffic.
+Status ServeTcpRoot(const TcpRootOptions& options,
+                    const std::vector<NodeId>& locals,
+                    uint64_t expected_windows, const RootLogicBuilder& build,
+                    RunMetrics* metrics);
+
 /// \brief Runs one local node over TCP: dials the root, streams the
 /// generated workload through the node logic, serves candidate requests,
 /// and returns after the root's `kShutdown` arrives.
@@ -128,21 +145,53 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
                                    const WorkloadConfig& workload, NodeId id,
                                    const TcpLocalOptions& options);
 
-/// \brief Runs a whole cluster on this machine as real OS processes: binds
-/// the root listener, forks one child per local node (each running
-/// `RunTcpLocal` against loopback), runs the root in this process, and
-/// merges the children's reports into the returned metrics: their ingest
-/// count into `events_ingested`, their session counters into the run
-/// registry (the caller's `SystemConfig::registry` when set).
-///
-/// Must be called before this process creates any threads (it forks).
-Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
-                                       const WorkloadConfig& workload,
-                                       const std::string& host = "127.0.0.1",
-                                       uint16_t port = 0);
+/// \brief Starts the transport of node \p id, which dials the root (node 0)
+/// per \p options, listens nowhere and records into \p registry (a private
+/// one when null). Flat and keyed locals and the query client use it.
+Result<std::unique_ptr<transport::TcpTransport>> DialRoot(
+    NodeId id, const TcpLocalOptions& options, obs::Registry* registry);
+
+/// \brief \p logic as the flat Dema local it is, or null; InvalidArgument
+/// when \p options asks for a checkpoint, a restore or a crash of any
+/// other node logic, which cannot snapshot itself.
+Result<core::DemaLocalNode*> CheckpointableLocal(const TcpLocalOptions& options,
+                                                 NodeLogic* logic);
+
+/// \brief The root-facing inbox of a TCP local, shared by the flat and
+/// keyed runners: every message goes to the node logic except the root's
+/// `kShutdown`, which releases the local.
+class LocalInbox {
+ public:
+  /// \p timeout_us bounds the whole run from now.
+  LocalInbox(transport::TcpTransport* transport, NodeId id, NodeLogic* logic,
+             DurationUs timeout_us);
+
+  /// Whether the root's `kShutdown` arrived.
+  bool released() const { return released_; }
+
+  /// Hands every message already waiting to the logic.
+  Status Drain();
+
+  /// Ends the run: unless \p run_status failed, serves the root's requests
+  /// until it releases the local (or the timeout passes), then shuts the
+  /// transport down and reports \p events_ingested with the traffic sent.
+  /// An error after the release is teardown noise, not a failure.
+  Result<TcpLocalReport> Finish(Status run_status, uint64_t events_ingested);
+
+ private:
+  Status Handle(const net::Message& msg);
+
+  transport::TcpTransport* transport_;
+  NodeId id_;
+  NodeLogic* logic_;
+  net::Channel* inbox_;
+  std::chrono::steady_clock::time_point deadline_;
+  bool released_ = false;
+};
 
 /// \brief Fault injection for `RunTcpClusterForked`: kill one local process
-/// mid-run and relaunch it from its checkpoint.
+/// mid-run and relaunch it from its checkpoint, or cut, stall and corrupt
+/// every local's connection.
 struct TcpClusterFaultOptions {
   /// Local node to crash (0 = no crash).
   NodeId crash_node = 0;
@@ -165,18 +214,27 @@ struct TcpClusterFaultOptions {
   /// builds backpressure.
   uint64_t write_stall_after_frames = 0;
   DurationUs write_stall_us = 0;
-  /// Session tuning applied to the root and every local.
-  TcpSessionTuning session;
+  /// Session settings applied to the root and every local.
+  transport::TcpSessionOptions session;
   /// Invoked in this (the root's) process with every emitted window result.
   std::function<void(const WindowOutput&)> on_result;
 };
 
-/// \brief Like `RunTcpClusterForked`, but the victim's child is a
-/// single-threaded supervisor that forks generation 1 (checkpointing, crashes
-/// at the scheduled window), reaps it, and relaunches generation 2 from the
+/// \brief Runs a whole cluster on this machine as real OS processes: binds
+/// the root listener, forks one child per local node (each running
+/// `RunTcpLocal` against loopback), runs the root in this process, and
+/// merges the children's reports into the returned metrics: their ingest
+/// count into `events_ingested`, their session counters into the run
+/// registry (the caller's `SystemConfig::registry` when set).
+///
+/// With `fault.crash_node` set, the victim's child is a single-threaded
+/// supervisor that forks generation 1 (checkpointing, crashes at the
+/// scheduled window), reaps it, and relaunches generation 2 from the
 /// checkpoint with a fresh sequence epoch. The root needs
 /// `recovery.deadline_ticks` > 0 to retry candidate requests that died with
 /// generation 1.
+///
+/// Must be called before this process creates any threads (it forks).
 Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
                                        const WorkloadConfig& workload,
                                        const TcpClusterFaultOptions& fault,

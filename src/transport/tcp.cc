@@ -30,15 +30,28 @@ constexpr size_t kWriteHighWater = 1u << 20;
 constexpr size_t kReadBudget = 1u << 20;
 /// Frames per writev call (well under IOV_MAX everywhere).
 constexpr size_t kMaxIov = 64;
+/// Largest accepted frame payload (corrupt length-prefix defence).
+constexpr uint32_t kMaxFramePayload = 64u << 20;
+/// Size of the arena blocks receive buffers are carved from. Payloads are
+/// delivered as views into these blocks (zero-copy); a block is freed when
+/// the loop has moved past it and no delivered message references it.
+constexpr size_t kRecvBlockBytes = 256u << 10;
+/// Dial-phase socket timeout and the per-connection grace period the
+/// shutdown drain grants a stalled peer before abandoning its queued frames
+/// (reset on write progress).
+constexpr DurationUs kIoTimeoutUs = MillisUs(200);
+/// Heartbeat intervals after which a sent-but-unacked frame is retransmitted
+/// (recovers frames a receiver's CRC check dropped; dedup eats the repeats).
+constexpr int kRetransmitHeartbeats = 4;
 
 /// Applies the per-socket options every data connection uses: small-message
 /// latency (no Nagle) and bounded blocking for the synchronous dial phase.
-void ConfigureSocket(int fd, DurationUs io_timeout_us) {
+void ConfigureSocket(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   timeval tv;
-  tv.tv_sec = io_timeout_us / kMicrosPerSecond;
-  tv.tv_usec = io_timeout_us % kMicrosPerSecond;
+  tv.tv_sec = kIoTimeoutUs / kMicrosPerSecond;
+  tv.tv_usec = kIoTimeoutUs % kMicrosPerSecond;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
@@ -164,9 +177,7 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
       sent_(registry_, "transport.sent"),
       recv_(registry_, "transport.recv"),
       accept_failures_to_inject_(options_.inject_accept_failures),
-      jitter_rng_(options_.dial_jitter_seed != 0
-                      ? options_.dial_jitter_seed
-                      : static_cast<uint64_t>(::getpid()) * 2654435761u + 1),
+      jitter_rng_(static_cast<uint64_t>(::getpid()) * 2654435761u + 1),
       corrupt_rng_(options_.corrupt_seed != 0
                        ? options_.corrupt_seed
                        : static_cast<uint64_t>(::getpid()) * 0x9E3779B9u + 3),
@@ -221,11 +232,11 @@ Status TcpTransport::EnsureLoopStarted() {
   loop_.SetTickHandler([this] { DrainOutboxes(); });
   loop_thread_ = std::thread([this] { loop_.Run(); });
   loop_started_ = true;
-  if (options_.heartbeat_interval_us > 0) {
+  if (options_.session.heartbeat_interval_us > 0) {
     // Self-rescheduling liveness timer: half-interval granularity keeps
     // ping spacing and miss detection within one interval of exact.
     loop_.Post([this] {
-      loop_.PostDelayed(options_.heartbeat_interval_us / 2 + 1,
+      loop_.PostDelayed(options_.session.heartbeat_interval_us / 2 + 1,
                         [this] { HeartbeatTick(); });
     });
   }
@@ -238,7 +249,8 @@ void TcpTransport::StopLoopForTest() {
 }
 
 void TcpTransport::RequestRedial(NodeId dst) {
-  if (!options_.auto_reconnect || stopped_.load(std::memory_order_relaxed)) {
+  if (!options_.session.auto_reconnect ||
+      stopped_.load(std::memory_order_relaxed)) {
     return;
   }
   Session* session = nullptr;
@@ -368,18 +380,6 @@ TcpTransport::Session* TcpTransport::SessionForLocked(NodeId dst) {
   return session;
 }
 
-DurationUs TcpTransport::RetransmitTimeoutUs() const {
-  if (options_.retransmit_timeout_us > 0) return options_.retransmit_timeout_us;
-  return options_.heartbeat_interval_us * 4;
-}
-
-size_t TcpTransport::RetainCapacity() const {
-  if (options_.retain_capacity > 0) return options_.retain_capacity;
-  // Default: as much retained as queueable, so retention roughly doubles a
-  // destination's memory bound instead of multiplying it.
-  return options_.outbox_capacity;
-}
-
 Status TcpTransport::Send(net::Message m) {
   if (stopped_.load(std::memory_order_relaxed)) {
     return Status::NetworkError("transport is shut down");
@@ -408,7 +408,7 @@ Status TcpTransport::Send(net::Message m) {
     if (sit != sessions_.end()) {
       session = sit->second.get();
     } else if (route_live ||
-               (rit != routes_.end() && options_.auto_reconnect)) {
+               (rit != routes_.end() && options_.session.auto_reconnect)) {
       // Hello-learned route (we are the acceptor replying): the session is
       // created on first reply. With auto_reconnect that holds even if the
       // connection died before the first reply: the dialer redials, and the
@@ -419,7 +419,7 @@ Status TcpTransport::Send(net::Message m) {
                               " (no connection and no configured peer)");
     }
   }
-  if (session != nullptr && !route_live && options_.auto_reconnect) {
+  if (session != nullptr && !route_live && options_.session.auto_reconnect) {
     // The connection died under an existing session: queue a background
     // redial (deduped) and let the message wait in the outbox meanwhile.
     RequestRedial(dst);
@@ -483,7 +483,7 @@ Status TcpTransport::Send(net::Message m) {
              !rit->second->dead.load(std::memory_order_relaxed);
     }
     if (!live) {
-      if (options_.auto_reconnect) {
+      if (options_.session.auto_reconnect) {
         RequestRedial(dst);
       } else {
         auto conn = ConnFor(dst);
@@ -570,7 +570,7 @@ Result<int> TcpTransport::DialWithRetry(const std::string& host, uint16_t port) 
       ::close(fd);
       continue;
     }
-    ConfigureSocket(fd, options_.io_timeout_us);
+    ConfigureSocket(fd);
     Status st = WriteFull(fd, hello.data(), hello.size(), stopped_);
     if (!st.ok()) {
       ::close(fd);
@@ -715,8 +715,8 @@ void TcpTransport::ReadReady(Conn* conn) {
 
 void TcpTransport::EnsureReadCapacity(Conn* conn, size_t hint) {
   if (conn->rblock == nullptr) {
-    conn->rblock = std::make_shared<std::vector<uint8_t>>(
-        std::max(options_.recv_block_bytes, hint));
+    conn->rblock =
+        std::make_shared<std::vector<uint8_t>>(std::max(kRecvBlockBytes, hint));
     conn->rpos = conn->rend = 0;
     return;
   }
@@ -732,13 +732,13 @@ void TcpTransport::EnsureReadCapacity(Conn* conn, size_t hint) {
     // hold the whole frame so an oversized payload moves exactly once.
     FrameHeader h;
     if (DecodeFrameHeader(conn->rblock->data() + conn->rpos, kFrameHeaderBytes,
-                          options_.max_frame_payload, &h)
+                          kMaxFramePayload, &h)
             .ok()) {
       want = kFrameHeaderBytes + h.payload_size + kFrameTrailerBytes;
     }
   }
-  auto fresh = std::make_shared<std::vector<uint8_t>>(
-      std::max(options_.recv_block_bytes, want));
+  auto fresh =
+      std::make_shared<std::vector<uint8_t>>(std::max(kRecvBlockBytes, want));
   std::memcpy(fresh->data(), conn->rblock->data() + conn->rpos, tail);
   conn->rblock = std::move(fresh);
   conn->rpos = 0;
@@ -797,7 +797,7 @@ bool TcpTransport::ParseFrames(Conn* conn) {
     if (avail < kFrameHeaderBytes) return true;
     FrameHeader h;
     Status st = DecodeFrameHeader(base + conn->rpos, kFrameHeaderBytes,
-                                  options_.max_frame_payload, &h);
+                                  kMaxFramePayload, &h);
     if (!st.ok()) {
       DEMA_LOG(Warn) << "dropping connection on bad frame: " << st;
       KillConn(conn);
@@ -989,7 +989,7 @@ void TcpTransport::QueueControlFrame(Conn* conn, net::Message m) {
 
 void TcpTransport::HeartbeatTick() {
   if (draining_ || loop_.stopping()) return;
-  const DurationUs interval = options_.heartbeat_interval_us;
+  const DurationUs interval = options_.session.heartbeat_interval_us;
   const TimestampUs now = EpollLoop::NowUs();
   std::vector<Conn*> conns;
   {
@@ -1003,7 +1003,7 @@ void TcpTransport::HeartbeatTick() {
       continue;
     }
     if (now - c->last_recv_us >=
-        static_cast<TimestampUs>(options_.heartbeat_misses) * interval) {
+        static_cast<TimestampUs>(options_.session.heartbeat_misses) * interval) {
       // N whole intervals of silence — not even a pong. The peer is gone;
       // KillConn does the peer-down accounting and queues the redial.
       KillConn(c);
@@ -1021,7 +1021,8 @@ void TcpTransport::HeartbeatTick() {
 
   // Retransmit overdue unacked frames (recovers frames the receiver's CRC
   // check dropped: no connection death, no ack progress, just loss).
-  const DurationUs rto = RetransmitTimeoutUs();
+  const DurationUs rto =
+      kRetransmitHeartbeats * options_.session.heartbeat_interval_us;
   std::vector<std::pair<Session*, Conn*>> overdue;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -1125,7 +1126,9 @@ void TcpTransport::DrainConnOutbox(Conn* conn) {
       if (sit != sessions_.end()) sessions.push_back(sit->second.get());
     }
   }
-  const size_t retain_cap = RetainCapacity();
+  // As much retained as queueable, so retention roughly doubles a
+  // destination's memory bound instead of multiplying it.
+  const size_t retain_cap = options_.outbox_capacity;
   for (Session* session : sessions) {
     // Encode queued messages into per-frame buffers up to the in-flight
     // high-water mark; past it the bounded outbox backpressures Send. During
@@ -1214,7 +1217,7 @@ void TcpTransport::TryWrite(Conn* conn) {
     size_t written = static_cast<size_t>(n);
     if (draining_) {
       // Progress: the stalled-peer grace period restarts.
-      conn->drain_deadline_us = EpollLoop::NowUs() + options_.io_timeout_us;
+      conn->drain_deadline_us = EpollLoop::NowUs() + kIoTimeoutUs;
     }
     while (written > 0) {
       Conn::PendingFrame& f = conn->wq.front();
@@ -1366,7 +1369,8 @@ void TcpTransport::KillConn(Conn* conn) {
   const bool clean = draining_ || conn->saw_shutdown || all_closing;
   if (!clean && !conn->dsts.empty()) {
     c_peer_down_->Increment();
-    if (options_.auto_reconnect && !stopped_.load(std::memory_order_relaxed)) {
+    if (options_.session.auto_reconnect &&
+        !stopped_.load(std::memory_order_relaxed)) {
       for (NodeId dst : conn->dsts) RequestRedial(dst);
     }
   }
@@ -1381,7 +1385,7 @@ void TcpTransport::BeginDrain() {
     conns.reserve(conns_.size());
     for (const auto& c : conns_) conns.push_back(c.get());
   }
-  TimestampUs deadline = EpollLoop::NowUs() + options_.io_timeout_us;
+  TimestampUs deadline = EpollLoop::NowUs() + kIoTimeoutUs;
   for (Conn* c : conns) {
     if (c->dead.load(std::memory_order_relaxed)) continue;
     c->drain_deadline_us = deadline;
@@ -1423,7 +1427,7 @@ void TcpTransport::CheckDrainDone() {
     loop_.Stop();
     return;
   }
-  loop_.PostDelayed(options_.io_timeout_us / 4 + 1, [this] { CheckDrainDone(); });
+  loop_.PostDelayed(kIoTimeoutUs / 4 + 1, [this] { CheckDrainDone(); });
 }
 
 transport::LinkTrafficMap TcpTransport::LinkTraffic() const {
@@ -1444,7 +1448,8 @@ std::map<net::MessageType, net::TrafficCounters> TcpTransport::ReceivedByType()
   return recv_.ByType();
 }
 
-bool TcpTransport::AwaitAcked(DurationUs timeout_us) {
+bool TcpTransport::AwaitAcked(DurationUs timeout_us,
+                              const std::vector<NodeId>& dsts) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!loop_started_) return true;  // nothing was ever sent
@@ -1454,10 +1459,14 @@ bool TcpTransport::AwaitAcked(DurationUs timeout_us) {
     // Retention is loop-thread state, so the loop answers the question.
     auto answer = std::make_shared<std::promise<bool>>();
     std::future<bool> acked = answer->get_future();
-    loop_.Post([this, answer] {
+    loop_.Post([this, answer, dsts] {
       std::lock_guard<std::mutex> lock(mu_);
       bool all = true;
       for (const auto& [dst, session] : sessions_) {
+        if (!dsts.empty() &&
+            std::find(dsts.begin(), dsts.end(), dst) == dsts.end()) {
+          continue;
+        }
         if (session->outbox->size() > 0 || session->retained() > 0) {
           all = false;
           break;

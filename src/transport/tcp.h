@@ -33,6 +33,25 @@ Result<int> BindListenSocket(const std::string& host, uint16_t port);
 /// \brief Port a bound socket listens on (resolves ephemeral binds).
 Result<uint16_t> ListenSocketPort(int fd);
 
+/// \brief Session resilience of a TCP endpoint: heartbeats, dead-peer
+/// detection, redial and acked replay. The default (interval 0, no
+/// reconnect) leaves all of it off.
+struct TcpSessionOptions {
+  /// Idle-connection heartbeat period. Every interval without traffic the
+  /// loop sends a `kHeartbeat` ping (the peer echoes a pong, feeding the
+  /// per-peer RTT gauge `net.peer_rtt_us{peer=}`); `heartbeat_misses`
+  /// intervals with *no* inbound bytes at all declare the peer dead
+  /// (`net.peer_down`) and kill the connection — triggering redial for
+  /// configured peers. 0 disables heartbeats and dead-peer detection.
+  DurationUs heartbeat_interval_us = 0;
+  /// Silent heartbeat intervals before a peer is declared dead.
+  int heartbeat_misses = 3;
+  /// Redial configured peers in the background when their connection dies
+  /// outside shutdown, using the same jittered exponential backoff as the
+  /// first dial, and replay retained frames on the fresh session.
+  bool auto_reconnect = false;
+};
+
 /// \brief Configuration of a `TcpTransport`.
 struct TcpTransportOptions {
   /// Interface to bind the listener to.
@@ -60,23 +79,17 @@ struct TcpTransportOptions {
   /// Connection attempts before a dial fails (the peer may start later).
   int connect_attempts = 30;
   /// First retry delay; doubles per attempt up to the cap below. The actual
-  /// sleep is jittered uniformly in [delay/2, delay] so a whole cluster
+  /// sleep is jittered uniformly in [delay/2, delay], drawn from a generator
+  /// seeded by the pid, so a whole cluster (forked processes included)
   /// reconnecting to a restarted root does not thundering-herd it.
   DurationUs connect_backoff_initial_us = MillisUs(10);
   /// Retry delay cap.
   DurationUs connect_backoff_max_us = MillisUs(1000);
-  /// Seed for the dial-backoff jitter draw; 0 derives one from the pid so
-  /// forked processes naturally de-synchronize.
-  uint64_t dial_jitter_seed = 0;
   /// Sequence-number epoch, occupying the top 8 bits of every stamped
   /// `Message::seq`. A restarted process must use a fresh epoch so its new
   /// 1-based stream does not collide with its previous life's numbers inside
   /// receivers' dedup windows.
   uint32_t seq_epoch = 0;
-  /// Dial-phase socket timeout and the per-connection grace period the
-  /// shutdown drain grants a stalled peer before abandoning its queued
-  /// frames (reset on write progress).
-  DurationUs io_timeout_us = MillisUs(200);
   /// Backoff before re-arming the listener after a hard accept error
   /// (EMFILE and friends): the listener leaves the epoll set for this long
   /// so a level-triggered ready listener cannot spin the loop.
@@ -85,12 +98,6 @@ struct TcpTransportOptions {
   /// failures (close them and run the error/backoff path) to prove the
   /// listener survives; 0 disables.
   int inject_accept_failures = 0;
-  /// Largest accepted frame payload (corrupt length-prefix defence).
-  uint32_t max_frame_payload = 64u << 20;
-  /// Size of the arena blocks receive buffers are carved from. Payloads are
-  /// delivered as views into these blocks (zero-copy); a block is freed when
-  /// the loop has moved past it and no delivered message references it.
-  size_t recv_block_bytes = 256u << 10;
   /// Fault injection: probability per outbound frame of flipping one random
   /// byte after the length-prefix header (payload or CRC trailer) before it
   /// hits the socket, exercising the receiver's checksum path end to end.
@@ -100,32 +107,10 @@ struct TcpTransportOptions {
   /// Seed for the corruption injector; 0 derives one from the pid.
   uint64_t corrupt_seed = 0;
 
-  // --- session resilience (heartbeats, redial, acked replay) ----------------
-
-  /// Idle-connection heartbeat period. Every interval without traffic the
-  /// loop sends a `kHeartbeat` ping (the peer echoes a pong, feeding the
-  /// per-peer RTT gauge `net.peer_rtt_us{peer=}`); `heartbeat_misses`
-  /// intervals with *no* inbound bytes at all declare the peer dead
-  /// (`net.peer_down`) and kill the connection — triggering redial for
-  /// configured peers. 0 disables heartbeats and dead-peer detection.
-  DurationUs heartbeat_interval_us = 0;
-  /// Silent heartbeat intervals before a peer is declared dead.
-  int heartbeat_misses = 3;
-  /// Redial configured peers in the background when their connection dies
-  /// outside shutdown, using the same jittered exponential backoff as the
-  /// first dial, and replay retained frames on the fresh session.
-  bool auto_reconnect = false;
-  /// Sent-but-unacked frames older than this are retransmitted on the next
-  /// heartbeat tick (recovers frames the receiver's CRC check discarded —
-  /// dedup swallows the duplicates when the original did arrive). Only
-  /// meaningful with heartbeats on; 0 derives 4 * heartbeat_interval_us.
-  DurationUs retransmit_timeout_us = 0;
-  /// Bound on retained frames per destination session (written-but-unacked
-  /// plus salvaged-from-dead-connections). At the bound the loop stops
-  /// pulling from that session's outbox, so the existing outbox bound
-  /// backpressures `Send` — retention memory cannot grow without limit.
-  /// 0 derives from outbox_capacity (or stays unbounded when that is 0).
-  size_t retain_capacity = 0;
+  /// Heartbeats, dead-peer detection, redial and acked replay. Frames are
+  /// retained until acked, at most `outbox_capacity` per destination (0 =
+  /// unbounded); at the bound the outbox backpressures `Send`.
+  TcpSessionOptions session;
   /// Chaos injector: kill the connection carrying the Nth, then the Mth, ...
   /// *data* frame written by this transport (cumulative count across
   /// connections, sorted ascending). The kill severs a live socket exactly
@@ -214,12 +199,13 @@ class TcpTransport final : public Transport {
   /// the transport's own private registry).
   obs::Registry* registry() const { return registry_; }
 
-  /// Blocks until every message sent so far has been acknowledged by its
-  /// receiver (all outboxes empty, nothing retained for replay) or
-  /// \p timeout_us passes. The listener stays open meanwhile, so a peer whose
-  /// connection was cut can redial and receive the rest on replay. Returns
-  /// whether everything was acknowledged.
-  bool AwaitAcked(DurationUs timeout_us);
+  /// Blocks until every message sent so far to \p dsts (to any destination
+  /// when empty) has been acknowledged by its receiver (their outboxes
+  /// empty, nothing retained for replay) or \p timeout_us passes. The
+  /// listener stays open meanwhile, so a peer whose connection was cut can
+  /// redial and receive the rest on replay. Returns whether everything was
+  /// acknowledged.
+  bool AwaitAcked(DurationUs timeout_us, const std::vector<NodeId>& dsts = {});
 
   /// Flushes outbound queues (bounded by a per-connection grace period),
   /// closes the listener and every connection, joins the I/O thread, and
@@ -389,9 +375,6 @@ class TcpTransport final : public Transport {
   /// Background thread: dials queued peers with the usual backoff, adopts
   /// the fresh connection, and re-registers the route.
   void RedialThreadMain();
-  /// Effective retransmit timeout / retention bound (derived defaults).
-  DurationUs RetransmitTimeoutUs() const;
-  size_t RetainCapacity() const;
 
   // --- loop-thread handlers -------------------------------------------------
   void RegisterConn(Conn* conn);

@@ -13,6 +13,7 @@
 
 #include "common/clock.h"
 #include "net/keyed.h"
+#include "obs/registry.h"
 #include "shard/config.h"
 #include "shard/serve.h"
 #include "shard/sim_run.h"
@@ -53,31 +54,30 @@ TEST(ShardTcp, ShardedServeAnswersConcurrentQueriesWithSimParity) {
   uint16_t port = 0;
   std::mutex port_mu;
   std::condition_variable port_cv;
-  Result<shard::ShardedServeReport> root_report =
+  Result<sim::RunMetrics> root_report =
       Status::Internal("root never ran");
   std::thread root_thread([&] {
-    shard::ShardedServeOptions opts;
+    sim::TcpRootOptions opts;
     opts.listen_port = 0;
-    opts.expected_windows = load.num_windows;
     opts.linger_us = 30 * kMicrosPerSecond;  // hold for the query client
     opts.on_listening = [&](uint16_t p) {
       std::lock_guard<std::mutex> lock(port_mu);
       port = p;
       port_cv.notify_all();
     };
-    root_report = shard::RunShardedTcpRoot(sc, opts);
+    root_report = shard::RunShardedTcpRoot(sc, load.num_windows, opts);
   });
   {
     std::unique_lock<std::mutex> lock(port_mu);
     port_cv.wait(lock, [&] { return port != 0; });
   }
 
-  std::vector<Result<shard::ShardedTcpLocalReport>> local_reports(
+  std::vector<Result<sim::TcpLocalReport>> local_reports(
       sc.num_locals, Status::Internal("local never ran"));
   std::vector<std::thread> local_threads;
   for (size_t i = 0; i < sc.num_locals; ++i) {
     local_threads.emplace_back([&, i] {
-      shard::ShardedTcpLocalOptions opts;
+      sim::TcpLocalOptions opts;
       opts.root_port = port;
       local_reports[i] = shard::RunShardedTcpLocal(
           sc, load, static_cast<NodeId>(i + 1), opts);
@@ -154,30 +154,29 @@ TEST(ShardTcp, QueryClientRejectsBadQuantile) {
   uint16_t port = 0;
   std::mutex port_mu;
   std::condition_variable port_cv;
-  Result<shard::ShardedServeReport> root_report =
+  Result<sim::RunMetrics> root_report =
       Status::Internal("root never ran");
   std::thread root_thread([&] {
-    shard::ShardedServeOptions opts;
+    sim::TcpRootOptions opts;
     opts.listen_port = 0;
-    opts.expected_windows = load.num_windows;
     opts.linger_us = 30 * kMicrosPerSecond;
     opts.on_listening = [&](uint16_t p) {
       std::lock_guard<std::mutex> lock(port_mu);
       port = p;
       port_cv.notify_all();
     };
-    root_report = shard::RunShardedTcpRoot(sc, opts);
+    root_report = shard::RunShardedTcpRoot(sc, load.num_windows, opts);
   });
   {
     std::unique_lock<std::mutex> lock(port_mu);
     port_cv.wait(lock, [&] { return port != 0; });
   }
   std::vector<std::thread> local_threads;
-  std::vector<Result<shard::ShardedTcpLocalReport>> local_reports(
+  std::vector<Result<sim::TcpLocalReport>> local_reports(
       sc.num_locals, Status::Internal("local never ran"));
   for (size_t i = 0; i < sc.num_locals; ++i) {
     local_threads.emplace_back([&, i] {
-      shard::ShardedTcpLocalOptions opts;
+      sim::TcpLocalOptions opts;
       opts.root_port = port;
       local_reports[i] = shard::RunShardedTcpLocal(
           sc, load, static_cast<NodeId>(i + 1), opts);
@@ -213,6 +212,87 @@ TEST(ShardTcp, QueryClientRejectsBadQuantile) {
   ASSERT_TRUE(good_report.ok()) << good_report.status();
   EXPECT_EQ(good_report->keys_found, sc.num_keys);
   for (auto& r : local_reports) ASSERT_TRUE(r.ok()) << r.status();
+}
+
+TEST(ShardTcp, LocalTransportRecordsIntoCallerRegistry) {
+  // A keyed local's transport counts its socket traffic into the caller's
+  // registry, beside the keys' own `local.*` instruments, as a flat local's
+  // does: both dial the root through `sim::DialRoot`.
+  shard::ShardedConfig sc;
+  sc.num_locals = 1;
+  sc.num_shards = 2;
+  sc.num_keys = 4;
+  sc.workers = 1;
+  sc.quantiles = {0.5};
+
+  shard::KeyedWorkloadConfig load;
+  load.num_windows = 2;
+  load.event_rate = 200;
+  load.distribution = TestDistribution();
+
+  uint16_t port = 0;
+  std::mutex port_mu;
+  std::condition_variable port_cv;
+  Result<sim::RunMetrics> root_report = Status::Internal("root never ran");
+  std::thread root_thread([&] {
+    sim::TcpRootOptions opts;
+    opts.on_listening = [&](uint16_t p) {
+      std::lock_guard<std::mutex> lock(port_mu);
+      port = p;
+      port_cv.notify_all();
+    };
+    root_report = shard::RunShardedTcpRoot(sc, load.num_windows, opts);
+  });
+  {
+    std::unique_lock<std::mutex> lock(port_mu);
+    port_cv.wait(lock, [&] { return port != 0; });
+  }
+
+  obs::Registry registry;
+  shard::ShardedConfig local_config = sc;
+  local_config.registry = &registry;
+  sim::TcpLocalOptions opts;
+  opts.root_port = port;
+  Result<sim::TcpLocalReport> local_report =
+      shard::RunShardedTcpLocal(local_config, load, /*id=*/1, opts);
+  root_thread.join();
+  ASSERT_TRUE(root_report.ok()) << root_report.status();
+  ASSERT_TRUE(local_report.ok()) << local_report.status();
+  EXPECT_EQ(root_report->windows_emitted, load.num_windows * sc.num_keys);
+
+  uint64_t sent_bytes = 0;
+  for (const auto& [name, value] : registry.CounterValues()) {
+    if (name.rfind("transport.sent.bytes", 0) == 0) sent_bytes += value;
+  }
+  EXPECT_GT(sent_bytes, 0u);
+}
+
+TEST(ShardTcp, LocalRejectsFlatDemaOnlyOptions) {
+  // Checkpoint, restore and a scheduled crash snapshot one flat Dema local;
+  // a keyed local refuses them up front instead of ignoring them.
+  shard::ShardedConfig sc;
+  sc.num_locals = 1;
+  sc.num_shards = 1;
+  sc.num_keys = 2;
+  sc.quantiles = {0.5};
+  shard::KeyedWorkloadConfig load;
+  load.num_windows = 1;
+  load.distribution = TestDistribution();
+
+  sim::TcpLocalOptions checkpoint;
+  checkpoint.checkpoint_path = "keyed.ckpt";
+  sim::TcpLocalOptions restore;
+  restore.restore_path = "keyed.ckpt";
+  sim::TcpLocalOptions crash;
+  crash.crash_at_window = 1;
+  for (sim::TcpLocalOptions opts : {checkpoint, restore, crash}) {
+    opts.root_port = 1;  // never dialed
+    Result<sim::TcpLocalReport> report =
+        shard::RunShardedTcpLocal(sc, load, /*id=*/1, opts);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+        << report.status();
+  }
 }
 
 }  // namespace

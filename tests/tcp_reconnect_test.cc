@@ -62,14 +62,14 @@ bool WaitFor(const std::function<bool()>& pred, int deadline_ms = 5000) {
 
 TEST(TcpResilience, HeartbeatsMeasureRttAndStayOffTheBooks) {
   TcpTransportOptions sopts;
-  sopts.heartbeat_interval_us = MillisUs(10);
+  sopts.session.heartbeat_interval_us = MillisUs(10);
   TcpTransport server(sopts);
   ASSERT_TRUE(server.AddLocalNode(0).ok());
   ASSERT_TRUE(server.Start().ok());
 
   TcpTransportOptions copts;
   copts.listen = false;
-  copts.heartbeat_interval_us = MillisUs(10);
+  copts.session.heartbeat_interval_us = MillisUs(10);
   TcpTransport client(copts);
   ASSERT_TRUE(client.AddLocalNode(1).ok());
   ASSERT_TRUE(client.AddPeer(0, "127.0.0.1", server.bound_port()).ok());
@@ -112,8 +112,8 @@ TEST(TcpResilience, SilentPeerIsDeclaredDownAfterMissedHeartbeats) {
 
   TcpTransportOptions copts;
   copts.listen = false;
-  copts.heartbeat_interval_us = MillisUs(5);
-  copts.heartbeat_misses = 3;
+  copts.session.heartbeat_interval_us = MillisUs(5);
+  copts.session.heartbeat_misses = 3;
   TcpTransport client(copts);
   ASSERT_TRUE(client.AddLocalNode(1).ok());
   ASSERT_TRUE(client.AddPeer(0, "127.0.0.1", server.bound_port()).ok());
@@ -148,8 +148,8 @@ TEST(TcpResilience, InjectedConnKillsDeliverEveryMessageExactlyOnce) {
 
   TcpTransportOptions copts;
   copts.listen = false;
-  copts.heartbeat_interval_us = MillisUs(5);
-  copts.auto_reconnect = true;
+  copts.session.heartbeat_interval_us = MillisUs(5);
+  copts.session.auto_reconnect = true;
   copts.kill_conn_schedule = {4, 9, 15};
   copts.connect_backoff_initial_us = MillisUs(2);
   copts.connect_backoff_max_us = MillisUs(20);
@@ -193,7 +193,7 @@ TEST(TcpResilience, AcceptorHoldsFirstReplyUntilTheDialerReturns) {
   // ever replied. The reply must wait for the redial, not fail with "no
   // route": a root that failed here left its locals redialing a closed port.
   TcpTransportOptions sopts;
-  sopts.auto_reconnect = true;
+  sopts.session.auto_reconnect = true;
   TcpTransport server(sopts);
   ASSERT_TRUE(server.AddLocalNode(0).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -218,9 +218,23 @@ TEST(TcpResilience, AcceptorHoldsFirstReplyUntilTheDialerReturns) {
   // Nobody is there to acknowledge it yet.
   EXPECT_FALSE(server.AwaitAcked(MillisUs(50)));
 
+  // Waiting on a peer that does acknowledge (node 2) ignores node 1.
+  TcpTransportOptions other_opts;
+  other_opts.listen = false;
+  TcpTransport other(other_opts);
+  ASSERT_TRUE(other.AddLocalNode(2).ok());
+  ASSERT_TRUE(other.AddPeer(0, "127.0.0.1", server.bound_port()).ok());
+  ASSERT_TRUE(other.Start().ok());
+  ASSERT_TRUE(other.Send(TestMessage(2, 0, 3)).ok());
+  ASSERT_TRUE(server.Inbox(0)->PopFor(5 * kMicrosPerSecond).has_value());
+  ASSERT_TRUE(server.Send(TestMessage(0, 2, 5)).ok());
+  ASSERT_TRUE(other.Inbox(2)->PopFor(5 * kMicrosPerSecond).has_value());
+  EXPECT_TRUE(server.AwaitAcked(5 * kMicrosPerSecond, {2}));
+  EXPECT_FALSE(server.AwaitAcked(MillisUs(50), {1, 2}));
+
   TcpTransportOptions copts;
   copts.listen = false;
-  copts.auto_reconnect = true;
+  copts.session.auto_reconnect = true;
   TcpTransport client(copts);
   ASSERT_TRUE(client.AddLocalNode(1).ok());
   ASSERT_TRUE(client.AddPeer(0, "127.0.0.1", server.bound_port()).ok());
@@ -232,6 +246,7 @@ TEST(TcpResilience, AcceptorHoldsFirstReplyUntilTheDialerReturns) {
   EXPECT_EQ(reply->payload_size(), 7u);
   EXPECT_TRUE(server.AwaitAcked(5 * kMicrosPerSecond));
 
+  other.Shutdown();
   client.Shutdown();
   server.Shutdown();
 }
@@ -276,7 +291,7 @@ TEST(TcpResilience, LoopbackClusterParityHoldsWithHeartbeatsOn) {
   config.tracer = nullptr;
 
   // --- TCP run with session resilience on everywhere ---
-  sim::TcpSessionTuning session;
+  TcpSessionOptions session;
   session.heartbeat_interval_us = MillisUs(5);
   session.auto_reconnect = true;
 

@@ -256,6 +256,22 @@ TEST(TreeTopology, RelayRejectsForgedAndTamperedChildPayloads) {
             1u);
   EXPECT_EQ(registry.CounterValue("dema.rejected{node=2}"), 0u);
   EXPECT_EQ(registry.CounterValue("dema.rejected"), 0u);  // the root's
+
+  // A relay neither cuts, selects nor emits, and runs without recovery, so
+  // it registers none of those instruments; the root keeps them unlabelled.
+  for (const std::string name :
+       {"dema.classes.separate", "dema.classes.compound", "dema.classes.cover",
+        "dema.clock_skew_windows", "dema.degraded_windows",
+        "dema.global_events", "dema.quarantined", "dema.readmitted",
+        "root.retries", "root.send_failures"}) {
+    EXPECT_NE(registry.FindCounter(name), nullptr) << name;
+    for (const char* relay : {"{node=1}", "{node=2}"}) {
+      EXPECT_EQ(registry.FindCounter(name + relay), nullptr) << name << relay;
+    }
+  }
+  EXPECT_NE(registry.FindHistogram("root.select_us"), nullptr);
+  EXPECT_EQ(registry.FindHistogram("root.select_us{node=1}"), nullptr);
+  EXPECT_EQ(registry.FindHistogram("root.select_us{node=2}"), nullptr);
 }
 
 TEST(TreeTopology, RelayRejectsRequestsItNeverInvited) {

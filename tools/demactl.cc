@@ -433,8 +433,8 @@ void PrintTcpMetrics(const sim::RunMetrics& metrics, const Flags& flags) {
 /// turns on idle-connection heartbeats + dead-peer detection,
 /// `--heartbeat-misses` sets the silence budget, `--auto-reconnect` enables
 /// background redial with acked-frame replay.
-sim::TcpSessionTuning SessionTuningFromFlags(const Flags& flags) {
-  sim::TcpSessionTuning tuning;
+transport::TcpSessionOptions SessionTuningFromFlags(const Flags& flags) {
+  transport::TcpSessionOptions tuning;
   if (flags.Has("heartbeat-ms")) {
     tuning.heartbeat_interval_us =
         MillisUs(flags.GetInt("heartbeat-ms", 0));
@@ -444,61 +444,68 @@ sim::TcpSessionTuning SessionTuningFromFlags(const Flags& flags) {
   return tuning;
 }
 
+/// The settings of every `serve` role, flat or sharded, root or local:
+/// `--timeout-s`, `--outbox-cap` and the session flags.
+template <typename Options>
+Options ServeOptions(const Flags& flags) {
+  Options opts;
+  opts.timeout_us = SecondsUs(flags.GetInt("timeout-s", 120));
+  opts.outbox_capacity = static_cast<size_t>(flags.GetInt("outbox-cap", 1024));
+  opts.session = SessionTuningFromFlags(flags);
+  return opts;
+}
+
+Result<sim::TcpRootOptions> ServeRootOptions(const Flags& flags) {
+  DEMA_ASSIGN_OR_RETURN(
+      auto listen, ParseHostPort(flags.GetString("listen", "127.0.0.1:7311")));
+  auto opts = ServeOptions<sim::TcpRootOptions>(flags);
+  opts.listen_host = listen.first;
+  opts.listen_port = listen.second;
+  return opts;
+}
+
+Result<sim::TcpLocalOptions> ServeLocalOptions(const Flags& flags) {
+  DEMA_ASSIGN_OR_RETURN(
+      auto root, ParseHostPort(flags.GetString("root", "127.0.0.1:7311")));
+  auto opts = ServeOptions<sim::TcpLocalOptions>(flags);
+  opts.root_host = root.first;
+  opts.root_port = root.second;
+  return opts;
+}
+
 /// Sharded (multi-tenant) serve roles, selected by `--shards=S`.
 int CmdServeSharded(const Flags& flags) {
   auto sc_result = BuildShardedConfig(flags);
   if (!sc_result.ok()) return Fail(sc_result.status().ToString());
   shard::ShardedConfig sc = *sc_result;
-  const DurationUs timeout_us =
-      static_cast<DurationUs>(flags.GetInt("timeout-s", 120)) * kMicrosPerSecond;
 
   std::string role = flags.GetString("role", "");
   if (role == "root") {
-    auto listen = ParseHostPort(flags.GetString("listen", "127.0.0.1:7311"));
-    if (!listen.ok()) return Fail(listen.status().ToString());
-    shard::ShardedServeOptions opts;
-    opts.listen_host = listen->first;
-    opts.listen_port = listen->second;
-    opts.timeout_us = timeout_us;
-    opts.expected_windows =
-        static_cast<uint64_t>(flags.GetInt("windows", 3));
-    opts.linger_us = static_cast<DurationUs>(flags.GetInt("linger-s", 10)) *
-                     kMicrosPerSecond;
-    opts.outbox_capacity =
-        static_cast<size_t>(flags.GetInt("outbox-cap", 1024));
-    sim::TcpSessionTuning tuning = SessionTuningFromFlags(flags);
-    opts.heartbeat_interval_us = tuning.heartbeat_interval_us;
-    opts.heartbeat_misses = tuning.heartbeat_misses;
-    opts.on_listening = [&](uint16_t port) {
-      std::cerr << "demactl: sharded root listening on " << listen->first << ":"
-                << port << " (" << sc.num_shards << " shards, " << sc.num_keys
-                << " keys, " << sc.num_locals << " locals)\n";
+    auto opts = ServeRootOptions(flags);
+    if (!opts.ok()) return Fail(opts.status().ToString());
+    opts->linger_us = SecondsUs(flags.GetInt("linger-s", 10));
+    opts->on_listening = [&](uint16_t port) {
+      std::cerr << "demactl: sharded root listening on " << opts->listen_host
+                << ":" << port << " (" << sc.num_shards << " shards, "
+                << sc.num_keys << " keys, " << sc.num_locals << " locals)\n";
     };
-    auto report = shard::RunShardedTcpRoot(sc, opts);
-    if (!report.ok()) return Fail(report.status().ToString());
-    std::cout << "sharded root: " << FmtCount(report->windows_emitted)
+    auto metrics = shard::RunShardedTcpRoot(
+        sc, static_cast<uint64_t>(flags.GetInt("windows", 3)), *opts);
+    if (!metrics.ok()) return Fail(metrics.status().ToString());
+    std::cout << "sharded root: " << FmtCount(metrics->windows_emitted)
               << " per-key windows across " << sc.num_keys << " keys, "
-              << FmtCount(report->queries_answered) << " queries answered in "
-              << FmtF(report->wall_seconds, 2) << " s\n";
+              << FmtCount(metrics->registry->CounterValue("shard.queries"))
+              << " queries answered in " << FmtF(metrics->wall_seconds, 2)
+              << " s\n";
     return 0;
   }
   if (role == "local") {
-    auto root = ParseHostPort(flags.GetString("root", "127.0.0.1:7311"));
-    if (!root.ok()) return Fail(root.status().ToString());
+    auto opts = ServeLocalOptions(flags);
+    if (!opts.ok()) return Fail(opts.status().ToString());
     auto load_result = BuildKeyedWorkload(flags);
     if (!load_result.ok()) return Fail(load_result.status().ToString());
     NodeId id = static_cast<NodeId>(flags.GetInt("id", 1));
-    shard::ShardedTcpLocalOptions opts;
-    opts.root_host = root->first;
-    opts.root_port = root->second;
-    opts.timeout_us = timeout_us;
-    opts.outbox_capacity =
-        static_cast<size_t>(flags.GetInt("outbox-cap", 1024));
-    sim::TcpSessionTuning tuning = SessionTuningFromFlags(flags);
-    opts.heartbeat_interval_us = tuning.heartbeat_interval_us;
-    opts.heartbeat_misses = tuning.heartbeat_misses;
-    opts.auto_reconnect = tuning.auto_reconnect;
-    auto report = shard::RunShardedTcpLocal(sc, *load_result, id, opts);
+    auto report = shard::RunShardedTcpLocal(sc, *load_result, id, *opts);
     if (!report.ok()) return Fail(report.status().ToString());
     std::cout << "keyed local " << id << ": ingested "
               << FmtCount(report->events_ingested) << " events across "
@@ -516,43 +523,28 @@ int CmdServe(const Flags& flags) {
   auto load_result = BuildWorkload(flags, config);
   if (!load_result.ok()) return Fail(load_result.status().ToString());
   CommandObs command_obs(&config, flags);
-  const DurationUs timeout_us =
-      static_cast<DurationUs>(flags.GetInt("timeout-s", 120)) * kMicrosPerSecond;
 
   std::string role = flags.GetString("role", "");
   if (role == "root") {
-    auto listen = ParseHostPort(flags.GetString("listen", "127.0.0.1:7311"));
-    if (!listen.ok()) return Fail(listen.status().ToString());
-    sim::TcpRootOptions opts;
-    opts.listen_host = listen->first;
-    opts.listen_port = listen->second;
-    opts.timeout_us = timeout_us;
-    opts.outbox_capacity =
-        static_cast<size_t>(flags.GetInt("outbox-cap", 1024));
-    opts.session = SessionTuningFromFlags(flags);
-    opts.on_listening = [&](uint16_t port) {
-      std::cerr << "demactl: root listening on " << listen->first << ":" << port
-                << ", waiting for " << config.num_locals << " locals\n";
+    auto opts = ServeRootOptions(flags);
+    if (!opts.ok()) return Fail(opts.status().ToString());
+    opts->on_listening = [&](uint16_t port) {
+      std::cerr << "demactl: root listening on " << opts->listen_host << ":"
+                << port << ", waiting for " << config.num_locals
+                << " locals\n";
     };
     auto metrics =
-        sim::RunTcpRoot(config, load_result->ExpectedWindows(), opts);
+        sim::RunTcpRoot(config, load_result->ExpectedWindows(), *opts);
     if (!metrics.ok()) return Fail(metrics.status().ToString());
     PrintTcpMetrics(*metrics, flags);
     command_obs.Export(flags);
     return 0;
   }
   if (role == "local") {
-    auto root = ParseHostPort(flags.GetString("root", "127.0.0.1:7311"));
-    if (!root.ok()) return Fail(root.status().ToString());
+    auto opts = ServeLocalOptions(flags);
+    if (!opts.ok()) return Fail(opts.status().ToString());
     NodeId id = static_cast<NodeId>(flags.GetInt("id", 1));
-    sim::TcpLocalOptions opts;
-    opts.root_host = root->first;
-    opts.root_port = root->second;
-    opts.timeout_us = timeout_us;
-    opts.outbox_capacity =
-        static_cast<size_t>(flags.GetInt("outbox-cap", 1024));
-    opts.session = SessionTuningFromFlags(flags);
-    auto report = sim::RunTcpLocal(config, *load_result, id, opts);
+    auto report = sim::RunTcpLocal(config, *load_result, id, *opts);
     if (!report.ok()) return Fail(report.status().ToString());
     uint64_t sent_bytes = 0;
     for (const auto& [link, counters] : report->sent_links) {
