@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dema/slice.h"
+
 namespace dema::core {
 
 double GammaCostModel(uint64_t global_size, uint64_t num_candidate_slices,
@@ -13,6 +15,18 @@ double GammaCostModel(uint64_t global_size, uint64_t num_candidate_slices,
   double calculation = static_cast<double>(num_candidate_slices) *
                        (static_cast<double>(gamma) - 2.0);
   return identification + calculation;
+}
+
+bool CutAtGammaTwo(uint64_t window_size, uint64_t gamma,
+                   net::EventCodec reply_codec) {
+  if (window_size == 0 || window_size > gamma) return false;
+  const uint64_t extra_synopses = (window_size + 1) / 2 - 1;
+  // Request: window id, index count, one index. Reply: window id, node, the
+  // encoded events.
+  const uint64_t request = sizeof(uint64_t) + 2 * sizeof(uint32_t);
+  const uint64_t reply = sizeof(uint64_t) + sizeof(NodeId) +
+                         net::MinEncodedEventsBytes(window_size, reply_codec);
+  return extra_synopses * kSliceSynopsisWireBytes <= request + reply;
 }
 
 uint64_t OptimalGamma(uint64_t global_size, uint64_t num_candidate_slices) {

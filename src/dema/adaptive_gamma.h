@@ -2,6 +2,8 @@
 
 #include <cstdint>
 
+#include "net/codec.h"
+
 namespace dema::core {
 
 /// \brief Tuning knobs for the adaptive slice factor (Section 3.3).
@@ -21,6 +23,20 @@ struct GammaControllerOptions {
 /// m·(γ − 2) additional candidate events.
 double GammaCostModel(uint64_t global_size, uint64_t num_candidate_slices,
                       uint64_t gamma);
+
+/// \brief The tiny-window rule: true when a closed local window of
+/// \p window_size events, at most \p gamma (so one slice), is cut at γ = 2
+/// instead. Cut at 2, every slice holds ≤ 2 events and is known at the root
+/// from its synopsis, so the window needs no candidate round trip and is not
+/// retained. The rule fires when the γ = 2 synopsis (⌈n/2⌉ slices) is no
+/// larger on the wire than the one-slice synopsis plus the round trip it
+/// replaces: a request naming that slice and a reply of all n events in
+/// \p reply_codec (at its smallest, for kCompact). Like the cost model for a
+/// window's only slice, it assumes that slice is a candidate. Framing is
+/// left out: the request and reply would each add an envelope or a keyed
+/// entry, so the rule only fires where it pays on every transport.
+bool CutAtGammaTwo(uint64_t window_size, uint64_t gamma,
+                   net::EventCodec reply_codec);
 
 /// \brief The cost model's unconstrained arg-min: γ* = sqrt(2·l_G / m).
 uint64_t OptimalGamma(uint64_t global_size, uint64_t num_candidate_slices);

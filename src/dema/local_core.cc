@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dema/adaptive_gamma.h"
 #include "dema/slice.h"
 
 namespace dema::core {
@@ -34,15 +35,18 @@ void SetGamma(LocalStream* s, net::WindowId from, uint64_t gamma) {
 }
 
 /// One closed window's close-time work — the sort, when still owed, and
-/// the slice cut — on whichever thread runs it.
+/// the slice cut — on whichever thread runs it. A window the tiny-window
+/// rule covers is cut at γ = 2 (`CutAtGammaTwo`).
 PreparedWindow Prepare(net::WindowId id, uint64_t gamma, NodeId node,
-                       std::vector<Event> events, bool is_sorted) {
+                       net::EventCodec reply_codec, std::vector<Event> events,
+                       bool is_sorted) {
   PreparedWindow prepared;
   prepared.id = id;
   prepared.gamma = gamma;
   if (events.empty()) return prepared;
   if (!is_sorted) stream::SortEvents(&events);
-  auto slices = CutIntoSlices(events, node, gamma);
+  if (CutAtGammaTwo(events.size(), gamma, reply_codec)) prepared.gamma = 2;
+  auto slices = CutIntoSlices(events, node, prepared.gamma);
   if (!slices.ok()) {
     prepared.status = slices.status();
     return prepared;
@@ -148,19 +152,23 @@ Status LocalCore::OnWatermark(LocalStream* s, TimestampUs watermark_us,
     if (options_.executor == nullptr) {
       // Inline path: sorts/cuts and ships one window on the calling thread.
       DEMA_RETURN_NOT_OK(ShipPrepared(
-          s, Prepare(id, gamma, options_.id, std::move(events), is_sorted),
+          s,
+          Prepare(id, gamma, options_.id, options_.reply_codec,
+                  std::move(events), is_sorted),
           sink));
     } else if (events.empty()) {
       // Empty windows skip the pool with an already-satisfied future,
       // keeping the in-flight closes strictly sequenced by window id.
       std::promise<PreparedWindow> ready;
-      ready.set_value(Prepare(id, gamma, options_.id, {}, true));
+      ready.set_value(
+          Prepare(id, gamma, options_.id, options_.reply_codec, {}, true));
       s->inflight_closes.push_back(ready.get_future());
     } else {
       s->inflight_closes.push_back(options_.executor->Submit(
-          [id, gamma, node = options_.id, is_sorted,
-           events = std::move(events)]() mutable {
-            return Prepare(id, gamma, node, std::move(events), is_sorted);
+          [id, gamma, node = options_.id, codec = options_.reply_codec,
+           is_sorted, events = std::move(events)]() mutable {
+            return Prepare(id, gamma, node, codec, std::move(events),
+                           is_sorted);
           }));
     }
   }
@@ -189,7 +197,9 @@ Status LocalCore::ShipPrepared(LocalStream* s, PreparedWindow prepared,
       static_cast<uint32_t>(std::min<uint64_t>(prepared.gamma, UINT32_MAX));
   batch.close_time_us = clock_->NowUs();
   batch.slices = std::move(prepared.slices);
-  if (!prepared.sorted.empty()) {
+  // The root reads every slice of ≤ 2 events from its synopsis, so only a
+  // window holding a larger slice can ever be asked for its events.
+  if (Retained(batch.slices)) {
     AddRetained(1, static_cast<int64_t>(prepared.sorted.size()));
     s->kept.insert(KeptAt(s, prepared.id),
                    KeptWindow{prepared.id, prepared.gamma, false,

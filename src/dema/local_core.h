@@ -121,8 +121,11 @@ struct LocalStream {
 /// Sorts each closed local window, cuts it into γ-sized slices, ships only
 /// the slice synopses to the root, and retains the window's events until the
 /// root's candidate request arrives — at which point it replies with the
-/// requested slices' events and drops the window. γ updates from the root
-/// take effect per window id.
+/// requested slices' events and drops the window. A window no bigger than
+/// its own candidate round trip is cut at γ = 2 instead (`CutAtGammaTwo`);
+/// the root reads every slice of ≤ 2 events from its synopsis, so such a
+/// window is never retained. γ updates from the root take effect per
+/// window id.
 ///
 /// Holds what streams share — options, cached `local.*{node=N}` instruments,
 /// clock, executor, scratch and the node's retained-memory totals — and
@@ -143,7 +146,8 @@ class LocalCore {
   /// or ±Inf is counted into `local.rejected_values` and dropped.
   void OnEvent(LocalStream* s, const Event& e);
   /// Ships synopses for every window id of \p s the watermark closed —
-  /// including empty windows — and retains their events. With an executor,
+  /// including empty windows — and retains the events of those holding a
+  /// slice of more than two events. With an executor,
   /// only submits the sort+slice per window; `Quiesce` ships them.
   Status OnWatermark(LocalStream* s, TimestampUs watermark_us, LocalSink* sink);
   /// Blocks until every executor-submitted window close of \p s has been

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 
 #include "dema/validate.h"
 #include "stream/merge.h"
@@ -18,6 +19,13 @@ auto PendingAt(RootStream* s, net::WindowId id) {
       [](const std::unique_ptr<RootPendingWindow>& w, net::WindowId x) {
         return w->id < x;
       });
+}
+
+/// Moves \p w's synopsis-served run in beside its reply runs for selection.
+void AdoptSynopsisRun(RootPendingWindow* w) {
+  if (w->synopsis_run.empty()) return;
+  w->reply_runs.push_back(std::move(w->synopsis_run));
+  w->synopsis_run.clear();
 }
 
 }  // namespace
@@ -41,6 +49,7 @@ void RootPendingWindow::Reset(net::WindowId window, size_t num_locals) {
   requests_sent = false;
   expected_replies = 0;
   reply_runs.clear();
+  synopsis_run.clear();
   trace = obs::WindowTrace{};
   trace.window_id = window;
   retries = 0;
@@ -72,6 +81,8 @@ RootCore::RootCore(DemaRootNodeOptions options, const Clock* clock)
     // A relay neither cuts, selects nor emits, and runs without recovery:
     // these stay null there, and so unexported.
     c_global_events_ = registry_->GetCounter("dema.global_events" + label);
+    c_synopsis_served_slices_ =
+        registry_->GetCounter("dema.synopsis_served_slices" + label);
     c_class_separate_ = registry_->GetCounter("dema.classes.separate" + label);
     c_class_compound_ = registry_->GetCounter("dema.classes.compound" + label);
     c_class_cover_ = registry_->GetCounter("dema.classes.cover" + label);
@@ -141,6 +152,7 @@ void RootCore::GroupRequests(const PendingWindow& w) {
   const size_t n = options_.locals.size();
   request_begin_.assign(n + 1, 0);
   for (size_t flat : w.cut.candidates) {
+    if (KnownFromSynopsis(w.slices[flat])) continue;
     const int64_t idx = LocalIndex(w.slices[flat].node);
     if (idx >= 0) ++request_begin_[static_cast<size_t>(idx) + 1];
   }
@@ -148,6 +160,7 @@ void RootCore::GroupRequests(const PendingWindow& w) {
   request_slices_.resize(request_begin_[n]);
   local_candidates_.assign(request_begin_.begin(), request_begin_.end() - 1);
   for (size_t flat : w.cut.candidates) {
+    if (KnownFromSynopsis(w.slices[flat])) continue;
     const int64_t idx = LocalIndex(w.slices[flat].node);
     if (idx < 0) continue;
     request_slices_[local_candidates_[static_cast<size_t>(idx)]++] =
@@ -326,6 +339,8 @@ Status RootCore::QuarantineLocal(RootStream* s, size_t idx, RootSink* sink) {
       // Still collecting synopses: drop the local's accepted contribution
       // (its data is no longer trusted) and release its retained window.
       if (w->Has(idx, PendingWindow::kSynopsis)) {
+        MarkRetaining(*w);
+        const bool retained = retains_[idx];
         uint64_t stripped = 0;
         auto keep = w->slices.begin();
         for (const SliceSynopsis& sl : w->slices) {
@@ -341,7 +356,7 @@ Status RootCore::QuarantineLocal(RootStream* s, size_t idx, RootSink* sink) {
         w->global_size -= stripped;
         w->Set(idx, PendingWindow::kExcluded);
         w->excluded_events += stripped;
-        SendRelease(sink, node, id);
+        if (retained) SendRelease(sink, node, id);
       }
       DEMA_RETURN_NOT_OK(MaybeRunIdentification(s, w, sink));
     } else if (w->Has(idx, PendingWindow::kRequested) &&
@@ -438,6 +453,23 @@ void RootCore::CountLocalSizes(const PendingWindow& w) {
   }
 }
 
+void RootCore::MarkRetaining(const PendingWindow& w) {
+  // A node's slices sit together (one synopsis batch each). Marks are only
+  // ever set, so each node gets `Retained` over all its slices in any order.
+  retains_.assign(options_.locals.size(), 0);
+  std::span<const SliceSynopsis> rest(w.slices);
+  while (!rest.empty()) {
+    const NodeId node = rest.front().node;
+    const auto end = std::find_if(
+        rest.begin(), rest.end(),
+        [node](const SliceSynopsis& sl) { return sl.node != node; });
+    const std::span<const SliceSynopsis> run(rest.begin(), end);
+    const int64_t idx = LocalIndex(node);
+    if (idx >= 0 && Retained(run)) retains_[static_cast<size_t>(idx)] = 1;
+    rest = rest.subspan(run.size());
+  }
+}
+
 Status RootCore::OnPayload(RootStream* s, net::MessageType type, NodeId src,
                            net::ByteSpan payload, RootSink* sink) {
   if (!init_status_.ok()) return init_status_;
@@ -513,8 +545,10 @@ Status RootCore::HandleParentPayload(RootStream* s, net::MessageType type,
   w->cut.candidates.clear();
   w->cut.candidate_event_count = 0;
   for (uint32_t i : request->slice_indices) {
+    // An honest parent reads a slice of ≤ 2 events from the synopsis.
     if (i >= w->slices.size() ||
-        (!w->cut.candidates.empty() && i <= w->cut.candidates.back())) {
+        (!w->cut.candidates.empty() && i <= w->cut.candidates.back()) ||
+        KnownFromSynopsis(w->slices[i])) {
       return RejectPayload(s, src, "slice_index", sink);
     }
     w->cut.candidates.push_back(i);
@@ -605,8 +639,8 @@ Status RootCore::RunIdentification(RootStream* s, PendingWindow* w,
       up.slices[i].index = static_cast<uint32_t>(i);
     }
     DEMA_RETURN_NOT_OK(sink->SendSynopsis(*options_.parent, up));
-    // The parent never queries an empty window.
-    return w->global_size == 0 ? FinishRelayWindow(s, w) : Status::OK();
+    // The parent never queries a window whose slices it knows.
+    return Retained(w->slices) ? Status::OK() : FinishRelayWindow(s, w);
   }
   if (w->global_size == 0) {
     // Every contributing local window was empty; emit an empty result
@@ -652,18 +686,39 @@ Status RootCore::RunIdentification(RootStream* s, PendingWindow* w,
   c_class_cover_->Increment(w->cut.classes.cover);
   w->trace.candidate_slices = w->cut.candidates.size();
   w->trace.candidate_events = w->cut.candidate_event_count;
+  CollectSynopsisRun(w);
   return SendRequests(s, w, sink);
 }
 
+void RootCore::CollectSynopsisRun(PendingWindow* w) {
+  uint64_t served = 0;
+  for (size_t flat : w->cut.candidates) {
+    const SliceSynopsis& sl = w->slices[flat];
+    if (!KnownFromSynopsis(sl)) continue;
+    if (served++ == 0 && w->synopsis_run.capacity() == 0 && !run_pool_.empty()) {
+      // The run goes back to the pool with the replies' (Recycle), so it is
+      // taken from there too; a fresh buffer per window would grow the pool
+      // by one for every window completed.
+      w->synopsis_run = std::move(run_pool_.back());
+      run_pool_.pop_back();
+      w->synopsis_run.clear();
+    }
+    w->synopsis_run.push_back(sl.first);
+    if (sl.count == 2) w->synopsis_run.push_back(sl.last);
+  }
+  std::sort(w->synopsis_run.begin(), w->synopsis_run.end());
+  c_synopsis_served_slices_->Increment(served);
+}
+
 Status RootCore::SendRequests(RootStream* s, PendingWindow* w, RootSink* sink) {
-  // Every node with a retained (non-empty) window gets a request; an empty
-  // index list releases the window's memory on that node.
+  // Every node that retains the window gets a request; an empty index list
+  // releases the window's memory on that node.
   GroupRequests(*w);
-  CountLocalSizes(*w);
+  MarkRetaining(*w);
   w->expected_replies = 0;
   w->requests_sent = true;
   for (size_t i = 0; i < options_.locals.size(); ++i) {
-    if (local_sizes_[i] == 0) continue;  // nothing retained there
+    if (!retains_[i]) continue;
     const CandidateRequest& req = RequestFor(*w, i);
     if (!req.slice_indices.empty()) {
       w->Set(i, PendingWindow::kRequested);
@@ -672,10 +727,10 @@ Status RootCore::SendRequests(RootStream* s, PendingWindow* w, RootSink* sink) {
     DEMA_RETURN_NOT_OK(BestEffort(sink->SendRequest(options_.locals[i], req)));
   }
   if (w->expected_replies == 0) {
-    // A relay's parent released the window: no reply is owed.
+    // Nothing to fetch. A relay's parent released the window; the root knows
+    // every candidate from the synopses and completes now.
     if (options_.parent) return FinishRelayWindow(s, w);
-    return Status::Internal("window-cut produced no candidates for window " +
-                            std::to_string(w->id));
+    return CompleteWindow(s, w, sink);
   }
   if (options_.recovery.deadline_ticks > 0) {
     w->next_check_tick = tick_ + options_.recovery.deadline_ticks;
@@ -717,7 +772,8 @@ Status RootCore::HandleCandidateReply(RootStream* s, CandidateReply* reply,
   // the reply must agree with what it declared at identification time.
   requested_.clear();
   for (size_t flat : w->cut.candidates) {
-    if (w->slices[flat].node == src) requested_.push_back(w->slices[flat]);
+    const SliceSynopsis& sl = w->slices[flat];
+    if (sl.node == src && !KnownFromSynopsis(sl)) requested_.push_back(sl);
   }
   if (const char* reason = ValidateCandidateReply(
           *reply, src, requested_, options_.strict_validation)) {
@@ -765,9 +821,11 @@ Status RootCore::SelectFromReplies(PendingWindow* w,
 
 Status RootCore::CompleteWindow(RootStream* s, PendingWindow* w,
                                 RootSink* sink) {
-  // Replies are pre-sorted runs (one per node); rank-select straight off the
-  // loser tree — the merged candidate sequence is never materialized. The
-  // window-cut consistency check works on summed run sizes instead.
+  // Replies are pre-sorted runs (one per node, plus the synopsis-served
+  // run); rank-select straight off the loser tree — the merged candidate
+  // sequence is never materialized. The window-cut consistency check works
+  // on summed run sizes instead.
+  AdoptSynopsisRun(w);
   uint64_t total = 0;
   for (const auto& run : w->reply_runs) total += run.size();
   if (total != w->cut.candidate_event_count) {
@@ -944,6 +1002,7 @@ Status RootCore::EmitDegraded(RootStream* s, PendingWindow* w,
   sim::WindowOutput& out = StartOutput(*w);
   out.degraded = true;
   out.degrade_cause = cause;
+  AdoptSynopsisRun(w);
   uint64_t arrived = 0;
   for (const auto& run : w->reply_runs) arrived += run.size();
   if (w->requests_sent && arrived > 0) {
@@ -1004,10 +1063,9 @@ Status RootCore::EmitDegraded(RootStream* s, PendingWindow* w,
 
   // Release retained windows on locals we will no longer query (best
   // effort: the node may be down, and a restarted one re-serves or prunes).
-  CountLocalSizes(*w);
+  MarkRetaining(*w);
   for (size_t i = 0; i < options_.locals.size(); ++i) {
-    if (local_sizes_[i] == 0) continue;
-    if (w->Has(i, PendingWindow::kReply)) continue;
+    if (!retains_[i] || w->Has(i, PendingWindow::kReply)) continue;
     SendRelease(sink, options_.locals[i], w->id);
   }
 

@@ -158,8 +158,14 @@ struct RootPendingWindow {
   /// `gamma_used` of the first accepted synopsis (a relay forwards it).
   uint32_t gamma_used = 0;
   bool requests_sent = false;
+  /// Replies owed; 0 once requests are sent means the window completes at
+  /// identification.
   size_t expected_replies = 0;
   std::vector<std::vector<Event>> reply_runs;
+  /// Events of the candidate slices known from their synopses
+  /// (`KnownFromSynopsis`), sorted: never requested, selected beside the
+  /// reply runs.
+  std::vector<Event> synopsis_run;
   /// Candidate slices; with `slices` it names the exact requests sent, so
   /// the deadline machinery can retransmit them.
   WindowCutResult cut;
@@ -349,8 +355,12 @@ class RootCore {
   /// All synopses in: run window-cut and fire candidate requests (a relay
   /// ships the combined batch upward instead).
   Status RunIdentification(RootStream* s, PendingWindow* w, RootSink* sink);
-  /// Sends every retained local its grouped share of `w->cut.candidates`.
+  /// Sends every retaining local its grouped share of the candidates to
+  /// fetch; a window with nothing to fetch completes now.
   Status SendRequests(RootStream* s, PendingWindow* w, RootSink* sink);
+  /// Collects the candidate slices known from their synopses into
+  /// `w->synopsis_run`.
+  void CollectSynopsisRun(PendingWindow* w);
   /// All replies in: merge, select, emit, adapt γ (a relay merges and
   /// replies upward instead).
   Status CompleteWindow(RootStream* s, PendingWindow* w, RootSink* sink);
@@ -374,8 +384,13 @@ class RootCore {
   void RecordTrace(PendingWindow* w);
   /// Per-local event counts of \p w's synopses into `local_sizes_`.
   void CountLocalSizes(const PendingWindow& w);
-  /// Groups \p w's candidate slice indices by local into `request_begin_`
-  /// and `request_slices_`; local i's request is
+  /// Marks in `retains_` each local whose slices of \p w are `Retained`:
+  /// only those keep the window for serving, so only those get a request or
+  /// a release.
+  void MarkRetaining(const PendingWindow& w);
+  /// Groups \p w's candidate slices to fetch (those not known from their
+  /// synopses) by local into `request_begin_` and `request_slices_`; local
+  /// i's request is
   /// `request_slices_[request_begin_[i], request_begin_[i + 1])`.
   void GroupRequests(const PendingWindow& w);
   /// Fills `request_` with local \p i's grouped request for \p w.
@@ -400,7 +415,8 @@ class RootCore {
   uint64_t tick_ = 0;
   /// Finished windows whose buffers the next windows reuse.
   std::vector<std::unique_ptr<PendingWindow>> pool_;
-  /// Reply run buffers of finished windows, reused by the next replies.
+  /// Run buffers of finished windows (reply and synopsis-served runs),
+  /// reused by the next replies and synopsis-served runs.
   std::vector<std::vector<Event>> run_pool_;
 
   // Scratch buffers, reused by every call.
@@ -411,6 +427,7 @@ class RootCore {
   std::vector<uint64_t> ranks_;
   std::vector<uint64_t> within_ranks_;
   std::vector<uint64_t> local_sizes_;
+  std::vector<uint8_t> retains_;
   std::vector<uint64_t> local_candidates_;
   std::vector<size_t> request_begin_;
   std::vector<uint32_t> request_slices_;
@@ -428,6 +445,7 @@ class RootCore {
   obs::Counter* c_rejected_;
   /// The root's alone (null on a relay, which never reaches their uses).
   obs::Counter* c_global_events_ = nullptr;
+  obs::Counter* c_synopsis_served_slices_ = nullptr;
   obs::Counter* c_class_separate_ = nullptr;
   obs::Counter* c_class_compound_ = nullptr;
   obs::Counter* c_class_cover_ = nullptr;

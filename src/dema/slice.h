@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "common/event.h"
@@ -38,6 +40,24 @@ struct SliceSynopsis {
 };
 
 std::ostream& operator<<(std::ostream& os, const SliceSynopsis& s);
+
+/// Wire size of one serialized `SliceSynopsis`: node, index, first, last,
+/// count.
+inline constexpr uint64_t kSliceSynopsisWireBytes =
+    2 * sizeof(uint32_t) + 2 * kEventWireBytes + sizeof(uint64_t);
+
+/// \brief True when the root knows every event of slice \p s from its
+/// synopsis alone: a slice of at most two events is its `first` and `last`.
+/// Such a slice is never requested.
+inline bool KnownFromSynopsis(const SliceSynopsis& s) { return s.count <= 2; }
+
+/// Whether the node that cut \p slices keeps their window for serving: it
+/// does exactly when one of them is not known from its synopsis, since no
+/// other slice is ever requested. The node and every parent that releases it
+/// decide by this one rule.
+inline bool Retained(std::span<const SliceSynopsis> slices) {
+  return !std::all_of(slices.begin(), slices.end(), KnownFromSynopsis);
+}
 
 /// \brief Cuts a *sorted* local window into slices of at most \p gamma events
 /// and returns their synopses (the trailing slice holds the remainder).

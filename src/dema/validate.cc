@@ -27,7 +27,11 @@ const char* ValidateSynopsisBatch(const SynopsisBatch& batch, NodeId src,
     if (s.index != i) return "slice_index";
     if (s.count == 0) return "empty_slice";
     if (!FiniteValue(s.first) || !FiniteValue(s.last)) return "bad_value";
-    if (s.last < s.first) return "slice_bounds";
+    // A one-event slice is its own first and last: the root reads it from
+    // the synopsis.
+    if (s.last < s.first || (s.count == 1 && s.first != s.last)) {
+      return "slice_bounds";
+    }
     if (strict) {
       // Every slice but the trailing one is exactly gamma events; the
       // trailer holds the remainder (1..gamma). `SliceEventRange` encodes

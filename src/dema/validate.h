@@ -26,7 +26,9 @@ namespace dema::core {
 ///    matches the batch's);
 ///  - `gamma_used` >= 2 (the paper's minimum slice factor);
 ///  - slice indices are 0..n-1 ascending;
-///  - each slice has `count` >= 1, `first` <= `last`, finite bound values;
+///  - each slice has `count` >= 1, `first` <= `last`, finite bound values,
+///    and `first` == `last` when `count` is 1 (the root reads a slice of
+///    ≤ 2 events from its synopsis, `KnownFromSynopsis`);
 ///  - the slice counts sum to `local_window_size`.
 /// With \p strict (flat topologies, where the sender cut one sorted local
 /// window itself — a relay's combined batch legitimately interleaves its

@@ -58,6 +58,14 @@ void EncodeEvents(Writer* w, const std::vector<Event>& events, EventCodec codec,
   }
 }
 
+uint64_t MinEncodedEventsBytes(uint64_t count, EventCodec codec) {
+  uint64_t count_bytes = 1;
+  for (uint64_t v = count; v >= 0x80; v >>= 7) ++count_bytes;
+  const uint64_t header = 1 + count_bytes;  // codec tag, varint count
+  if (codec == EventCodec::kFixed) return header + count * kEventWireBytes;
+  return header + 1 + count * kMinCompactEventWireBytes;  // + value mode
+}
+
 Status DecodeEvents(Reader* r, std::vector<Event>* out) {
   uint8_t tag = 0;
   DEMA_RETURN_NOT_OK(r->GetU8(&tag));
@@ -98,9 +106,8 @@ Status DecodeEvents(Reader* r, std::vector<Event>* out) {
   if (value_mode > 1) {
     return Status::SerializationError("unknown compact value mode");
   }
-  // Compact events are at least 4 bytes each (value byte + three deltas).
   // Division form so a corrupt count near 2^64 cannot wrap past the check.
-  if (count > r->remaining() / 4) {
+  if (count > r->remaining() / kMinCompactEventWireBytes) {
     return Status::SerializationError("event count exceeds remaining buffer");
   }
   out->reserve(count);

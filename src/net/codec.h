@@ -23,6 +23,10 @@ enum class EventCodec : uint8_t {
   kCompact = 1,
 };
 
+/// Smallest wire size of one kCompact event: a value byte and three one-byte
+/// deltas.
+inline constexpr uint64_t kMinCompactEventWireBytes = 4;
+
 /// \brief Encodes \p events into \p w: codec tag, count, then the payload.
 ///
 /// \p sorted_hint enables the bit-delta value encoding for kCompact when the
@@ -30,6 +34,10 @@ enum class EventCodec : uint8_t {
 /// falls back to raw values otherwise).
 void EncodeEvents(Writer* w, const std::vector<Event>& events, EventCodec codec,
                   bool sorted_hint = false);
+
+/// \brief The fewest bytes `EncodeEvents` writes for \p count events in
+/// \p codec; exact for kFixed.
+uint64_t MinEncodedEventsBytes(uint64_t count, EventCodec codec);
 
 /// \brief Decodes an `EncodeEvents` stream (any codec) into \p out.
 Status DecodeEvents(Reader* r, std::vector<Event>* out);

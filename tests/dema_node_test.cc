@@ -140,22 +140,24 @@ TEST_F(DemaLocalNodeTest, GammaUpdateAppliesToFutureWindows) {
   EXPECT_EQ(node_->GammaForWindow(1), 2u);
   EXPECT_EQ(node_->GammaForWindow(5), 2u);
 
-  // Window 0 closes with gamma 4; window 1 with gamma 2.
-  for (uint32_t i = 0; i < 4; ++i) {
+  // Window 0 closes with gamma 4; window 1 with gamma 2. The windows hold
+  // more events than gamma 4, so the tiny-window rule cuts neither.
+  for (uint32_t i = 0; i < 12; ++i) {
     ASSERT_TRUE(node_->OnEvent(Ev(i, 100 + i, i)).ok());
   }
   ASSERT_TRUE(node_->OnWatermark(SecondsUs(1)).ok());
-  EXPECT_EQ(PopSynopsis().slices.size(), 1u);
-  for (uint32_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(node_->OnEvent(Ev(i, SecondsUs(1) + i, 10 + i)).ok());
+  EXPECT_EQ(PopSynopsis().slices.size(), 3u);
+  for (uint32_t i = 0; i < 12; ++i) {
+    ASSERT_TRUE(node_->OnEvent(Ev(i, SecondsUs(1) + i, 20 + i)).ok());
   }
   ASSERT_TRUE(node_->OnWatermark(SecondsUs(2)).ok());
-  EXPECT_EQ(PopSynopsis().slices.size(), 2u);
+  EXPECT_EQ(PopSynopsis().slices.size(), 6u);
 }
 
 TEST_F(DemaLocalNodeTest, StaleGammaUpdateCannotRewriteShippedWindows) {
-  ASSERT_TRUE(node_->OnEvent(Ev(1, 100, 0)).ok());
-  ASSERT_TRUE(node_->OnEvent(Ev(2, 150, 1)).ok());
+  for (uint32_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(node_->OnEvent(Ev(i + 1, 100 + 50 * i, i)).ok());
+  }
   ASSERT_TRUE(node_->OnWatermark(SecondsUs(1)).ok());
   PopSynopsis();  // window 0 shipped with gamma 4
 
@@ -176,7 +178,7 @@ TEST_F(DemaLocalNodeTest, StaleGammaUpdateCannotRewriteShippedWindows) {
   net::Reader r(reply_msg->payload);
   auto reply = CandidateReply::Deserialize(&r);
   ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->events.size(), 2u);  // whole window = slice 0 under gamma 4
+  EXPECT_EQ(reply->events.size(), 4u);  // slice 0 under gamma 4, not 2
 }
 
 class DemaRootNodeTest : public ::testing::Test {

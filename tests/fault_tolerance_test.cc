@@ -163,7 +163,9 @@ TEST(SendFailure, RetainedWindowSurvivesFailedCandidateReply) {
   opts.window_len_us = SecondsUs(1);
   opts.initial_gamma = 4;
   core::DemaLocalNode local(opts, &flaky, &clock);
-  for (uint32_t i = 0; i < 4; ++i) {
+  // More events than gamma, so the tiny-window rule leaves the window
+  // retained.
+  for (uint32_t i = 0; i < 12; ++i) {
     ASSERT_TRUE(local.OnEvent(Event{i * 10.0, 100 + i, 1, i}).ok());
   }
   ASSERT_TRUE(local.OnWatermark(SecondsUs(1)).ok());
@@ -239,9 +241,10 @@ struct DeadlineRig {
     return o;
   }
 
-  /// Ingests 4 events into window 0 and closes it (synopsis goes to node 0).
+  /// Ingests 12 events into window 0 and closes it (synopsis goes to node
+  /// 0). More events than gamma, so the root must fetch a candidate slice.
   void FillWindowZero() {
-    for (uint32_t i = 0; i < 4; ++i) {
+    for (uint32_t i = 0; i < 12; ++i) {
       ASSERT_TRUE(local.OnEvent(Event{i * 10.0, 100 + i, 1, i}).ok());
     }
     ASSERT_TRUE(local.OnWatermark(SecondsUs(1)).ok());
@@ -279,8 +282,8 @@ TEST(RootDeadlines, RetriesCandidateRequestAfterLostReply) {
   ASSERT_TRUE(rig.root.OnMessage(*reply).ok());
   ASSERT_EQ(rig.outputs.size(), 1u);
   EXPECT_FALSE(rig.outputs[0].degraded);
-  EXPECT_EQ(rig.outputs[0].global_size, 4u);
-  EXPECT_DOUBLE_EQ(rig.outputs[0].values[0], 10.0);  // median of {0,10,20,30}
+  EXPECT_EQ(rig.outputs[0].global_size, 12u);
+  EXPECT_DOUBLE_EQ(rig.outputs[0].values[0], 50.0);  // median of {0,...,110}
   EXPECT_EQ(rig.root.registry()->CounterValue("dema.degraded_windows"), 0u);
 }
 
@@ -309,7 +312,7 @@ TEST(RootDeadlines, ExhaustedRetriesDegradeWithCauseAndBound) {
   ASSERT_EQ(out.values.size(), 1u);
   // The synopsis-only estimate still lands inside the observed value range.
   EXPECT_GE(out.values[0], 0.0);
-  EXPECT_LE(out.values[0], 30.0);
+  EXPECT_LE(out.values[0], 110.0);
   EXPECT_EQ(rig.root.registry()->CounterValue("dema.degraded_windows"), 1u);
 }
 

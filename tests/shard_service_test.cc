@@ -305,7 +305,9 @@ TEST(ShardLocalGauges, RetainedGaugesSumOverKeys) {
   // All of a keyed node's per-key locals share `local.retained_*{node=N}`;
   // the gauges must read the node's total, not the last key's count.
   constexpr uint64_t kKeys = 8;
-  constexpr uint32_t kEvents = 5;
+  // More events than the tiny-window rule ships complete, so every key's
+  // window is retained.
+  constexpr uint32_t kEvents = 16;
   obs::Registry registry;
   RealClock clock;
   FrameSink transport;
@@ -352,6 +354,9 @@ TEST(ShardLocalDedup, DuplicateFrameIsCountedAndServedOnce) {
   // keyed local must drop the copy once per frame, count it like a
   // single-key local does, and never serve the keys a second time.
   constexpr uint64_t kKeys = 4;
+  // More events than the tiny-window rule ships complete, so every key's
+  // window is retained and served.
+  constexpr uint32_t kEvents = 16;
   obs::Registry registry;
   RealClock clock;
   FrameSink transport;
@@ -360,7 +365,10 @@ TEST(ShardLocalDedup, DuplicateFrameIsCountedAndServedOnce) {
   config.registry = &registry;
   shard::KeyedLocalNode node(config, /*id=*/1, &transport, &clock);
   for (net::KeyId key = 0; key < kKeys; ++key) {
-    ASSERT_TRUE(node.OnEvent(key, Event{1.0 + key, 5, 1, 0}).ok());
+    for (uint32_t i = 0; i < kEvents; ++i) {
+      ASSERT_TRUE(
+          node.OnEvent(key, Event{1.0 + key + i, 5 + i, 1, i}).ok());
+    }
   }
   ASSERT_TRUE(node.OnWatermark(config.window_len_us).ok());
   transport.frames.clear();

@@ -82,12 +82,22 @@ TEST(TcpResilience, HeartbeatsMeasureRttAndStayOffTheBooks) {
 
   // The connection idles; pings flow both ways and each side reads the RTT
   // off its own pong echo (monotonic clock, no clock sharing).
+  const obs::Counter* client_beats =
+      client.registry()->GetCounter("net.heartbeats");
+  const obs::Counter* server_beats =
+      server.registry()->GetCounter("net.heartbeats");
+  const obs::Gauge* client_rtt =
+      client.registry()->GetGauge("net.peer_rtt_us{peer=0}");
+  const obs::Gauge* server_rtt =
+      server.registry()->GetGauge("net.peer_rtt_us{peer=1}");
   EXPECT_TRUE(WaitFor([&] {
-    return client.registry()->GetCounter("net.heartbeats")->Value() >= 2 &&
-           server.registry()->GetCounter("net.heartbeats")->Value() >= 2 &&
-           client.registry()->GetGauge("net.peer_rtt_us{peer=0}")->Value() > 0 &&
-           server.registry()->GetGauge("net.peer_rtt_us{peer=1}")->Value() > 0;
-  })) << "heartbeats never probed the idle connection";
+    return client_beats->Value() >= 2 && server_beats->Value() >= 2 &&
+           client_rtt->Value() > 0 && server_rtt->Value() > 0;
+  })) << "heartbeats never probed the idle connection: client net.heartbeats="
+      << client_beats->Value() << " net.peer_rtt_us{peer=0}="
+      << client_rtt->Value() << ", server net.heartbeats="
+      << server_beats->Value() << " net.peer_rtt_us{peer=1}="
+      << server_rtt->Value();
 
   client.Shutdown();
   server.Shutdown();

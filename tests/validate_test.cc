@@ -96,6 +96,15 @@ TEST(ValidateSynopsis, EachTamperedFieldMapsToItsReason) {
     EXPECT_STREQ(ValidateSynopsisBatch(b, src, true), "slice_bounds");
   }
   {
+    // A one-event slice is read from its synopsis, so its first and last
+    // must be the same event; a forged pair would inject an event into the
+    // selection without a candidate reply to check it against.
+    SynopsisBatch b = ValidBatch(src, 9, 4);  // slices of 4, 4, 1
+    b.slices[2].last.value += 1;
+    EXPECT_STREQ(ValidateSynopsisBatch(b, src, true), "slice_bounds");
+    EXPECT_STREQ(ValidateSynopsisBatch(b, src, false), "slice_bounds");
+  }
+  {
     SynopsisBatch b = ValidBatch(src, 9, 4);  // slices of 4, 4, 1
     b.slices[0].count = 3;
     b.slices[1].count = 5;  // sum still 9, but the gamma-cut shape is broken
@@ -377,6 +386,37 @@ TEST_F(QuarantineRootTest, StripsAcceptedSlicesWhenQuarantineLandsMidWindow) {
   EXPECT_EQ(outputs_[0].values[0], Oracle({1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(outputs_[0].global_size, 6u);
   EXPECT_EQ(outputs_[0].rank_error_bound, 2u);
+}
+
+TEST_F(QuarantineRootTest, ForgedOneEventSliceStrikesTheLocal) {
+  // Node 3's trailing one-event slice carries two different events. The
+  // root would read that slice from the synopsis instead of fetching it, so
+  // validation must catch the forgery: node 3 is struck, and the window
+  // emits exact over the honest locals, degraded with a cause and bound.
+  Init(/*strikes=*/1, 8, 2);
+  const std::vector<double> n1 = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const std::vector<double> n2 = {11, 12, 13, 14, 15, 16, 17, 18, 19};
+  SendWindow(1, 0, n1);
+  SendWindow(2, 0, n2);
+  SynopsisBatch forged = ValidBatch(3, 5, 4);  // slices of 4, 1
+  forged.slices[1].last.value += 5;  // sorted, no overlap: only one event
+  auto msg = net::MakeMessage(net::MessageType::kSynopsisBatch, 3, 0, forged);
+  ASSERT_TRUE(root_->OnMessage(msg).ok());
+  EXPECT_EQ(
+      root_->registry()->GetCounter("dema.rejected{reason=slice_bounds}")->Value(),
+      1u);
+  EXPECT_EQ(root_->registry()->CounterValue("dema.quarantined"), 1u);
+  ServeRequests();
+
+  ASSERT_EQ(outputs_.size(), 1u);
+  EXPECT_TRUE(outputs_[0].degraded);
+  EXPECT_EQ(outputs_[0].degrade_cause, "quarantine");
+  std::vector<double> honest = n1;
+  honest.insert(honest.end(), n2.begin(), n2.end());
+  EXPECT_EQ(outputs_[0].values[0], Oracle(honest));
+  EXPECT_EQ(outputs_[0].global_size, honest.size());
+  EXPECT_EQ(outputs_[0].rank_error_bound, 5u);
+  EXPECT_TRUE(root_->idle());
 }
 
 TEST_F(QuarantineRootTest, TamperedReplyDegradesInFlightWindow) {

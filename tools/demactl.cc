@@ -852,7 +852,13 @@ int CmdShard(const Flags& flags) {
   auto load_result = BuildKeyedWorkload(flags);
   if (!load_result.ok()) return Fail(load_result.status().ToString());
 
-  shard::ShardedSimHarness harness(sc);
+  // One registry for the service, the locals and the fabric, so the export
+  // carries the per-type traffic next to the protocol counters.
+  obs::Registry registry;
+  sc.registry = &registry;
+  net::Network::Options net_options;
+  net_options.registry = &registry;
+  shard::ShardedSimHarness harness(sc, net_options);
   if (!harness.init_status().ok()) {
     return Fail(harness.init_status().ToString());
   }
