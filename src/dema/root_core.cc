@@ -401,6 +401,8 @@ void RootCore::SendRelease(RootSink* sink, NodeId dst, net::WindowId id) {
 }
 
 uint64_t RootCore::CurrentGammaFor(const RootStream& s, NodeId node) const {
+  // A relay prescribes nothing itself: its children run on the parent's γ.
+  if (options_.parent) return s.last_broadcast_gamma;
   if (options_.per_node_gamma) {
     const int64_t idx = LocalIndex(node);
     if (idx >= 0) return s.node_gamma[static_cast<size_t>(idx)].current();
@@ -528,6 +530,8 @@ Status RootCore::HandleParentPayload(RootStream* s, net::MessageType type,
   if (type == net::MessageType::kGammaUpdate) {
     auto update = GammaUpdate::Deserialize(r);
     if (!update.ok()) return RejectPayload(s, src, "decode", sink);
+    // Recorded so a restarted child's re-sync gets the parent's factor.
+    s->last_broadcast_gamma = update->gamma;
     return BroadcastGamma(update->effective_from, update->gamma, sink);
   }
   auto request = CandidateRequest::Deserialize(r);

@@ -229,6 +229,8 @@ struct RootStream {
   /// Per-local reputation by local index; empty while quarantine is off.
   std::vector<LocalReputation> health;
   AdaptiveGammaController gamma;
+  /// γ last broadcast to every local; on a relay, the parent's latest
+  /// update, which also answers a restarted child's re-sync.
   uint64_t last_broadcast_gamma = 0;
   /// Per-node controllers and last-broadcast values (per-node mode only).
   std::vector<AdaptiveGammaController> node_gamma;

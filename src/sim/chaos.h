@@ -103,7 +103,7 @@ struct ConnChaosPlan {
 Result<ConnChaosPlan> ParseConnKillSpec(const std::string& spec);
 
 /// \brief Expands a plan into a sorted cumulative-data-frame kill schedule
-/// (the `TcpTransportOptions::kill_conn_schedule` format). \p salt
+/// (the `TcpFaultOptions::kill_conn_schedule` format). \p salt
 /// decorrelates the schedules of different nodes running the same plan, so a
 /// cluster's kills do not land in lockstep; the same (plan, salt) always
 /// yields the same schedule.

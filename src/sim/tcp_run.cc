@@ -249,11 +249,7 @@ Result<std::unique_ptr<transport::TcpTransport>> DialRoot(
   topts.seq_epoch = options.seq_epoch;
   topts.outbox_capacity = options.outbox_capacity;
   topts.session = options.session;
-  topts.kill_conn_schedule = options.kill_conn_frames;
-  topts.write_stall_after_frames = options.write_stall_after_frames;
-  topts.write_stall_us = options.write_stall_us;
-  topts.corrupt_rate = options.corrupt_rate;
-  topts.corrupt_seed = options.corrupt_seed;
+  topts.fault = options.fault;
   auto transport = std::make_unique<transport::TcpTransport>(topts);
   DEMA_RETURN_NOT_OK(transport->AddLocalNode(id));
   DEMA_RETURN_NOT_OK(
@@ -548,15 +544,16 @@ Result<RunMetrics> RunTcpClusterForked(const SystemConfig& config,
       if (!fault.conn_kill.empty()) {
         // Salt by node id: each local severs its link at different points
         // in its own frame stream, so kills do not land in lockstep.
-        lopts.kill_conn_frames = BuildKillSchedule(fault.conn_kill, node);
+        lopts.fault.kill_conn_schedule =
+            BuildKillSchedule(fault.conn_kill, node);
       }
       if (fault.corrupt_rate > 0) {
-        lopts.corrupt_rate = fault.corrupt_rate;
-        lopts.corrupt_seed =
+        lopts.fault.corrupt_rate = fault.corrupt_rate;
+        lopts.fault.corrupt_seed =
             (fault.corrupt_seed == 0 ? 0x5EEDu : fault.corrupt_seed) + node;
       }
-      lopts.write_stall_after_frames = fault.write_stall_after_frames;
-      lopts.write_stall_us = fault.write_stall_us;
+      lopts.fault.write_stall_after_frames = fault.write_stall_after_frames;
+      lopts.fault.write_stall_us = fault.write_stall_us;
       const bool ok = RunChildLocal(pipe_fds[1], config, workload, node, lopts);
       ::close(pipe_fds[1]);
       ::_exit(ok ? 0 : 1);

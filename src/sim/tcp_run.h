@@ -89,18 +89,9 @@ struct TcpLocalOptions {
   size_t outbox_capacity = 1024;
   /// Heartbeat / reconnect / replay settings of this local's transport.
   transport::TcpSessionOptions session;
-  /// Chaos: sever the connection carrying the Nth data frame written, per
-  /// entry (sorted; see `TcpTransportOptions::kill_conn_schedule`). Needs
-  /// `session.auto_reconnect` to recover.
-  std::vector<uint64_t> kill_conn_frames;
-  /// Chaos: stall all writes for `write_stall_us` after this many data
-  /// frames (0 disables).
-  uint64_t write_stall_after_frames = 0;
-  DurationUs write_stall_us = 0;
-  /// Chaos: per-frame byte-flip probability on send; the receiver's CRC
-  /// drops the frame and the retransmit path must recover it.
-  double corrupt_rate = 0;
-  uint64_t corrupt_seed = 0;
+  /// Chaos: connection kills, write stalls and frame corruption of this
+  /// local's transport. Kills need `session.auto_reconnect` to recover.
+  transport::TcpFaultOptions fault;
 };
 
 /// \brief What a local node measured during a TCP run.

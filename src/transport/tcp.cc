@@ -178,8 +178,8 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
       recv_(registry_, "transport.recv"),
       accept_failures_to_inject_(options_.inject_accept_failures),
       jitter_rng_(static_cast<uint64_t>(::getpid()) * 2654435761u + 1),
-      corrupt_rng_(options_.corrupt_seed != 0
-                       ? options_.corrupt_seed
+      corrupt_rng_(options_.fault.corrupt_seed != 0
+                       ? options_.fault.corrupt_seed
                        : static_cast<uint64_t>(::getpid()) * 0x9E3779B9u + 3),
       c_corrupted_total_(registry_->GetCounter("net.corrupted")),
       c_corrupted_inject_(registry_->GetCounter("net.corrupted{layer=inject}")),
@@ -195,8 +195,8 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
       c_heartbeats_(registry_->GetCounter("net.heartbeats")),
       c_acks_(registry_->GetCounter("net.acks")),
       c_conn_kills_(registry_->GetCounter("net.conn_kills{layer=inject}")) {
-  std::sort(options_.kill_conn_schedule.begin(),
-            options_.kill_conn_schedule.end());
+  std::sort(options_.fault.kill_conn_schedule.begin(),
+            options_.fault.kill_conn_schedule.end());
 }
 
 TcpTransport::~TcpTransport() { Shutdown(); }
@@ -258,7 +258,7 @@ void TcpTransport::RequestRedial(NodeId dst) {
     std::lock_guard<std::mutex> lock(mu_);
     if (peers_.find(dst) == peers_.end()) return;  // nothing to dial
     auto sit = sessions_.find(dst);
-    if (sit == sessions_.end()) return;  // nothing queued or retained
+    if (sit == sessions_.end()) return;  // nothing queued or in flight
     session = sit->second.get();
   }
   if (session->closing.load(std::memory_order_relaxed)) return;
@@ -615,7 +615,7 @@ void TcpTransport::RegisterConn(Conn* conn) {
   }
   conn->registered = true;
   conn->last_recv_us = EpollLoop::NowUs();
-  // A (re)dialed connection resumes its destinations' sessions: retained
+  // A (re)dialed connection resumes its destinations' sessions: in-flight
   // frames replay ahead of fresh outbox traffic, preserving stream order.
   std::vector<Session*> sessions;
   {
@@ -964,11 +964,11 @@ void TcpTransport::ApplyAck(NodeId src, NodeId dst, uint32_t cum_seq) {
   auto sit = sessions_.find(dst);
   if (sit == sessions_.end()) return;
   Session* session = sit->second.get();
-  auto acked = [&](const RetainedFrame& f) {
-    return f.src == src && f.dst == dst && (f.seq >> 24) == (cum_seq >> 24) &&
-           !SerialGt(f.seq, cum_seq);
+  auto acked = [&](const std::shared_ptr<InflightFrame>& f) {
+    return f->src == src && f->dst == dst &&
+           (f->seq >> 24) == (cum_seq >> 24) && !SerialGt(f->seq, cum_seq);
   };
-  auto& q = session->unacked;
+  auto& q = session->inflight;
   q.erase(std::remove_if(q.begin(), q.end(), acked), q.end());
 }
 
@@ -976,15 +976,22 @@ void TcpTransport::QueueControlFrame(Conn* conn, net::Message m) {
   if (conn->dead.load(std::memory_order_relaxed)) return;
   (m.type == net::MessageType::kHeartbeat ? c_heartbeats_ : c_acks_)
       ->Increment();
-  Conn::PendingFrame f;
-  f.src = m.src;
-  f.dst = m.dst;
-  f.type = m.type;
-  f.control = true;
-  f.retain = false;
-  EncodeFrame(m, &f.bytes);
-  conn->wq_bytes += f.bytes.size();
-  conn->wq.push_back(std::move(f));
+  Conn::Queued q;
+  EncodeFrame(m, &q.own);
+  conn->wq_bytes += q.own.size();
+  conn->wq.push_back(std::move(q));
+}
+
+void TcpTransport::QueueFrame(Conn* conn, std::shared_ptr<InflightFrame> frame,
+                              std::vector<uint8_t> flipped) {
+  if (frame->written) {
+    // A re-send: the first write was charged, and the receiver's dedup
+    // swallows this copy if the original arrived.
+    frame->written_at_us = EpollLoop::NowUs();
+    c_replayed_->Increment();
+  }
+  conn->wq_bytes += frame->bytes.size();
+  conn->wq.push_back(Conn::Queued{std::move(frame), std::move(flipped)});
 }
 
 void TcpTransport::HeartbeatTick() {
@@ -1027,8 +1034,10 @@ void TcpTransport::HeartbeatTick() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [dst, session] : sessions_) {
-      if (session->unacked.empty()) continue;
-      if (now - session->unacked.front().written_at_us < rto) continue;
+      const auto& q = session->inflight;
+      auto oldest = std::find_if(q.begin(), q.end(),
+                                 [](const auto& f) { return f->written; });
+      if (oldest == q.end() || now - (*oldest)->written_at_us < rto) continue;
       auto rit = routes_.find(dst);
       if (rit == routes_.end() || rit->second->dead.load() ||
           !rit->second->registered) {
@@ -1038,20 +1047,8 @@ void TcpTransport::HeartbeatTick() {
     }
   }
   for (auto& [session, conn] : overdue) {
-    for (RetainedFrame& rf : session->unacked) {
-      Conn::PendingFrame f;
-      f.bytes = rf.bytes;  // copy: the retained original stays until acked
-      f.src = rf.src;
-      f.dst = rf.dst;
-      f.type = rf.type;
-      f.event_count = rf.event_count;
-      f.seq = rf.seq;
-      f.control = true;  // already charged once; replay is accounting-free
-      f.retain = false;
-      conn->wq_bytes += f.bytes.size();
-      conn->wq.push_back(std::move(f));
-      rf.written_at_us = now;
-      c_replayed_->Increment();
+    for (const auto& f : session->inflight) {
+      if (f->written) QueueFrame(conn, f);
     }
     TryWrite(conn);
   }
@@ -1061,43 +1058,10 @@ void TcpTransport::HeartbeatTick() {
 
 void TcpTransport::ReplaySession(Session* session, Conn* conn) {
   if (conn->dead.load(std::memory_order_relaxed)) return;
-  const TimestampUs now = EpollLoop::NowUs();
-  // Written-but-unacked first (oldest sequence numbers; copies — the
-  // retained originals stand until the peer acks them), then the salvaged
-  // encoded-never-written queue (moved: their first write is still their
-  // first delivery), and only then fresh outbox traffic. Per-stream order
-  // is preserved exactly.
-  for (RetainedFrame& rf : session->unacked) {
-    Conn::PendingFrame f;
-    f.bytes = rf.bytes;
-    f.src = rf.src;
-    f.dst = rf.dst;
-    f.type = rf.type;
-    f.event_count = rf.event_count;
-    f.seq = rf.seq;
-    f.control = true;  // charged when first written; don't double-count
-    f.retain = false;
-    conn->wq_bytes += f.bytes.size();
-    conn->wq.push_back(std::move(f));
-    rf.written_at_us = now;
-    c_replayed_->Increment();
-  }
-  while (!session->salvaged.empty()) {
-    RetainedFrame rf = std::move(session->salvaged.front());
-    session->salvaged.pop_front();
-    Conn::PendingFrame f;
-    f.bytes = std::move(rf.bytes);
-    f.src = rf.src;
-    f.dst = rf.dst;
-    f.type = rf.type;
-    f.event_count = rf.event_count;
-    f.seq = rf.seq;
-    f.control = false;
-    f.retain = true;
-    f.session = session;
-    conn->wq_bytes += f.bytes.size();
-    conn->wq.push_back(std::move(f));
-  }
+  // The whole in-flight queue in encode order, ahead of fresh outbox
+  // traffic, so per-stream order is preserved exactly. Frames a dead
+  // connection never finished writing get their first write here.
+  for (const auto& f : session->inflight) QueueFrame(conn, f);
   if (!conn->wq.empty() && conn->registered) TryWrite(conn);
 }
 
@@ -1126,7 +1090,7 @@ void TcpTransport::DrainConnOutbox(Conn* conn) {
       if (sit != sessions_.end()) sessions.push_back(sit->second.get());
     }
   }
-  // As much retained as queueable, so retention roughly doubles a
+  // As many in flight as queueable, so retention roughly doubles a
   // destination's memory bound instead of multiplying it.
   const size_t retain_cap = options_.outbox_capacity;
   for (Session* session : sessions) {
@@ -1136,8 +1100,9 @@ void TcpTransport::DrainConnOutbox(Conn* conn) {
     // content is all that remains, and it must reach the write queue to be
     // flushed.
     while (draining_ || conn->wq_bytes < kWriteHighWater) {
-      if (!draining_ && retain_cap > 0 && session->retained() >= retain_cap) {
-        // Retention window full: an unresponsive peer must not turn the
+      if (!draining_ && retain_cap > 0 &&
+          session->inflight.size() >= retain_cap) {
+        // In-flight window full: an unresponsive peer must not turn the
         // replay buffer into unbounded memory. Leaving messages in the
         // bounded outbox backpressures Send exactly like a slow peer.
         break;
@@ -1145,31 +1110,33 @@ void TcpTransport::DrainConnOutbox(Conn* conn) {
       auto m = session->outbox->TryPop();
       if (!m) break;
       if (m->type == net::MessageType::kShutdown) conn->saw_shutdown = true;
-      Conn::PendingFrame f;
-      f.src = m->src;
-      f.dst = m->dst;
-      f.type = m->type;
-      f.event_count = m->event_count;
-      f.seq = m->seq;
-      f.session = session;
-      EncodeFrame(*m, &f.bytes);
-      if (options_.corrupt_rate > 0 && f.bytes.size() > kFrameHeaderBytes) {
+      auto f = std::make_shared<InflightFrame>();
+      f->src = m->src;
+      f->dst = m->dst;
+      f->type = m->type;
+      f->event_count = m->event_count;
+      f->seq = m->seq;
+      EncodeFrame(*m, &f->bytes);
+      std::vector<uint8_t> flipped;
+      if (options_.fault.corrupt_rate > 0 &&
+          f->bytes.size() > kFrameHeaderBytes) {
         std::lock_guard<std::mutex> lock(corrupt_mu_);
-        if (corrupt_rng_.Bernoulli(options_.corrupt_rate)) {
+        if (corrupt_rng_.Bernoulli(options_.fault.corrupt_rate)) {
           // Flip one byte past the header (payload or CRC region) so the
           // receiver's framing survives and its checksum does the catching.
-          f.corrupt_at = static_cast<size_t>(corrupt_rng_.UniformInt(
+          // The flip goes on a private copy: the damage is the wire's, and
+          // a replay must carry the pristine encoding.
+          flipped = f->bytes;
+          const auto at = static_cast<size_t>(corrupt_rng_.UniformInt(
               static_cast<int64_t>(kFrameHeaderBytes),
-              static_cast<int64_t>(f.bytes.size() - 1)));
-          f.corrupt_mask =
-              static_cast<uint8_t>(corrupt_rng_.UniformInt(1, 255));
-          f.bytes[f.corrupt_at] ^= f.corrupt_mask;
+              static_cast<int64_t>(flipped.size() - 1)));
+          flipped[at] ^= static_cast<uint8_t>(corrupt_rng_.UniformInt(1, 255));
           c_corrupted_total_->Increment();
           c_corrupted_inject_->Increment();
         }
       }
-      conn->wq_bytes += f.bytes.size();
-      conn->wq.push_back(std::move(f));
+      session->inflight.push_back(f);
+      QueueFrame(conn, std::move(f), std::move(flipped));
     }
   }
   if (!conn->wq.empty()) TryWrite(conn);
@@ -1188,11 +1155,12 @@ void TcpTransport::TryWrite(Conn* conn) {
     // burst of small synopsis/gamma/keyed frames costs one syscall.
     iovec iov[kMaxIov];
     size_t niov = 0;
-    for (const auto& f : conn->wq) {
+    for (const auto& q : conn->wq) {
       if (niov == kMaxIov) break;
+      const std::vector<uint8_t>& bytes = q.bytes();
       size_t off = (niov == 0) ? conn->wq_head_off : 0;
-      iov[niov].iov_base = const_cast<uint8_t*>(f.bytes.data() + off);
-      iov[niov].iov_len = f.bytes.size() - off;
+      iov[niov].iov_base = const_cast<uint8_t*>(bytes.data() + off);
+      iov[niov].iov_len = bytes.size() - off;
       ++niov;
     }
     // sendmsg rather than writev: MSG_NOSIGNAL turns a peer-closed (or
@@ -1220,44 +1188,31 @@ void TcpTransport::TryWrite(Conn* conn) {
       conn->drain_deadline_us = EpollLoop::NowUs() + kIoTimeoutUs;
     }
     while (written > 0) {
-      Conn::PendingFrame& f = conn->wq.front();
-      size_t rest = f.bytes.size() - conn->wq_head_off;
+      Conn::Queued& q = conn->wq.front();
+      const size_t size = q.bytes().size();
+      size_t rest = size - conn->wq_head_off;
       if (written < rest) {
         conn->wq_head_off += written;
         written = 0;
         break;
       }
-      // Frame fully on the socket: charge it (same point the per-connection
-      // writer thread used to). Control frames (heartbeats, acks, replays)
-      // are excluded — the link-traffic instruments must match the fabric's
-      // accounting byte for byte, and a replayed frame was charged when it
-      // first hit a socket.
       written -= rest;
-      conn->wq_bytes -= f.bytes.size();
+      conn->wq_bytes -= size;
       bool kill_now = false;
-      if (!f.control) {
+      if (q.frame != nullptr && !q.frame->written) {
+        // A data frame's first completed write: charge it here and only here
+        // (the link-traffic instruments must match the fabric's accounting
+        // byte for byte; heartbeats, acks and replays stay off the books)
+        // and advance the chaos schedules.
+        InflightFrame& f = *q.frame;
+        f.written = true;
+        f.written_at_us = EpollLoop::NowUs();
         sent_.Charge(f.src, f.dst, f.type, f.bytes.size(), f.event_count);
-        if (f.retain && f.session != nullptr) {
-          // Retain the written frame until the peer's cumulative ack frees
-          // it; a session resume or retransmit timeout replays it. Undo any
-          // injected flip first — the wire carried the damage, the retained
-          // copy must not, or no number of retransmits could ever recover.
-          if (f.corrupt_mask != 0) f.bytes[f.corrupt_at] ^= f.corrupt_mask;
-          RetainedFrame rf;
-          rf.bytes = std::move(f.bytes);
-          rf.src = f.src;
-          rf.dst = f.dst;
-          rf.type = f.type;
-          rf.event_count = f.event_count;
-          rf.seq = f.seq;
-          rf.written_at_us = EpollLoop::NowUs();
-          f.session->unacked.push_back(std::move(rf));
-        }
         ++data_frames_written_;
-        if (!draining_ &&
-            kill_schedule_idx_ < options_.kill_conn_schedule.size() &&
-            data_frames_written_ >=
-                options_.kill_conn_schedule[kill_schedule_idx_]) {
+        const TcpFaultOptions& fault = options_.fault;
+        const auto& kills = fault.kill_conn_schedule;
+        if (!draining_ && kill_schedule_idx_ < kills.size() &&
+            data_frames_written_ >= kills[kill_schedule_idx_]) {
           // Chaos: sever the live socket right after this data frame, as a
           // mid-window network failure would. Session resilience must make
           // this invisible to the protocol's results.
@@ -1266,12 +1221,11 @@ void TcpTransport::TryWrite(Conn* conn) {
           kill_now = true;
         }
         if (!draining_ && !write_stall_armed_ &&
-            options_.write_stall_after_frames > 0 &&
-            data_frames_written_ >= options_.write_stall_after_frames) {
+            fault.write_stall_after_frames > 0 &&
+            data_frames_written_ >= fault.write_stall_after_frames) {
           write_stall_armed_ = true;
-          conn->stall_until_us =
-              EpollLoop::NowUs() + options_.write_stall_us;
-          loop_.PostDelayed(options_.write_stall_us + 1, [this, conn] {
+          conn->stall_until_us = EpollLoop::NowUs() + fault.write_stall_us;
+          loop_.PostDelayed(fault.write_stall_us + 1, [this, conn] {
             if (!conn->dead.load(std::memory_order_relaxed)) TryWrite(conn);
           });
         }
@@ -1327,25 +1281,9 @@ void TcpTransport::KillConn(Conn* conn) {
     // silently; now the loss is visible next to the link metrics.
     c_partial_frame_drops_->Increment();
   }
-  // Salvage encoded-but-unwritten data frames into their sessions: they
-  // replay on the next connection, still as first deliveries. Control
-  // frames and replay copies die with the socket (their retained originals
-  // stand). A partially written head frame is salvaged whole — the
-  // receiver discards its partial bytes, so replay delivers it intact.
-  for (auto& f : conn->wq) {
-    if (f.control || !f.retain || f.session == nullptr) continue;
-    // Undo any injected flip (see TryWrite's retention): replays must carry
-    // the pristine encoding, not the wire damage.
-    if (f.corrupt_mask != 0) f.bytes[f.corrupt_at] ^= f.corrupt_mask;
-    RetainedFrame rf;
-    rf.bytes = std::move(f.bytes);
-    rf.src = f.src;
-    rf.dst = f.dst;
-    rf.type = f.type;
-    rf.event_count = f.event_count;
-    rf.seq = f.seq;
-    f.session->salvaged.push_back(std::move(rf));
-  }
+  // Unwritten data frames stay in their sessions' in-flight queues and
+  // replay on the next connection; a partially written head frame replays
+  // whole (the receiver discards its partial bytes).
   conn->wq.clear();
   conn->wq_bytes = 0;
   conn->wq_head_off = 0;
@@ -1456,7 +1394,7 @@ bool TcpTransport::AwaitAcked(DurationUs timeout_us,
   }
   const TimestampUs deadline = EpollLoop::NowUs() + timeout_us;
   while (!loop_.finished()) {
-    // Retention is loop-thread state, so the loop answers the question.
+    // The in-flight queue is loop-thread state, so the loop answers.
     auto answer = std::make_shared<std::promise<bool>>();
     std::future<bool> acked = answer->get_future();
     loop_.Post([this, answer, dsts] {
@@ -1467,7 +1405,7 @@ bool TcpTransport::AwaitAcked(DurationUs timeout_us,
             std::find(dsts.begin(), dsts.end(), dst) == dsts.end()) {
           continue;
         }
-        if (session->outbox->size() > 0 || session->retained() > 0) {
+        if (session->outbox->size() > 0 || !session->inflight.empty()) {
           all = false;
           break;
         }

@@ -48,8 +48,32 @@ struct TcpSessionOptions {
   int heartbeat_misses = 3;
   /// Redial configured peers in the background when their connection dies
   /// outside shutdown, using the same jittered exponential backoff as the
-  /// first dial, and replay retained frames on the fresh session.
+  /// first dial, and replay in-flight frames on the fresh session.
   bool auto_reconnect = false;
+};
+
+/// \brief Fault injection of a `TcpTransport`; the default injects nothing.
+struct TcpFaultOptions {
+  /// Kill the connection carrying the Nth, then the Mth, ... *data* frame
+  /// written by this transport (cumulative count of first writes across
+  /// connections, sorted ascending). The kill severs a live socket exactly
+  /// as a mid-window network failure would — counted in
+  /// `net.conn_kills{layer=inject}` — and session resilience must recover.
+  std::vector<uint64_t> kill_conn_schedule;
+  /// After this many data frames written, pause all writes on the carrying
+  /// connection for `write_stall_us` (backpressure builds, heartbeats still
+  /// flow on other connections). 0 disables.
+  uint64_t write_stall_after_frames = 0;
+  /// Duration of the injected write stall.
+  DurationUs write_stall_us = 0;
+  /// Probability per outbound frame of flipping one random byte after the
+  /// length-prefix header (payload or CRC trailer) before it hits the
+  /// socket, exercising the receiver's checksum path end to end. Flips stay
+  /// clear of the header so framing survives and the receiver drops the one
+  /// corrupt frame instead of the connection. 0 disables.
+  double corrupt_rate = 0;
+  /// Seed for the corruption injector; 0 derives one from the pid.
+  uint64_t corrupt_seed = 0;
 };
 
 /// \brief Configuration of a `TcpTransport`.
@@ -98,31 +122,14 @@ struct TcpTransportOptions {
   /// failures (close them and run the error/backoff path) to prove the
   /// listener survives; 0 disables.
   int inject_accept_failures = 0;
-  /// Fault injection: probability per outbound frame of flipping one random
-  /// byte after the length-prefix header (payload or CRC trailer) before it
-  /// hits the socket, exercising the receiver's checksum path end to end.
-  /// Flips stay clear of the header so framing survives and the receiver
-  /// drops the one corrupt frame instead of the connection. 0 disables.
-  double corrupt_rate = 0;
-  /// Seed for the corruption injector; 0 derives one from the pid.
-  uint64_t corrupt_seed = 0;
 
-  /// Heartbeats, dead-peer detection, redial and acked replay. Frames are
-  /// retained until acked, at most `outbox_capacity` per destination (0 =
-  /// unbounded); at the bound the outbox backpressures `Send`.
+  /// Heartbeats, dead-peer detection, redial and acked replay. Encoded
+  /// frames stay in flight until acked, at most `outbox_capacity` per
+  /// destination (0 = unbounded); at the bound the outbox backpressures
+  /// `Send`.
   TcpSessionOptions session;
-  /// Chaos injector: kill the connection carrying the Nth, then the Mth, ...
-  /// *data* frame written by this transport (cumulative count across
-  /// connections, sorted ascending). The kill severs a live socket exactly
-  /// as a mid-window network failure would — counted in
-  /// `net.conn_kills{layer=inject}` — and session resilience must recover.
-  std::vector<uint64_t> kill_conn_schedule;
-  /// Chaos injector: after this many data frames written, pause all writes
-  /// on the carrying connection for `write_stall_us` (backpressure builds,
-  /// heartbeats still flow on other connections). 0 disables.
-  uint64_t write_stall_after_frames = 0;
-  /// Duration of the injected write stall.
-  DurationUs write_stall_us = 0;
+  /// Connection kills, write stalls and frame corruption (all off).
+  TcpFaultOptions fault;
   /// Metrics sink for the `transport.sent.*` / `transport.recv.*`
   /// instruments. When null, the transport owns a private registry
   /// (reachable via `registry()`). Must outlive the transport when provided.
@@ -201,7 +208,7 @@ class TcpTransport final : public Transport {
 
   /// Blocks until every message sent so far to \p dsts (to any destination
   /// when empty) has been acknowledged by its receiver (their outboxes
-  /// empty, nothing retained for replay) or \p timeout_us passes. The
+  /// empty, nothing in flight) or \p timeout_us passes. The
   /// listener stays open meanwhile, so a peer whose connection was cut can
   /// redial and receive the rest on replay. Returns whether everything was
   /// acknowledged.
@@ -218,7 +225,22 @@ class TcpTransport final : public Transport {
   void StopLoopForTest();
 
  private:
-  struct Session;
+  /// \brief One encoded data frame, from encode until the peer's cumulative
+  /// ack. Its session holds it in `inflight`; write-queue entries point at
+  /// it, so a first write, a replay and a retransmit all send these bytes.
+  struct InflightFrame {
+    std::vector<uint8_t> bytes;
+    NodeId src = 0;
+    NodeId dst = 0;
+    net::MessageType type = net::MessageType::kShutdown;
+    uint64_t event_count = 0;
+    uint32_t seq = 0;
+    /// Fully written once: charged to the sent-traffic instruments and
+    /// counted by the chaos schedules. Any later send is a replay.
+    bool written = false;
+    /// Last send (first write, replay or retransmit): retransmit timer input.
+    TimestampUs written_at_us = 0;
+  };
 
   /// One live socket. The fd/dead fields are shared with `Send`; all other
   /// state belongs to the loop thread.
@@ -256,32 +278,18 @@ class TcpTransport final : public Transport {
     size_t rpos = 0;
     size_t rend = 0;
 
-    /// An encoded frame waiting on the socket, with the metadata needed to
-    /// charge the sent-traffic instruments once it is fully written.
-    struct PendingFrame {
-      std::vector<uint8_t> bytes;
-      NodeId src = 0;
-      NodeId dst = 0;
-      net::MessageType type = net::MessageType::kShutdown;
-      uint64_t event_count = 0;
-      uint32_t seq = 0;
-      /// Transport control (heartbeat/ack): not charged to the link-traffic
-      /// instruments, never retained, invisible to byte-parity accounting.
-      bool control = false;
-      /// Retain a copy in the session's unacked window once fully written
-      /// (false for replayed copies — the original retained entry stands).
-      bool retain = true;
-      /// Chaos: the corruption injector's one-byte flip applied to `bytes`
-      /// (mask 0 = none). Undone before the frame is retained or salvaged:
-      /// the flip models damage on the wire, not in the sender's memory, so
-      /// a retransmit must carry the pristine encoding — a baked-in flip
-      /// would make the frame unrecoverable no matter how often it replays.
-      size_t corrupt_at = 0;
-      uint8_t corrupt_mask = 0;
-      /// Owning session for retention/salvage (null for control frames).
-      Session* session = nullptr;
+    /// A frame waiting on the socket: a session's data frame record, or
+    /// (record null) the bytes of a heartbeat or ack. A data frame the
+    /// corruption injector hit carries its own flipped copy in `own`, so the
+    /// record keeps the pristine encoding for any replay.
+    struct Queued {
+      std::shared_ptr<InflightFrame> frame;
+      std::vector<uint8_t> own;
+      const std::vector<uint8_t>& bytes() const {
+        return own.empty() ? frame->bytes : own;
+      }
     };
-    std::deque<PendingFrame> wq;
+    std::deque<Queued> wq;
     /// Total encoded bytes queued in `wq` (high-water check).
     size_t wq_bytes = 0;
     /// Bytes of `wq.front()` already written (partial writev progress).
@@ -291,27 +299,15 @@ class TcpTransport final : public Transport {
     TimestampUs drain_deadline_us = 0;
   };
 
-  /// A frame retained after being written, awaiting the peer's cumulative
-  /// ack; replayed verbatim on session resume or retransmit timeout.
-  struct RetainedFrame {
-    std::vector<uint8_t> bytes;
-    NodeId src = 0;
-    NodeId dst = 0;
-    net::MessageType type = net::MessageType::kShutdown;
-    uint64_t event_count = 0;
-    uint32_t seq = 0;
-    TimestampUs written_at_us = 0;
-  };
-
   /// \brief Per-destination send state, decoupled from any one socket.
   ///
   /// Connections die; sessions survive them. A session owns the bounded
-  /// outbox `Send` pushes into, the window of written-but-unacked frames
-  /// (replayed onto the next connection, where the receiver's dedup swallows
-  /// any duplicates), and frames salvaged encoded-but-unwritten from a dead
-  /// connection's write queue (replayed exactly once, so they still count as
-  /// first deliveries). The map entry is created under `mu_`; the deques are
-  /// loop-thread-only.
+  /// outbox `Send` pushes into and every encoded frame not yet acked, written
+  /// or not. A dead connection's write queue is simply dropped: the next
+  /// connection replays the whole in-flight queue, where a frame's first
+  /// completed write is its delivery and the receiver's dedup swallows any
+  /// duplicate of one already delivered. The map entry is created under
+  /// `mu_`; the queue is loop-thread-only.
   struct Session {
     NodeId dst = 0;
     /// Outbound queue; the loop drains it into the routed conn's frames.
@@ -325,13 +321,8 @@ class TcpTransport final : public Transport {
     std::atomic<bool> redial_pending{false};
 
     // --- loop-thread-only from here -----------------------------------------
-    /// Written frames awaiting the peer's cumulative ack, oldest first.
-    std::deque<RetainedFrame> unacked;
-    /// Frames salvaged (encoded, unwritten) from a dead connection's write
-    /// queue; replayed ahead of fresh outbox traffic on the next conn.
-    std::deque<RetainedFrame> salvaged;
-
-    size_t retained() const { return unacked.size() + salvaged.size(); }
+    /// Encoded frames awaiting the peer's cumulative ack, in encode order.
+    std::deque<std::shared_ptr<InflightFrame>> inflight;
   };
 
   /// \brief Per-(src, dst) receive stream: cumulative-ack and dedup state.
@@ -395,16 +386,23 @@ class TcpTransport final : public Transport {
   /// Sends one coalesced kAck frame covering every dirty stream this
   /// connection carries (called after each read pass that made progress).
   void FlushAcks(Conn* conn);
-  /// Drops \p session's acked retained frames per a received cumulative ack.
+  /// Drops the frames a received cumulative ack covers from the in-flight
+  /// queue of \p dst's session.
   void ApplyAck(NodeId src, NodeId dst, uint32_t cum_seq);
   /// Enqueues a control frame (heartbeat/ack) directly onto \p conn's write
-  /// queue, bypassing outboxes, retention, and traffic accounting.
+  /// queue, bypassing outboxes, the in-flight queue, and traffic accounting.
   void QueueControlFrame(Conn* conn, net::Message m);
+  /// Queues \p frame on \p conn: its first write, or a replay or retransmit
+  /// of an already-written frame (counted in `net.replayed_frames`).
+  /// \p flipped, when non-empty, is the corruption injector's damaged copy
+  /// to put on the wire instead of the record's bytes.
+  void QueueFrame(Conn* conn, std::shared_ptr<InflightFrame> frame,
+                  std::vector<uint8_t> flipped = {});
   /// Heartbeat timer body: ping idle conns, declare silent peers dead,
   /// retransmit overdue unacked frames; reschedules itself.
   void HeartbeatTick();
-  /// Replays \p session's retained frames (unacked copies first, then the
-  /// salvaged queue) onto \p conn after a route (re)bind.
+  /// Queues \p session's whole in-flight queue onto \p conn after a route
+  /// (re)bind, ahead of fresh outbox traffic.
   void ReplaySession(Session* session, Conn* conn);
   /// Makes room for at least \p hint more unread bytes, moving a partial
   /// frame into a fresh arena block when the current one is full.
@@ -449,7 +447,7 @@ class TcpTransport final : public Transport {
   std::map<NodeId, Conn*> routes_;
   std::vector<std::unique_ptr<Conn>> conns_;
   /// Per-destination send sessions (entries created under mu_, owned here;
-  /// the deques inside are loop-thread-only).
+  /// the in-flight queues are loop-thread-only).
   std::map<NodeId, std::unique_ptr<Session>> sessions_;
   /// Per-(src, dst) sequence counters, keyed src << 32 | dst (guarded by
   /// mu_) — mirrors the in-process fabric's stamping.
@@ -490,7 +488,7 @@ class TcpTransport final : public Transport {
   obs::Counter* c_peer_down_;
   /// Successful background reconnects to configured peers.
   obs::Counter* c_reconnects_;
-  /// Retained frames replayed (session resume + retransmit timeouts).
+  /// Re-sends of already-written frames (session resume + retransmits).
   obs::Counter* c_replayed_;
   /// Duplicate frames the receive-side dedup swallowed.
   obs::Counter* c_dup_dropped_;

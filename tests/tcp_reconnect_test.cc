@@ -95,9 +95,12 @@ TEST(TcpResilience, HeartbeatsMeasureRttAndStayOffTheBooks) {
            client_rtt->Value() > 0 && server_rtt->Value() > 0;
   })) << "heartbeats never probed the idle connection: client net.heartbeats="
       << client_beats->Value() << " net.peer_rtt_us{peer=0}="
-      << client_rtt->Value() << ", server net.heartbeats="
-      << server_beats->Value() << " net.peer_rtt_us{peer=1}="
-      << server_rtt->Value();
+      << client_rtt->Value() << " net.peer_down="
+      << client.registry()->GetCounter("net.peer_down")->Value()
+      << ", server net.heartbeats=" << server_beats->Value()
+      << " net.peer_rtt_us{peer=1}=" << server_rtt->Value()
+      << " net.peer_down="
+      << server.registry()->GetCounter("net.peer_down")->Value();
 
   client.Shutdown();
   server.Shutdown();
@@ -160,7 +163,7 @@ TEST(TcpResilience, InjectedConnKillsDeliverEveryMessageExactlyOnce) {
   copts.listen = false;
   copts.session.heartbeat_interval_us = MillisUs(5);
   copts.session.auto_reconnect = true;
-  copts.kill_conn_schedule = {4, 9, 15};
+  copts.fault.kill_conn_schedule = {4, 9, 15};
   copts.connect_backoff_initial_us = MillisUs(2);
   copts.connect_backoff_max_us = MillisUs(20);
   TcpTransport client(copts);
@@ -170,8 +173,11 @@ TEST(TcpResilience, InjectedConnKillsDeliverEveryMessageExactlyOnce) {
 
   // Payload size is the message identity: every size must arrive once.
   constexpr size_t kMessages = 150;
+  uint64_t wire_bytes = 0;
   for (size_t i = 1; i <= kMessages; ++i) {
-    ASSERT_TRUE(client.Send(TestMessage(1, 0, i)).ok()) << "send " << i;
+    net::Message m = TestMessage(1, 0, i);
+    wire_bytes += m.WireBytes();
+    ASSERT_TRUE(client.Send(std::move(m)).ok()) << "send " << i;
   }
 
   std::set<size_t> seen;
@@ -193,6 +199,11 @@ TEST(TcpResilience, InjectedConnKillsDeliverEveryMessageExactlyOnce) {
   EXPECT_EQ(creg->GetCounter("net.conn_kills{layer=inject}")->Value(), 3u);
   EXPECT_GE(creg->GetCounter("net.reconnects")->Value(), 1u);
   EXPECT_GE(creg->GetCounter("net.replayed_frames")->Value(), 1u);
+  // Each message is charged once, on its first completed write: frames
+  // written before a kill, queued behind it and replayed after it alike.
+  const net::TrafficCounters sent = client.LinkTraffic()[{1, 0}];
+  EXPECT_EQ(sent.messages, kMessages);
+  EXPECT_EQ(sent.bytes, wire_bytes);
 
   client.Shutdown();
   server.Shutdown();

@@ -321,8 +321,8 @@ TEST(TcpTransport, CorruptRateInjectorIsCaughtByReceiverChecksum) {
 
   TcpTransportOptions copts;
   copts.listen = false;
-  copts.corrupt_rate = 0.5;
-  copts.corrupt_seed = 99;
+  copts.fault.corrupt_rate = 0.5;
+  copts.fault.corrupt_seed = 99;
   TcpTransport client(copts);
   ASSERT_TRUE(client.AddLocalNode(1).ok());
   ASSERT_TRUE(client.AddPeer(0, "127.0.0.1", server.bound_port()).ok());

@@ -336,6 +336,45 @@ TEST(TreeTopology, GammaUpdatePropagatesToLeaves) {
   }
 }
 
+TEST(TreeTopology, RelayAnswersGammaResyncWithTheParentsGamma) {
+  // A restarted leaf re-syncs γ with its relay; the answer must be the
+  // factor the parent last prescribed, not the relay's initial one.
+  RealClock clock;
+  net::Network network(&clock);
+  TreeConfig config;
+  config.num_relays = 2;
+  config.locals_per_relay = 2;
+  auto tree = BuildTreeSystem(config, &network, &clock);
+  ASSERT_TRUE(tree.ok());
+  const NodeId relay_id = tree->relay_ids[0];
+  const NodeId leaf_id = tree->local_ids[0];
+
+  core::GammaUpdate update;
+  update.effective_from = 3;
+  update.gamma = 500;
+  ASSERT_TRUE(tree->relays[0]
+                  ->OnMessage(net::MakeMessage(net::MessageType::kGammaUpdate,
+                                               tree->root_id, relay_id, update))
+                  .ok());
+  while (network.Inbox(leaf_id)->TryPop().has_value()) {
+  }
+
+  core::GammaSyncRequest sync;
+  sync.node = leaf_id;
+  ASSERT_TRUE(tree->relays[0]
+                  ->OnMessage(net::MakeMessage(
+                      net::MessageType::kGammaSyncRequest, leaf_id, relay_id,
+                      sync))
+                  .ok());
+  auto answer = network.Inbox(leaf_id)->TryPop();
+  ASSERT_TRUE(answer.has_value());
+  ASSERT_EQ(answer->type, net::MessageType::kGammaUpdate);
+  net::Reader r(answer->payload_bytes());
+  auto resync = core::GammaUpdate::Deserialize(&r);
+  ASSERT_TRUE(resync.ok()) << resync.status();
+  EXPECT_EQ(resync->gamma, 500u);
+}
+
 TEST(TreeTopology, ThreeLevelTreeComposes) {
   // Hand-built: root <- relay A <- {relay B, leaf L3}; relay B <- {L1, L2}.
   RealClock clock;
