@@ -1,8 +1,10 @@
-// Ablation: local-window sorting strategy. The paper's implementation sorts
-// incrementally as events arrive; this repo defaults to sort-on-close (one
-// std::sort when the window ends). The choice moves Dema's local-node
-// bottleneck — and explains why our Fig. 5a shows Dema ~tied with Tdigest
-// where the paper shows Tdigest ahead (see EXPERIMENTS.md).
+// Ablation: local-window ordering strategy. The paper's implementation sorts
+// incrementally as events arrive; this repo's locals buffer a window
+// unsorted and slice-order it when it closes (`stream::OrderSlices`: exact
+// slice sets and endpoints), sorting a slice only when the root asks for its
+// events. The choice moves Dema's local-node bottleneck — and explains why
+// our Fig. 5a shows Dema ~tied with Tdigest where the paper shows Tdigest
+// ahead (see EXPERIMENTS.md).
 
 #include "harness.h"
 
@@ -15,7 +17,7 @@ int main(int argc, char** argv) {
   const double rate = flags.GetDouble("rate", 150'000);
   const uint64_t gamma = static_cast<uint64_t>(flags.GetInt("gamma", 10'000));
 
-  std::cout << "=== Ablation: Dema local sorting strategy (gamma=" << gamma
+  std::cout << "=== Ablation: Dema local ordering strategy (gamma=" << gamma
             << ", " << windows << " windows x " << FmtRate(rate)
             << " per node) ===\n";
 
@@ -28,7 +30,8 @@ int main(int argc, char** argv) {
     const char* name;
     stream::SortMode mode;
   };
-  for (Mode m : {Mode{"sort-on-close (ours)", stream::SortMode::kSortOnClose},
+  for (Mode m : {Mode{"slice order on close (ours)",
+                      stream::SortMode::kSortOnClose},
                  Mode{"incremental (paper)", stream::SortMode::kIncremental}}) {
     sim::SystemConfig config;
     config.kind = sim::SystemKind::kDema;

@@ -1,10 +1,11 @@
-// Microbenchmarks (google-benchmark) for the hot paths: local window sorting,
-// loser-tree merging, slice cutting, window-cut selection, sketch updates,
-// and wire serialization.
+// Microbenchmarks (google-benchmark) for the hot paths: local window sorting
+// and slice ordering, loser-tree merging, slice cutting, window-cut
+// selection, sketch updates, and wire serialization.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/rng.h"
 #include "dema/slice.h"
@@ -43,8 +44,22 @@ std::vector<Event> WalkEvents(size_t n, uint64_t seed) {
   return events;
 }
 
+/// Zipf-style duplicates: value k with probability ∝ 1/k², so a few values
+/// hold most events and runs of equal values straddle slice boundaries.
+std::vector<Event> DuplicateEvents(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Event> events;
+  events.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    const double value = std::floor(1 / std::sqrt(rng.Uniform(1e-6, 1)));
+    events.push_back(Event{value, static_cast<TimestampUs>(i), 1, i});
+  }
+  return events;
+}
+
 /// Closed windows of range(0) events: uniform values when range(1) is 0, a
-/// random walk when it is 1. Several distinct windows (as many as fit in
+/// random walk when it is 1, zipf-style duplicates when it is 2. Several
+/// distinct windows (as many as fit in
 /// about 24 MB, at most 16) are cycled through, so the branch predictor
 /// cannot learn one input's comparisons and flatter `std::sort`.
 std::vector<std::vector<Event>> WindowInputs(const benchmark::State& state) {
@@ -52,8 +67,16 @@ std::vector<std::vector<Event>> WindowInputs(const benchmark::State& state) {
   std::vector<std::vector<Event>> inputs(
       std::clamp<size_t>(1'000'000 / n, 1, 16));
   for (size_t i = 0; i < inputs.size(); ++i) {
-    inputs[i] = state.range(1) == 0 ? RandomEvents(n, 11 + i)
-                                    : WalkEvents(n, 11 + i);
+    switch (state.range(1)) {
+      case 0:
+        inputs[i] = RandomEvents(n, 11 + i);
+        break;
+      case 1:
+        inputs[i] = WalkEvents(n, 11 + i);
+        break;
+      default:
+        inputs[i] = DuplicateEvents(n, 11 + i);
+    }
   }
   return inputs;
 }
@@ -65,7 +88,7 @@ void BM_SortWindow(benchmark::State& state) {
   size_t next = 0;
   for (auto _ : state) {
     copy = inputs[next++ % inputs.size()];
-    stream::SortEvents(&copy);
+    stream::SortEvents(copy);
     benchmark::DoNotOptimize(copy.data());
     benchmark::ClobberMemory();
   }
@@ -84,17 +107,34 @@ void BM_SortWindowStdSort(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-/// Uniform windows of 1k to 1M events, and a 20,000-event walk: one
-/// star_inline local window.
+/// The close-time slice order every local runs instead of a full sort
+/// (`stream::OrderSlices`), at γ = 166, the slice factor star_inline's
+/// locals settle on for their 20,000-event windows.
+void BM_SliceOrderWindow(benchmark::State& state) {
+  const auto inputs = WindowInputs(state);
+  std::vector<Event> copy;
+  size_t next = 0;
+  for (auto _ : state) {
+    copy = inputs[next++ % inputs.size()];
+    stream::OrderSlices(&copy, 166);
+    benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+/// Uniform windows of 1k to 1M events, and 20,000-event windows — one
+/// star_inline local window — of a walk and of zipf-style duplicates.
 void SortWindowArgs(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"n", "walk"})
+  b->ArgNames({"n", "shape"})
       ->Args({1'000, 0})
       ->Args({100'000, 0})
       ->Args({1'000'000, 0})
-      ->Args({20'000, 1});
+      ->Args({20'000, 1})
+      ->Args({20'000, 2});
 }
 BENCHMARK(BM_SortWindow)->Apply(SortWindowArgs);
 BENCHMARK(BM_SortWindowStdSort)->Apply(SortWindowArgs);
+BENCHMARK(BM_SliceOrderWindow)->Apply(SortWindowArgs);
 
 void BM_IncrementalSortedInsert(benchmark::State& state) {
   auto events = RandomEvents(state.range(0), 13);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "dema/adaptive_gamma.h"
 #include "dema/slice.h"
@@ -34,8 +35,8 @@ void SetGamma(LocalStream* s, net::WindowId from, uint64_t gamma) {
   }
 }
 
-/// One closed window's close-time work — the sort, when still owed, and
-/// the slice cut — on whichever thread runs it. A window the tiny-window
+/// One closed window's close-time work — the slice order, when still owed,
+/// and the slice cut — on whichever thread runs it. A window the tiny-window
 /// rule covers is cut at γ = 2 (`CutAtGammaTwo`).
 PreparedWindow Prepare(net::WindowId id, uint64_t gamma, NodeId node,
                        net::EventCodec reply_codec, std::vector<Event> events,
@@ -44,15 +45,15 @@ PreparedWindow Prepare(net::WindowId id, uint64_t gamma, NodeId node,
   prepared.id = id;
   prepared.gamma = gamma;
   if (events.empty()) return prepared;
-  if (!is_sorted) stream::SortEvents(&events);
   if (CutAtGammaTwo(events.size(), gamma, reply_codec)) prepared.gamma = 2;
+  if (!is_sorted) stream::OrderSlices(&events, prepared.gamma);
   auto slices = CutIntoSlices(events, node, prepared.gamma);
   if (!slices.ok()) {
     prepared.status = slices.status();
     return prepared;
   }
   prepared.slices = std::move(slices).MoveValueUnsafe();
-  prepared.sorted = std::move(events);
+  prepared.events = std::move(events);
   return prepared;
 }
 
@@ -89,9 +90,9 @@ LocalStream::LocalStream(const DemaLocalNodeOptions& o)
               o.sort_mode),
       gamma_schedule{{0, std::max<uint64_t>(2, o.initial_gamma)}},
       oldest_known_gamma(std::max<uint64_t>(2, o.initial_gamma)) {
-  // With an executor, closed windows come back unsorted; the submitted task
-  // owns the sort.
-  windows.set_defer_sort(o.executor != nullptr);
+  // Closed windows come back unsorted: `Prepare` slice-orders them, on the
+  // calling thread or an executor worker.
+  windows.set_defer_sort(true);
 }
 
 void LocalCore::AddRetained(int64_t windows, int64_t events) {
@@ -192,7 +193,7 @@ Status LocalCore::ShipPrepared(LocalStream* s, PreparedWindow prepared,
   SynopsisBatch batch;
   batch.window_id = prepared.id;
   batch.node = options_.id;
-  batch.local_window_size = prepared.sorted.size();
+  batch.local_window_size = prepared.events.size();
   batch.gamma_used =
       static_cast<uint32_t>(std::min<uint64_t>(prepared.gamma, UINT32_MAX));
   batch.close_time_us = clock_->NowUs();
@@ -200,10 +201,10 @@ Status LocalCore::ShipPrepared(LocalStream* s, PreparedWindow prepared,
   // The root reads every slice of ≤ 2 events from its synopsis, so only a
   // window holding a larger slice can ever be asked for its events.
   if (Retained(batch.slices)) {
-    AddRetained(1, static_cast<int64_t>(prepared.sorted.size()));
+    AddRetained(1, static_cast<int64_t>(prepared.events.size()));
     s->kept.insert(KeptAt(s, prepared.id),
                    KeptWindow{prepared.id, prepared.gamma, false,
-                              std::move(prepared.sorted)});
+                              std::move(prepared.events)});
   }
   DEMA_RETURN_NOT_OK(sink->SendSynopsis(batch));
   c_windows_shipped_->Increment();
@@ -257,7 +258,7 @@ Status LocalCore::HandleCandidateRequest(LocalStream* s,
     return Status::NotFound("candidate request for unknown window " +
                             std::to_string(req.window_id));
   }
-  const auto size = static_cast<int64_t>(it->sorted.size());
+  const auto size = static_cast<int64_t>(it->events.size());
   if (req.slice_indices.empty()) {
     // Release: the root needs nothing (more) from this window.
     if (!it->served) AddRetained(-1, -size);
@@ -266,16 +267,20 @@ Status LocalCore::HandleCandidateRequest(LocalStream* s,
   }
   reply_.window_id = req.window_id;
   reply_.events.clear();
-  // Requested slices are ascending, disjoint index ranges of the sorted
-  // window, so appending them in order keeps the reply sorted.
+  // Requested slices are ascending, disjoint index ranges of the
+  // slice-ordered window, each sorted in place on its first serve, so
+  // appending them in order keeps the reply sorted.
   for (uint32_t index : req.slice_indices) {
-    auto [begin, end] = SliceEventRange(it->sorted.size(), it->gamma, index);
+    auto [begin, end] = SliceEventRange(it->events.size(), it->gamma, index);
     if (begin >= end) {
       return Status::OutOfRange("slice index " + std::to_string(index) +
                                 " outside window " + std::to_string(req.window_id));
     }
-    reply_.events.insert(reply_.events.end(), it->sorted.begin() + begin,
-                         it->sorted.begin() + end);
+    const std::span<Event> slice(it->events.data() + begin, end - begin);
+    if (!std::is_sorted(slice.begin(), slice.end())) {
+      stream::SortEvents(slice);
+    }
+    reply_.events.insert(reply_.events.end(), slice.begin(), slice.end());
   }
   // Release the window only once the reply is actually on the wire: a
   // transient send failure must not lose the retained events, or the root
@@ -312,11 +317,16 @@ void LocalCore::Checkpoint(const LocalStream& s, net::Writer* w) const {
   }
   w->PutU64(s.oldest_known_gamma);
   w->PutU32(static_cast<uint32_t>(s.retained_windows()));
+  std::vector<Event> sorted;
   for (const KeptWindow& window : s.kept) {
     if (window.served) continue;
     w->PutU64(window.id);
     w->PutU64(window.gamma);
-    net::EncodeEvents(w, window.sorted, net::EventCodec::kCompact,
+    // Checkpoints hold fully sorted windows, which `Restore` keeps as they
+    // are: a sorted window is also slice-ordered.
+    sorted = window.events;
+    stream::SortEvents(sorted);
+    net::EncodeEvents(w, sorted, net::EventCodec::kCompact,
                       /*sorted_hint=*/true);
   }
   s.windows.SerializeTo(w);
@@ -367,15 +377,17 @@ Status LocalCore::Restore(LocalStream* s, net::Reader* r) {
   uint32_t retained_count = 0;
   DEMA_RETURN_NOT_OK(r->GetU32(&retained_count));
   for (const KeptWindow& window : s->kept) {
-    if (!window.served) AddRetained(-1, -static_cast<int64_t>(window.sorted.size()));
+    if (!window.served) {
+      AddRetained(-1, -static_cast<int64_t>(window.events.size()));
+    }
   }
   s->kept.clear();
   for (uint32_t i = 0; i < retained_count; ++i) {
     KeptWindow window;
     DEMA_RETURN_NOT_OK(r->GetU64(&window.id));
     DEMA_RETURN_NOT_OK(r->GetU64(&window.gamma));
-    DEMA_RETURN_NOT_OK(net::DecodeEvents(r, &window.sorted));
-    AddRetained(1, static_cast<int64_t>(window.sorted.size()));
+    DEMA_RETURN_NOT_OK(net::DecodeEvents(r, &window.events));
+    AddRetained(1, static_cast<int64_t>(window.events.size()));
     s->kept.insert(KeptAt(s, window.id), std::move(window));
   }
   return s->windows.RestoreFrom(r);

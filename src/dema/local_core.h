@@ -38,7 +38,7 @@ struct DemaLocalNodeOptions {
   /// node when provided.
   obs::Registry* registry = nullptr;
   /// Worker pool for closed-window sort+slice. When set, `OnWatermark` only
-  /// submits each closed window, so the close-time sort and slice cut of
+  /// submits each closed window, so the close-time slice order and cut of
   /// many windows and nodes run in parallel on the pool, and `Quiesce` ships
   /// every submitted window in window-id order. When null (default), windows
   /// are prepared and shipped inline by `OnWatermark`. The synopses leave in
@@ -68,7 +68,8 @@ class LocalSink {
 struct PreparedWindow {
   net::WindowId id = 0;
   uint64_t gamma = 0;
-  std::vector<Event> sorted;
+  /// The window's events, slice-ordered for `gamma` (`stream::OrderSlices`).
+  std::vector<Event> events;
   std::vector<SliceSynopsis> slices;
   /// Slice-cut failure, surfaced when the window ships.
   Status status;
@@ -84,7 +85,10 @@ struct KeptWindow {
   /// evicted first), because a reply can be lost in flight and the root's
   /// retried request must find the events again.
   bool served = false;
-  std::vector<Event> sorted;
+  /// The window's events, slice-ordered for `gamma` (`stream::OrderSlices`):
+  /// each slice holds exactly its events, with its first and last in place.
+  /// A slice's interior is sorted when the slice is first served.
+  std::vector<Event> events;
 };
 
 /// \brief Compact per-stream protocol state: everything one local stream
@@ -92,7 +96,7 @@ struct KeptWindow {
 /// shared `LocalCore` does all the work on it.
 struct LocalStream {
   stream::WindowManager windows;
-  /// Sorted events of shipped windows, ascending by id: retained ones until
+  /// Events of shipped windows, ascending by id: retained ones until
   /// the root releases them, then the served ring. Released together.
   std::vector<KeptWindow> kept;
   /// γ schedule: (effective-from window id, γ), ascending. Always non-empty.
@@ -118,10 +122,11 @@ struct LocalStream {
 /// \brief Dema's edge-side protocol (Sections 3.1, 3.3), shared by every
 /// stream it serves.
 ///
-/// Sorts each closed local window, cuts it into γ-sized slices, ships only
-/// the slice synopses to the root, and retains the window's events until the
-/// root's candidate request arrives — at which point it replies with the
-/// requested slices' events and drops the window. A window no bigger than
+/// Slice-orders each closed local window (`stream::OrderSlices`), cuts it
+/// into γ-sized slices, ships only the slice synopses to the root, and
+/// retains the window's events until the root's candidate request arrives —
+/// at which point it sorts the requested slices, replies with their events
+/// and drops the window. A window no bigger than
 /// its own candidate round trip is cut at γ = 2 instead (`CutAtGammaTwo`);
 /// the root reads every slice of ≤ 2 events from its synopsis, so such a
 /// window is never retained. γ updates from the root take effect per

@@ -51,9 +51,10 @@ struct CandidateRequest {
 
 /// \brief Local -> root: the requested candidate events, pre-sorted.
 ///
-/// Requested slices are disjoint index ranges of the node's fully sorted
-/// window, so their concatenation in index order is itself sorted — the root
-/// only merges across nodes, never re-sorts.
+/// Requested slices are disjoint index ranges of the node's window in the
+/// global order, each sorted before it is served, so their concatenation in
+/// index order is itself sorted — the root only merges across nodes, never
+/// re-sorts.
 struct CandidateReply {
   WindowId window_id = 0;
   NodeId node = 0;

@@ -59,8 +59,10 @@ inline bool Retained(std::span<const SliceSynopsis> slices) {
   return !std::all_of(slices.begin(), slices.end(), KnownFromSynopsis);
 }
 
-/// \brief Cuts a *sorted* local window into slices of at most \p gamma events
-/// and returns their synopses (the trailing slice holds the remainder).
+/// \brief Cuts a local window into slices of at most \p gamma events and
+/// returns their synopses (the trailing slice holds the remainder). The
+/// window must be sorted, or slice-ordered for \p gamma
+/// (`stream::OrderSlices`): only each slice's first and last event are read.
 ///
 /// \p gamma must be >= 2 — the paper requires every slice to carry at least
 /// two events' worth of synopsis; the final slice may still end up with one

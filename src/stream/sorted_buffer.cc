@@ -1,6 +1,7 @@
 #include "stream/sorted_buffer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -27,7 +28,10 @@ struct SortScratch {
   std::vector<KeyedIndex> keys_out;
   std::vector<Event> events;
   std::vector<uint32_t> counts;  // kDigits histograms of kBuckets each
+  std::vector<uint32_t> bucket_ends;  // OrderSlices: end of each bucket
 };
+
+thread_local SortScratch t_scratch;
 
 /// Maps a finite double onto an unsigned integer with the same order. -0.0
 /// maps to +0.0's key, because `operator<` treats the two as equal.
@@ -41,24 +45,28 @@ uint64_t OrderKey(double value) {
   return (bits & kSign) != 0 ? ~bits : bits | kSign;
 }
 
+/// True when \p n events go through the radix sort rather than `std::sort`;
+/// it counts and indexes events in 32 bits.
+bool UseRadix(size_t n) {
+  return n >= kRadixSortMinEvents && n <= std::numeric_limits<uint32_t>::max();
+}
+
 }  // namespace
 
-void SortEvents(std::vector<Event>* events) {
-  const size_t n = events->size();
-  // The radix path counts and indexes events in 32 bits.
-  if (n < kRadixSortMinEvents || n > std::numeric_limits<uint32_t>::max()) {
-    std::sort(events->begin(), events->end());
+void SortEvents(std::span<Event> events) {
+  const size_t n = events.size();
+  if (!UseRadix(n)) {
+    std::sort(events.begin(), events.end());
     return;
   }
-  thread_local SortScratch scratch;
+  SortScratch& scratch = t_scratch;
   scratch.keys.resize(n);
   scratch.keys_out.resize(n);
   scratch.counts.assign(kDigits * kBuckets, 0);
 
   // One pass computes every key and every digit's histogram.
-  const Event* in = events->data();
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t key = OrderKey(in[i].value);
+    const uint64_t key = OrderKey(events[i].value);
     scratch.keys[i] = KeyedIndex{key, static_cast<uint32_t>(i)};
     for (int d = 0; d < kDigits; ++d) {
       ++scratch.counts[d * kBuckets + ((key >> (d * kDigitBits)) & kDigitMask)];
@@ -87,18 +95,82 @@ void SortEvents(std::vector<Event>* events) {
   }
 
   // Gather the events in key order, then order each run of equal keys —
-  // equal values — by the full (value, timestamp, node, seq) comparator.
+  // equal values — by the full (value, timestamp, node, seq) comparator,
+  // and copy the result back.
   std::vector<Event>& out = scratch.events;
   out.resize(n);
-  for (size_t i = 0; i < n; ++i) out[i] = in[src[i].index];
+  for (size_t i = 0; i < n; ++i) out[i] = events[src[i].index];
   for (size_t begin = 0; begin < n;) {
     size_t end = begin + 1;
     while (end < n && src[end].key == src[begin].key) ++end;
     if (end - begin > 1) std::sort(out.begin() + begin, out.begin() + end);
     begin = end;
   }
-  // The unsorted buffer becomes the next call's gather target.
+  std::copy_n(out.begin(), n, events.begin());
+}
+
+void OrderSlices(std::vector<Event>* events, uint64_t gamma) {
+  const size_t n = events->size();
+  if (!UseRadix(n)) {
+    SortEvents(*events);
+    return;
+  }
+  const Event* in = events->data();
+  double lo = in[0].value;
+  double hi = in[0].value;
+  for (size_t i = 1; i < n; ++i) {
+    lo = std::min(lo, in[i].value);
+    hi = std::max(hi, in[i].value);
+  }
+  // About n/4 buckets (a power of two) of equal width between the smallest
+  // and largest value. A bucket is a range of values, so scattering the
+  // events by bucket puts each between its bucket's exact first and last
+  // rank. All-equal values (no width), and a range too wide or too narrow
+  // for a finite scale, leave nothing to split: sort the whole window.
+  const size_t buckets = std::bit_floor(n / 4);
+  const double scale = static_cast<double>(buckets) / (hi - lo);
+  if (!(scale > 0 && scale < std::numeric_limits<double>::infinity())) {
+    SortEvents(*events);
+    return;
+  }
+  // Monotone in the value; the rounding of (hi − lo)·scale may reach
+  // `buckets`, so the top is clamped.
+  auto bucket_of = [&](double value) {
+    return std::min(buckets - 1, static_cast<size_t>((value - lo) * scale));
+  };
+  SortScratch& scratch = t_scratch;
+  std::vector<uint32_t>& ends = scratch.bucket_ends;
+  ends.assign(buckets, 0);
+  for (size_t i = 0; i < n; ++i) ++ends[bucket_of(in[i].value)];
+  uint32_t offset = 0;
+  for (uint32_t& end : ends) {
+    const uint32_t c = end;
+    end = offset;
+    offset += c;
+  }
+  std::vector<Event>& out = scratch.events;
+  out.resize(n);
+  for (size_t i = 0; i < n; ++i) out[ends[bucket_of(in[i].value)]++] = in[i];
   events->swap(out);
+
+  // Only the buckets holding a slice's first or last rank are sorted, each
+  // once; the rest keep their events in arrival order. Ranks ascend, so the
+  // bucket cursor only moves forward.
+  gamma = std::max<uint64_t>(gamma, 1);
+  Event* data = events->data();
+  size_t bucket = 0;
+  size_t sorted = ends.size();  // the last bucket sorted, none yet
+  auto place_rank = [&](uint64_t rank) {
+    while (ends[bucket] <= rank) ++bucket;
+    if (bucket == sorted) return;
+    sorted = bucket;
+    const uint32_t begin = bucket == 0 ? 0 : ends[bucket - 1];
+    SortEvents({data + begin, data + ends[bucket]});
+  };
+  for (uint64_t first = 0; first < n; first += gamma) {
+    place_rank(first);
+    place_rank(first + std::min<uint64_t>(gamma, n - first) - 1);
+  }
 }
 
 uint64_t SortedWindowBuffer::size() const {
@@ -124,7 +196,7 @@ std::vector<Event> SortedWindowBuffer::TakeSorted() {
   if (mode_ == SortMode::kSortOnClose) {
     out = std::move(vec_);
     vec_.clear();
-    SortEvents(&out);
+    SortEvents(out);
   } else {
     out.assign(ordered_.begin(), ordered_.end());
     ordered_.clear();

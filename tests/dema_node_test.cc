@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "common/clock.h"
+#include "common/rng.h"
 #include "dema/local_node.h"
 #include "dema/protocol.h"
 #include "dema/root_node.h"
+#include "exec/executor.h"
 #include "net/network.h"
 #include "obs/registry.h"
 #include "sim/pump.h"
@@ -543,6 +547,197 @@ TEST(DemaLocalIngest, NonFiniteValuesAreDroppedNotTheWindow) {
             local1.size());
   EXPECT_TRUE(root.idle());
 }
+
+// ---------------------------------------------------------------------------
+// LocalCore serving: a closed window is only slice-ordered, and a served
+// slice is sorted in place. Replies and checkpoints must carry exactly the
+// bytes a fully sorted window gives, on the inline and the executor path.
+
+/// Records what a `LocalCore` sends. `fail_replies` replies fail before
+/// reaching the wire, as a transient send failure does.
+class RecordingSink final : public LocalSink {
+ public:
+  Status SendSynopsis(const SynopsisBatch& batch) override {
+    synopses.push_back(batch);
+    return Status::OK();
+  }
+  Status SendReply(const CandidateReply& reply) override {
+    if (fail_replies > 0) {
+      --fail_replies;
+      return Status::NetworkError("send failed");
+    }
+    net::Writer w;
+    reply.SerializeTo(&w);
+    replies.push_back(w.TakeBuffer());
+    return Status::OK();
+  }
+  Status SendGammaSync(const GammaSyncRequest&) override {
+    return Status::OK();
+  }
+
+  /// The events of reply \p i.
+  std::vector<Event> ReplyEvents(size_t i) const {
+    net::Reader r(replies.at(i));
+    auto reply = CandidateReply::Deserialize(&r);
+    EXPECT_TRUE(reply.ok());
+    return reply.ok() ? reply->events : std::vector<Event>{};
+  }
+
+  std::vector<SynopsisBatch> synopses;
+  std::vector<std::vector<uint8_t>> replies;
+  int fail_replies = 0;
+};
+
+/// One local core and stream that has closed one window of `kEvents` events
+/// with heavy duplicate values, cut with `kGamma`.
+class LocalServeTest : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr size_t kEvents = 1'000;
+  static constexpr uint64_t kGamma = 64;
+  static constexpr uint32_t kSlices = (kEvents + kGamma - 1) / kGamma;
+
+  struct Local {
+    Local(const DemaLocalNodeOptions& options, const Clock* clock)
+        : core(options, clock), stream(core.options()) {}
+    LocalCore core;
+    LocalStream stream;
+    RecordingSink sink;
+  };
+
+  void SetUp() override {
+    Rng rng(7);
+    for (uint32_t seq = 0; seq < kEvents; ++seq) {
+      events_.push_back(Event{static_cast<double>(rng.UniformInt(0, 99)),
+                              rng.UniformInt(0, SecondsUs(1) - 1), 1, seq});
+    }
+    sorted_ = events_;
+    std::sort(sorted_.begin(), sorted_.end());
+  }
+
+  /// Options for node 1; with an executor when the test parameter says so.
+  DemaLocalNodeOptions Options(stream::SortMode mode) {
+    DemaLocalNodeOptions opts;
+    opts.window_len_us = SecondsUs(1);
+    opts.initial_gamma = kGamma;
+    opts.sort_mode = mode;
+    if (GetParam()) opts.executor = &executor_;
+    return opts;
+  }
+
+  /// A local that has ingested every event and shipped window 0.
+  std::unique_ptr<Local> Closed(
+      stream::SortMode mode = stream::SortMode::kSortOnClose) {
+    auto local = std::make_unique<Local>(Options(mode), &clock_);
+    for (const Event& e : events_) local->core.OnEvent(&local->stream, e);
+    EXPECT_TRUE(local->core
+                    .OnWatermark(&local->stream, SecondsUs(1), &local->sink)
+                    .ok());
+    EXPECT_TRUE(local->core.Quiesce(&local->stream, &local->sink).ok());
+    EXPECT_EQ(local->stream.retained_windows(), 1u);
+    return local;
+  }
+
+  Status Request(Local* local, std::vector<uint32_t> slices) {
+    net::Writer w;
+    CandidateRequest{0, std::move(slices)}.SerializeTo(&w);
+    return local->core.OnPayload(&local->stream,
+                                 net::MessageType::kCandidateRequest,
+                                 w.buffer(), &local->sink);
+  }
+
+  static std::vector<uint32_t> AllSlices() {
+    std::vector<uint32_t> all(kSlices);
+    for (uint32_t i = 0; i < kSlices; ++i) all[i] = i;
+    return all;
+  }
+
+  static std::vector<uint8_t> CheckpointBytes(const Local& local) {
+    net::Writer w;
+    local.core.Checkpoint(local.stream, &w);
+    return w.TakeBuffer();
+  }
+
+  VirtualClock clock_;
+  exec::Executor executor_;
+  std::vector<Event> events_;
+  std::vector<Event> sorted_;
+};
+
+TEST_P(LocalServeTest, SynopsesCarryTheSortedWindowsSliceEndpoints) {
+  auto local = Closed();
+  ASSERT_EQ(local->sink.synopses.size(), 1u);
+  const auto& slices = local->sink.synopses[0].slices;
+  ASSERT_EQ(slices.size(), kSlices);
+  for (uint32_t i = 0; i < kSlices; ++i) {
+    auto [begin, end] = SliceEventRange(kEvents, kGamma, i);
+    EXPECT_EQ(slices[i].first, sorted_[begin]) << "slice " << i;
+    EXPECT_EQ(slices[i].last, sorted_[end - 1]) << "slice " << i;
+    EXPECT_EQ(slices[i].count, end - begin) << "slice " << i;
+  }
+}
+
+TEST_P(LocalServeTest, EverySliceInOneRequestServesTheSortedWindow) {
+  auto local = Closed();
+  ASSERT_TRUE(Request(local.get(), AllSlices()).ok());
+  ASSERT_EQ(local->sink.replies.size(), 1u);
+  EXPECT_EQ(local->sink.ReplyEvents(0), sorted_);
+}
+
+TEST_P(LocalServeTest, OneRequestPerSliceServesTheSortedWindow) {
+  auto local = Closed();
+  std::vector<Event> served;
+  for (uint32_t i = 0; i < kSlices; ++i) {
+    ASSERT_TRUE(Request(local.get(), {i}).ok()) << "slice " << i;
+    ASSERT_EQ(local->sink.replies.size(), i + 1u);
+    auto events = local->sink.ReplyEvents(i);
+    served.insert(served.end(), events.begin(), events.end());
+  }
+  EXPECT_EQ(served, sorted_);
+}
+
+TEST_P(LocalServeTest, RetriedRequestsReturnIdenticalBytes) {
+  // A reply that fails to send leaves its slices sorted and the window
+  // retained; one lost after sending is answered again from the served ring.
+  auto local = Closed();
+  const std::vector<uint32_t> slices = {1, 5, kSlices - 1};
+  local->sink.fail_replies = 1;
+  EXPECT_FALSE(Request(local.get(), slices).ok());
+  EXPECT_EQ(local->stream.retained_windows(), 1u);
+  ASSERT_TRUE(Request(local.get(), slices).ok());
+  ASSERT_TRUE(Request(local.get(), slices).ok());
+  EXPECT_EQ(local->stream.retained_windows(), 0u);
+  ASSERT_EQ(local->sink.replies.size(), 2u);
+  EXPECT_EQ(local->sink.replies[0], local->sink.replies[1]);
+
+  auto fresh = Closed();
+  ASSERT_TRUE(Request(fresh.get(), slices).ok());
+  ASSERT_EQ(fresh->sink.replies.size(), 1u);
+  EXPECT_EQ(fresh->sink.replies[0], local->sink.replies[0]);
+}
+
+TEST_P(LocalServeTest, CheckpointIsTheFullySortedWindowsAndRestoreServes) {
+  // An incremental-mode local closes its window fully sorted; a checkpoint
+  // of the slice-ordered one must hold the same bytes.
+  auto local = Closed();
+  const std::vector<uint8_t> snapshot = CheckpointBytes(*local);
+  EXPECT_EQ(snapshot, CheckpointBytes(*Closed(stream::SortMode::kIncremental)));
+
+  auto restored =
+      std::make_unique<Local>(Options(stream::SortMode::kSortOnClose), &clock_);
+  net::Reader r(snapshot);
+  ASSERT_TRUE(restored->core.Restore(&restored->stream, &r).ok());
+  EXPECT_EQ(CheckpointBytes(*restored), snapshot);
+  ASSERT_TRUE(Request(restored.get(), AllSlices()).ok());
+  ASSERT_TRUE(Request(local.get(), AllSlices()).ok());
+  ASSERT_EQ(restored->sink.replies.size(), 1u);
+  EXPECT_EQ(restored->sink.ReplyEvents(0), sorted_);
+  EXPECT_EQ(restored->sink.replies, local->sink.replies);
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndExecutor, LocalServeTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Executor" : "Inline";
+                         });
 
 }  // namespace
 }  // namespace dema::core

@@ -1,6 +1,6 @@
 // Unit tests for the streaming substrate: window assignment, quantile ranks,
-// sorted window buffers, the close-time event sort, the window manager, and
-// the loser-tree merger.
+// sorted window buffers, the event sort and the close-time slice order, the
+// window manager, and the loser-tree merger.
 
 #include <gtest/gtest.h>
 
@@ -144,7 +144,8 @@ TEST(WindowManager, FlushClosesEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// SortEvents: the close-time sort must order exactly like std::sort.
+// SortEvents must order exactly like std::sort; OrderSlices must put exactly
+// std::sort's events in each slice, with std::sort's first and last event.
 
 /// Events whose (timestamp, node, seq) ids are pairwise distinct but drawn
 /// from a small grid, so equal values tie on each id field in turn. With
@@ -184,18 +185,59 @@ double AnyFiniteDouble(Rng* rng) {
   }
 }
 
+/// Asserts that \p actual[begin, end) holds the same bytes as \p expected.
+void ExpectSameRange(const std::vector<Event>& actual,
+                     const std::vector<Event>& expected, size_t begin,
+                     size_t end, const std::string& what) {
+  for (size_t i = begin; i < end; ++i) {
+    ASSERT_EQ(std::memcmp(&actual[i], &expected[i], sizeof(Event)), 0)
+        << what << ": first difference at " << i << " of " << actual.size()
+        << ", got " << actual[i] << " want " << expected[i];
+  }
+}
+
 /// Sorts a copy of \p events both ways and asserts the same bytes.
 void ExpectSortsLikeStdSort(const std::vector<Event>& events,
                             const std::string& what) {
   std::vector<Event> expected = events;
   std::sort(expected.begin(), expected.end());
   std::vector<Event> actual = events;
-  SortEvents(&actual);
+  SortEvents(actual);
   ASSERT_EQ(actual.size(), expected.size()) << what;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(std::memcmp(&actual[i], &expected[i], sizeof(Event)), 0)
-        << what << ": first difference at " << i << " of " << events.size()
-        << ", got " << actual[i] << " want " << expected[i];
+  ExpectSameRange(actual, expected, 0, expected.size(), what);
+}
+
+/// Slice-orders a copy of \p events for each of a range of γ and asserts,
+/// per slice, that its first and last event are `std::sort`'s, that it holds
+/// exactly `std::sort`'s events, and that `SortEvents` on it (what a
+/// serve does) yields `std::sort`'s bytes.
+void ExpectSliceOrdersLikeStdSort(const std::vector<Event>& events,
+                                  const std::string& what) {
+  std::vector<Event> expected = events;
+  std::sort(expected.begin(), expected.end());
+  const uint64_t n = events.size();
+  // The smallest slices, mid-sized ones, and slices around the window's
+  // size (n − 1 wraps to a huge γ when the window is empty).
+  for (uint64_t gamma : {uint64_t{2}, uint64_t{3}, uint64_t{166},
+                         uint64_t{2000}, n - 1, n, n + 1}) {
+    if (gamma < 2) continue;
+    const std::string tag = what + " gamma " + std::to_string(gamma);
+    std::vector<Event> actual = events;
+    OrderSlices(&actual, gamma);
+    ASSERT_EQ(actual.size(), expected.size()) << tag;
+    for (uint64_t begin = 0; begin < n; begin += gamma) {
+      const uint64_t end = begin + std::min(gamma, n - begin);
+      ExpectSameRange(actual, expected, begin, begin + 1, tag + " first");
+      ExpectSameRange(actual, expected, end - 1, end, tag + " last");
+      if (::testing::Test::HasFatalFailure()) return;
+      std::vector<Event> slice(actual.begin() + begin, actual.begin() + end);
+      std::sort(slice.begin(), slice.end());
+      ASSERT_TRUE(std::equal(slice.begin(), slice.end(),
+                             expected.begin() + begin))
+          << tag << ": slice at " << begin << " holds other events";
+      SortEvents({actual.data() + begin, end - begin});
+    }
+    ExpectSameRange(actual, expected, 0, n, tag + " served");
   }
 }
 
@@ -205,7 +247,13 @@ std::vector<size_t> SortSizes() {
           kRadixSortMinEvents + 1, 1000, 4096};
 }
 
-TEST(EventSort, DuplicateValuesTieBreakOnTimestampNodeAndSeq) {
+/// A check of one window of events against `std::sort`.
+using SortCheck = void (*)(const std::vector<Event>&, const std::string&);
+
+// Windows every close-time ordering is checked on, each family once through
+// `SortEvents` (EventSort.*) and once through `OrderSlices` (SliceOrder.*).
+
+void CheckDuplicateValues(SortCheck check) {
   const double kPool[] = {-1.5, 0.25, 7, std::nextafter(7.0, 8.0), 1e-300};
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
@@ -213,12 +261,12 @@ TEST(EventSort, DuplicateValuesTieBreakOnTimestampNodeAndSeq) {
       auto events = GridEvents(&rng, n, [&] {
         return kPool[rng.UniformInt(0, std::size(kPool) - 1)];
       });
-      ExpectSortsLikeStdSort(events, "duplicates seed " + std::to_string(seed));
+      check(events, "duplicates seed " + std::to_string(seed));
     }
   }
 }
 
-TEST(EventSort, SignedZerosOrderAsEqualValues) {
+void CheckSignedZeros(SortCheck check) {
   // operator< treats -0.0 and +0.0 as one value, so their events interleave
   // by timestamp, node and seq — whichever zero each carries.
   for (uint64_t seed = 1; seed <= 40; ++seed) {
@@ -231,12 +279,12 @@ TEST(EventSort, SignedZerosOrderAsEqualValues) {
         return pick == 8 ? -std::numeric_limits<double>::denorm_min()
                          : std::numeric_limits<double>::denorm_min();
       });
-      ExpectSortsLikeStdSort(events, "zeros seed " + std::to_string(seed));
+      check(events, "zeros seed " + std::to_string(seed));
     }
   }
 }
 
-TEST(EventSort, ExtremeAndSubnormalValues) {
+void CheckExtremeAndSubnormalValues(SortCheck check) {
   const double kMax = std::numeric_limits<double>::max();
   const double kMin = std::numeric_limits<double>::min();
   const double kDenorm = std::numeric_limits<double>::denorm_min();
@@ -251,30 +299,29 @@ TEST(EventSort, ExtremeAndSubnormalValues) {
         if (rng.Bernoulli(0.5)) return AnyFiniteDouble(&rng);
         return kPool[rng.UniformInt(0, std::size(kPool) - 1)];
       });
-      ExpectSortsLikeStdSort(events, "extremes seed " + std::to_string(seed));
+      check(events, "extremes seed " + std::to_string(seed));
     }
   }
 }
 
-TEST(EventSort, AllEqualPresortedAndReversedWindows) {
+void CheckAllEqualPresortedAndReversed(SortCheck check) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     for (size_t n : SortSizes()) {
       const std::string tag = " seed " + std::to_string(seed);
       const double same = rng.Uniform(-100, 100);
-      ExpectSortsLikeStdSort(GridEvents(&rng, n, [&] { return same; }),
-                             "all-equal" + tag);
+      check(GridEvents(&rng, n, [&] { return same; }), "all-equal" + tag);
       auto events =
           GridEvents(&rng, n, [&] { return std::round(rng.Normal(0, 50)); });
       std::sort(events.begin(), events.end());
-      ExpectSortsLikeStdSort(events, "presorted" + tag);
+      check(events, "presorted" + tag);
       std::reverse(events.begin(), events.end());
-      ExpectSortsLikeStdSort(events, "reversed" + tag);
+      check(events, "reversed" + tag);
     }
   }
 }
 
-TEST(EventSort, RandomWalkWindowsOfTheBenchmarkSize) {
+void CheckRandomWalkWindows(SortCheck check) {
   // The shape a local closes in the paper's setting: a 20,000-event sensor
   // walk, with the thread's reused buffers going from large to small.
   for (uint64_t seed = 1; seed <= 4; ++seed) {
@@ -285,30 +332,133 @@ TEST(EventSort, RandomWalkWindowsOfTheBenchmarkSize) {
         pos = std::clamp(pos + rng.Normal(0, 25), 0.0, 10'000.0);
         return pos;
       });
-      ExpectSortsLikeStdSort(events, "walk seed " + std::to_string(seed));
+      check(events, "walk seed " + std::to_string(seed));
     }
   }
+}
+
+void CheckHeavyDuplicatesAndAnOutlier(SortCheck check) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    for (size_t n : SortSizes()) {
+      const std::string tag = " seed " + std::to_string(seed);
+      // Zipf-style: value k with probability ∝ 1/k², so a few values hold
+      // most events and one bucket of equal keys straddles many slices.
+      check(GridEvents(&rng, n,
+                       [&] {
+                         return std::floor(1 / std::sqrt(rng.Uniform(1e-6, 1)));
+                       }),
+            "zipf" + tag);
+      // One 1e300 among ordinary values: the key range is huge, so almost
+      // every event lands in the first bucket.
+      const size_t outlier = n == 0 ? 0 : rng.UniformInt(0, n - 1);
+      size_t i = 0;
+      check(GridEvents(&rng, n,
+                       [&] {
+                         return i++ == outlier ? 1e300 : rng.Uniform(0, 100);
+                       }),
+            "outlier" + tag);
+    }
+  }
+}
+
+/// Runs \p order on many windows from 4 threads at once and counts, per
+/// thread, the windows whose result differed from \p expect.
+template <typename Order, typename Expect>
+std::vector<int> ConcurrentMismatches(Order order, Expect expect) {
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([t, &mismatches, order, expect] {
+      Rng rng(100 + t);
+      for (int round = 0; round < 20; ++round) {
+        auto events =
+            GridEvents(&rng, 2'000, [&] { return rng.Uniform(-1, 1); });
+        auto sorted = events;
+        std::sort(sorted.begin(), sorted.end());
+        order(&events);
+        if (!expect(events, sorted)) ++mismatches[t];
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  return mismatches;
+}
+
+TEST(EventSort, DuplicateValuesTieBreakOnTimestampNodeAndSeq) {
+  CheckDuplicateValues(ExpectSortsLikeStdSort);
+}
+
+TEST(EventSort, SignedZerosOrderAsEqualValues) {
+  CheckSignedZeros(ExpectSortsLikeStdSort);
+}
+
+TEST(EventSort, ExtremeAndSubnormalValues) {
+  CheckExtremeAndSubnormalValues(ExpectSortsLikeStdSort);
+}
+
+TEST(EventSort, AllEqualPresortedAndReversedWindows) {
+  CheckAllEqualPresortedAndReversed(ExpectSortsLikeStdSort);
+}
+
+TEST(EventSort, RandomWalkWindowsOfTheBenchmarkSize) {
+  CheckRandomWalkWindows(ExpectSortsLikeStdSort);
+}
+
+TEST(EventSort, HeavyDuplicatesAndAnOutlier) {
+  CheckHeavyDuplicatesAndAnOutlier(ExpectSortsLikeStdSort);
 }
 
 TEST(EventSort, ConcurrentCallersKeepSeparateScratch) {
   // Executor workers sort windows at the same time; each thread's reused
   // buffers are its own.
-  std::vector<std::thread> threads;
-  std::vector<int> mismatches(4, 0);
-  for (size_t t = 0; t < mismatches.size(); ++t) {
-    threads.emplace_back([t, &mismatches] {
-      Rng rng(100 + t);
-      for (int round = 0; round < 20; ++round) {
-        auto events =
-            GridEvents(&rng, 2'000, [&] { return rng.Uniform(-1, 1); });
-        auto expected = events;
-        std::sort(expected.begin(), expected.end());
-        SortEvents(&events);
-        if (events != expected) ++mismatches[t];
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
+  auto mismatches = ConcurrentMismatches(
+      [](std::vector<Event>* events) { SortEvents(*events); },
+      [](const std::vector<Event>& got, const std::vector<Event>& sorted) {
+        return got == sorted;
+      });
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+}
+
+TEST(SliceOrder, DuplicateValuesTieBreakOnTimestampNodeAndSeq) {
+  CheckDuplicateValues(ExpectSliceOrdersLikeStdSort);
+}
+
+TEST(SliceOrder, SignedZerosOrderAsEqualValues) {
+  CheckSignedZeros(ExpectSliceOrdersLikeStdSort);
+}
+
+TEST(SliceOrder, ExtremeAndSubnormalValues) {
+  CheckExtremeAndSubnormalValues(ExpectSliceOrdersLikeStdSort);
+}
+
+TEST(SliceOrder, AllEqualPresortedAndReversedWindows) {
+  CheckAllEqualPresortedAndReversed(ExpectSliceOrdersLikeStdSort);
+}
+
+TEST(SliceOrder, RandomWalkWindowsOfTheBenchmarkSize) {
+  CheckRandomWalkWindows(ExpectSliceOrdersLikeStdSort);
+}
+
+TEST(SliceOrder, HeavyDuplicatesAndAnOutlier) {
+  CheckHeavyDuplicatesAndAnOutlier(ExpectSliceOrdersLikeStdSort);
+}
+
+TEST(SliceOrder, ConcurrentCallersKeepSeparateScratch) {
+  // Executor workers slice-order windows at the same time, and a large
+  // bucket's sort inside `OrderSlices` reuses the same per-thread buffers.
+  constexpr uint64_t kGamma = 166;
+  auto mismatches = ConcurrentMismatches(
+      [](std::vector<Event>* events) {
+        OrderSlices(events, kGamma);
+        for (size_t begin = 0; begin < events->size(); begin += kGamma) {
+          const size_t end = std::min<size_t>(events->size(), begin + kGamma);
+          SortEvents({events->data() + begin, end - begin});
+        }
+      },
+      [](const std::vector<Event>& got, const std::vector<Event>& sorted) {
+        return got == sorted;
+      });
   EXPECT_EQ(mismatches, std::vector<int>(4, 0));
 }
 
