@@ -1,16 +1,20 @@
-// Microbenchmarks (google-benchmark) for the hot paths: local window sorting
-// and slice ordering, loser-tree merging, slice cutting, window-cut
-// selection, sketch updates, and wire serialization.
+// Microbenchmarks (google-benchmark) for the hot paths: local ingest, local
+// window sorting and slice ordering, loser-tree merging, slice cutting,
+// window-cut selection, sketch updates, and wire serialization.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 
+#include "common/clock.h"
 #include "common/rng.h"
+#include "dema/local_node.h"
+#include "dema/protocol.h"
 #include "dema/slice.h"
 #include "dema/window_cut.h"
 #include "net/message.h"
+#include "net/network.h"
 #include "sketch/qdigest.h"
 #include "sketch/tdigest.h"
 #include "stream/merge.h"
@@ -135,6 +139,60 @@ void SortWindowArgs(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_SortWindow)->Apply(SortWindowArgs);
 BENCHMARK(BM_SortWindowStdSort)->Apply(SortWindowArgs);
 BENCHMARK(BM_SliceOrderWindow)->Apply(SortWindowArgs);
+
+/// Times a Dema local's per-event ingest, the way perfbench and the TCP
+/// runner feed it: one `OnEvent` call per event through a
+/// `sim::LocalNodeLogic*`. One iteration is one 20,000-event walk window;
+/// the watermark that closes it, and the root's release of the shipped
+/// window, run with the timer paused. Reports ns/event.
+void BM_LocalIngest(benchmark::State& state) {
+  constexpr size_t kEvents = 20'000;
+  constexpr DurationUs kWindowUs = 1'000'000;
+  std::vector<std::vector<Event>> inputs(8);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    inputs[i] = WalkEvents(kEvents, 11 + i);
+    for (size_t k = 0; k < kEvents; ++k) {
+      inputs[i][k].timestamp = static_cast<TimestampUs>(k * kWindowUs / kEvents);
+    }
+  }
+  RealClock clock;
+  net::Network network(&clock);
+  (void)network.RegisterNode(0);
+  (void)network.RegisterNode(1);
+  core::DemaLocalNodeOptions opts;
+  opts.window_len_us = kWindowUs;
+  opts.initial_gamma = 166;
+  core::DemaLocalNode node(opts, &network, &clock);
+  sim::LocalNodeLogic* local = &node;
+  net::WindowId window = 0;
+  for (auto _ : state) {
+    const TimestampUs base = static_cast<TimestampUs>(window) * kWindowUs;
+    for (Event e : inputs[window % inputs.size()]) {
+      e.timestamp += base;
+      benchmark::DoNotOptimize(local->OnEvent(e));
+    }
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    ++window;
+    if (!local->OnWatermark(static_cast<TimestampUs>(window) * kWindowUs).ok()) {
+      state.SkipWithError("watermark failed");
+      break;
+    }
+    while (network.Inbox(0)->TryPop().has_value()) {
+    }
+    // An empty request releases the retained window, as the root does once
+    // it needs nothing from this local.
+    (void)local->OnMessage(net::MakeMessage(net::MessageType::kCandidateRequest,
+                                            0, 1,
+                                            core::CandidateRequest{window - 1, {}}));
+    state.ResumeTiming();
+  }
+  const auto events = static_cast<double>(state.iterations() * kEvents);
+  state.SetItemsProcessed(state.iterations() * kEvents);
+  state.counters["ns_per_event"] = benchmark::Counter(
+      events, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LocalIngest);
 
 void BM_IncrementalSortedInsert(benchmark::State& state) {
   auto events = RandomEvents(state.range(0), 13);

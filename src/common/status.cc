@@ -32,12 +32,17 @@ const char* StatusCodeToString(StatusCode code) {
   return "Unknown";
 }
 
+const std::string& Status::EmptyMessage() {
+  static const std::string empty;
+  return empty;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string out = StatusCodeToString(code_);
-  if (!message_.empty()) {
+  std::string out = StatusCodeToString(state_->code);
+  if (!state_->message.empty()) {
     out += ": ";
-    out += message_;
+    out += state_->message;
   }
   return out;
 }

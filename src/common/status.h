@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -31,17 +32,33 @@ const char* StatusCodeToString(StatusCode code);
 
 /// \brief Outcome of an operation that may fail.
 ///
-/// A `Status` is either OK (no allocation, cheap to copy) or carries a code
-/// plus a descriptive message. Use the static factories, e.g.
+/// One pointer, as in Arrow: null when OK, so building, returning, testing
+/// and destroying an OK status touch no heap and no string; an error owns a
+/// heap `{code, message}` that copies deep. Use the static factories, e.g.
 /// `Status::InvalidArgument("gamma must be >= 2")`.
 class Status {
  public:
   /// Constructs an OK status.
-  Status() = default;
+  Status() noexcept = default;
 
-  /// Constructs a status with the given code and message.
+  /// Constructs a status with the given code and message. A `kOk` code
+  /// gives an OK status and drops the message.
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : state_(code == StatusCode::kOk
+                   ? nullptr
+                   : std::make_unique<State>(State{code, std::move(message)})) {}
+
+  Status(const Status& other)
+      : state_(other.state_ ? std::make_unique<State>(*other.state_)
+                            : nullptr) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      state_ = other.state_ ? std::make_unique<State>(*other.state_) : nullptr;
+    }
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   /// Returns an OK status.
   static Status OK() { return Status(); }
@@ -91,22 +108,30 @@ class Status {
   }
 
   /// True iff the status is OK.
-  bool ok() const { return code_ == StatusCode::kOk; }
+  bool ok() const { return state_ == nullptr; }
   /// The status code.
-  StatusCode code() const { return code_; }
+  StatusCode code() const { return state_ ? state_->code : StatusCode::kOk; }
   /// The error message (empty for OK).
-  const std::string& message() const { return message_; }
+  const std::string& message() const {
+    return state_ ? state_->message : EmptyMessage();
+  }
 
   /// Returns "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
   bool operator==(const Status& other) const {
-    return code_ == other.code_ && message_ == other.message_;
+    return code() == other.code() && message() == other.message();
   }
 
  private:
-  StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  struct State {
+    StatusCode code;
+    std::string message;
+  };
+  /// The one empty string every OK status's `message()` refers to.
+  static const std::string& EmptyMessage();
+
+  std::unique_ptr<State> state_;
 };
 
 inline std::ostream& operator<<(std::ostream& os, const Status& s) {

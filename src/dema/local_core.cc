@@ -1,7 +1,6 @@
 #include "dema/local_core.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 
 #include "dema/adaptive_gamma.h"
@@ -114,18 +113,6 @@ uint64_t LocalCore::GammaForWindow(const LocalStream& s,
   auto it = ScheduleAfter(s.gamma_schedule, id);
   if (it == s.gamma_schedule.begin()) return s.oldest_known_gamma;
   return (it - 1)->second;
-}
-
-void LocalCore::OnEvent(LocalStream* s, const Event& e) {
-  c_events_ingested_->Increment();
-  if (!std::isfinite(e.value)) {
-    // NaN has no place in the total order, and the root rejects a synopsis
-    // carrying any non-finite value as `bad_value`: drop the event, not the
-    // window.
-    c_rejected_values_->Increment();
-    return;
-  }
-  if (!s->windows.OnEvent(e)) c_late_events_->Increment();
 }
 
 Status LocalCore::OnWatermark(LocalStream* s, TimestampUs watermark_us,
@@ -268,8 +255,8 @@ Status LocalCore::HandleCandidateRequest(LocalStream* s,
   reply_.window_id = req.window_id;
   reply_.events.clear();
   // Requested slices are ascending, disjoint index ranges of the
-  // slice-ordered window, each sorted in place on its first serve, so
-  // appending them in order keeps the reply sorted.
+  // slice-ordered window, each sorted in place when served (a re-serve finds
+  // it sorted), so appending them in order keeps the reply sorted.
   for (uint32_t index : req.slice_indices) {
     auto [begin, end] = SliceEventRange(it->events.size(), it->gamma, index);
     if (begin >= end) {
@@ -277,9 +264,7 @@ Status LocalCore::HandleCandidateRequest(LocalStream* s,
                                 " outside window " + std::to_string(req.window_id));
     }
     const std::span<Event> slice(it->events.data() + begin, end - begin);
-    if (!std::is_sorted(slice.begin(), slice.end())) {
-      stream::SortEvents(slice);
-    }
+    stream::SortServedSlice(slice);
     reply_.events.insert(reply_.events.end(), slice.begin(), slice.end());
   }
   // Release the window only once the reply is actually on the wire: a

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -148,8 +149,22 @@ class LocalCore {
 
   /// Routes one event into \p s. A late one (below the watermark) is
   /// counted into `local.late_events` and dropped; one whose value is NaN
-  /// or ±Inf is counted into `local.rejected_values` and dropped.
-  void OnEvent(LocalStream* s, const Event& e);
+  /// or ±Inf is counted into `local.rejected_values` and dropped. Inline,
+  /// with the window manager's hot-window path, so an event for the open
+  /// window costs an append and a single-writer counter add.
+  void OnEvent(LocalStream* s, const Event& e) {
+    // The core's calls are serialized, so the ingest counter has one
+    // writer at a time, and other threads still read it live.
+    c_events_ingested_->IncrementSingleWriter();
+    if (!std::isfinite(e.value)) [[unlikely]] {
+      // NaN has no place in the total order, and the root rejects a
+      // synopsis carrying any non-finite value as `bad_value`: drop the
+      // event, not the window.
+      c_rejected_values_->Increment();
+      return;
+    }
+    if (!s->windows.OnEvent(e)) [[unlikely]] c_late_events_->Increment();
+  }
   /// Ships synopses for every window id of \p s the watermark closed —
   /// including empty windows — and retains the events of those holding a
   /// slice of more than two events. With an executor,

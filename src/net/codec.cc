@@ -32,7 +32,17 @@ void EncodeEvents(Writer* w, const std::vector<Event>& events, EventCodec codec,
   w->PutU8(static_cast<uint8_t>(codec));
   w->PutVarint(events.size());
   if (codec == EventCodec::kFixed) {
-    for (const Event& e : events) w->PutEvent(e);
+    if constexpr (sizeof(Event) == kEventWireBytes &&
+                  std::endian::native == std::endian::little) {
+      // The mirror of `DecodeEvents`' bulk copy: `Event` is laid out exactly
+      // like its wire record, so the batch is one append.
+      if (!events.empty()) {
+        w->PutBytes(reinterpret_cast<const uint8_t*>(events.data()),
+                    events.size() * kEventWireBytes);
+      }
+    } else {
+      for (const Event& e : events) w->PutEvent(e);
+    }
     return;
   }
   // kCompact: value mode 1 = ascending bit-pattern deltas, 0 = raw doubles.

@@ -15,9 +15,22 @@ namespace dema::obs {
 ///
 /// The registry hands out stable pointers, so hot paths cache the pointer
 /// once and pay a single relaxed fetch-add per increment.
+///
+/// A counter with one writer may use `IncrementSingleWriter` instead: a
+/// relaxed load and a relaxed store, with no locked read-modify-write. The
+/// rule: every add to that counter goes through `IncrementSingleWriter`,
+/// made by one thread at a time, with each hand-over between threads
+/// ordered by a happens-before edge (a join, a lock, a queue). Then no add
+/// is lost, and `Value()` from any other thread reads a live value that
+/// never goes backwards. Mixing it with `Increment`, or two threads adding
+/// at once, can lose adds.
 class Counter {
  public:
   void Increment(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  /// Adds \p n under the single-writer rule above.
+  void IncrementSingleWriter(uint64_t n = 1) {
+    v_.store(v_.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
   uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:

@@ -109,6 +109,38 @@ void SortEvents(std::span<Event> events) {
   std::copy_n(out.begin(), n, events.begin());
 }
 
+/// Moves per event that `SortServedSlice`'s insertion pass may make before
+/// it hands the range to `SortEvents`. A bucket-ordered slice of the sensor
+/// walk needs about 2.
+constexpr size_t kServedSliceMovesPerEvent = 8;
+
+bool SortServedSlice(std::span<Event> events) {
+  // `operator<` with the value compare up front, where almost every
+  // comparison ends (values are finite, so equal is the only other case).
+  auto less = [](const Event& a, const Event& b) {
+    return a.value < b.value || (a.value == b.value && a < b);
+  };
+  const size_t n = events.size();
+  size_t budget = kServedSliceMovesPerEvent * n;
+  for (size_t i = 1; i < n; ++i) {
+    if (!less(events[i], events[i - 1])) continue;
+    const Event e = events[i];
+    size_t j = i;
+    do {
+      events[j] = events[j - 1];
+      --j;
+    } while (j > 0 && less(e, events[j - 1]));
+    events[j] = e;
+    // [0, i] is sorted either way; the fallback finishes the range.
+    if (i - j > budget) {
+      SortEvents(events);
+      return false;
+    }
+    budget -= i - j;
+  }
+  return true;
+}
+
 void OrderSlices(std::vector<Event>* events, uint64_t gamma) {
   const size_t n = events->size();
   if (!UseRadix(n)) {
@@ -170,6 +202,14 @@ void OrderSlices(std::vector<Event>* events, uint64_t gamma) {
   for (uint64_t first = 0; first < n; first += gamma) {
     place_rank(first);
     place_rank(first + std::min<uint64_t>(gamma, n - first) - 1);
+  }
+}
+
+void SortedWindowBuffer::AddSlow(const Event& e) {
+  if (mode_ == SortMode::kSortOnClose) {
+    vec_.push_back(e);
+  } else {
+    ordered_.insert(e);
   }
 }
 

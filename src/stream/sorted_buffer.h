@@ -39,6 +39,17 @@ inline constexpr size_t kRadixSortMinEvents = 256;
 /// once they have grown.
 void SortEvents(std::span<Event> events);
 
+/// \brief Sorts one served slice of a slice-ordered window (`OrderSlices`)
+/// in place; the result equals `SortEvents`'s.
+///
+/// Such a slice is already in value-bucket order, so an insertion sort moves
+/// each event only past the few events of its own bucket, and an already
+/// sorted slice (a re-serve) costs one compare per event. Past 8 moves per
+/// event — a slice far from sorted, such as a reversed one — the rest goes
+/// to `SortEvents`. Returns true iff the insertion pass finished within
+/// that budget.
+bool SortServedSlice(std::span<Event> events);
+
 /// \brief Slice-orders \p events for slices of \p gamma events: the cheap
 /// part of `SortEvents` that a window's slice synopses need.
 ///
@@ -68,12 +79,18 @@ class SortedWindowBuffer {
   explicit SortedWindowBuffer(SortMode mode = SortMode::kSortOnClose)
       : mode_(mode) {}
 
-  /// Adds one event.
+  /// Adds one event. An append into spare capacity is small enough to
+  /// inline into the ingest path; growing the vector and the kIncremental
+  /// tree insert stay out of line.
   void Add(const Event& e) {
-    if (mode_ == SortMode::kSortOnClose) {
+    if (mode_ == SortMode::kSortOnClose && vec_.size() < vec_.capacity())
+        [[likely]] {
+      // What the test above proved, in the terms `push_back` tests, so its
+      // growth path and the registers that path saves drop out.
+      if (vec_.end() == vec_.begin() + vec_.capacity()) __builtin_unreachable();
       vec_.push_back(e);
     } else {
-      ordered_.insert(e);
+      AddSlow(e);
     }
   }
 
@@ -111,6 +128,9 @@ class SortedWindowBuffer {
   }
 
  private:
+  /// `Add` when the vector is full, or in kIncremental mode.
+  void AddSlow(const Event& e);
+
   SortMode mode_;
   std::vector<Event> vec_;       // kSortOnClose
   std::multiset<Event> ordered_;  // kIncremental

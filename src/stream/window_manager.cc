@@ -1,16 +1,13 @@
 #include "stream/window_manager.h"
 
+#include <algorithm>
+
 namespace dema::stream {
 
-bool WindowManager::OnEvent(const Event& e) {
+bool WindowManager::OnEventSlow(const Event& e) {
   if (e.timestamp < watermark_us_) {
     ++late_events_;
     return false;
-  }
-  if (hot_ != nullptr && e.timestamp >= hot_start_us_ &&
-      e.timestamp < hot_end_us_) {
-    hot_->Add(e);
-    return true;
   }
   assign_scratch_.clear();
   assigner_.AssignWindows(e.timestamp, &assign_scratch_);
@@ -23,7 +20,7 @@ bool WindowManager::OnEvent(const Event& e) {
     it->second.Add(e);
     if (tumbling_) {
       hot_ = &it->second;
-      hot_start_us_ = assigner_.WindowStart(id);
+      hot_lo_us_ = std::max(assigner_.WindowStart(id), watermark_us_);
       hot_end_us_ = assigner_.WindowEnd(id);
     }
   }
@@ -42,7 +39,7 @@ std::vector<ClosedWindow> WindowManager::AdvanceWatermark(TimestampUs watermark_
   std::vector<ClosedWindow> closed;
   if (watermark_us <= watermark_us_) return closed;
   watermark_us_ = watermark_us;
-  hot_ = nullptr;
+  ClearHot();
   auto it = open_.begin();
   while (it != open_.end() && assigner_.WindowEnd(it->first) <= watermark_us_) {
     closed.push_back(CloseBuffer(it->first, &it->second));
@@ -57,7 +54,7 @@ std::vector<ClosedWindow> WindowManager::Flush() {
     closed.push_back(CloseBuffer(id, &buf));
   }
   open_.clear();
-  hot_ = nullptr;
+  ClearHot();
   return closed;
 }
 
@@ -82,7 +79,7 @@ Status WindowManager::RestoreFrom(net::Reader* r) {
   DEMA_RETURN_NOT_OK(r->GetU64(&late));
   DEMA_RETURN_NOT_OK(r->GetU32(&num_windows));
   open_.clear();
-  hot_ = nullptr;
+  ClearHot();
   watermark_us_ = watermark;
   late_events_ = late;
   for (uint32_t i = 0; i < num_windows; ++i) {

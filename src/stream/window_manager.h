@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -54,8 +55,14 @@ class WindowManager {
   /// Routes one event into its window. Returns false iff the event was late
   /// (its window already closed) and therefore dropped. With tumbling
   /// windows, an event for the same window as the previous one goes
-  /// straight to that window's buffer.
-  bool OnEvent(const Event& e);
+  /// straight to that window's buffer, inline: two compares and an append.
+  bool OnEvent(const Event& e) {
+    if (e.timestamp >= hot_lo_us_ && e.timestamp < hot_end_us_) {
+      hot_->Add(e);
+      return true;
+    }
+    return OnEventSlow(e);
+  }
 
   /// Advances the event-time watermark to \p watermark_us and returns every
   /// window whose end is <= the watermark, in window order, with events
@@ -95,6 +102,15 @@ class WindowManager {
   Status RestoreFrom(net::Reader* r);
 
  private:
+  /// `OnEvent` for an event outside the hot range: the late check, the
+  /// window lookup, and a new hot range.
+  bool OnEventSlow(const Event& e);
+  /// Unsets the hot buffer; its range becomes empty.
+  void ClearHot() {
+    hot_ = nullptr;
+    hot_lo_us_ = std::numeric_limits<TimestampUs>::max();
+    hot_end_us_ = std::numeric_limits<TimestampUs>::min();
+  }
   /// Closes one buffer honoring the defer-sort mode.
   ClosedWindow CloseBuffer(WindowId id, SortedWindowBuffer* buf);
 
@@ -104,12 +120,15 @@ class WindowManager {
   bool defer_sort_ = false;
   std::map<WindowId, SortedWindowBuffer> open_;
   std::vector<WindowId> assign_scratch_;
-  /// Tumbling windows only: the open buffer the last event went to and its
-  /// window's [start, end). Null when unset; reset whenever `open_` drops
-  /// entries, so it never dangles.
+  /// Tumbling windows only: the open buffer the last event went to, and the
+  /// range [lo, end) of timestamps that go straight to it. `lo` is the
+  /// later of the window's start and the watermark, which can sit inside
+  /// the window, so an event in the range is never late. Null with an empty
+  /// range when unset; reset whenever `open_` drops entries or the
+  /// watermark moves, so it never dangles.
   SortedWindowBuffer* hot_ = nullptr;
-  TimestampUs hot_start_us_ = 0;
-  TimestampUs hot_end_us_ = 0;
+  TimestampUs hot_lo_us_ = std::numeric_limits<TimestampUs>::max();
+  TimestampUs hot_end_us_ = std::numeric_limits<TimestampUs>::min();
   /// Events in the last window closed; a new buffer reserves this many.
   size_t last_closed_size_ = 0;
   TimestampUs watermark_us_ = 0;

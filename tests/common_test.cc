@@ -50,6 +50,76 @@ TEST(Status, ReturnNotOkMacroPropagates) {
   EXPECT_EQ(wrapper().code(), StatusCode::kInternal);
 }
 
+// An OK status is one null pointer: returning it builds no string.
+static_assert(sizeof(Status) == sizeof(void*));
+
+TEST(Status, MessageOfOkIsEmpty) {
+  EXPECT_EQ(Status().message(), "");
+  EXPECT_EQ(Status::OK().message(), "");
+  // A kOk code makes an OK status whatever the message.
+  Status ok_with_text(StatusCode::kOk, "ignored");
+  EXPECT_TRUE(ok_with_text.ok());
+  EXPECT_EQ(ok_with_text.message(), "");
+  EXPECT_EQ(ok_with_text, Status::OK());
+}
+
+TEST(Status, CopiesAreDeepAndIndependent) {
+  Status error = Status::NotFound("window 7");
+  Status copy(error);
+  EXPECT_EQ(copy, error);
+  EXPECT_NE(&copy.message(), &error.message());  // its own state
+  error = Status::Internal("later");
+  EXPECT_EQ(copy.code(), StatusCode::kNotFound);
+  EXPECT_EQ(copy.message(), "window 7");
+
+  Status ok;
+  Status ok_copy(ok);
+  EXPECT_TRUE(ok_copy.ok());
+  // Error over OK and OK over error, both ways.
+  ok_copy = copy;
+  EXPECT_EQ(ok_copy.ToString(), "NotFound: window 7");
+  copy = ok;
+  EXPECT_TRUE(copy.ok());
+  EXPECT_EQ(copy.ToString(), "OK");
+  EXPECT_EQ(ok_copy.message(), "window 7");
+  // Error over error replaces the state.
+  ok_copy = Status::Cancelled("");
+  EXPECT_EQ(ok_copy.ToString(), "Cancelled");
+}
+
+TEST(Status, MovesLeaveTheSourceOk) {
+  Status error = Status::SerializationError("truncated");
+  Status moved(std::move(error));
+  EXPECT_EQ(moved.ToString(), "SerializationError: truncated");
+  EXPECT_TRUE(error.ok());  // NOLINT(bugprone-use-after-move): defined here
+  Status target = Status::Internal("old");
+  target = std::move(moved);
+  EXPECT_EQ(target.code(), StatusCode::kSerializationError);
+  EXPECT_EQ(target.message(), "truncated");
+  target = Status::OK();
+  EXPECT_TRUE(target.ok());
+}
+
+TEST(Status, SelfAssignmentKeepsTheState) {
+  Status error = Status::OutOfRange("slice 9");
+  Status& alias = error;
+  error = alias;
+  EXPECT_EQ(error.ToString(), "OutOfRange: slice 9");
+  error = std::move(alias);
+  EXPECT_FALSE(error.ok());
+  Status ok;
+  Status& ok_alias = ok;
+  ok = ok_alias;
+  EXPECT_TRUE(ok.ok());
+}
+
+TEST(Status, EqualityAcrossOkAndError) {
+  EXPECT_EQ(Status(), Status::OK());
+  EXPECT_FALSE(Status() == Status::Internal(""));
+  EXPECT_FALSE(Status::Internal("") == Status());
+  EXPECT_EQ(Status::Internal(""), Status(StatusCode::kInternal, ""));
+}
+
 TEST(Result, HoldsValue) {
   Result<int> r = 42;
   ASSERT_TRUE(r.ok());
@@ -61,6 +131,20 @@ TEST(Result, HoldsError) {
   Result<int> r = Status::NotFound("missing");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+}
+
+TEST(Result, CarriesAnErrorThroughCopiesAndMoves) {
+  Result<std::string> r = Status::NetworkError("peer 3 down");
+  Result<std::string> copy = r;
+  EXPECT_FALSE(copy.ok());
+  EXPECT_EQ(copy.status(), r.status());
+  Result<std::string> moved = std::move(copy);
+  EXPECT_EQ(moved.status().ToString(), "NetworkError: peer 3 down");
+  EXPECT_EQ(r.status().message(), "peer 3 down");
+  moved = std::string("value");
+  EXPECT_TRUE(moved.ok());
+  EXPECT_TRUE(moved.status().ok());
+  EXPECT_EQ(*moved, "value");
 }
 
 TEST(Result, AssignOrReturnMacro) {

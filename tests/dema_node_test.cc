@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <limits>
 #include <memory>
+#include <thread>
 
 #include "common/clock.h"
 #include "common/rng.h"
@@ -546,6 +549,87 @@ TEST(DemaLocalIngest, NonFiniteValuesAreDroppedNotTheWindow) {
   EXPECT_EQ(registry.GetCounter("local.events_ingested{node=1}")->Value(),
             local1.size());
   EXPECT_TRUE(root.idle());
+}
+
+TEST(DemaLocalIngest, EventCounterIsLiveForOtherThreads) {
+  // `local.events_ingested` has one writer, the ingesting thread, which adds
+  // without a locked instruction. A reader on another thread must still see
+  // every add as it happens, never a smaller value than before, and the
+  // exact count in the end: tcp_loopback's set-up ends when every local's
+  // count is above 0.
+  RealClock clock;
+  obs::Registry registry;
+  net::Network network(&clock);
+  ASSERT_TRUE(network.RegisterNode(0).ok());
+  ASSERT_TRUE(network.RegisterNode(1).ok());
+  DemaLocalNodeOptions opts;
+  opts.id = 1;
+  opts.initial_gamma = 64;
+  opts.registry = &registry;
+  DemaLocalNode local(opts, &network, &clock);
+  const obs::Counter* ingested =
+      registry.FindCounter("local.events_ingested{node=1}");
+  ASSERT_NE(ingested, nullptr);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> seen{0};
+  uint64_t reads = 0;
+  uint64_t regressions = 0;
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      const uint64_t v = ingested->Value();
+      if (v < last) ++regressions;
+      last = v;
+      ++reads;
+      seen.store(v, std::memory_order_release);
+    }
+  });
+
+  uint64_t calls = 0;
+  uint32_t seq = 0;
+  auto ingest = [&](double value, TimestampUs ts) {
+    EXPECT_TRUE(local.OnEvent(Event{value, ts, 1, seq++}).ok());
+    ++calls;
+  };
+  // The first add reaches the reader before any watermark.
+  ingest(1.0, 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (seen.load(std::memory_order_acquire) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_GT(seen.load(std::memory_order_acquire), 0u);
+
+  // Three windows of ordinary events; between them, events the watermark
+  // already passed (late) and non-finite values (rejected).
+  Rng rng(3);
+  uint64_t late = 0;
+  uint64_t rejected = 0;
+  for (int w = 0; w < 3; ++w) {
+    const TimestampUs start = SecondsUs(w);
+    for (int i = 0; i < 5'000; ++i) {
+      ingest(rng.Uniform(0, 100), start + i);
+      if (i % 1'000 == 999) {
+        ingest(std::numeric_limits<double>::quiet_NaN(), start + i);
+        ++rejected;
+        if (w > 0) {
+          ingest(rng.Uniform(0, 100), start - 1);
+          ++late;
+        }
+      }
+    }
+    EXPECT_TRUE(local.OnWatermark(SecondsUs(w + 1)).ok());
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(regressions, 0u);
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(ingested->Value(), calls);
+  EXPECT_EQ(registry.CounterValue("local.late_events{node=1}"), late);
+  EXPECT_EQ(registry.CounterValue("local.rejected_values{node=1}"), rejected);
 }
 
 // ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ void ExpectSortsLikeStdSort(const std::vector<Event>& events,
 
 /// Slice-orders a copy of \p events for each of a range of γ and asserts,
 /// per slice, that its first and last event are `std::sort`'s, that it holds
-/// exactly `std::sort`'s events, and that `SortEvents` on it (what a
+/// exactly `std::sort`'s events, and that `SortServedSlice` on it (what a
 /// serve does) yields `std::sort`'s bytes.
 void ExpectSliceOrdersLikeStdSort(const std::vector<Event>& events,
                                   const std::string& what) {
@@ -235,7 +235,7 @@ void ExpectSliceOrdersLikeStdSort(const std::vector<Event>& events,
       ASSERT_TRUE(std::equal(slice.begin(), slice.end(),
                              expected.begin() + begin))
           << tag << ": slice at " << begin << " holds other events";
-      SortEvents({actual.data() + begin, end - begin});
+      SortServedSlice({actual.data() + begin, end - begin});
     }
     ExpectSameRange(actual, expected, 0, n, tag + " served");
   }
@@ -462,6 +462,40 @@ TEST(SliceOrder, ConcurrentCallersKeepSeparateScratch) {
   EXPECT_EQ(mismatches, std::vector<int>(4, 0));
 }
 
+TEST(SliceOrder, ServedSliceSortFallsBackPastItsMoveBudget) {
+  Rng rng(5);
+  for (size_t n : {size_t{166}, size_t{2'000}}) {
+    const std::string tag = "n " + std::to_string(n);
+    auto expected = GridEvents(&rng, n, [&] { return rng.Uniform(0, 1); });
+    std::sort(expected.begin(), expected.end());
+    // A reversed slice needs n(n−1)/2 moves, far past the budget, so
+    // `SortEvents` finishes it.
+    std::vector<Event> slice(expected.rbegin(), expected.rend());
+    EXPECT_FALSE(SortServedSlice(slice)) << tag;
+    ExpectSameRange(slice, expected, 0, n, tag + " reversed");
+    // A sorted slice (a re-serve) needs none.
+    EXPECT_TRUE(SortServedSlice(slice)) << tag;
+    ExpectSameRange(slice, expected, 0, n, tag + " re-served");
+  }
+  // The slices of a slice-ordered 20,000-event walk, star_inline's local
+  // window, are in bucket order and finish inside the budget.
+  double pos = 5'000;
+  auto events = GridEvents(&rng, 20'000, [&] {
+    pos = std::clamp(pos + rng.Normal(0, 25), 0.0, 10'000.0);
+    return pos;
+  });
+  auto expected = events;
+  std::sort(expected.begin(), expected.end());
+  constexpr size_t kGamma = 166;
+  OrderSlices(&events, kGamma);
+  for (size_t begin = 0; begin < events.size(); begin += kGamma) {
+    const size_t end = std::min(events.size(), begin + kGamma);
+    EXPECT_TRUE(SortServedSlice({events.data() + begin, end - begin}))
+        << "walk slice at " << begin;
+  }
+  ExpectSameRange(events, expected, 0, events.size(), "walk");
+}
+
 // ---------------------------------------------------------------------------
 // WindowManager ingest: the tumbling fast path (one cached open window) must
 // route every event exactly as per-event window assignment would.
@@ -583,9 +617,11 @@ TEST(WindowManagerIngest, LateEventAfterWatermarkInsideTheOpenWindow) {
   c.Watermark(5);  // mid-window: window 0 stays open, [0, 5) is late
   c.Ingest(3, 3);
   c.Ingest(5, 4);
-  c.Ingest(9, 5);
+  // Window 0 is the cached hot window again; [0, 5) is still late.
+  c.Ingest(4, 5);
+  c.Ingest(9, 6);
   c.Watermark(10);
-  EXPECT_EQ(c.wm().late_events(), 1u);
+  EXPECT_EQ(c.wm().late_events(), 2u);
 }
 
 TEST(WindowManagerIngest, FlushThenMoreEvents) {
