@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "stream/event_sort.h"
+
 namespace dema::baselines {
 
 ForwardingLocalNode::ForwardingLocalNode(ForwardingLocalNodeOptions options,
@@ -73,9 +75,10 @@ Status ForwardingLocalNode::EmitEndedWindows(TimestampUs watermark_us) {
       net::WindowId id = next_window_to_end_++;
       uint64_t size = 0;
       if (next_closed < closed.size() && closed[next_closed].id == id) {
-        const std::vector<Event>& sorted = closed[next_closed].sorted_events;
-        size = sorted.size();
-        DEMA_RETURN_NOT_OK(SendChunked(id, sorted, /*sorted=*/true));
+        std::vector<Event>& events = closed[next_closed].events;
+        stream::SortEvents(events);
+        size = events.size();
+        DEMA_RETURN_NOT_OK(SendChunked(id, events, /*sorted=*/true));
         ++next_closed;
       }
       net::WindowEnd end_msg{id, size, clock_->NowUs()};

@@ -5,6 +5,7 @@
 
 #include "dema/adaptive_gamma.h"
 #include "dema/slice.h"
+#include "stream/event_sort.h"
 
 namespace dema::core {
 
@@ -34,18 +35,17 @@ void SetGamma(LocalStream* s, net::WindowId from, uint64_t gamma) {
   }
 }
 
-/// One closed window's close-time work — the slice order, when still owed,
-/// and the slice cut — on whichever thread runs it. A window the tiny-window
-/// rule covers is cut at γ = 2 (`CutAtGammaTwo`).
+/// One closed window's close-time work — the slice order and the slice cut —
+/// on whichever thread runs it. A window the tiny-window rule covers is cut
+/// at γ = 2 (`CutAtGammaTwo`).
 PreparedWindow Prepare(net::WindowId id, uint64_t gamma, NodeId node,
-                       net::EventCodec reply_codec, std::vector<Event> events,
-                       bool is_sorted) {
+                       net::EventCodec reply_codec, std::vector<Event> events) {
   PreparedWindow prepared;
   prepared.id = id;
   prepared.gamma = gamma;
   if (events.empty()) return prepared;
   if (CutAtGammaTwo(events.size(), gamma, reply_codec)) prepared.gamma = 2;
-  if (!is_sorted) stream::OrderSlices(&events, prepared.gamma);
+  stream::OrderSlices(&events, prepared.gamma);
   auto slices = CutIntoSlices(events, node, prepared.gamma);
   if (!slices.ok()) {
     prepared.status = slices.status();
@@ -85,14 +85,9 @@ LocalCore::LocalCore(DemaLocalNodeOptions options, const Clock* clock)
 }
 
 LocalStream::LocalStream(const DemaLocalNodeOptions& o)
-    : windows(stream::WindowSpec{o.window_len_us, o.window_slide_us},
-              o.sort_mode),
+    : windows(stream::WindowSpec{o.window_len_us, o.window_slide_us}),
       gamma_schedule{{0, std::max<uint64_t>(2, o.initial_gamma)}},
-      oldest_known_gamma(std::max<uint64_t>(2, o.initial_gamma)) {
-  // Closed windows come back unsorted: `Prepare` slice-orders them, on the
-  // calling thread or an executor worker.
-  windows.set_defer_sort(true);
-}
+      oldest_known_gamma(std::max<uint64_t>(2, o.initial_gamma)) {}
 
 void LocalCore::AddRetained(int64_t windows, int64_t events) {
   retained_windows_ += windows;
@@ -127,10 +122,8 @@ Status LocalCore::OnWatermark(LocalStream* s, TimestampUs watermark_us,
   while (s->next_window_to_emit < up_to_exclusive) {
     net::WindowId id = s->next_window_to_emit++;
     std::vector<Event> events;
-    bool is_sorted = true;
     if (next_closed < closed.size() && closed[next_closed].id == id) {
-      events = std::move(closed[next_closed].sorted_events);
-      is_sorted = closed[next_closed].is_sorted;
+      events = std::move(closed[next_closed].events);
       ++next_closed;
     }
     // γ resolves against the emission frontier, at submission on the async
@@ -138,25 +131,24 @@ Status LocalCore::OnWatermark(LocalStream* s, TimestampUs watermark_us,
     // inline runs cut the same slices.
     const uint64_t gamma = GammaForWindow(*s, id);
     if (options_.executor == nullptr) {
-      // Inline path: sorts/cuts and ships one window on the calling thread.
+      // Inline path: orders, cuts and ships one window on this thread.
       DEMA_RETURN_NOT_OK(ShipPrepared(
           s,
           Prepare(id, gamma, options_.id, options_.reply_codec,
-                  std::move(events), is_sorted),
+                  std::move(events)),
           sink));
     } else if (events.empty()) {
       // Empty windows skip the pool with an already-satisfied future,
       // keeping the in-flight closes strictly sequenced by window id.
       std::promise<PreparedWindow> ready;
       ready.set_value(
-          Prepare(id, gamma, options_.id, options_.reply_codec, {}, true));
+          Prepare(id, gamma, options_.id, options_.reply_codec, {}));
       s->inflight_closes.push_back(ready.get_future());
     } else {
       s->inflight_closes.push_back(options_.executor->Submit(
           [id, gamma, node = options_.id, codec = options_.reply_codec,
-           is_sorted, events = std::move(events)]() mutable {
-            return Prepare(id, gamma, node, codec, std::move(events),
-                           is_sorted);
+           events = std::move(events)]() mutable {
+            return Prepare(id, gamma, node, codec, std::move(events));
           }));
     }
   }

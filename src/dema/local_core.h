@@ -30,8 +30,6 @@ struct DemaLocalNodeOptions {
   DurationUs window_slide_us = 0;
   /// Slice factor until the root broadcasts an update.
   uint64_t initial_gamma = 10'000;
-  /// How local windows are kept sorted.
-  stream::SortMode sort_mode = stream::SortMode::kSortOnClose;
   /// Wire encoding for candidate replies.
   net::EventCodec reply_codec = net::EventCodec::kFixed;
   /// Metrics sink for the `local.*{node=N}` instruments. When null, the node

@@ -10,7 +10,6 @@
 #include "net/codec.h"
 #include "net/keyed.h"
 #include "obs/registry.h"
-#include "stream/sorted_buffer.h"
 
 namespace dema::shard {
 
@@ -43,7 +42,6 @@ struct ShardedConfig {
   // --- Dema knobs (applied to every per-key instance) ---
   uint64_t gamma = 10'000;
   bool adaptive_gamma = false;
-  stream::SortMode sort_mode = stream::SortMode::kSortOnClose;
   net::EventCodec wire_codec = net::EventCodec::kFixed;
 
   /// Deadlines, retries and quarantine of every per-key root.

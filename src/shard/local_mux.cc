@@ -13,7 +13,6 @@ KeyedLocalNode::KeyedLocalNode(const ShardedConfig& config, NodeId id,
              .root_id = 0,
              .window_len_us = config.window_len_us,
              .initial_gamma = config.gamma,
-             .sort_mode = config.sort_mode,
              .reply_codec = config.wire_codec,
              .registry = config.registry},
             clock) {

@@ -148,7 +148,6 @@ Result<std::unique_ptr<LocalNodeLogic>> BuildLocalLogic(
       opts.window_len_us = config.window_len_us;
       opts.window_slide_us = config.window_slide_us;
       opts.initial_gamma = config.gamma;
-      opts.sort_mode = config.sort_mode;
       opts.reply_codec = config.wire_codec;
       opts.registry = config.registry;
       opts.executor = config.executor;

@@ -15,7 +15,6 @@
 #include "obs/trace.h"
 #include "sim/node.h"
 #include "sim/stream_node.h"
-#include "stream/sorted_buffer.h"
 #include "transport/transport.h"
 
 namespace dema::sim {
@@ -64,10 +63,6 @@ struct SystemConfig {
 
   /// Dema root deadlines, retries and quarantine.
   core::RootRecoveryOptions recovery;
-
-  /// How Dema local nodes keep windows sorted: sort-on-close (default,
-  /// fastest) or the paper's incremental insertion.
-  stream::SortMode sort_mode = stream::SortMode::kSortOnClose;
 
   // --- parallel data plane (Dema local nodes) ---
   /// Executor worker threads for closed-window sort+slice. 0 (default) keeps

@@ -14,10 +14,10 @@ bool WindowManager::OnEventSlow(const Event& e) {
   for (WindowId id : assign_scratch_) {
     auto it = open_.find(id);
     if (it == open_.end()) {
-      it = open_.emplace(id, SortedWindowBuffer(sort_mode_)).first;
-      it->second.Reserve(last_closed_size_);
+      it = open_.emplace(id, std::vector<Event>()).first;
+      it->second.reserve(last_closed_size_);
     }
-    it->second.Add(e);
+    it->second.push_back(e);
     if (tumbling_) {
       hot_ = &it->second;
       hot_lo_us_ = std::max(assigner_.WindowStart(id), watermark_us_);
@@ -27,12 +27,8 @@ bool WindowManager::OnEventSlow(const Event& e) {
   return true;
 }
 
-ClosedWindow WindowManager::CloseBuffer(WindowId id, SortedWindowBuffer* buf) {
-  last_closed_size_ = buf->size();
-  if (!defer_sort_) return ClosedWindow{id, buf->TakeSorted(), true};
-  bool is_sorted = true;
-  std::vector<Event> events = buf->TakeRaw(&is_sorted);
-  return ClosedWindow{id, std::move(events), is_sorted};
+void WindowManager::Grow(std::vector<Event>* window, const Event& e) {
+  window->push_back(e);
 }
 
 std::vector<ClosedWindow> WindowManager::AdvanceWatermark(TimestampUs watermark_us) {
@@ -42,19 +38,10 @@ std::vector<ClosedWindow> WindowManager::AdvanceWatermark(TimestampUs watermark_
   ClearHot();
   auto it = open_.begin();
   while (it != open_.end() && assigner_.WindowEnd(it->first) <= watermark_us_) {
-    closed.push_back(CloseBuffer(it->first, &it->second));
+    last_closed_size_ = it->second.size();
+    closed.push_back(ClosedWindow{it->first, std::move(it->second)});
     it = open_.erase(it);
   }
-  return closed;
-}
-
-std::vector<ClosedWindow> WindowManager::Flush() {
-  std::vector<ClosedWindow> closed;
-  for (auto& [id, buf] : open_) {
-    closed.push_back(CloseBuffer(id, &buf));
-  }
-  open_.clear();
-  ClearHot();
   return closed;
 }
 
@@ -62,11 +49,8 @@ void WindowManager::SerializeTo(net::Writer* w) const {
   w->PutI64(watermark_us_);
   w->PutU64(late_events_);
   w->PutU32(static_cast<uint32_t>(open_.size()));
-  for (const auto& [id, buf] : open_) {
+  for (const auto& [id, events] : open_) {
     w->PutU64(id);
-    std::vector<Event> events;
-    events.reserve(buf.size());
-    buf.ForEach([&](const Event& e) { events.push_back(e); });
     net::EncodeEvents(w, events, net::EventCodec::kCompact);
   }
 }
@@ -87,18 +71,16 @@ Status WindowManager::RestoreFrom(net::Reader* r) {
     DEMA_RETURN_NOT_OK(r->GetU64(&id));
     std::vector<Event> events;
     DEMA_RETURN_NOT_OK(net::DecodeEvents(r, &events));
-    SortedWindowBuffer buf(sort_mode_);
-    for (const Event& e : events) buf.Add(e);
-    open_.emplace(static_cast<WindowId>(id), std::move(buf));
+    open_.emplace(static_cast<WindowId>(id), std::move(events));
   }
   return Status::OK();
 }
 
 uint64_t WindowManager::buffered_events() const {
   uint64_t n = 0;
-  for (const auto& [id, buf] : open_) {
+  for (const auto& [id, events] : open_) {
     (void)id;
-    n += buf.size();
+    n += events.size();
   }
   return n;
 }

@@ -16,6 +16,7 @@
 #include "dema/protocol.h"
 #include "dema/root_node.h"
 #include "exec/executor.h"
+#include "net/codec.h"
 #include "net/network.h"
 #include "obs/registry.h"
 #include "sim/pump.h"
@@ -699,19 +700,17 @@ class LocalServeTest : public ::testing::TestWithParam<bool> {
   }
 
   /// Options for node 1; with an executor when the test parameter says so.
-  DemaLocalNodeOptions Options(stream::SortMode mode) {
+  DemaLocalNodeOptions Options() {
     DemaLocalNodeOptions opts;
     opts.window_len_us = SecondsUs(1);
     opts.initial_gamma = kGamma;
-    opts.sort_mode = mode;
     if (GetParam()) opts.executor = &executor_;
     return opts;
   }
 
   /// A local that has ingested every event and shipped window 0.
-  std::unique_ptr<Local> Closed(
-      stream::SortMode mode = stream::SortMode::kSortOnClose) {
-    auto local = std::make_unique<Local>(Options(mode), &clock_);
+  std::unique_ptr<Local> Closed() {
+    auto local = std::make_unique<Local>(Options(), &clock_);
     for (const Event& e : events_) local->core.OnEvent(&local->stream, e);
     EXPECT_TRUE(local->core
                     .OnWatermark(&local->stream, SecondsUs(1), &local->sink)
@@ -739,6 +738,36 @@ class LocalServeTest : public ::testing::TestWithParam<bool> {
     net::Writer w;
     local.core.Checkpoint(local.stream, &w);
     return w.TakeBuffer();
+  }
+
+  /// The events of the one retained window in \p snapshot, as stored.
+  static std::vector<Event> CheckpointedWindow(
+      const std::vector<uint8_t>& snapshot) {
+    net::Reader r(snapshot);
+    uint8_t version = 0;
+    uint32_t u32 = 0;
+    uint64_t u64 = 0;
+    std::vector<Event> events;
+    // Magic, version, node id, emission frontier and ingested count.
+    EXPECT_TRUE(r.GetU32(&u32).ok() && r.GetU8(&version).ok() &&
+                r.GetU32(&u32).ok() && r.GetU64(&u64).ok() &&
+                r.GetU64(&u64).ok());
+    uint32_t schedule = 0;
+    EXPECT_TRUE(r.GetU32(&schedule).ok());
+    for (uint32_t i = 0; i < 2 * schedule; ++i) {
+      EXPECT_TRUE(r.GetU64(&u64).ok());
+    }
+    EXPECT_TRUE(r.GetU64(&u64).ok());  // oldest known γ
+    uint32_t retained = 0;
+    EXPECT_TRUE(r.GetU32(&retained).ok());
+    EXPECT_EQ(retained, 1u);
+    uint64_t id = 1;
+    uint64_t gamma = 0;
+    EXPECT_TRUE(r.GetU64(&id).ok() && r.GetU64(&gamma).ok());
+    EXPECT_EQ(id, 0u);
+    EXPECT_EQ(gamma, kGamma);
+    EXPECT_TRUE(net::DecodeEvents(&r, &events).ok());
+    return events;
   }
 
   VirtualClock clock_;
@@ -800,14 +829,13 @@ TEST_P(LocalServeTest, RetriedRequestsReturnIdenticalBytes) {
 }
 
 TEST_P(LocalServeTest, CheckpointIsTheFullySortedWindowsAndRestoreServes) {
-  // An incremental-mode local closes its window fully sorted; a checkpoint
-  // of the slice-ordered one must hold the same bytes.
+  // The retained window is only slice-ordered; its checkpoint holds it
+  // fully sorted.
   auto local = Closed();
   const std::vector<uint8_t> snapshot = CheckpointBytes(*local);
-  EXPECT_EQ(snapshot, CheckpointBytes(*Closed(stream::SortMode::kIncremental)));
+  EXPECT_EQ(CheckpointedWindow(snapshot), sorted_);
 
-  auto restored =
-      std::make_unique<Local>(Options(stream::SortMode::kSortOnClose), &clock_);
+  auto restored = std::make_unique<Local>(Options(), &clock_);
   net::Reader r(snapshot);
   ASSERT_TRUE(restored->core.Restore(&restored->stream, &r).ok());
   EXPECT_EQ(CheckpointBytes(*restored), snapshot);

@@ -188,16 +188,6 @@ TEST(Integration, QDigestIsCloseWithinUniverseBound) {
   ExpectRankErrorWithin(config, 16.0 / 256.0);
 }
 
-TEST(Integration, DemaIncrementalSortModeMatchesOracle) {
-  SystemConfig config;
-  config.kind = SystemKind::kDema;
-  config.num_locals = 2;
-  config.gamma = 100;
-  config.sort_mode = stream::SortMode::kIncremental;
-  auto run = RunWithOracle(config, DefaultWorkload(2));
-  ExpectExact(run, 5, 1);
-}
-
 TEST(Integration, CompactWireCodecStaysExactEverywhere) {
   for (auto kind : {SystemKind::kDema, SystemKind::kCentralExact,
                     SystemKind::kDesisMerge}) {

@@ -186,7 +186,7 @@ TEST(WindowManagerLateness, HeldBackWatermarkAdmitsStragglers) {
   EXPECT_EQ(wm.late_events(), 0u);
   auto closed = wm.AdvanceWatermark(SecondsUs(1) + MillisUs(1));
   ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0].sorted_events.size(), 2u);
+  EXPECT_EQ(closed[0].events.size(), 2u);
 }
 
 }  // namespace

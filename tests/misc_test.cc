@@ -101,8 +101,8 @@ TEST(WindowManagerSnapshot, RoundTripPreservesBufferedEvents) {
   EXPECT_EQ(restored.buffered_events(), 2u);
   auto closed = restored.AdvanceWatermark(SecondsUs(2));
   ASSERT_EQ(closed.size(), 2u);
-  EXPECT_EQ(closed[0].sorted_events[0].value, 5);
-  EXPECT_EQ(closed[1].sorted_events[0].value, 3);
+  EXPECT_EQ(closed[0].events[0].value, 5);
+  EXPECT_EQ(closed[1].events[0].value, 3);
 }
 
 TEST(WindowManagerSnapshot, RejectsTruncation) {

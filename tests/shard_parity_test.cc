@@ -43,7 +43,6 @@ std::vector<sim::WindowOutput> BaselineForKey(const shard::ShardedConfig& sc,
   config.quantiles = sc.quantiles;
   config.gamma = sc.gamma;
   config.adaptive_gamma = sc.adaptive_gamma;
-  config.sort_mode = sc.sort_mode;
   config.wire_codec = sc.wire_codec;
   config.recovery = sc.recovery;
 

@@ -39,7 +39,6 @@ std::vector<sim::WindowOutput> BaselineForKey(const shard::ShardedConfig& sc,
   config.window_len_us = sc.window_len_us;
   config.quantiles = sc.quantiles;
   config.gamma = sc.gamma;
-  config.sort_mode = sc.sort_mode;
   // Baseline runs on an honest fabric: no quarantine knobs needed.
   RealClock clock;
   net::Network network(&clock);

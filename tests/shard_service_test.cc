@@ -102,7 +102,6 @@ TEST(ShardScale, TenThousandKeysAcrossFourShardsMatchSingleKeyRuns) {
   base.window_len_us = sc.window_len_us;
   base.quantiles = sc.quantiles;
   base.gamma = sc.gamma;
-  base.sort_mode = sc.sort_mode;
 
   uint64_t mismatches = 0;
   for (net::KeyId key = 0; key < sc.num_keys; ++key) {

@@ -91,10 +91,10 @@ TEST(SlidingWindowManager, EventsLandInAllCoveringWindows) {
   auto closed = wm.AdvanceWatermark(1400);  // closes window 0 ([0,1000)) only
   ASSERT_EQ(closed.size(), 1u);
   EXPECT_EQ(closed[0].id, 0u);
-  ASSERT_EQ(closed[0].sorted_events.size(), 1u);
+  ASSERT_EQ(closed[0].events.size(), 1u);
   auto rest = wm.AdvanceWatermark(1500);  // window 1 ([500,1500)) ends here
   ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0].sorted_events.size(), 1u);
+  EXPECT_EQ(rest[0].events.size(), 1u);
 }
 
 // End-to-end: Dema over sliding windows matches a per-window oracle.

@@ -1,6 +1,6 @@
 // Unit tests for the streaming substrate: window assignment, quantile ranks,
-// sorted window buffers, the event sort and the close-time slice order, the
-// window manager, and the loser-tree merger.
+// the event sort and the close-time slice order, the window manager, and the
+// loser-tree merger.
 
 #include <gtest/gtest.h>
 
@@ -16,9 +16,9 @@
 
 #include "common/rng.h"
 #include "net/serializer.h"
+#include "stream/event_sort.h"
 #include "stream/merge.h"
 #include "stream/quantile.h"
-#include "stream/sorted_buffer.h"
 #include "stream/window.h"
 #include "stream/window_manager.h"
 
@@ -78,26 +78,29 @@ TEST(ExactQuantile, ValuesMatchesFullSort) {
   }
 }
 
-TEST(SortedBuffer, BothModesYieldIdenticalOrder) {
+TEST(WindowManager, ClosedWindowHoldsArrivalOrderAndSizesTheNext) {
+  // Both consumers order a closed window themselves, so it must hold exactly
+  // the events added, as they arrived.
   Rng rng(4);
-  SortedWindowBuffer on_close(SortMode::kSortOnClose);
-  SortedWindowBuffer incremental(SortMode::kIncremental);
+  WindowManager wm(SecondsUs(1));
   std::vector<Event> events;
   for (uint32_t i = 0; i < 500; ++i) {
-    Event e{rng.Uniform(0, 100), static_cast<TimestampUs>(i), 1, i};
+    Event e{rng.Uniform(0, 100), rng.UniformInt(0, SecondsUs(1) - 1), 1, i};
     events.push_back(e);
-    on_close.Add(e);
-    incremental.Add(e);
+    ASSERT_TRUE(wm.OnEvent(e));
   }
-  EXPECT_EQ(on_close.size(), 500u);
-  EXPECT_EQ(incremental.size(), 500u);
-  auto a = on_close.TakeSorted();
-  auto b = incremental.TakeSorted();
-  EXPECT_EQ(a, b);
-  EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
-  // Buffers are reusable after TakeSorted.
-  EXPECT_TRUE(on_close.empty());
-  EXPECT_TRUE(incremental.empty());
+  EXPECT_EQ(wm.buffered_events(), 500u);
+  auto closed = wm.AdvanceWatermark(SecondsUs(1));
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].events, events);
+  EXPECT_FALSE(std::is_sorted(events.begin(), events.end()));
+
+  // The next window starts with room for as many events as the last one.
+  EXPECT_TRUE(wm.OnEvent(Event{1, SecondsUs(1), 1, 500}));
+  closed = wm.AdvanceWatermark(SecondsUs(2));
+  ASSERT_EQ(closed.size(), 1u);
+  ASSERT_EQ(closed[0].events.size(), 1u);
+  EXPECT_GE(closed[0].events.capacity(), 500u);
 }
 
 TEST(WindowManager, ClosesWindowsInOrder) {
@@ -112,7 +115,7 @@ TEST(WindowManager, ClosesWindowsInOrder) {
   ASSERT_EQ(closed.size(), 2u);
   EXPECT_EQ(closed[0].id, 0u);
   EXPECT_EQ(closed[1].id, 1u);
-  EXPECT_EQ(closed[0].sorted_events.size(), 1u);
+  EXPECT_EQ(closed[0].events.size(), 1u);
   EXPECT_EQ(wm.open_windows(), 1u);
 }
 
@@ -130,17 +133,6 @@ TEST(WindowManager, WatermarkNeverRegresses) {
   auto closed = wm.AdvanceWatermark(SecondsUs(2));
   EXPECT_TRUE(closed.empty());
   EXPECT_EQ(wm.watermark_us(), SecondsUs(3));
-}
-
-TEST(WindowManager, FlushClosesEverything) {
-  WindowManager wm(SecondsUs(1));
-  wm.OnEvent(Event{5, 10, 1, 0});
-  wm.OnEvent(Event{1, 20, 1, 1});
-  auto closed = wm.Flush();
-  ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0].sorted_events[0].value, 1);
-  EXPECT_EQ(closed[0].sorted_events[1].value, 5);
-  EXPECT_EQ(wm.open_windows(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -501,8 +493,8 @@ TEST(SliceOrder, ServedSliceSortFallsBackPastItsMoveBudget) {
 // route every event exactly as per-event window assignment would.
 
 /// What a window manager must produce: every accepted event goes to each
-/// window `AssignWindows` names; windows close once the watermark passes
-/// their end.
+/// window `AssignWindows` names, in arrival order; windows close once the
+/// watermark passes their end.
 class ReferenceWindows {
  public:
   explicit ReferenceWindows(WindowSpec spec) : assigner_(spec) {}
@@ -522,19 +514,10 @@ class ReferenceWindows {
            assigner_.WindowEnd(open_.begin()->first) <= watermark_) {
       closed.insert(open_.extract(open_.begin()));
     }
-    return Sorted(std::move(closed));
-  }
-  std::map<WindowId, std::vector<Event>> Flush() {
-    return Sorted(std::exchange(open_, {}));
+    return closed;
   }
 
  private:
-  static std::map<WindowId, std::vector<Event>> Sorted(
-      std::map<WindowId, std::vector<Event>> windows) {
-    for (auto& [id, events] : windows) std::sort(events.begin(), events.end());
-    return windows;
-  }
-
   SlidingWindowAssigner assigner_;
   TimestampUs watermark_ = 0;
   std::map<WindowId, std::vector<Event>> open_;
@@ -542,10 +525,7 @@ class ReferenceWindows {
 
 std::map<WindowId, std::vector<Event>> ById(std::vector<ClosedWindow> closed) {
   std::map<WindowId, std::vector<Event>> out;
-  for (auto& w : closed) {
-    EXPECT_TRUE(w.is_sorted);
-    out[w.id] = std::move(w.sorted_events);
-  }
+  for (auto& w : closed) out[w.id] = std::move(w.events);
   return out;
 }
 
@@ -563,7 +543,8 @@ class IngestCheck {
     EXPECT_EQ(ById(wm_.AdvanceWatermark(w)), ref_.Advance(w))
         << "watermark " << w;
   }
-  void Flush() { EXPECT_EQ(ById(wm_.Flush()), ref_.Flush()) << "flush"; }
+  /// The end of the stream: a final watermark closes every window.
+  void Flush() { Watermark(std::numeric_limits<TimestampUs>::max()); }
   /// Snapshots the manager (and the reference with it).
   void Checkpoint() {
     net::Writer w;
@@ -572,7 +553,7 @@ class IngestCheck {
     ref_snapshot_ = ref_;
   }
   /// Restores the manager in place from the last snapshot: every open
-  /// buffer is rebuilt, so nothing cached may point at the old ones.
+  /// window is rebuilt, so nothing cached may point at the old ones.
   void Rollback() {
     net::Reader r(snapshot_);
     ASSERT_TRUE(wm_.RestoreFrom(&r).ok());
@@ -628,10 +609,13 @@ TEST(WindowManagerIngest, FlushThenMoreEvents) {
   IngestCheck c(WindowSpec{10, 0});
   c.Ingest(1, 1);
   c.Ingest(2, 2);
-  c.Flush();
-  c.Ingest(3, 3);  // same window id again, fresh buffer
-  c.Ingest(4, 4);
-  c.Ingest(12, 5);
+  c.Checkpoint();
+  c.Flush();       // closes and erases the cached window ...
+  c.Ingest(3, 3);  // ... so this late event never reaches it
+  c.Rollback();    // the snapshot's watermark reopens window 0 ...
+  c.Ingest(3, 4);  // ... rebuilt from the snapshot
+  c.Ingest(4, 5);
+  c.Ingest(12, 6);
   c.Flush();
 }
 
@@ -685,7 +669,10 @@ TEST(WindowManagerIngest, RandomOperationSequencesMatchTheReference) {
         } else if (pick < 98) {
           c.Rollback();
         } else {
-          c.Flush();
+          // Every event so far is at or before `now`, so this closes
+          // every open window.
+          watermark = now + 10;
+          c.Watermark(watermark);
         }
       }
       c.Flush();
