@@ -1,6 +1,6 @@
 // Microbenchmarks for the network substrate: wire codecs (encode/decode for
 // fixed and compact, plus the value-streaming fast path), channel push/pop,
-// and fabric send overhead.
+// fabric send overhead, and the two wire forms of a γ = 2 synopsis batch.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +8,7 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "dema/protocol.h"
 #include "net/channel.h"
 #include "net/codec.h"
 #include "net/message.h"
@@ -124,6 +125,40 @@ void BM_NetworkSend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NetworkSend);
+
+/// One `keyed_100k` key-local window: 4 events cut at γ = 2, its
+/// `SynopsisBatch` encoded and decoded back per iteration, in the slice form
+/// (arg 0) or the events form it ships in (arg 1). Items are key-windows, so
+/// the time per iteration is ns per key-window; `bytes` is the payload size.
+void BM_GammaTwoKeyWindow(benchmark::State& state) {
+  const bool events_form = state.range(0) == 1;
+  const std::vector<Event> events = MakeEvents(4, /*sorted=*/true);
+  core::SynopsisBatch batch;
+  batch.window_id = 7;
+  batch.node = 2;
+  batch.local_window_size = events.size();
+  batch.gamma_used = 2;
+  batch.close_time_us = 1'000;
+  batch.slices = *core::CutIntoSlices(events, batch.node, 2);
+  core::SynopsisBatch decoded;
+  size_t bytes = 0;
+  for (auto _ : state) {
+    Writer w;
+    w.Reserve(256);
+    if (events_form) {
+      batch.SerializeTo(&w);
+    } else {
+      batch.SerializeSlicesTo(&w);
+    }
+    Reader r(w.buffer());
+    benchmark::DoNotOptimize(
+        core::SynopsisBatch::DeserializeInto(&r, &decoded).ok());
+    bytes = w.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_GammaTwoKeyWindow)->ArgName("events_form")->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace dema::net

@@ -34,7 +34,11 @@ double GammaCostModel(uint64_t global_size, uint64_t num_candidate_slices,
 /// \p reply_codec (at its smallest, for kCompact). Like the cost model for a
 /// window's only slice, it assumes that slice is a candidate. Framing is
 /// left out: the request and reply would each add an envelope or a keyed
-/// entry, so the rule only fires where it pays on every transport.
+/// entry, so the rule only fires where it pays on every transport. The
+/// γ = 2 side is priced in the slice form (64 B per slice), although such a
+/// batch ships in the smaller events form (`SynopsisBatch`): priced that
+/// way, every one-slice window would ship in full, and on wide fan-outs most
+/// of those events are never fetched.
 bool CutAtGammaTwo(uint64_t window_size, uint64_t gamma,
                    net::EventCodec reply_codec);
 

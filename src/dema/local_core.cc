@@ -177,6 +177,7 @@ Status LocalCore::ShipPrepared(LocalStream* s, PreparedWindow prepared,
       static_cast<uint32_t>(std::min<uint64_t>(prepared.gamma, UINT32_MAX));
   batch.close_time_us = clock_->NowUs();
   batch.slices = std::move(prepared.slices);
+  batch.codec = options_.reply_codec;
   // The root reads every slice of ≤ 2 events from its synopsis, so only a
   // window holding a larger slice can ever be asked for its events.
   if (Retained(batch.slices)) {

@@ -13,12 +13,26 @@ namespace dema::core {
 
 using net::WindowId;
 
+/// The u32 after a `SynopsisBatch` header: below `kSynopsisFormMarkers` it is
+/// the slice count of the slice form; at or above it, a form marker.
+inline constexpr uint32_t kSynopsisFormMarkers = 0x80000000u;
+/// Form marker of the events form: the window's sorted events follow.
+inline constexpr uint32_t kSynopsisEventsForm = 0xFFFFFFFFu;
+
 /// \brief Local -> root: all slice synopses for one closed local window
 /// (identification step).
 ///
 /// Sent exactly once per (node, window), also when the local window is empty
 /// — the root needs to hear from every node before it can align the global
 /// window.
+///
+/// On the wire a batch takes one of two forms, chosen from the batch itself.
+/// A non-empty single-node batch cut at γ = 2 (every slice but a one-event
+/// trailer holds two events, all in ascending order) is its window's sorted
+/// events in `codec` — 24 B per event in kFixed where the slices cost 32 —
+/// and decodes back into exactly the slices `CutIntoSlices(events, node, 2)`
+/// gives. Every other batch is its slices; a relay's combined batch, whose
+/// children's slices seldom form one sorted window, almost always is.
 struct SynopsisBatch {
   WindowId window_id = 0;
   NodeId node = 0;
@@ -30,8 +44,14 @@ struct SynopsisBatch {
   /// part of the wire format like any other protocol field).
   TimestampUs close_time_us = 0;
   std::vector<SliceSynopsis> slices;
+  /// Event encoding of the events form (the node's reply codec). Not decoded:
+  /// the events form names its codec itself.
+  net::EventCodec codec = net::EventCodec::kFixed;
 
+  /// Writes the events form when the batch qualifies, else the slice form.
   void SerializeTo(net::Writer* w) const;
+  /// Writes the slice form, whatever the batch.
+  void SerializeSlicesTo(net::Writer* w) const;
   static Result<SynopsisBatch> Deserialize(net::Reader* r);
   /// Decodes into \p out, reusing its slice buffer (the root keeps one
   /// scratch batch instead of allocating per message).

@@ -29,20 +29,24 @@ Result<std::vector<SliceSynopsis>> CutIntoSlices(const std::vector<Event>& sorte
                                                  NodeId node, uint64_t gamma) {
   if (gamma < 2) return Status::InvalidArgument("gamma must be >= 2");
   std::vector<SliceSynopsis> out;
-  uint64_t n = sorted.size();
-  out.reserve(static_cast<size_t>((n + gamma - 1) / gamma));
-  uint32_t index = 0;
-  for (uint64_t begin = 0; begin < n; begin += gamma, ++index) {
-    uint64_t end = std::min(n, begin + gamma);
-    SliceSynopsis s;
+  CutIntoSlicesInto(sorted, node, gamma, &out);
+  return out;
+}
+
+void CutIntoSlicesInto(std::span<const Event> sorted, NodeId node,
+                       uint64_t gamma, std::vector<SliceSynopsis>* out) {
+  const uint64_t n = sorted.size();
+  out->resize(static_cast<size_t>((n + gamma - 1) / gamma));
+  for (size_t i = 0; i < out->size(); ++i) {
+    const auto index = static_cast<uint32_t>(i);
+    auto [begin, end] = SliceEventRange(n, gamma, index);
+    SliceSynopsis& s = (*out)[i];
     s.node = node;
     s.index = index;
     s.first = sorted[begin];
     s.last = sorted[end - 1];
     s.count = end - begin;
-    out.push_back(s);
   }
-  return out;
 }
 
 }  // namespace dema::core

@@ -70,6 +70,11 @@ inline bool Retained(std::span<const SliceSynopsis> slices) {
 Result<std::vector<SliceSynopsis>> CutIntoSlices(const std::vector<Event>& sorted,
                                                  NodeId node, uint64_t gamma);
 
+/// \brief `CutIntoSlices` into \p out, reusing its buffer; \p gamma must be
+/// >= 2.
+void CutIntoSlicesInto(std::span<const Event> sorted, NodeId node,
+                       uint64_t gamma, std::vector<SliceSynopsis>* out);
+
 /// \brief Returns the half-open index range [begin, end) of slice \p index in
 /// a window of \p window_size events cut with \p gamma.
 inline std::pair<uint64_t, uint64_t> SliceEventRange(uint64_t window_size,

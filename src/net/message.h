@@ -82,7 +82,7 @@ const char* MessageTypeToString(MessageType type);
 /// Fixed per-message envelope overhead charged to the wire: an 18-byte
 /// header (type + src + dst + sequence number + payload length) plus a
 /// 4-byte CRC32C trailer covering header and payload, mirroring a small
-/// framed TCP protocol (see `docs/PROTOCOL.md`, protocol version 3).
+/// framed TCP protocol (see `docs/PROTOCOL.md`, protocol version 4).
 inline constexpr uint64_t kEnvelopeWireBytes =
     sizeof(uint16_t) + 2 * sizeof(NodeId) + 2 * sizeof(uint32_t) +
     /*crc32c trailer*/ sizeof(uint32_t);

@@ -8,7 +8,7 @@
 
 namespace dema::transport {
 
-/// \brief Wire framing for the TCP transport (protocol version 3).
+/// \brief Wire framing for the TCP transport (protocol version 4).
 ///
 /// A frame is the simulated envelope split around the payload:
 ///
@@ -96,7 +96,11 @@ inline constexpr uint32_t kHelloMagic = 0x44454D41;  // "DEMA"
 /// per-(src,dst) acks, and sender-side retained-frame replay across
 /// reconnects (a v2 peer would reject the new frame types mid-stream, so
 /// the handshake keeps versions strict).
-inline constexpr uint32_t kProtocolVersion = 3;
+/// v4: a `SynopsisBatch` cut at γ = 2 ships as its sorted events (a form
+/// marker in the v3 slice-count word), and a slice of at most two events is
+/// read from its synopsis, never requested or retained. A v3 peer would
+/// misread the events form and disagree about which windows it must serve.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Upper bound on hello node counts (defence against corrupt preambles).
 inline constexpr uint32_t kMaxHelloNodes = 1u << 16;

@@ -271,6 +271,25 @@ std::vector<PayloadCase> AllPayloadCases() {
                      return core::SynopsisBatch::Deserialize(r).status();
                    }});
 
+  // A window cut at γ = 2 ships as its sorted events, in either codec.
+  for (EventCodec codec : {EventCodec::kFixed, EventCodec::kCompact}) {
+    core::SynopsisBatch cut_at_two;
+    cut_at_two.window_id = 3;
+    cut_at_two.node = 2;
+    cut_at_two.gamma_used = 2;
+    cut_at_two.close_time_us = 1'000;
+    cut_at_two.codec = codec;
+    auto window = RandomEvents(7, 19, /*sorted=*/true);
+    cut_at_two.slices = *core::CutIntoSlices(window, 2, 2);
+    cut_at_two.local_window_size = window.size();
+    cases.push_back({MessageType::kSynopsisBatch,
+                     codec == EventCodec::kFixed ? "SynopsisBatch/events/fixed"
+                                                 : "SynopsisBatch/events/compact",
+                     Serialized(cut_at_two), [](Reader* r) {
+                       return core::SynopsisBatch::Deserialize(r).status();
+                     }});
+  }
+
   core::CandidateRequest request;
   request.window_id = 3;
   request.slice_indices = {0, 1, 5, 9};
@@ -388,6 +407,39 @@ TEST(PayloadRobustness, SeededRandomByteFlipsAreHandled) {
       } else {
         (void)c.decode(&r);
       }
+    }
+  }
+}
+
+TEST(PayloadRobustness, MalformedEventsFormRejected) {
+  // The events form of a γ = 2 batch: header, form word, encoded events.
+  const auto payload = [](uint64_t declared, const std::vector<Event>& events,
+                          uint32_t form, EventCodec codec) {
+    Writer w;
+    w.PutU64(3);  // window id
+    w.PutU32(2);  // node
+    w.PutU64(declared);
+    w.PutU32(2);  // gamma_used
+    w.PutI64(1'000);
+    w.PutU32(form);
+    EncodeEvents(&w, events, codec, /*sorted_hint=*/true);
+    return w.TakeBuffer();
+  };
+  const auto decodes = [](const std::vector<uint8_t>& bytes) {
+    Reader r(bytes);
+    return core::SynopsisBatch::Deserialize(&r).ok();
+  };
+  const auto sorted = RandomEvents(6, 23, /*sorted=*/true);
+  auto unsorted = sorted;
+  std::swap(unsorted[2], unsorted[4]);
+  for (EventCodec codec : {EventCodec::kFixed, EventCodec::kCompact}) {
+    EXPECT_TRUE(decodes(payload(6, sorted, core::kSynopsisEventsForm, codec)));
+    EXPECT_FALSE(decodes(payload(5, sorted, core::kSynopsisEventsForm, codec)));
+    EXPECT_FALSE(decodes(payload(7, sorted, core::kSynopsisEventsForm, codec)));
+    EXPECT_FALSE(
+        decodes(payload(6, unsorted, core::kSynopsisEventsForm, codec)));
+    for (uint32_t form : {core::kSynopsisFormMarkers, 0xFFFFFFFEu}) {
+      EXPECT_FALSE(decodes(payload(6, sorted, form, codec))) << form;
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 
 #include "common/clock.h"
@@ -78,11 +79,20 @@ TEST(TinyWindowRule, BoundaryForEachCodec) {
   EXPECT_FALSE(CutAtGammaTwo(0, kGamma, net::EventCodec::kFixed));
 }
 
+/// Bytes of \p batch in the slice form, whichever form it ships in.
+uint64_t SliceFormSize(const SynopsisBatch& batch) {
+  net::Writer w;
+  batch.SerializeSlicesTo(&w);
+  return w.size();
+}
+
 TEST(TinyWindowRule, MatchesTheSerializedSizes) {
-  // The rule compares the γ = 2 synopsis with the one-slice synopsis plus
-  // the round trip it saves. Measured with the real encoders, that is exact
-  // for kFixed; for kCompact the real reply is at least the rule's, so the
-  // rule never fires where the round trip would have been cheaper.
+  // The rule compares the γ = 2 synopsis, priced in the slice form, with the
+  // one-slice synopsis plus the round trip it saves. Measured with the real
+  // encoders, that is exact for kFixed; for kCompact the real reply is at
+  // least the rule's, so the rule never fires where the round trip would
+  // have been cheaper. What a γ = 2 batch really ships, the events form, is
+  // smaller still.
   for (net::EventCodec codec :
        {net::EventCodec::kFixed, net::EventCodec::kCompact}) {
     for (uint64_t n = 1; n <= 40; ++n) {
@@ -93,7 +103,10 @@ TEST(TinyWindowRule, MatchesTheSerializedSizes) {
       reply.node = 1;
       reply.codec = codec;
       reply.events = events;
-      const uint64_t at_two = WireSize(CutBatch(events, 2));
+      SynopsisBatch cut_at_two = CutBatch(events, 2);
+      cut_at_two.codec = codec;
+      const uint64_t at_two = SliceFormSize(cut_at_two);
+      EXPECT_LT(WireSize(cut_at_two), at_two) << "n=" << n;
       const uint64_t round_trip = WireSize(CutBatch(events, kGamma)) +
                                   WireSize(request) + WireSize(reply);
       if (codec == net::EventCodec::kFixed) {
@@ -104,6 +117,86 @@ TEST(TinyWindowRule, MatchesTheSerializedSizes) {
       }
     }
   }
+}
+
+/// True when \p a and \p b hold the same bits (`Event::operator==` equates
+/// -0.0 with +0.0).
+bool SameBits(const Event& a, const Event& b) {
+  return std::bit_cast<uint64_t>(a.value) == std::bit_cast<uint64_t>(b.value) &&
+         a.timestamp == b.timestamp && a.node == b.node && a.seq == b.seq;
+}
+
+TEST(SynopsisEventsForm, DecodesToTheGammaTwoCutAndIsNeverLarger) {
+  for (net::EventCodec codec :
+       {net::EventCodec::kFixed, net::EventCodec::kCompact}) {
+    for (uint64_t n = 1; n <= 40; ++n) {
+      // Value ties, both signed zeros and negatives; equal values order by
+      // timestamp, so -0.0 and +0.0 interleave.
+      std::vector<Event> events;
+      for (uint32_t i = 0; i < n; ++i) {
+        double v = static_cast<double>(static_cast<int>(i % 7) - 3) / 2;
+        if (v == 0) v = i % 2 ? -0.0 : 0.0;
+        events.push_back(Event{v, static_cast<TimestampUs>(1'000 + 17 * i),
+                               i % 3, i});
+      }
+      std::sort(events.begin(), events.end());
+      SynopsisBatch batch = CutBatch(events, 2);
+      batch.window_id = 9;
+      batch.close_time_us = 123;
+      batch.codec = codec;
+      net::Writer w;
+      batch.SerializeTo(&w);
+      EXPECT_LE(w.size(), SliceFormSize(batch)) << "n=" << n;
+
+      net::Reader r(w.buffer());
+      SynopsisBatch decoded;
+      ASSERT_TRUE(SynopsisBatch::DeserializeInto(&r, &decoded).ok()) << n;
+      EXPECT_TRUE(r.AtEnd());
+      EXPECT_EQ(decoded.window_id, 9u);
+      EXPECT_EQ(decoded.node, 1u);
+      EXPECT_EQ(decoded.local_window_size, n);
+      EXPECT_EQ(decoded.gamma_used, 2u);
+      EXPECT_EQ(decoded.close_time_us, 123);
+      const std::vector<SliceSynopsis> want = *CutIntoSlices(events, 1, 2);
+      ASSERT_EQ(decoded.slices.size(), want.size()) << "n=" << n;
+      for (size_t i = 0; i < want.size(); ++i) {
+        const SliceSynopsis& got = decoded.slices[i];
+        EXPECT_EQ(got.node, want[i].node);
+        EXPECT_EQ(got.index, want[i].index);
+        EXPECT_EQ(got.count, want[i].count);
+        EXPECT_TRUE(SameBits(got.first, want[i].first)) << n << "/" << i;
+        EXPECT_TRUE(SameBits(got.last, want[i].last)) << n << "/" << i;
+      }
+    }
+  }
+}
+
+TEST(SynopsisEventsForm, OnlyASingleNodeCutAtTwoShipsAsEvents) {
+  const auto form = [](const SynopsisBatch& batch) {
+    net::Writer w;
+    batch.SerializeTo(&w);
+    net::Reader r(w.buffer());
+    EXPECT_TRUE(r.Skip(32).ok());  // the header before the form word
+    uint32_t word = 0;
+    EXPECT_TRUE(r.GetU32(&word).ok());
+    return word;
+  };
+  const std::vector<Event> events = SortedEvents(5, 1);
+  EXPECT_EQ(form(CutBatch(events, 2)), kSynopsisEventsForm);
+  // Cut at a larger γ, empty, or not the γ = 2 cut of one sorted window: the
+  // slice form, its count in the form word.
+  EXPECT_EQ(form(CutBatch(events, 4)), 2u);
+  EXPECT_EQ(form(CutBatch({}, 2)), 0u);
+  SynopsisBatch relayed = CutBatch(events, 2);
+  relayed.slices[1].node = 2;  // another node's slice
+  EXPECT_EQ(form(relayed), 3u);
+  SynopsisBatch overlapping = CutBatch(events, 2);
+  std::swap(overlapping.slices[0].first, overlapping.slices[1].first);
+  EXPECT_EQ(form(overlapping), 3u);
+  SynopsisBatch short_inner = CutBatch(events, 2);
+  short_inner.slices[0].count = 1;
+  short_inner.local_window_size = 4;
+  EXPECT_EQ(form(short_inner), 3u);
 }
 
 /// What one local shipped for a window of n events.

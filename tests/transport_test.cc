@@ -114,6 +114,16 @@ TEST(Frame, HelloRejectsProtocolVersionMismatch) {
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.status().message().find("version"), std::string::npos);
 
+  // A v3 peer would misread a γ = 2 batch's events form and disagree about
+  // which windows it must serve; its hello is refused the same way.
+  net::Writer v3;
+  v3.PutU32(kHelloMagic);
+  v3.PutU32(3);
+  v3.PutU32(1);
+  auto v3_st = DecodeHelloPrefix(v3.buffer().data(), kHelloPrefixBytes);
+  ASSERT_FALSE(v3_st.ok());
+  EXPECT_NE(v3_st.status().message().find("version"), std::string::npos);
+
   // A v1 dialer's hello had no version field (magic | count | ids), so its
   // node count lands in the version slot — it must fail the same clean way
   // instead of desynchronizing the frame stream on the missing CRC trailers.

@@ -10,6 +10,8 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <string>
+#include <tuple>
 
 #include "common/clock.h"
 #include "dema/protocol.h"
@@ -504,6 +506,119 @@ TEST_F(QuarantineRootTest, ProbationReadmitsCleanLocalAndRelapsesOffender) {
   SendCorruptWindow(3, 3, 2);  // strike while on probation
   EXPECT_EQ(root_->registry()->CounterValue("dema.quarantined"), 3u);
   EXPECT_EQ(root_->registry()->CounterValue("dema.readmitted"), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The events form of a γ = 2 batch: a malformed one is rejected and counted
+// at the root and at a relay, and never fails the node.
+// ---------------------------------------------------------------------------
+
+/// An events-form `SynopsisBatch` payload from node 1 for window 0:
+/// the header declaring \p declared_size events at \p gamma, the form word
+/// \p form, then \p events in \p codec.
+std::vector<uint8_t> EventsFormPayload(
+    uint64_t declared_size, const std::vector<Event>& events,
+    net::EventCodec codec, uint32_t form = kSynopsisEventsForm,
+    uint32_t gamma = 2) {
+  net::Writer w;
+  w.PutU64(0);  // window id
+  w.PutU32(1);  // node
+  w.PutU64(declared_size);
+  w.PutU32(gamma);
+  w.PutI64(0);  // close time
+  w.PutU32(form);
+  net::EncodeEvents(&w, events, codec, /*sorted_hint=*/true);
+  return w.TakeBuffer();
+}
+
+TEST(EventsFormRejection, RootAndRelayCountEachMalformedBatch) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Event> sorted = {Ev(1, 1, 0), Ev(2, 1, 1), Ev(3, 1, 2),
+                                     Ev(4, 1, 3)};
+  struct Case {
+    std::string name;
+    std::vector<uint8_t> payload;
+    const char* reason;
+  };
+  std::vector<Case> cases;
+  for (net::EventCodec codec :
+       {net::EventCodec::kFixed, net::EventCodec::kCompact}) {
+    const std::string tag =
+        codec == net::EventCodec::kFixed ? "/fixed" : "/compact";
+    std::vector<uint8_t> truncated = EventsFormPayload(4, sorted, codec);
+    truncated.pop_back();
+    cases.push_back({"truncated" + tag, truncated, "decode"});
+    cases.push_back(
+        {"count above" + tag, EventsFormPayload(5, sorted, codec), "decode"});
+    cases.push_back(
+        {"count below" + tag, EventsFormPayload(3, sorted, codec), "decode"});
+    std::vector<Event> unsorted = sorted;
+    std::swap(unsorted[1], unsorted[2]);
+    cases.push_back(
+        {"unsorted" + tag, EventsFormPayload(4, unsorted, codec), "decode"});
+    // A non-finite value sorts (NaN compares equal to every value, so the
+    // timestamps order it); the validator's value rule rejects it.
+    for (auto [name, at, value] :
+         {std::tuple{"NaN", 3, kNaN}, std::tuple{"+Inf", 3, kInf},
+          std::tuple{"-Inf", 0, -kInf}}) {
+      std::vector<Event> bad = sorted;
+      bad[at].value = value;
+      cases.push_back({name + tag, EventsFormPayload(4, bad, codec),
+                       "bad_value"});
+    }
+    cases.push_back({"unknown form" + tag,
+                     EventsFormPayload(4, sorted, codec, 0x80000001u),
+                     "decode"});
+    cases.push_back({"events form at gamma 4" + tag,
+                     EventsFormPayload(4, sorted, codec, kSynopsisEventsForm,
+                                       /*gamma=*/4),
+                     "decode"});
+  }
+
+  RealClock clock;
+  net::Network network(&clock);
+  for (NodeId id : {0u, 1u, 5u}) ASSERT_TRUE(network.RegisterNode(id).ok());
+  DemaRootNodeOptions root_opts;
+  root_opts.id = 0;
+  root_opts.locals = {1};
+  root_opts.initial_gamma = 4;
+  DemaRootNode root(root_opts, &network, &clock);
+  DemaRootNodeOptions relay_opts = root_opts;
+  relay_opts.id = 5;
+  relay_opts.parent = 0;
+  DemaRootNode relay(relay_opts, &network, &clock);
+
+  for (DemaRootNode* node : {&root, &relay}) {
+    const std::string who = node == &root ? "root: " : "relay: ";
+    for (const Case& c : cases) {
+      const std::string counter =
+          std::string("dema.rejected{reason=") + c.reason + "}";
+      const uint64_t before = node->registry()->GetCounter(counter)->Value();
+      net::Message m;
+      m.type = net::MessageType::kSynopsisBatch;
+      m.src = 1;
+      m.dst = node == &root ? 0 : 5;
+      m.payload = c.payload;
+      ASSERT_TRUE(node->OnMessage(m).ok()) << who << c.name;
+      EXPECT_EQ(node->registry()->GetCounter(counter)->Value(), before + 1)
+          << who << c.name;
+    }
+    // The honest batch is still welcome after every rejection.
+    net::Message m;
+    m.type = net::MessageType::kSynopsisBatch;
+    m.src = 1;
+    m.dst = node == &root ? 0 : 5;
+    m.payload = EventsFormPayload(4, sorted, net::EventCodec::kFixed);
+    ASSERT_TRUE(node->OnMessage(m).ok()) << who;
+    EXPECT_EQ(node->registry()->CounterValue("dema.rejected"), cases.size())
+        << who;
+  }
+  // The root emitted the window exactly; the relay sent it up.
+  EXPECT_EQ(root.registry()->CounterValue("dema.windows"), 1u);
+  auto up = network.Inbox(0)->TryPop();
+  ASSERT_TRUE(up.has_value());
+  EXPECT_EQ(up->type, net::MessageType::kSynopsisBatch);
 }
 
 }  // namespace
