@@ -256,60 +256,48 @@ void BM_WindowCutSelect(benchmark::State& state) {
     slices.push_back(s);
   }
   for (auto _ : state) {
-    auto result = core::WindowCut::Select(slices, total, total / 2);
+    auto result = core::WindowCut::SelectMulti(slices, total, {total / 2});
     benchmark::DoNotOptimize(&result);
   }
   state.SetItemsProcessed(state.iterations() * m);
 }
 BENCHMARK(BM_WindowCutSelect)->Arg(100)->Arg(10'000);
 
-void BM_WindowCutTwoSidedScan(benchmark::State& state) {
-  const size_t m = state.range(0);
-  Rng rng(31);
+void BM_WindowCutSortedRuns(benchmark::State& state) {
+  // One sorted random-walk window per node, cut at gamma: the root sees each
+  // node's slices as one run, in both first and last order. Args: nodes,
+  // events per node, gamma.
+  const auto nodes = static_cast<size_t>(state.range(0));
+  const auto per_node = static_cast<size_t>(state.range(1));
+  const auto gamma = static_cast<uint64_t>(state.range(2));
   std::vector<core::SliceSynopsis> slices;
-  uint64_t total = 0;
-  for (size_t i = 0; i < m; ++i) {
-    core::SliceSynopsis s;
-    s.node = static_cast<NodeId>(1 + i % 4);
-    s.index = static_cast<uint32_t>(i / 4);
-    double lo = rng.Uniform(0, 1e6);
-    double hi = lo + rng.Uniform(1, 1e5);
-    s.first = Event{lo, 0, s.node, s.index * 2};
-    s.last = Event{hi, 0, s.node, s.index * 2 + 1};
-    s.count = 1000;
-    total += s.count;
-    slices.push_back(s);
+  for (size_t n = 0; n < nodes; ++n) {
+    const auto node = static_cast<NodeId>(n + 1);
+    std::vector<Event> window = WalkEvents(per_node, 41 + n);
+    for (Event& e : window) e.node = node;
+    std::sort(window.begin(), window.end());
+    std::vector<core::SliceSynopsis> cut;
+    core::CutIntoSlicesInto(window, node, gamma, &cut);
+    slices.insert(slices.end(), cut.begin(), cut.end());
   }
+  const uint64_t total = nodes * per_node;
+  const std::vector<uint64_t> ranks = {total / 2};
+  core::WindowCutScratch scratch;
+  core::WindowCutResult result;
   for (auto _ : state) {
-    auto result = core::WindowCut::SelectTwoSidedScan(slices, total, total / 2);
-    benchmark::DoNotOptimize(&result);
+    benchmark::DoNotOptimize(core::WindowCut::SelectMultiInto(
+        slices, total, ranks, &scratch, &result));
   }
-  state.SetItemsProcessed(state.iterations() * m);
+  state.counters["slices"] = static_cast<double>(slices.size());
+  state.counters["ns_per_slice"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * slices.size()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_WindowCutTwoSidedScan)->Arg(10'000);
-
-void BM_ClassifySlices(benchmark::State& state) {
-  const size_t m = state.range(0);
-  Rng rng(37);
-  std::vector<core::SliceSynopsis> slices;
-  for (size_t i = 0; i < m; ++i) {
-    core::SliceSynopsis s;
-    s.node = 1;
-    s.index = static_cast<uint32_t>(i);
-    double lo = rng.Uniform(0, 1e6);
-    double hi = lo + rng.Uniform(1, 2e5);
-    s.first = Event{lo, 0, 1, s.index * 2};
-    s.last = Event{hi, 0, 1, s.index * 2 + 1};
-    s.count = 100;
-    slices.push_back(s);
-  }
-  for (auto _ : state) {
-    auto counts = core::WindowCut::ClassifySlices(slices);
-    benchmark::DoNotOptimize(&counts);
-  }
-  state.SetItemsProcessed(state.iterations() * m);
-}
-BENCHMARK(BM_ClassifySlices)->Arg(10'000);
+// 4 nodes x 121 slices is star_inline's shape (20,000 events, gamma 166).
+BENCHMARK(BM_WindowCutSortedRuns)
+    ->Args({4, 20'000, 166})
+    ->Args({4, 20'000, 16})
+    ->Args({1000, 800, 166});
 
 void BM_TDigestAdd(benchmark::State& state) {
   Rng rng(31);

@@ -100,7 +100,11 @@ Status SynopsisBatch::DeserializeInto(net::Reader* r, SynopsisBatch* b) {
     }
   }
   uint64_t total = 0;
-  for (const SliceSynopsis& s : b->slices) total += s.count;
+  for (const SliceSynopsis& s : b->slices) {
+    if (__builtin_add_overflow(total, s.count, &total)) {
+      return Status::SerializationError("slice counts overflow 64 bits");
+    }
+  }
   if (total != b->local_window_size) {
     return Status::SerializationError("slice counts do not sum to window size");
   }

@@ -43,7 +43,7 @@ const char* ValidateSynopsisBatch(const SynopsisBatch& batch, NodeId src,
       if (s.count != expected_count) return "slice_size";
       if (i > 0 && s.first < batch.slices[i - 1].last) return "slice_overlap";
     }
-    total += s.count;
+    if (__builtin_add_overflow(total, s.count, &total)) return "size_mismatch";
   }
   if (total != batch.local_window_size) return "size_mismatch";
   return nullptr;

@@ -29,7 +29,7 @@ namespace dema::core {
 ///  - each slice has `count` >= 1, `first` <= `last`, finite bound values,
 ///    and `first` == `last` when `count` is 1 (the root reads a slice of
 ///    ≤ 2 events from its synopsis, `KnownFromSynopsis`);
-///  - the slice counts sum to `local_window_size`.
+///  - the slice counts sum to `local_window_size`, without wrapping.
 /// With \p strict (flat topologies, where the sender cut one sorted local
 /// window itself — a relay's combined batch legitimately interleaves its
 /// children's cuts):

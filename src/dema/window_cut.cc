@@ -1,153 +1,29 @@
 #include "dema/window_cut.h"
 
 #include <algorithm>
-#include <numeric>
+#include <string>
 
 namespace dema::core {
 
 namespace {
 
-/// Sorted key array with prefix weights, supporting the four queries the
-/// rank bounds need: #keys < v, #keys <= v, weight of keys < v, weight of
-/// keys <= v. Keys are full events (total order), so cross-slice ties cannot
-/// occur. Built into caller-owned buffers.
-class KeyIndex {
- public:
-  using Entry = WindowCutScratch::KeyWeight;
+using Endpoint = WindowCutScratch::Endpoint;
 
-  KeyIndex(const std::vector<SliceSynopsis>& slices, bool use_first,
-           std::vector<Entry>* entries, std::vector<uint64_t>* prefix)
-      : entries_(*entries), prefix_weight_(*prefix) {
-    entries_.clear();
-    for (const SliceSynopsis& s : slices) {
-      entries_.push_back(Entry{use_first ? s.first : s.last, s.count});
-    }
-    std::sort(entries_.begin(), entries_.end(),
-              [](const Entry& a, const Entry& b) { return a.key < b.key; });
-    prefix_weight_.assign(entries_.size() + 1, 0);
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      prefix_weight_[i + 1] = prefix_weight_[i] + entries_[i].weight;
-    }
-  }
-
-  /// Number of keys strictly below v.
-  uint64_t CountLt(const Event& v) const { return IndexLt(v); }
-  /// Number of keys at or below v.
-  uint64_t CountLe(const Event& v) const { return IndexLe(v); }
-  /// Total weight of keys strictly below v.
-  uint64_t WeightLt(const Event& v) const { return prefix_weight_[IndexLt(v)]; }
-  /// Total weight of keys at or below v.
-  uint64_t WeightLe(const Event& v) const { return prefix_weight_[IndexLe(v)]; }
-
- private:
-  size_t IndexLt(const Event& v) const {
-    return static_cast<size_t>(std::lower_bound(entries_.begin(), entries_.end(), v,
-                                                [](const Entry& e, const Event& x) {
-                                                  return e.key < x;
-                                                }) -
-                               entries_.begin());
-  }
-  size_t IndexLe(const Event& v) const {
-    return static_cast<size_t>(std::upper_bound(entries_.begin(), entries_.end(), v,
-                                                [](const Event& x, const Entry& e) {
-                                                  return x < e.key;
-                                                }) -
-                               entries_.begin());
-  }
-  std::vector<Entry>& entries_;
-  std::vector<uint64_t>& prefix_weight_;
-};
-
-/// Rank bounds of every slice into \p scratch->bounds.
-void ComputeRankBoundsInto(const std::vector<SliceSynopsis>& slices,
-                           WindowCutScratch* scratch) {
-  std::vector<RankBounds>& bounds = scratch->bounds;
-  bounds.assign(slices.size(), RankBounds{});
-  if (slices.empty()) return;
-  KeyIndex firsts(slices, /*use_first=*/true, &scratch->firsts,
-                  &scratch->first_prefix);
-  KeyIndex lasts(slices, /*use_first=*/false, &scratch->lasts,
-                 &scratch->last_prefix);
-
-  for (size_t i = 0; i < slices.size(); ++i) {
-    const SliceSynopsis& s = slices[i];
-    // Events definitely below s.first: whole slices whose last < s.first,
-    // plus one event (the first) for slices straddling s.first. A slice T
-    // with f_T < s.first <= l_T contributes exactly its first event as
-    // provably below; nothing else about T is certain.
-    uint64_t whole_below = lasts.WeightLt(s.first);
-    uint64_t straddle_firsts = firsts.CountLt(s.first) - lasts.CountLt(s.first);
-    bounds[i].min_rank = 1 + whole_below + straddle_firsts;
-
-    // Events possibly at or below s.last: whole slices whose first <= s.last,
-    // minus one event (the last) for slices whose last lies above s.last —
-    // that last event is provably above.
-    uint64_t possible = firsts.WeightLe(s.last);
-    uint64_t straddle_lasts = firsts.CountLe(s.last) - lasts.CountLe(s.last);
-    bounds[i].max_rank = possible - straddle_lasts;
-  }
-}
-
-/// Slice classification with its temporaries in \p scratch.
-SliceClassCounts ClassifyInto(const std::vector<SliceSynopsis>& slices,
-                              WindowCutScratch* scratch) {
-  SliceClassCounts counts;
-  size_t m = slices.size();
-  if (m == 0) return counts;
-  std::vector<size_t>& order = scratch->order;
-  order.resize(m);
-  std::iota(order.begin(), order.end(), 0);
-  // Sort by first ascending; ties by last descending so a covering slice
-  // precedes the slices it covers.
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (slices[a].first < slices[b].first) return true;
-    if (slices[b].first < slices[a].first) return false;
-    return slices[b].last < slices[a].last;
-  });
-
-  // Sweep: max `last` over already-seen slices covers the cover test; any
-  // interval intersection that is not containment marks both ends compound.
-  std::vector<bool>& covered = scratch->covered;
-  std::vector<bool>& overlapped = scratch->overlapped;
-  covered.assign(m, false);
-  overlapped.assign(m, false);
-  Event max_last = slices[order[0]].last;
-  size_t max_last_idx = order[0];
-  for (size_t pos = 1; pos < m; ++pos) {
-    size_t i = order[pos];
-    const SliceSynopsis& s = slices[i];
-    if (!(max_last < s.last)) {
-      covered[i] = true;  // some earlier slice spans [<= first, >= last]
-    } else if (!(max_last < s.first)) {
-      overlapped[i] = true;  // partial overlap with the running hull
-      overlapped[max_last_idx] = true;
-    }
-    if (max_last < s.last) {
-      max_last = s.last;
-      max_last_idx = i;
-    }
-  }
-  for (size_t i = 0; i < m; ++i) {
-    if (covered[i]) {
-      ++counts.cover;
-    } else if (overlapped[i]) {
-      ++counts.compound;
-    } else {
-      ++counts.separate;
-    }
-  }
-  return counts;
-}
-
+/// Checks every slice once, then every rank against their total.
 Status ValidateInput(const std::vector<SliceSynopsis>& slices, uint64_t global_size,
-                     uint64_t target_rank) {
+                     const std::vector<uint64_t>& target_ranks) {
+  if (target_ranks.empty()) {
+    return Status::InvalidArgument("no target ranks given");
+  }
   uint64_t total = 0;
   for (const SliceSynopsis& s : slices) {
     if (s.count == 0) return Status::InvalidArgument("slice with zero events");
     if (s.last < s.first) {
       return Status::InvalidArgument("slice with last < first");
     }
-    total += s.count;
+    if (__builtin_add_overflow(total, s.count, &total)) {
+      return Status::InvalidArgument("slice counts overflow 64 bits");
+    }
   }
   if (total != global_size) {
     return Status::InvalidArgument(
@@ -155,27 +31,111 @@ Status ValidateInput(const std::vector<SliceSynopsis>& slices, uint64_t global_s
         std::to_string(global_size));
   }
   if (global_size == 0) return Status::InvalidArgument("empty global window");
-  if (target_rank < 1 || target_rank > global_size) {
-    return Status::OutOfRange("target rank " + std::to_string(target_rank) +
-                              " outside [1, " + std::to_string(global_size) + "]");
+  for (uint64_t rank : target_ranks) {
+    if (rank < 1 || rank > global_size) {
+      return Status::OutOfRange("target rank " + std::to_string(rank) +
+                                " outside [1, " + std::to_string(global_size) + "]");
+    }
+  }
+  return Status::OK();
+}
+
+/// Validates the input, sorts the slices' endpoints into \p scratch, and
+/// computes every slice's rank bounds into `scratch->bounds` and the slice
+/// classes into \p classes, in one sweep over each sorted order.
+Status Identify(const std::vector<SliceSynopsis>& slices, uint64_t global_size,
+                const std::vector<uint64_t>& target_ranks, WindowCutScratch* scratch,
+                SliceClassCounts* classes) {
+  DEMA_RETURN_NOT_OK(ValidateInput(slices, global_size, target_ranks));
+  const size_t m = slices.size();  // >= 1: the window is not empty
+  std::vector<Endpoint>& firsts = scratch->firsts;
+  std::vector<Endpoint>& lasts = scratch->lasts;
+  firsts.resize(m);
+  lasts.resize(m);
+  for (size_t i = 0; i < m; ++i) {
+    firsts[i] = Endpoint{slices[i].first, i};
+    lasts[i] = Endpoint{slices[i].last, i};
+  }
+  std::sort(firsts.begin(), firsts.end(), [&](const Endpoint& a, const Endpoint& b) {
+    if (a.key < b.key) return true;
+    if (b.key < a.key) return false;
+    return slices[b.slice].last < slices[a.slice].last;
+  });
+  std::sort(lasts.begin(), lasts.end(),
+            [](const Endpoint& a, const Endpoint& b) { return a.key < b.key; });
+  std::vector<RankBounds>& bounds = scratch->bounds;
+  bounds.resize(m);
+
+  // In first order. min_rank(S) = 1 + Σ defBelow(T, f_S): every slice whose
+  // last is below f_S lies wholly below it, and every other slice whose
+  // first is below f_S (f_T < f_S <= l_T) has just that first event surely
+  // below. Slices with firsts below f_S number `run_start`, the start of
+  // f_S's run of equal firsts; `lasts_below` of them end below f_S.
+  //
+  // The classes ride along: `hull` is the slice with the largest last seen
+  // so far. A slice ending at or before the hull's last is covered; one that
+  // starts at or before it overlaps the hull partially, making both
+  // compound. A hull is counted once a slice ending later replaces it.
+  *classes = SliceClassCounts{};
+  size_t run_start = 0;
+  size_t lasts_below = 0;
+  uint64_t weight_below = 0;
+  size_t hull = firsts[0].slice;
+  bool hull_compound = false;
+  for (size_t p = 0; p < m; ++p) {
+    const Event& f = firsts[p].key;
+    if (p > 0 && firsts[p - 1].key < f) run_start = p;
+    while (lasts_below < m && lasts[lasts_below].key < f) {
+      weight_below += slices[lasts[lasts_below].slice].count;
+      ++lasts_below;
+    }
+    const size_t i = firsts[p].slice;
+    bounds[i].min_rank = 1 + weight_below + (run_start - lasts_below);
+
+    if (p == 0) continue;
+    const Event& hull_last = slices[hull].last;
+    if (!(hull_last < slices[i].last)) {
+      ++classes->cover;
+      continue;
+    }
+    const bool overlaps = !(hull_last < f);
+    if (overlaps || hull_compound) {
+      ++classes->compound;
+    } else {
+      ++classes->separate;
+    }
+    hull = i;
+    hull_compound = overlaps;
+  }
+  if (hull_compound) {
+    ++classes->compound;
+  } else {
+    ++classes->separate;
+  }
+
+  // In last order. max_rank(S) = Σ possLE(T, l_S): every slice whose first
+  // is at or below l_S may lie wholly at or below it, except for the last
+  // event of each such slice that ends above l_S (f_T <= l_S < l_T). Slices
+  // with lasts at or below l_S number `run_end`, the end of l_S's run of
+  // equal lasts; `firsts_le` slices start at or below it.
+  size_t firsts_le = 0;
+  uint64_t weight_le = 0;
+  for (size_t q = 0; q < m;) {
+    const Event& l = lasts[q].key;
+    size_t run_end = q + 1;
+    while (run_end < m && !(l < lasts[run_end].key)) ++run_end;
+    while (firsts_le < m && !(l < firsts[firsts_le].key)) {
+      weight_le += slices[firsts[firsts_le].slice].count;
+      ++firsts_le;
+    }
+    for (; q < run_end; ++q) {
+      bounds[lasts[q].slice].max_rank = weight_le - (firsts_le - run_end);
+    }
   }
   return Status::OK();
 }
 
 }  // namespace
-
-std::vector<RankBounds> WindowCut::ComputeRankBounds(
-    const std::vector<SliceSynopsis>& slices) {
-  WindowCutScratch scratch;
-  ComputeRankBoundsInto(slices, &scratch);
-  return std::move(scratch.bounds);
-}
-
-Result<WindowCutResult> WindowCut::Select(const std::vector<SliceSynopsis>& slices,
-                                          uint64_t global_size,
-                                          uint64_t target_rank) {
-  return SelectMulti(slices, global_size, {target_rank});
-}
 
 Result<WindowCutResult> WindowCut::SelectMulti(
     const std::vector<SliceSynopsis>& slices, uint64_t global_size,
@@ -192,34 +152,23 @@ Status WindowCut::SelectMultiInto(const std::vector<SliceSynopsis>& slices,
                                   const std::vector<uint64_t>& target_ranks,
                                   WindowCutScratch* scratch,
                                   WindowCutResult* result) {
-  if (target_ranks.empty()) {
-    return Status::InvalidArgument("no target ranks given");
-  }
-  for (uint64_t rank : target_ranks) {
-    DEMA_RETURN_NOT_OK(ValidateInput(slices, global_size, rank));
-  }
-
-  ComputeRankBoundsInto(slices, scratch);
+  DEMA_RETURN_NOT_OK(
+      Identify(slices, global_size, target_ranks, scratch, &result->classes));
   const std::vector<RankBounds>& bounds = scratch->bounds;
 
   result->candidates.clear();
   result->selections.clear();
   result->candidate_event_count = 0;
-  result->classes = ClassifyInto(slices, scratch);
   std::vector<bool>& is_candidate = scratch->is_candidate;
   is_candidate.assign(slices.size(), false);
   for (size_t i = 0; i < slices.size(); ++i) {
     for (uint64_t rank : target_ranks) {
       if (bounds[i].min_rank <= rank && rank <= bounds[i].max_rank) {
         is_candidate[i] = true;
+        result->candidates.push_back(i);
+        result->candidate_event_count += slices[i].count;
         break;
       }
-    }
-  }
-  for (size_t i = 0; i < slices.size(); ++i) {
-    if (is_candidate[i]) {
-      result->candidates.push_back(i);
-      result->candidate_event_count += slices[i].count;
     }
   }
   // Per-rank below counts over excluded slices only: candidates' events are
@@ -237,141 +186,51 @@ Status WindowCut::SelectMultiInto(const std::vector<SliceSynopsis>& slices,
   return Status::OK();
 }
 
-Result<WindowCutResult> WindowCut::SelectTwoSidedScan(
-    const std::vector<SliceSynopsis>& slices, uint64_t global_size,
-    uint64_t target_rank) {
-  DEMA_RETURN_NOT_OK(ValidateInput(slices, global_size, target_rank));
-  std::vector<RankBounds> bounds = ComputeRankBounds(slices);
-
-  // Order by possible start position (Pos_start), then by end for the
-  // mirrored scan (Pos_end).
-  std::vector<size_t> by_start(slices.size()), by_end(slices.size());
-  std::iota(by_start.begin(), by_start.end(), 0);
-  by_end = by_start;
-  std::sort(by_start.begin(), by_start.end(), [&](size_t a, size_t b) {
-    return bounds[a].min_rank < bounds[b].min_rank;
-  });
-  std::sort(by_end.begin(), by_end.end(), [&](size_t a, size_t b) {
-    return bounds[a].max_rank > bounds[b].max_rank;
-  });
-
-  std::vector<bool> is_candidate(slices.size(), false);
-  // Lines 3-9: increasing Pos_start; stop after crossing the quantile
-  // position — every later slice provably starts above the target rank.
-  for (size_t i : by_start) {
-    if (bounds[i].min_rank > target_rank) break;
-    if (bounds[i].max_rank >= target_rank) is_candidate[i] = true;
-  }
-  // Lines 10-16: decreasing Pos_end; stop once slices provably end below the
-  // target rank. (With sound rank intervals this mirrors the left scan; the
-  // paper keeps both directions, and so do we.)
-  for (size_t i : by_end) {
-    if (bounds[i].max_rank < target_rank) break;
-    if (bounds[i].min_rank <= target_rank) is_candidate[i] = true;
-  }
-
-  WindowCutResult result;
-  result.classes = ClassifySlices(slices);
-  RankSelection sel;
-  sel.rank = target_rank;
-  for (size_t i = 0; i < slices.size(); ++i) {
-    if (is_candidate[i]) {
-      result.candidates.push_back(i);
-      result.candidate_event_count += slices[i].count;
-    } else if (bounds[i].max_rank < target_rank) {
-      sel.below_count += slices[i].count;
-    }
-  }
-  result.selections.push_back(sel);
-  return result;
-}
-
 Result<WindowCutResult> WindowCut::SelectNaiveOverlap(
     const std::vector<SliceSynopsis>& slices, uint64_t global_size,
     uint64_t target_rank) {
-  DEMA_RETURN_NOT_OK(ValidateInput(slices, global_size, target_rank));
-
-  // Order slices by first event; the pivot is the slice the target rank lands
-  // in when counts are accumulated in that order (what a synopsis-less
-  // implementation would guess).
-  std::vector<size_t> order(slices.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return slices[a].first < slices[b].first;
-  });
-  uint64_t cum = 0;
-  size_t pivot_pos = order.size();  // sentinel: no slice reached the rank
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    cum += slices[order[pos]].count;
-    if (cum >= target_rank) {
-      pivot_pos = pos;
-      break;
-    }
-  }
-  if (pivot_pos == order.size()) {
-    // ValidateInput guarantees slice counts sum to global_size >= rank, so
-    // the cumulative walk must land; anything else is corrupted synopses.
-    return Status::Internal(
-        "naive selection never reached target rank " +
-        std::to_string(target_rank) + " (cumulative count " +
-        std::to_string(cum) + ")");
-  }
-
-  // Transitive value-overlap closure around the pivot: grow left/right while
-  // intervals intersect the current candidate hull. Slices sorted by `first`
-  // are not sorted by `last`, so the left scan must consult the prefix
-  // maximum of `last` — a wide covering slice far to the left can still
-  // straddle the hull.
-  std::vector<Event> prefix_max_last(order.size());
-  prefix_max_last[0] = slices[order[0]].last;
-  for (size_t pos = 1; pos < order.size(); ++pos) {
-    prefix_max_last[pos] =
-        std::max(prefix_max_last[pos - 1], slices[order[pos]].last);
-  }
-  Event hull_lo = slices[order[pivot_pos]].first;
-  Event hull_hi = slices[order[pivot_pos]].last;
-  size_t lo = pivot_pos, hi = pivot_pos;
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    while (lo > 0 && !(prefix_max_last[lo - 1] < hull_lo)) {
-      --lo;
-      hull_lo = slices[order[lo]].first;  // sorted by first, so this extends left
-      hull_hi = std::max(hull_hi, slices[order[lo]].last);
-      grew = true;
-    }
-    while (hi + 1 < order.size() && !(hull_hi < slices[order[hi + 1]].first)) {
-      ++hi;
-      hull_hi = std::max(hull_hi, slices[order[hi]].last);
-      grew = true;
-    }
-  }
-
+  WindowCutScratch scratch;
   WindowCutResult result;
-  result.classes = ClassifySlices(slices);
-  std::vector<bool> is_candidate(slices.size(), false);
-  for (size_t pos = lo; pos <= hi; ++pos) is_candidate[order[pos]] = true;
+  DEMA_RETURN_NOT_OK(
+      Identify(slices, global_size, {target_rank}, &scratch, &result.classes));
 
-  // The closure is value-disjoint from everything outside it, so excluded
-  // slices sit entirely below hull_lo or entirely above hull_hi; exactness
-  // holds with the same below-count selection rule.
-  RankSelection sel;
-  sel.rank = target_rank;
-  for (size_t i = 0; i < slices.size(); ++i) {
+  // Slices in first order fall into value-disjoint components, split where a
+  // slice starts above every earlier slice's last. The pivot is the slice the
+  // target rank lands in when counts are accumulated in that order (what a
+  // synopsis-less implementation would guess); the candidates are its
+  // component, the transitive value-overlap closure around it. Validation
+  // makes the counts sum to global_size >= target_rank, so the walk lands.
+  const std::vector<Endpoint>& order = scratch.firsts;
+  const size_t m = order.size();
+  size_t lo = 0;  // the pivot's component is order[lo, hi)
+  size_t hi = 0;
+  Event reach = order[0].key;
+  uint64_t cum = 0;
+  uint64_t below = 0;
+  for (; hi < m; ++hi) {
+    if (reach < order[hi].key) {
+      if (cum >= target_rank) break;
+      lo = hi;
+      below = cum;
+    }
+    reach = std::max(reach, slices[order[hi].slice].last);
+    cum += slices[order[hi].slice].count;
+  }
+
+  // The component is value-disjoint from everything outside it: the slices
+  // before it lie entirely below, those after it entirely above, so
+  // exactness holds with the same below-count selection rule.
+  std::vector<bool>& is_candidate = scratch.is_candidate;
+  is_candidate.assign(m, false);
+  for (size_t pos = lo; pos < hi; ++pos) is_candidate[order[pos].slice] = true;
+  for (size_t i = 0; i < m; ++i) {
     if (is_candidate[i]) {
       result.candidates.push_back(i);
       result.candidate_event_count += slices[i].count;
-    } else if (slices[i].last < hull_lo) {
-      sel.below_count += slices[i].count;
     }
   }
-  result.selections.push_back(sel);
+  result.selections.push_back(RankSelection{target_rank, below});
   return result;
-}
-
-SliceClassCounts WindowCut::ClassifySlices(const std::vector<SliceSynopsis>& slices) {
-  WindowCutScratch scratch;
-  return ClassifyInto(slices, &scratch);
 }
 
 }  // namespace dema::core

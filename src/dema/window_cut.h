@@ -55,19 +55,18 @@ struct WindowCutResult {
 /// \brief Reusable buffers for `WindowCut::SelectMultiInto`, so a caller
 /// that cuts many windows (the root core) allocates only while they grow.
 struct WindowCutScratch {
-  /// One slice boundary (first or last event) and its slice's count.
-  struct KeyWeight {
+  /// One slice endpoint (its first or last event) and the slice's index.
+  struct Endpoint {
     Event key;
-    uint64_t weight = 0;
+    size_t slice = 0;
   };
-  std::vector<KeyWeight> firsts;
-  std::vector<KeyWeight> lasts;
-  std::vector<uint64_t> first_prefix;
-  std::vector<uint64_t> last_prefix;
+  /// Every slice's first event, ascending; equal firsts put the slice with
+  /// the later last first, so a covering slice precedes those it covers.
+  std::vector<Endpoint> firsts;
+  /// Every slice's last event, ascending.
+  std::vector<Endpoint> lasts;
+  /// Each slice's possible global-rank interval, by input index.
   std::vector<RankBounds> bounds;
-  std::vector<size_t> order;
-  std::vector<bool> covered;
-  std::vector<bool> overlapped;
   std::vector<bool> is_candidate;
 };
 
@@ -77,27 +76,22 @@ struct WindowCutScratch {
 /// Guarantees: (i) every slice that can contain a target rank is a candidate;
 /// (ii) every excluded slice lies entirely below or entirely above each
 /// target rank, so `RankSelection::below_count` turns a global rank into an
-/// exact rank among the merged candidate events. Runs in O(m log m) for m
-/// slices.
+/// exact rank among the merged candidate events. Sorts the slices' firsts and
+/// lasts once each, then finds every rank bound and slice class in one sweep
+/// per order: O(m log m) for m slices.
 class WindowCut {
  public:
-  /// Computes each slice's possible global-rank interval. \p global_size must
-  /// equal the sum of slice counts.
-  static std::vector<RankBounds> ComputeRankBounds(
-      const std::vector<SliceSynopsis>& slices);
-
-  /// Selects candidates for a single target rank in [1, global_size].
-  static Result<WindowCutResult> Select(const std::vector<SliceSynopsis>& slices,
-                                        uint64_t global_size, uint64_t target_rank);
-
   /// Selects candidates for several target ranks at once (multi-quantile
-  /// queries share one identification step). Ranks need not be sorted.
+  /// queries share one identification step), each in [1, global_size].
+  /// Ranks need not be sorted. \p global_size must equal the sum of slice
+  /// counts.
   static Result<WindowCutResult> SelectMulti(
       const std::vector<SliceSynopsis>& slices, uint64_t global_size,
       const std::vector<uint64_t>& target_ranks);
 
   /// `SelectMulti` writing into \p out (its buffers are reused) with
-  /// temporaries in \p scratch.
+  /// temporaries in \p scratch; `scratch->bounds` then holds every slice's
+  /// rank bounds.
   static Status SelectMultiInto(const std::vector<SliceSynopsis>& slices,
                                 uint64_t global_size,
                                 const std::vector<uint64_t>& target_ranks,
@@ -111,20 +105,6 @@ class WindowCut {
   static Result<WindowCutResult> SelectNaiveOverlap(
       const std::vector<SliceSynopsis>& slices, uint64_t global_size,
       uint64_t target_rank);
-
-  /// Literal transcription of the paper's Algorithm 1 control flow: order
-  /// slices by their start position, scan from the left edge adding slices
-  /// whose possible range reaches the target, break once a slice provably
-  /// starts past it; then the mirrored scan from the right edge. Produces
-  /// the same candidate set as `Select` (a property test asserts this); kept
-  /// as the reference implementation of the paper's pseudocode and as the
-  /// early-exit variant for very large slice counts.
-  static Result<WindowCutResult> SelectTwoSidedScan(
-      const std::vector<SliceSynopsis>& slices, uint64_t global_size,
-      uint64_t target_rank);
-
-  /// Classifies slices into separate / compound / cover (diagnostics).
-  static SliceClassCounts ClassifySlices(const std::vector<SliceSynopsis>& slices);
 };
 
 }  // namespace dema::core

@@ -146,6 +146,11 @@ TEST(ValidateSynopsis, NonStrictKeepsStructuralRulesOnly) {
   SynopsisBatch bad = b;
   bad.local_window_size = 70;
   EXPECT_STREQ(ValidateSynopsisBatch(bad, relay, false), "size_mismatch");
+  // Counts that reach the declared size only by wrapping past 2^64.
+  SynopsisBatch wrapped = b;
+  wrapped.slices[0].count = 1ull << 63;
+  wrapped.slices[1].count = (1ull << 63) + 7;
+  EXPECT_STREQ(ValidateSynopsisBatch(wrapped, relay, false), "size_mismatch");
 }
 
 TEST(ValidateReply, AcceptsHonestAndRejectsTamperedRuns) {
@@ -510,7 +515,8 @@ TEST_F(QuarantineRootTest, ProbationReadmitsCleanLocalAndRelapsesOffender) {
 
 // ---------------------------------------------------------------------------
 // The events form of a γ = 2 batch: a malformed one is rejected and counted
-// at the root and at a relay, and never fails the node.
+// at the root and at a relay, and never fails the node. So is a slices-form
+// batch whose slice counts only sum to its size by wrapping past 2^64.
 // ---------------------------------------------------------------------------
 
 /// An events-form `SynopsisBatch` payload from node 1 for window 0:
@@ -574,6 +580,18 @@ TEST(EventsFormRejection, RootAndRelayCountEachMalformedBatch) {
                      EventsFormPayload(4, sorted, codec, kSynopsisEventsForm,
                                        /*gamma=*/4),
                      "decode"});
+  }
+  {
+    // 2^63 + (2^63 + 4) wraps to the declared 4 events.
+    SynopsisBatch wrapped;
+    wrapped.node = 1;
+    wrapped.local_window_size = 4;
+    wrapped.gamma_used = 4;
+    wrapped.slices = {SliceSynopsis{1, 0, Ev(1, 1, 0), Ev(2, 1, 1), 1ull << 63},
+                      SliceSynopsis{1, 1, Ev(3, 1, 2), Ev(4, 1, 3), (1ull << 63) + 4}};
+    net::Writer w;
+    wrapped.SerializeTo(&w);
+    cases.push_back({"slice counts that wrap", w.TakeBuffer(), "decode"});
   }
 
   RealClock clock;
