@@ -1,9 +1,9 @@
-// Perf-regression harness: one pinned workload, run inline (workers=0),
-// threaded (workers=2), and over the epoll TCP transport on loopback
-// sockets, with the numbers CI tracks written to BENCH_dema.json. No
-// pass/fail thresholds here — CI compares the recorded events/s fields
-// against the committed baseline (>20% regression fails the perf-smoke job)
-// and uploads the artifact for humans to diff across commits.
+// Perf-regression harness: one pinned workload, run in-process (inline) and
+// over the epoll TCP transport on loopback sockets, with the numbers CI
+// tracks written to BENCH_dema.json. No pass/fail thresholds here — CI
+// compares the recorded events/s fields against the committed baseline
+// (>20% regression fails the perf-smoke job) and uploads the artifact for
+// humans to diff across commits.
 //
 //   perf_regress [--locals=4] [--windows=8] [--rate=50000] [--gamma=2000]
 //                [--workers=2] [--out=BENCH_dema.json]
@@ -15,8 +15,9 @@
 //
 // A second, keyed section runs the multi-tenant sharded service across key
 // counts 1 / 1k / 100k with a fixed total event budget (--keyed-events,
-// split evenly across keys) and reports ingest events/s and wire
-// bytes-per-window — the per-tenant batching overhead CI tracks.
+// split evenly across keys) on --workers shard threads, and reports ingest
+// events/s and wire bytes-per-window — the per-tenant batching overhead CI
+// tracks.
 
 #include <algorithm>
 #include <chrono>
@@ -59,14 +60,11 @@ struct ModeResult {
   }
 };
 
-ModeResult RunMode(const std::string& mode, size_t workers,
-                   const sim::SystemConfig& base,
-                   const sim::WorkloadConfig& load) {
-  sim::SystemConfig config = base;
-  config.workers = workers;
+ModeResult RunInline(const sim::SystemConfig& config,
+                     const sim::WorkloadConfig& load) {
   ModeResult result;
-  result.mode = mode;
-  result.metrics = bench::Unwrap(sim::RunSync(config, load), mode.c_str());
+  result.mode = "inline";
+  result.metrics = bench::Unwrap(sim::RunSync(config, load), "inline");
 
   const obs::Registry& registry = *result.metrics.registry;
   if (const obs::Histogram* h = registry.FindHistogram("root.select_us")) {
@@ -291,8 +289,7 @@ int main(int argc, char** argv) {
   sim::WorkloadConfig load = sim::MakeUniformWorkload(
       locals, windows, rate, bench::SensorDistribution());
 
-  ModeResult inline_run = RunMode("inline", 0, config, load);
-  ModeResult threaded_run = RunMode("threaded", workers, config, load);
+  ModeResult inline_run = RunInline(config, load);
   ModeResult tcp_run = RunTcpMode("tcp", config, load);
   // The resilient TCP path: heartbeats probing every connection, cumulative
   // acks per read pass, every data frame retained until acked. Its events/s
@@ -307,7 +304,7 @@ int main(int argc, char** argv) {
                "select total ms", "select p99 us", "win p99 ms",
                "peak retained", "bytes/event"});
   for (const ModeResult* r :
-       {&inline_run, &threaded_run, &tcp_run, &tcp_hb_run}) {
+       {&inline_run, &tcp_run, &tcp_hb_run}) {
     bench::UnwrapStatus(
         table.AddRow({r->mode, FmtCount(r->metrics.events_ingested),
                       FmtF(r->metrics.throughput_eps, 0),
@@ -370,9 +367,7 @@ int main(int argc, char** argv) {
       .Field("windows", windows)
       .Field("rate", rate)
       .Field("gamma", gamma)
-      .Field("threaded_workers", static_cast<uint64_t>(workers))
       .RawField("inline", ModeJson(inline_run))
-      .RawField("threaded", ModeJson(threaded_run))
       .RawField("tcp", ModeJson(tcp_run))
       .RawField("tcp_resilient", ModeJson(tcp_hb_run));
   for (const KeyedResult& r : keyed) {

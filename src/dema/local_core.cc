@@ -35,27 +35,6 @@ void SetGamma(LocalStream* s, net::WindowId from, uint64_t gamma) {
   }
 }
 
-/// One closed window's close-time work — the slice order and the slice cut —
-/// on whichever thread runs it. A window the tiny-window rule covers is cut
-/// at γ = 2 (`CutAtGammaTwo`).
-PreparedWindow Prepare(net::WindowId id, uint64_t gamma, NodeId node,
-                       net::EventCodec reply_codec, std::vector<Event> events) {
-  PreparedWindow prepared;
-  prepared.id = id;
-  prepared.gamma = gamma;
-  if (events.empty()) return prepared;
-  if (CutAtGammaTwo(events.size(), gamma, reply_codec)) prepared.gamma = 2;
-  stream::OrderSlices(&events, prepared.gamma);
-  auto slices = CutIntoSlices(events, node, prepared.gamma);
-  if (!slices.ok()) {
-    prepared.status = slices.status();
-    return prepared;
-  }
-  prepared.slices = std::move(slices).MoveValueUnsafe();
-  prepared.events = std::move(events);
-  return prepared;
-}
-
 /// Checkpoint framing: magic + version guard against foreign blobs.
 /// Version 2 added the oldest-known effective γ after the schedule entries.
 constexpr uint32_t kCheckpointMagic = 0xDE3AC4B1;
@@ -126,65 +105,35 @@ Status LocalCore::OnWatermark(LocalStream* s, TimestampUs watermark_us,
       events = std::move(closed[next_closed].events);
       ++next_closed;
     }
-    // γ resolves against the emission frontier, at submission on the async
-    // path — exactly when the inline path resolves it — so threaded and
-    // inline runs cut the same slices.
-    const uint64_t gamma = GammaForWindow(*s, id);
-    if (options_.executor == nullptr) {
-      // Inline path: orders, cuts and ships one window on this thread.
-      DEMA_RETURN_NOT_OK(ShipPrepared(
-          s,
-          Prepare(id, gamma, options_.id, options_.reply_codec,
-                  std::move(events)),
-          sink));
-    } else if (events.empty()) {
-      // Empty windows skip the pool with an already-satisfied future,
-      // keeping the in-flight closes strictly sequenced by window id.
-      std::promise<PreparedWindow> ready;
-      ready.set_value(
-          Prepare(id, gamma, options_.id, options_.reply_codec, {}));
-      s->inflight_closes.push_back(ready.get_future());
-    } else {
-      s->inflight_closes.push_back(options_.executor->Submit(
-          [id, gamma, node = options_.id, codec = options_.reply_codec,
-           events = std::move(events)]() mutable {
-            return Prepare(id, gamma, node, codec, std::move(events));
-          }));
-    }
-  }
-  // The executor path ships nothing here: `Quiesce` ships every prepared
-  // window at one point in the caller's schedule, whatever the pool timing.
-  return Status::OK();
-}
-
-Status LocalCore::Quiesce(LocalStream* s, LocalSink* sink) {
-  while (!s->inflight_closes.empty()) {
-    PreparedWindow prepared = s->inflight_closes.front().get();
-    s->inflight_closes.erase(s->inflight_closes.begin());
-    DEMA_RETURN_NOT_OK(ShipPrepared(s, std::move(prepared), sink));
+    DEMA_RETURN_NOT_OK(
+        ShipWindow(s, id, GammaForWindow(*s, id), std::move(events), sink));
   }
   return Status::OK();
 }
 
-Status LocalCore::ShipPrepared(LocalStream* s, PreparedWindow prepared,
-                               LocalSink* sink) {
-  DEMA_RETURN_NOT_OK(prepared.status);
+Status LocalCore::ShipWindow(LocalStream* s, net::WindowId id, uint64_t gamma,
+                             std::vector<Event> events, LocalSink* sink) {
   SynopsisBatch batch;
-  batch.window_id = prepared.id;
+  if (!events.empty()) {
+    // A window the tiny-window rule covers is cut at γ = 2.
+    if (CutAtGammaTwo(events.size(), gamma, options_.reply_codec)) gamma = 2;
+    stream::OrderSlices(&events, gamma);
+    DEMA_ASSIGN_OR_RETURN(batch.slices,
+                          CutIntoSlices(events, options_.id, gamma));
+  }
+  batch.window_id = id;
   batch.node = options_.id;
-  batch.local_window_size = prepared.events.size();
+  batch.local_window_size = events.size();
   batch.gamma_used =
-      static_cast<uint32_t>(std::min<uint64_t>(prepared.gamma, UINT32_MAX));
+      static_cast<uint32_t>(std::min<uint64_t>(gamma, UINT32_MAX));
   batch.close_time_us = clock_->NowUs();
-  batch.slices = std::move(prepared.slices);
   batch.codec = options_.reply_codec;
   // The root reads every slice of ≤ 2 events from its synopsis, so only a
   // window holding a larger slice can ever be asked for its events.
   if (Retained(batch.slices)) {
-    AddRetained(1, static_cast<int64_t>(prepared.events.size()));
-    s->kept.insert(KeptAt(s, prepared.id),
-                   KeptWindow{prepared.id, prepared.gamma, false,
-                              std::move(prepared.events)});
+    AddRetained(1, static_cast<int64_t>(events.size()));
+    s->kept.insert(KeptAt(s, id),
+                   KeptWindow{id, gamma, false, std::move(events)});
   }
   DEMA_RETURN_NOT_OK(sink->SendSynopsis(batch));
   c_windows_shipped_->Increment();

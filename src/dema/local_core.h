@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/clock.h"
 #include "dema/protocol.h"
-#include "exec/executor.h"
 #include "obs/registry.h"
 #include "stream/window_manager.h"
 
@@ -36,15 +34,6 @@ struct DemaLocalNodeOptions {
   /// owns a private registry (reachable via `registry()`). Must outlive the
   /// node when provided.
   obs::Registry* registry = nullptr;
-  /// Worker pool for closed-window sort+slice. When set, `OnWatermark` only
-  /// submits each closed window, so the close-time slice order and cut of
-  /// many windows and nodes run in parallel on the pool, and `Quiesce` ships
-  /// every submitted window in window-id order. When null (default), windows
-  /// are prepared and shipped inline by `OnWatermark`. The synopses leave in
-  /// the same order either way, so a caller that quiesces where the inline
-  /// path would have shipped gets byte-identical output. Must outlive the
-  /// node when provided; may be shared between nodes.
-  exec::Executor* executor = nullptr;
 };
 
 /// \brief Where the local core's outbound payloads go.
@@ -60,18 +49,6 @@ class LocalSink {
 
  protected:
   ~LocalSink() = default;
-};
-
-/// One window's close-time work product: everything a worker computes off
-/// the ingest thread, sequenced back into window-id order before shipping.
-struct PreparedWindow {
-  net::WindowId id = 0;
-  uint64_t gamma = 0;
-  /// The window's events, slice-ordered for `gamma` (`stream::OrderSlices`).
-  std::vector<Event> events;
-  std::vector<SliceSynopsis> slices;
-  /// Slice-cut failure, surfaced when the window ships.
-  Status status;
 };
 
 /// A shipped window kept for candidate serving, together with the γ it was
@@ -104,10 +81,6 @@ struct LocalStream {
   /// older than every remaining schedule entry. Survives checkpoints.
   uint64_t oldest_known_gamma;
   net::WindowId next_window_to_emit = 0;
-  /// Futures for submitted window closes, in window-id (== submission)
-  /// order; `Quiesce` ships them front to back, so synopses leave in id order
-  /// no matter how the pool reorders completions.
-  std::vector<std::future<PreparedWindow>> inflight_closes;
 
   /// A fresh stream for a core with options \p o.
   explicit LocalStream(const DemaLocalNodeOptions& o);
@@ -132,7 +105,7 @@ struct LocalStream {
 /// window id.
 ///
 /// Holds what streams share — options, cached `local.*{node=N}` instruments,
-/// clock, executor, scratch and the node's retained-memory totals — and
+/// clock, scratch and the node's retained-memory totals — and
 /// works on one `LocalStream` per call. It has no transport: payloads leave
 /// through a `LocalSink`.
 ///
@@ -165,16 +138,9 @@ class LocalCore {
   }
   /// Ships synopses for every window id of \p s the watermark closed —
   /// including empty windows — and retains the events of those holding a
-  /// slice of more than two events. With an executor,
-  /// only submits the sort+slice per window; `Quiesce` ships them.
+  /// slice of more than two events. Each window is slice-ordered, cut and
+  /// shipped before the next, in window-id order.
   Status OnWatermark(LocalStream* s, TimestampUs watermark_us, LocalSink* sink);
-  /// Blocks until every executor-submitted window close of \p s has been
-  /// prepared, then ships their synopses in window-id order (no-op without
-  /// an executor or when nothing is in flight). With an executor, call after
-  /// every `OnWatermark` that should ship — the pump does, per node, after
-  /// draining its inbox — and before `Checkpoint`, which must not race
-  /// in-flight closes. Idempotent.
-  Status Quiesce(LocalStream* s, LocalSink* sink);
   /// Decodes and applies one payload of type \p type (candidate request, γ
   /// update or shutdown).
   Status OnPayload(LocalStream* s, net::MessageType type,
@@ -211,10 +177,11 @@ class LocalCore {
   uint64_t events_ingested() const { return c_events_ingested_->Value(); }
 
  private:
-  /// Sends one prepared window's synopsis batch, retains its events, and
-  /// prunes the γ schedule (common tail of both paths).
-  Status ShipPrepared(LocalStream* s, PreparedWindow prepared,
-                      LocalSink* sink);
+  /// Slice-orders and cuts closed window \p id of \p s (its \p events at
+  /// slice factor \p gamma), sends its synopsis batch, retains its events,
+  /// and prunes the γ schedule.
+  Status ShipWindow(LocalStream* s, net::WindowId id, uint64_t gamma,
+                    std::vector<Event> events, LocalSink* sink);
   Status HandleCandidateRequest(LocalStream* s, const CandidateRequest& req,
                                 LocalSink* sink);
   /// Applies a change of the retained totals to the gauges and raises the

@@ -27,8 +27,7 @@ class DemaLocalNode final : public sim::LocalNodeLogic, private LocalSink {
     return core_.OnWatermark(&stream_, watermark_us, this);
   }
   Status OnFinish(TimestampUs final_watermark_us) override {
-    DEMA_RETURN_NOT_OK(OnWatermark(final_watermark_us));
-    return Quiesce();
+    return OnWatermark(final_watermark_us);
   }
   Status OnMessage(const net::Message& msg) override {
     if (dedup_.IsDuplicate(msg.src, msg.seq)) {
@@ -42,7 +41,6 @@ class DemaLocalNode final : public sim::LocalNodeLogic, private LocalSink {
   }
 
   // The `LocalCore` calls and accessors, on this node's one stream.
-  Status Quiesce() override { return core_.Quiesce(&stream_, this); }
   Status ResyncGamma() { return core_.ResyncGamma(this); }
   uint64_t GammaForWindow(net::WindowId id) const {
     return core_.GammaForWindow(stream_, id);

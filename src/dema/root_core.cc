@@ -599,14 +599,22 @@ Status RootCore::HandleSynopsisBatch(RootStream* s, const SynopsisBatch& batch,
     c_duplicates_ignored_->Increment();
     return Status::OK();
   }
-  s->any_window_seen = true;
-  s->highest_window_seen = std::max(s->highest_window_seen, batch.window_id);
-  const bool fresh = FindPending(s, batch.window_id) == nullptr;
-  PendingWindow* w = GetOrCreatePending(s, batch.window_id);
-  if (fresh) StampTrace(&w->trace.first_synopsis_us);
-  if (w->Has(idx, PendingWindow::kSynopsis)) {
+  PendingWindow* w = FindPending(s, batch.window_id);
+  if (w != nullptr && w->Has(idx, PendingWindow::kSynopsis)) {
     c_duplicates_ignored_->Increment();
     return Status::OK();
+  }
+  if (w != nullptr &&
+      batch.local_window_size > UINT64_MAX - w->global_size) {
+    // Each size passed validation alone, but no honest set of windows sums
+    // past 64 bits; a wrapped sum would corrupt every rank of the window.
+    return RejectPayload(s, src, "size_mismatch", sink);
+  }
+  s->any_window_seen = true;
+  s->highest_window_seen = std::max(s->highest_window_seen, batch.window_id);
+  if (w == nullptr) {
+    w = GetOrCreatePending(s, batch.window_id);
+    StampTrace(&w->trace.first_synopsis_us);
   }
   w->Set(idx, PendingWindow::kSynopsis);
   if (w->synopses_received == 0) w->gamma_used = batch.gamma_used;

@@ -34,12 +34,12 @@ struct ExecutorOptions {
 
 /// \brief Fixed-size worker pool with a bounded task queue and futures.
 ///
-/// The data-plane offload point: local nodes submit the sort+slice of each
-/// closed window here so the ingest thread never blocks on close-time work.
-/// `Submit` is thread-safe and returns a `std::future` for the task's result;
-/// completion order is whatever the pool produces — callers that need ordered
-/// effects sequence the futures themselves (see `LocalCore::Quiesce`, which
-/// ships a stream's closes in window-id order).
+/// The pool the sharded root service's shard strands run on
+/// (`shard::ShardedRootService`). `Submit` is thread-safe and returns a
+/// `std::future` for the task's result; completion order is whatever the
+/// pool produces — callers that need ordered effects sequence the tasks
+/// themselves (each strand runs its shard's tasks one at a time, in post
+/// order).
 ///
 /// Instruments (in the configured registry):
 ///   exec.workers            gauge     pool size

@@ -14,7 +14,7 @@ Status ValidateShardedConfig(const ShardedConfig& config) {
   if (config.num_keys == 0) {
     return Status::InvalidArgument("key count must be at least 1");
   }
-  if (config.workers == 0 && config.executor == nullptr) {
+  if (config.workers == 0) {
     return Status::InvalidArgument(
         "worker count must be at least 1 (shards run on the executor pool; "
         "0 would silently clamp to 1 inside exec::ExecutorOptions)");

@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "dema/root_core.h"
-#include "exec/executor.h"
 #include "net/codec.h"
 #include "net/keyed.h"
 #include "obs/registry.h"
@@ -52,10 +51,6 @@ struct ShardedConfig {
   /// and keyed locals theirs `{node=N}`, so one registry aggregates per
   /// shard and per local. When null the service and each local own one.
   obs::Registry* registry = nullptr;
-
-  /// Caller-owned executor for the shard strands; overrides `workers` when
-  /// set. Must outlive the service.
-  exec::Executor* executor = nullptr;
 };
 
 /// \brief Validates \p config. Fail-fast: zero shard/key/worker/local counts

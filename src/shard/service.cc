@@ -8,30 +8,22 @@ ShardedRootService::ShardedRootService(ShardedConfig config,
     : config_(std::move(config)),
       transport_(transport),
       init_status_(ValidateShardedConfig(config_)),
+      owned_registry_(config_.registry == nullptr
+                          ? std::make_unique<obs::Registry>()
+                          : nullptr),
+      registry_(config_.registry == nullptr ? owned_registry_.get()
+                                            : config_.registry),
+      executor_(exec::ExecutorOptions{
+          .workers = init_status_.ok() ? config_.workers : 1,
+          .registry = registry_}),
       store_(init_status_.ok() ? config_.num_shards : 1,
              init_status_.ok() ? config_.num_keys : 1, config_.quantiles) {
-  if (config_.registry == nullptr) {
-    owned_registry_ = std::make_unique<obs::Registry>();
-    registry_ = owned_registry_.get();
-  } else {
-    registry_ = config_.registry;
-  }
   c_queries_ = registry_->GetCounter("shard.queries");
   c_query_errors_ = registry_->GetCounter("shard.query_errors");
   c_bad_frame_ = registry_->GetCounter("shard.service.bad_frame");
   c_reply_send_failures_ =
       registry_->GetCounter("shard.reply_send_failures");
   if (!init_status_.ok()) return;
-
-  if (config_.executor != nullptr) {
-    executor_ = config_.executor;
-  } else {
-    exec::ExecutorOptions exec_opts;
-    exec_opts.workers = config_.workers;
-    exec_opts.registry = registry_;
-    owned_executor_ = std::make_unique<exec::Executor>(exec_opts);
-    executor_ = owned_executor_.get();
-  }
 
   shards_.reserve(config_.num_shards);
   strands_.reserve(config_.num_shards);
@@ -87,7 +79,7 @@ void ShardedRootService::Post(uint32_t s, std::function<Status()> fn) {
     }
   }
   if (schedule) {
-    executor_->Submit([this, s] { RunStrand(s); });
+    executor_.Submit([this, s] { RunStrand(s); });
   }
 }
 

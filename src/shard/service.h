@@ -88,9 +88,7 @@ class ShardedRootService final : public sim::RootNodeLogic {
   const RootShard& shard(uint32_t s) const { return *shards_[s]; }
 
  private:
-  /// One shard's serialized task queue. Tasks run on the executor (or inline
-  /// on the posting thread when no executor exists — not configurable today,
-  /// but keeps the strand logic self-contained).
+  /// One shard's serialized task queue, drained on the executor.
   struct Strand {
     std::mutex mu;
     std::condition_variable idle_cv;
@@ -112,8 +110,7 @@ class ShardedRootService final : public sim::RootNodeLogic {
   Status init_status_;
   std::unique_ptr<obs::Registry> owned_registry_;
   obs::Registry* registry_;
-  std::unique_ptr<exec::Executor> owned_executor_;
-  exec::Executor* executor_ = nullptr;
+  exec::Executor executor_;
   ResultStore store_;
   std::vector<std::unique_ptr<RootShard>> shards_;
   std::vector<std::unique_ptr<Strand>> strands_;

@@ -46,7 +46,6 @@ class IngestAdapter final : public LocalNodeLogic {
   }
   Status OnFinish(TimestampUs final_watermark_us) override;
   Status OnMessage(const net::Message& msg) override;
-  Status Quiesce() override { return inner_->Quiesce(); }
 
   /// Events ingested from stream-node batches.
   uint64_t events_ingested() const { return events_ingested_; }

@@ -43,11 +43,10 @@ class NodeLogic {
   /// Handles one message from this node's inbox.
   virtual Status OnMessage(const net::Message& msg) = 0;
 
-  /// Blocks until the node's asynchronous work has settled and everything
-  /// it produced is on the transport (no-op for nodes without a worker
-  /// pool). The in-process pump calls it after each drain of the node's
-  /// inbox, so a threaded run produces the exact message sequence of an
-  /// inline run; real-time runners only need it before checkpoints.
+  /// The sharded root service's strand barrier: blocks until its shard
+  /// strands are idle, so what they sent is on the transport. A no-op for
+  /// every other node. The in-process pump calls it after each drain of the
+  /// node's inbox.
   virtual Status Quiesce() { return Status::OK(); }
 };
 

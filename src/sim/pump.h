@@ -41,13 +41,13 @@ std::vector<PumpNode> SystemPumpNodes(
 ///
 /// One round drains the inbox of each of \p nodes, in the order given, and
 /// then calls the node's `Quiesce` (never charged to its busy time), so the
-/// sends of a node's worker pool land before the next node is drained. After
-/// a round that delivered nothing and left every pumped inbox empty, the
-/// fabric advances its virtual clock by one tick when hop events are pending
-/// (event-driven delivery), or else releases the held-back delayed messages
-/// (quiescence means their delay has "elapsed"). Returns once a round finds
-/// every pumped inbox empty with nothing pending in events or delays. Fails
-/// on the first node error.
+/// sends of the sharded root's strands land before the next node is drained.
+/// After a round that delivered nothing and left every pumped inbox empty,
+/// the fabric advances its virtual clock by one tick when hop events are
+/// pending (event-driven delivery), or else releases the held-back delayed
+/// messages (quiescence means their delay has "elapsed"). Returns once a
+/// round finds every pumped inbox empty with nothing pending in events or
+/// delays. Fails on the first node error.
 Status PumpToQuiescence(net::Network* network,
                         const std::vector<PumpNode>& nodes);
 

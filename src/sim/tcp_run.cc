@@ -326,19 +326,8 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
   DEMA_ASSIGN_OR_RETURN(auto transport,
                         DialRoot(id, options, config.registry));
 
-  // Process-local worker pool for this node's closed-window sort+slice
-  // (declared before the logic so it outlives the node at teardown).
-  std::unique_ptr<exec::Executor> executor;
-  SystemConfig local_config = config;
-  if (config.executor == nullptr && config.workers > 0) {
-    exec::ExecutorOptions exec_opts;
-    exec_opts.workers = config.workers;
-    exec_opts.registry = config.registry;
-    executor = std::make_unique<exec::Executor>(exec_opts);
-    local_config.executor = executor.get();
-  }
-  DEMA_ASSIGN_OR_RETURN(
-      auto logic, BuildLocalLogic(local_config, id, transport.get(), &clock));
+  DEMA_ASSIGN_OR_RETURN(auto logic,
+                        BuildLocalLogic(config, id, transport.get(), &clock));
   DEMA_ASSIGN_OR_RETURN(auto gen,
                         gen::StreamGenerator::Create(workload.generators[id - 1]));
   DEMA_ASSIGN_OR_RETURN(core::DemaLocalNode * dema_local,
@@ -364,13 +353,6 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
       static_cast<TimestampUs>(workload.num_windows) * workload.window_len_us;
   LocalInbox inbox(transport.get(), id, logic.get(), options.timeout_us);
 
-  // No pump runs here, so a threaded local quiesces right after each
-  // watermark: each window still ships at its boundary, as inline.
-  auto advance = [&](TimestampUs watermark_us) -> Status {
-    DEMA_RETURN_NOT_OK(logic->OnWatermark(watermark_us));
-    return logic->Quiesce();
-  };
-
   uint64_t count = 0;
   net::WindowId last_window = 0;
   Status run_status = Status::OK();
@@ -378,15 +360,14 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
     Event e = gen->Next();
     net::WindowId wid = assigner.AssignWindow(e.timestamp);
     if (wid != last_window) {
-      run_status = advance(e.timestamp);
+      run_status = logic->OnWatermark(e.timestamp);
       if (!run_status.ok()) break;
       last_window = wid;
       if (!options.checkpoint_path.empty()) {
         // Snapshot at the boundary, before any event of window `wid` is
         // ingested. The cutoff is the window start: a restored life skips
         // every regenerated event before it and re-feeds `e`, which the
-        // restored watermark (== e.timestamp) accepts as on-time. `advance`
-        // already landed every executor close, so none races the snapshot.
+        // restored watermark (== e.timestamp) accepts as on-time.
         net::Writer w;
         w.PutU64(static_cast<uint64_t>(wid) * workload.window_len_us);
         dema_local->Checkpoint(&w);
@@ -405,7 +386,7 @@ Result<TcpLocalReport> RunTcpLocal(const SystemConfig& config,
     if (!run_status.ok()) break;
     ++count;
     if (count % kWatermarkEvery == 0) {
-      run_status = advance(e.timestamp);
+      run_status = logic->OnWatermark(e.timestamp);
       if (!run_status.ok()) break;
       run_status = inbox.Drain();
       if (!run_status.ok()) break;

@@ -150,7 +150,6 @@ Result<std::unique_ptr<LocalNodeLogic>> BuildLocalLogic(
       opts.initial_gamma = config.gamma;
       opts.reply_codec = config.wire_codec;
       opts.registry = config.registry;
-      opts.executor = config.executor;
       return std::unique_ptr<LocalNodeLogic>(
           std::make_unique<core::DemaLocalNode>(opts, transport, clock));
     }
@@ -210,21 +209,10 @@ Result<System> BuildSystem(const SystemConfig& config, net::Network* network,
     DEMA_RETURN_NOT_OK(network->RegisterNode(id));
   }
 
-  // One system-owned worker pool shared by every local node (the caller can
-  // instead supply its own via config.executor, which wins).
-  SystemConfig local_config = config;
-  if (config.executor == nullptr && config.workers > 0) {
-    exec::ExecutorOptions exec_opts;
-    exec_opts.workers = config.workers;
-    exec_opts.registry = config.registry;
-    system.executor = std::make_shared<exec::Executor>(exec_opts);
-    local_config.executor = system.executor.get();
-  }
-
   DEMA_ASSIGN_OR_RETURN(system.root, BuildRootLogic(config, network, clock));
   for (NodeId id : system.local_ids) {
     DEMA_ASSIGN_OR_RETURN(auto local,
-                          BuildLocalLogic(local_config, id, network, clock));
+                          BuildLocalLogic(config, id, network, clock));
     system.locals.push_back(std::move(local));
   }
   return system;

@@ -8,7 +8,6 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "dema/root_node.h"
-#include "exec/executor.h"
 #include "net/codec.h"
 #include "net/network.h"
 #include "obs/registry.h"
@@ -64,17 +63,6 @@ struct SystemConfig {
   /// Dema root deadlines, retries and quarantine.
   core::RootRecoveryOptions recovery;
 
-  // --- parallel data plane (Dema local nodes) ---
-  /// Executor worker threads for closed-window sort+slice. 0 (default) keeps
-  /// the inline close path (everything on the ingest thread); >= 1 makes
-  /// `BuildSystem` create a pool (owned by the returned `System`) shared by
-  /// all Dema local nodes. Outputs are byte-identical either way.
-  size_t workers = 0;
-  /// Caller-owned executor for the local nodes; overrides `workers` when
-  /// set. Must outlive the system. Used by process-per-node runners that
-  /// build local logic without a `System` (e.g. `demactl serve`).
-  exec::Executor* executor = nullptr;
-
   /// Wire encoding for raw-event payloads (candidate replies, forwarded
   /// batches). kCompact roughly halves event bytes at a small CPU cost.
   net::EventCodec wire_codec = net::EventCodec::kFixed;
@@ -103,10 +91,6 @@ struct SystemConfig {
 struct System {
   NodeId root_id = 0;
   std::vector<NodeId> local_ids;
-  /// Worker pool shared by the local nodes when `SystemConfig::workers` > 0
-  /// (null otherwise). Declared before the nodes so it outlives them during
-  /// destruction.
-  std::shared_ptr<exec::Executor> executor;
   std::unique_ptr<RootNodeLogic> root;
   std::vector<std::unique_ptr<LocalNodeLogic>> locals;
   /// Relay tier between the root and the locals (`BuildTreeSystem`): root

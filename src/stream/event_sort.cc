@@ -22,7 +22,7 @@ struct KeyedIndex {
 };
 
 /// Per-thread buffers, kept across calls so a close allocates nothing once
-/// they have grown to the window size. Every executor worker has its own.
+/// they have grown to the window size.
 struct SortScratch {
   std::vector<KeyedIndex> keys;
   std::vector<KeyedIndex> keys_out;

@@ -14,8 +14,7 @@ namespace dema::stream {
 
 /// \brief A closed window's contents, as emitted by `WindowManager`: its
 /// events in arrival order. The consumer orders them — a Dema local with
-/// `OrderSlices` (on an executor worker, if it has one), the Desis-mode
-/// forwarder with `SortEvents`.
+/// `OrderSlices`, the Desis-mode forwarder with `SortEvents`.
 struct ClosedWindow {
   WindowId id = 0;
   std::vector<Event> events;

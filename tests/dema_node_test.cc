@@ -15,7 +15,6 @@
 #include "dema/local_node.h"
 #include "dema/protocol.h"
 #include "dema/root_node.h"
-#include "exec/executor.h"
 #include "net/codec.h"
 #include "net/network.h"
 #include "obs/registry.h"
@@ -636,7 +635,7 @@ TEST(DemaLocalIngest, EventCounterIsLiveForOtherThreads) {
 // ---------------------------------------------------------------------------
 // LocalCore serving: a closed window is only slice-ordered, and a served
 // slice is sorted in place. Replies and checkpoints must carry exactly the
-// bytes a fully sorted window gives, on the inline and the executor path.
+// bytes a fully sorted window gives.
 
 /// Records what a `LocalCore` sends. `fail_replies` replies fail before
 /// reaching the wire, as a transient send failure does.
@@ -675,7 +674,7 @@ class RecordingSink final : public LocalSink {
 
 /// One local core and stream that has closed one window of `kEvents` events
 /// with heavy duplicate values, cut with `kGamma`.
-class LocalServeTest : public ::testing::TestWithParam<bool> {
+class LocalServeTest : public ::testing::Test {
  protected:
   static constexpr size_t kEvents = 1'000;
   static constexpr uint64_t kGamma = 64;
@@ -699,12 +698,11 @@ class LocalServeTest : public ::testing::TestWithParam<bool> {
     std::sort(sorted_.begin(), sorted_.end());
   }
 
-  /// Options for node 1; with an executor when the test parameter says so.
+  /// Options for node 1.
   DemaLocalNodeOptions Options() {
     DemaLocalNodeOptions opts;
     opts.window_len_us = SecondsUs(1);
     opts.initial_gamma = kGamma;
-    if (GetParam()) opts.executor = &executor_;
     return opts;
   }
 
@@ -715,7 +713,6 @@ class LocalServeTest : public ::testing::TestWithParam<bool> {
     EXPECT_TRUE(local->core
                     .OnWatermark(&local->stream, SecondsUs(1), &local->sink)
                     .ok());
-    EXPECT_TRUE(local->core.Quiesce(&local->stream, &local->sink).ok());
     EXPECT_EQ(local->stream.retained_windows(), 1u);
     return local;
   }
@@ -771,12 +768,11 @@ class LocalServeTest : public ::testing::TestWithParam<bool> {
   }
 
   VirtualClock clock_;
-  exec::Executor executor_;
   std::vector<Event> events_;
   std::vector<Event> sorted_;
 };
 
-TEST_P(LocalServeTest, SynopsesCarryTheSortedWindowsSliceEndpoints) {
+TEST_F(LocalServeTest, SynopsesCarryTheSortedWindowsSliceEndpoints) {
   auto local = Closed();
   ASSERT_EQ(local->sink.synopses.size(), 1u);
   const auto& slices = local->sink.synopses[0].slices;
@@ -789,14 +785,14 @@ TEST_P(LocalServeTest, SynopsesCarryTheSortedWindowsSliceEndpoints) {
   }
 }
 
-TEST_P(LocalServeTest, EverySliceInOneRequestServesTheSortedWindow) {
+TEST_F(LocalServeTest, EverySliceInOneRequestServesTheSortedWindow) {
   auto local = Closed();
   ASSERT_TRUE(Request(local.get(), AllSlices()).ok());
   ASSERT_EQ(local->sink.replies.size(), 1u);
   EXPECT_EQ(local->sink.ReplyEvents(0), sorted_);
 }
 
-TEST_P(LocalServeTest, OneRequestPerSliceServesTheSortedWindow) {
+TEST_F(LocalServeTest, OneRequestPerSliceServesTheSortedWindow) {
   auto local = Closed();
   std::vector<Event> served;
   for (uint32_t i = 0; i < kSlices; ++i) {
@@ -808,7 +804,7 @@ TEST_P(LocalServeTest, OneRequestPerSliceServesTheSortedWindow) {
   EXPECT_EQ(served, sorted_);
 }
 
-TEST_P(LocalServeTest, RetriedRequestsReturnIdenticalBytes) {
+TEST_F(LocalServeTest, RetriedRequestsReturnIdenticalBytes) {
   // A reply that fails to send leaves its slices sorted and the window
   // retained; one lost after sending is answered again from the served ring.
   auto local = Closed();
@@ -828,7 +824,7 @@ TEST_P(LocalServeTest, RetriedRequestsReturnIdenticalBytes) {
   EXPECT_EQ(fresh->sink.replies[0], local->sink.replies[0]);
 }
 
-TEST_P(LocalServeTest, CheckpointIsTheFullySortedWindowsAndRestoreServes) {
+TEST_F(LocalServeTest, CheckpointIsTheFullySortedWindowsAndRestoreServes) {
   // The retained window is only slice-ordered; its checkpoint holds it
   // fully sorted.
   auto local = Closed();
@@ -845,11 +841,6 @@ TEST_P(LocalServeTest, CheckpointIsTheFullySortedWindowsAndRestoreServes) {
   EXPECT_EQ(restored->sink.ReplyEvents(0), sorted_);
   EXPECT_EQ(restored->sink.replies, local->sink.replies);
 }
-
-INSTANTIATE_TEST_SUITE_P(InlineAndExecutor, LocalServeTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Executor" : "Inline";
-                         });
 
 }  // namespace
 }  // namespace dema::core

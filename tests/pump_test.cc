@@ -142,8 +142,9 @@ INSTANTIATE_TEST_SUITE_P(
     CaseName);
 
 TEST(PumpToQuiescence, DeliversWhatQuiesceSendsToAnEarlierNode) {
-  // A threaded local ships a closed window from Quiesce, after the root's
-  // inbox was drained in the same round; the pump must not stop there.
+  // The sharded root's strands send from Quiesce, possibly to a node whose
+  // inbox was drained earlier in the same round; the pump must not stop
+  // there.
   struct Counter final : NodeLogic {
     int received = 0;
     Status OnMessage(const net::Message&) override {

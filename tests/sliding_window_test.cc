@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "sim/driver.h"
@@ -114,42 +116,50 @@ TEST(SlidingDema, ExactQuantilesOverOverlappingWindows) {
   dist.kind = gen::DistributionKind::kUniform;
   dist.lo = 0;
   dist.hi = 1000;
-  sim::WorkloadConfig load =
-      sim::MakeUniformWorkload(3, /*num_windows=*/3, /*event_rate=*/2000, dist);
-  load.window_len_us = kLen;
-  load.window_slide_us = kSlide;
+  // The workload's default seed and seeds 1–20, so no single stream can
+  // make it pass.
+  std::vector<uint64_t> seeds = {1000};
+  for (uint64_t seed = 1; seed <= 20; ++seed) seeds.push_back(seed);
+  for (uint64_t seed : seeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::WorkloadConfig load = sim::MakeUniformWorkload(
+        3, /*num_windows=*/3, /*event_rate=*/2000, dist, {}, seed);
+    load.window_len_us = kLen;
+    load.window_slide_us = kSlide;
 
-  RealClock clock;
-  net::Network network(&clock);
-  auto system_result = sim::BuildSystem(config, &network, &clock);
-  ASSERT_TRUE(system_result.ok()) << system_result.status();
-  sim::System system = std::move(system_result).MoveValueUnsafe();
-  sim::SyncDriver driver(&system, &network);
-  driver.set_record_events(true);
-  ASSERT_TRUE(driver.Run(load).ok());
+    RealClock clock;
+    net::Network network(&clock);
+    auto system_result = sim::BuildSystem(config, &network, &clock);
+    ASSERT_TRUE(system_result.ok()) << system_result.status();
+    sim::System system = std::move(system_result).MoveValueUnsafe();
+    sim::SyncDriver driver(&system, &network);
+    driver.set_record_events(true);
+    ASSERT_TRUE(driver.Run(load).ok());
 
-  // 3 seconds of events, windows every 250ms closing up to t=3s: ids 0..8.
-  ASSERT_EQ(driver.outputs().size(), load.ExpectedWindows());
-  EXPECT_EQ(load.ExpectedWindows(), 9u);
+    // 3 seconds of events, windows every 250ms closing up to t=3s: ids 0..8.
+    ASSERT_EQ(driver.outputs().size(), load.ExpectedWindows());
+    EXPECT_EQ(load.ExpectedWindows(), 9u);
 
-  // Rebuild the full event set and compute the oracle per window id.
-  std::vector<Event> all;
-  for (const auto& chunk : driver.recorded_events()) {
-    all.insert(all.end(), chunk.begin(), chunk.end());
-  }
-  stream::SlidingWindowAssigner assigner(WindowSpec{kLen, kSlide});
-  for (const sim::WindowOutput& out : driver.outputs()) {
-    std::vector<double> values;
-    for (const Event& e : all) {
-      if (e.timestamp >= assigner.WindowStart(out.window_id) &&
-          e.timestamp < assigner.WindowEnd(out.window_id)) {
-        values.push_back(e.value);
-      }
+    // Rebuild the full event set and compute the oracle per window id.
+    std::vector<Event> all;
+    for (const auto& chunk : driver.recorded_events()) {
+      all.insert(all.end(), chunk.begin(), chunk.end());
     }
-    ASSERT_EQ(values.size(), out.global_size) << "window " << out.window_id;
-    auto oracle = stream::ExactQuantileValues(values, 0.5);
-    ASSERT_TRUE(oracle.ok());
-    EXPECT_DOUBLE_EQ(out.values[0], *oracle) << "window " << out.window_id;
+    stream::SlidingWindowAssigner assigner(WindowSpec{kLen, kSlide});
+    for (const sim::WindowOutput& out : driver.outputs()) {
+      std::vector<double> values;
+      for (const Event& e : all) {
+        if (e.timestamp >= assigner.WindowStart(out.window_id) &&
+            e.timestamp < assigner.WindowEnd(out.window_id)) {
+          values.push_back(e.value);
+        }
+      }
+      ASSERT_EQ(values.size(), out.global_size) << "window " << out.window_id;
+      EXPECT_FALSE(out.degraded) << "window " << out.window_id;
+      auto oracle = stream::ExactQuantileValues(values, 0.5);
+      ASSERT_TRUE(oracle.ok());
+      EXPECT_DOUBLE_EQ(out.values[0], *oracle) << "window " << out.window_id;
+    }
   }
 }
 

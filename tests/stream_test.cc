@@ -402,8 +402,8 @@ TEST(EventSort, HeavyDuplicatesAndAnOutlier) {
 }
 
 TEST(EventSort, ConcurrentCallersKeepSeparateScratch) {
-  // Executor workers sort windows at the same time; each thread's reused
-  // buffers are its own.
+  // Locals on their own threads of one process (a loopback TCP cluster)
+  // sort windows at the same time; each thread's reused buffers are its own.
   auto mismatches = ConcurrentMismatches(
       [](std::vector<Event>* events) { SortEvents(*events); },
       [](const std::vector<Event>& got, const std::vector<Event>& sorted) {
@@ -437,8 +437,9 @@ TEST(SliceOrder, HeavyDuplicatesAndAnOutlier) {
 }
 
 TEST(SliceOrder, ConcurrentCallersKeepSeparateScratch) {
-  // Executor workers slice-order windows at the same time, and a large
-  // bucket's sort inside `OrderSlices` reuses the same per-thread buffers.
+  // Locals on their own threads slice-order windows at the same time, and a
+  // large bucket's sort inside `OrderSlices` reuses the same per-thread
+  // buffers.
   constexpr uint64_t kGamma = 166;
   auto mismatches = ConcurrentMismatches(
       [](std::vector<Event>* events) {

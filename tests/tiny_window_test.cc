@@ -1,9 +1,9 @@
 // Tiny windows in one round trip: a slice of at most two events is read from
 // its synopsis and never fetched, and a local window no bigger than its own
 // candidate round trip is cut at γ = 2 and not retained. Covers the cost
-// rule against the real encoders, the local cut on the inline and executor
-// paths, a flat window that completes at identification, a mixed window that
-// fetches only from its large local, and a relay tier over tiny leaves.
+// rule against the real encoders, the local cut, a flat window that
+// completes at identification, a mixed window that fetches only from its
+// large local, and a relay tier over tiny leaves.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "dema/local_node.h"
 #include "dema/root_node.h"
 #include "dema/validate.h"
-#include "exec/executor.h"
 #include "net/network.h"
 #include "sim/pump.h"
 #include "sim/tree.h"
@@ -205,7 +204,7 @@ struct Closed {
   size_t retained = 0;
 };
 
-Closed CloseOneWindow(uint64_t n, exec::Executor* executor) {
+Closed CloseOneWindow(uint64_t n) {
   RealClock clock;
   net::Network network(&clock);
   EXPECT_TRUE(network.RegisterNode(0).ok());
@@ -213,7 +212,6 @@ Closed CloseOneWindow(uint64_t n, exec::Executor* executor) {
   DemaLocalNodeOptions opts;
   opts.id = 1;
   opts.initial_gamma = kGamma;
-  opts.executor = executor;
   DemaLocalNode local(opts, &network, &clock);
   // Out of order, so the close has a sort to do.
   std::vector<Event> events = SortedEvents(n, 1);
@@ -229,21 +227,17 @@ Closed CloseOneWindow(uint64_t n, exec::Executor* executor) {
   return closed;
 }
 
-TEST(TinyWindowLocal, CutsAtTwoUpToTheBoundOnBothPaths) {
-  exec::Executor pool;
-  for (exec::Executor* executor : {static_cast<exec::Executor*>(nullptr), &pool}) {
-    SCOPED_TRACE(executor == nullptr ? "inline" : "executor");
-    const Closed tiny = CloseOneWindow(10, executor);
-    EXPECT_EQ(tiny.batch.gamma_used, 2u);
-    EXPECT_EQ(tiny.batch.slices.size(), 5u);
-    EXPECT_EQ(tiny.retained, 0u);
-    EXPECT_EQ(ValidateSynopsisBatch(tiny.batch, 1, /*strict=*/true), nullptr);
+TEST(TinyWindowLocal, CutsAtTwoUpToTheBound) {
+  const Closed tiny = CloseOneWindow(10);
+  EXPECT_EQ(tiny.batch.gamma_used, 2u);
+  EXPECT_EQ(tiny.batch.slices.size(), 5u);
+  EXPECT_EQ(tiny.retained, 0u);
+  EXPECT_EQ(ValidateSynopsisBatch(tiny.batch, 1, /*strict=*/true), nullptr);
 
-    const Closed above = CloseOneWindow(11, executor);
-    EXPECT_EQ(above.batch.gamma_used, kGamma);
-    EXPECT_EQ(above.batch.slices.size(), 1u);
-    EXPECT_EQ(above.retained, 1u);
-  }
+  const Closed above = CloseOneWindow(11);
+  EXPECT_EQ(above.batch.gamma_used, kGamma);
+  EXPECT_EQ(above.batch.slices.size(), 1u);
+  EXPECT_EQ(above.retained, 1u);
 }
 
 /// A root over locals 1 and 2 on one fabric, driven message by message.

@@ -537,6 +537,37 @@ std::vector<uint8_t> EventsFormPayload(
   return w.TakeBuffer();
 }
 
+TEST(NonStrictRoot, SizesThatWrapAreASizeMismatch) {
+  // Each batch passes non-strict validation on its own, but 2^63 and
+  // 2^63 + 4 sum past 64 bits: the second is rejected before it touches
+  // the pending window, which stays open for the local's honest batch.
+  RealClock clock;
+  net::Network network(&clock);
+  for (NodeId id : {0u, 1u, 2u}) ASSERT_TRUE(network.RegisterNode(id).ok());
+  DemaRootNodeOptions opts;
+  opts.id = 0;
+  opts.locals = {1, 2};
+  opts.initial_gamma = 4;
+  opts.strict_validation = false;
+  DemaRootNode root(opts, &network, &clock);
+  auto deliver = [&](NodeId node, uint64_t size) {
+    SynopsisBatch batch;
+    batch.node = node;
+    batch.local_window_size = size;
+    batch.gamma_used = 4;
+    batch.slices = {SliceSynopsis{node, 0, Ev(1, node, 0), Ev(2, node, 1), size}};
+    return root.OnMessage(
+        net::MakeMessage(net::MessageType::kSynopsisBatch, node, 0, batch));
+  };
+  obs::Counter* size_mismatch =
+      root.registry()->GetCounter("dema.rejected{reason=size_mismatch}");
+  ASSERT_TRUE(deliver(1, 1ull << 63).ok());
+  ASSERT_TRUE(deliver(2, (1ull << 63) + 4).ok());
+  EXPECT_EQ(size_mismatch->Value(), 1u);
+  ASSERT_TRUE(deliver(2, 4).ok());
+  EXPECT_EQ(root.registry()->CounterValue("dema.rejected"), 1u);
+}
+
 TEST(EventsFormRejection, RootAndRelayCountEachMalformedBatch) {
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   const double kInf = std::numeric_limits<double>::infinity();

@@ -21,8 +21,8 @@
 //   --quantiles=0.25,0.5,0.99   --dist=uniform|normal|zipf|sensorwalk|exponential
 //   --scale-rates=1,2,10        per-node value multipliers
 //   --slide-ms=MS               sliding windows (Dema only)
-//   --workers=N                 executor worker threads for closed-window
-//                               sort+slice on Dema locals (0 = inline)
+//   --workers=N                 executor threads running the shard strands
+//                               (shard, serve --role=root --shards=S only)
 //   --adaptive --per-node-gamma --naive-selection
 //   --csv=PATH                  also dump the table as CSV
 //   --metrics-out=PATH          dump the run's metrics registry + per-window
@@ -85,7 +85,6 @@ Result<sim::SystemConfig> BuildConfig(const Flags& flags) {
   config.adaptive_gamma = flags.Has("adaptive");
   config.per_node_gamma = flags.Has("per-node-gamma");
   config.naive_selection = flags.Has("naive-selection");
-  config.workers = static_cast<size_t>(flags.GetInt("workers", 0));
   if (flags.Has("slide-ms")) {
     config.window_slide_us = MillisUs(flags.GetInt("slide-ms", 1000));
   }
