@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark) for the hot paths: local ingest, local
 // window sorting and slice ordering, loser-tree merging, slice cutting,
-// window-cut selection, sketch updates, and wire serialization.
+// window-cut selection, a root shard's per-key-window cost, sketch updates,
+// and wire serialization.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "common/clock.h"
@@ -14,8 +16,12 @@
 #include "dema/protocol.h"
 #include "dema/slice.h"
 #include "dema/window_cut.h"
+#include "net/keyed.h"
 #include "net/message.h"
 #include "net/network.h"
+#include "obs/registry.h"
+#include "shard/config.h"
+#include "shard/root_shard.h"
 #include "sketch/qdigest.h"
 #include "sketch/tdigest.h"
 #include "stream/event_sort.h"
@@ -298,6 +304,139 @@ BENCHMARK(BM_WindowCutSortedRuns)
     ->Args({4, 20'000, 166})
     ->Args({4, 20'000, 16})
     ->Args({1000, 800, 166});
+
+/// Keeps the frames a root shard sends, so the benchmark can answer its
+/// candidate requests.
+class FrameSink final : public transport::Transport {
+ public:
+  Status Send(net::Message m) override {
+    frames.push_back(std::move(m));
+    return Status::OK();
+  }
+  net::Channel* Inbox(NodeId) override { return nullptr; }
+  transport::LinkTrafficMap LinkTraffic() const override { return {}; }
+  std::map<net::MessageType, net::TrafficCounters> TrafficByType()
+      const override {
+    return {};
+  }
+  void Shutdown() override {}
+
+  std::vector<net::Message> frames;
+};
+
+/// Sorted sensor-walk events of one (key, local, window), \p count of them.
+std::vector<Event> KeyWindowEvents(net::KeyId key, NodeId node,
+                                   net::WindowId w, size_t count) {
+  std::vector<Event> events =
+      WalkEvents(count, 1 + key * 7919 + node * 104729 + w * 15485863);
+  for (Event& e : events) {
+    e.node = node;
+    e.timestamp += static_cast<TimestampUs>(w) * kMicrosPerSecond;
+  }
+  std::sort(events.begin(), events.end());
+  return events;
+}
+
+/// Times a root shard's work per key-window: the keyed synopsis frames of
+/// two locals through `RootShard::OnFrame` and, for windows too large for
+/// the tiny-window rule, the keyed candidate-reply frames that answer its
+/// requests. The frames are built with the timer paused. range(0) is the
+/// events per key-local window: 4 is keyed_100k's shape, cut at γ = 2 and
+/// completed from the synopses alone (tiny); 12 ships one slice of 12
+/// events that the root fetches (fetched). Reports ns per key-window.
+void BM_RootShardKeyWindow(benchmark::State& state) {
+  constexpr uint64_t kKeys = 1024;
+  constexpr size_t kLocals = 2;
+  constexpr uint64_t kGamma = 2'000;
+  const auto count = static_cast<size_t>(state.range(0));
+  shard::ShardedConfig config;
+  config.num_locals = kLocals;
+  config.num_shards = 1;
+  config.num_keys = kKeys;
+  config.gamma = kGamma;
+  config.quantiles = {0.5, 0.99};
+  obs::Registry registry;
+  RealClock clock;
+  FrameSink transport;
+  uint64_t emitted = 0;
+  shard::RootShard shard(0, config, &transport, &clock, &registry,
+                         [&emitted](net::KeyId, const sim::WindowOutput&) {
+                           ++emitted;
+                         });
+  const uint64_t gamma =
+      core::CutAtGammaTwo(count, kGamma, net::EventCodec::kFixed) ? 2 : kGamma;
+
+  std::vector<net::Message> synopses, replies;
+  net::WindowId w = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    synopses.clear();
+    for (NodeId node = 1; node <= kLocals; ++node) {
+      net::KeyedBatchWriter batch(0);
+      for (net::KeyId key = 0; key < kKeys; ++key) {
+        std::vector<Event> events = KeyWindowEvents(key, node, w, count);
+        core::SynopsisBatch synopsis;
+        synopsis.window_id = w;
+        synopsis.node = node;
+        synopsis.local_window_size = events.size();
+        synopsis.gamma_used = static_cast<uint32_t>(gamma);
+        core::CutIntoSlicesInto(events, node, gamma, &synopsis.slices);
+        batch.Add(key, synopsis);
+      }
+      synopses.push_back(
+          batch.Finish(net::MessageType::kShardSynopsisBatch, node, 0));
+    }
+    transport.frames.clear();
+    state.ResumeTiming();
+
+    for (const net::Message& frame : synopses) {
+      if (!shard.OnFrame(frame).ok()) state.SkipWithError("synopsis frame");
+    }
+
+    state.PauseTiming();
+    // Answer every request with the requested local's events: at 12 events
+    // one slice holds them all.
+    replies.clear();
+    for (NodeId node = 1; node <= kLocals; ++node) {
+      net::KeyedBatchWriter batch(0);
+      size_t answered = 0;
+      for (const net::Message& frame : transport.frames) {
+        if (frame.dst != node) continue;
+        auto reader = net::KeyedBatchReader::Open(frame.payload_bytes());
+        net::KeyedEntryView entry;
+        while (reader.ok() && reader->Next(&entry)) {
+          net::Reader r(entry.payload);
+          auto req = core::CandidateRequest::Deserialize(&r);
+          if (!req.ok() || req->slice_indices.empty()) continue;
+          core::CandidateReply reply;
+          reply.window_id = w;
+          reply.node = node;
+          reply.events = KeyWindowEvents(entry.key, node, w, count);
+          batch.Add(entry.key, reply);
+          ++answered;
+        }
+      }
+      if (answered > 0) {
+        replies.push_back(
+            batch.Finish(net::MessageType::kShardCandidateReply, node, 0));
+      }
+    }
+    state.ResumeTiming();
+
+    for (const net::Message& frame : replies) {
+      if (!shard.OnFrame(frame).ok()) state.SkipWithError("reply frame");
+    }
+    ++w;
+    if (emitted != w * kKeys) {
+      state.SkipWithError("a key-window did not complete");
+      break;
+    }
+  }
+  state.counters["ns_per_key_window"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kKeys),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RootShardKeyWindow)->ArgName("events")->Arg(4)->Arg(12);
 
 void BM_TDigestAdd(benchmark::State& state) {
   Rng rng(31);

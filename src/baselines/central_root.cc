@@ -66,7 +66,6 @@ Status CentralExactRootNode::MaybeFinalize(net::WindowId id, PendingWindow* w) {
   sim::WindowOutput out;
   out.window_id = id;
   out.global_size = w->events.size();
-  out.quantiles = options_.quantiles;
   if (w->events.empty()) {
     out.values.assign(options_.quantiles.size(), 0.0);
   } else {
@@ -140,7 +139,6 @@ Status DesisMergeRootNode::MaybeFinalize(net::WindowId id, PendingWindow* w) {
   sim::WindowOutput out;
   out.window_id = id;
   out.global_size = w->expected_events;
-  out.quantiles = options_.quantiles;
   if (w->expected_events == 0) {
     out.values.assign(options_.quantiles.size(), 0.0);
   } else {

@@ -155,7 +155,6 @@ Status TDigestRootNode::MaybeFinalize(net::WindowId id, PendingWindow* w) {
   sim::WindowOutput out;
   out.window_id = id;
   out.global_size = w->expected_events;
-  out.quantiles = options_.quantiles;
   if (w->expected_events == 0) {
     out.values.assign(options_.quantiles.size(), 0.0);
   } else {

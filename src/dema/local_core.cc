@@ -91,8 +91,7 @@ uint64_t LocalCore::GammaForWindow(const LocalStream& s,
 
 Status LocalCore::OnWatermark(LocalStream* s, TimestampUs watermark_us,
                               LocalSink* sink) {
-  std::vector<stream::ClosedWindow> closed =
-      s->windows.AdvanceWatermark(watermark_us);
+  s->windows.AdvanceWatermarkInto(watermark_us, &closed_);
   const net::WindowId up_to_exclusive =
       s->windows.assigner().ClosedUpTo(std::max<TimestampUs>(0, watermark_us));
   // WindowManager yields only windows that held events; interleave empty
@@ -101,8 +100,8 @@ Status LocalCore::OnWatermark(LocalStream* s, TimestampUs watermark_us,
   while (s->next_window_to_emit < up_to_exclusive) {
     net::WindowId id = s->next_window_to_emit++;
     std::vector<Event> events;
-    if (next_closed < closed.size() && closed[next_closed].id == id) {
-      events = std::move(closed[next_closed].events);
+    if (next_closed < closed_.size() && closed_[next_closed].id == id) {
+      events = std::move(closed_[next_closed].events);
       ++next_closed;
     }
     DEMA_RETURN_NOT_OK(
@@ -113,13 +112,14 @@ Status LocalCore::OnWatermark(LocalStream* s, TimestampUs watermark_us,
 
 Status LocalCore::ShipWindow(LocalStream* s, net::WindowId id, uint64_t gamma,
                              std::vector<Event> events, LocalSink* sink) {
-  SynopsisBatch batch;
+  SynopsisBatch& batch = ship_;
+  batch.slices.clear();
   if (!events.empty()) {
+    if (gamma < 2) return Status::InvalidArgument("gamma must be >= 2");
     // A window the tiny-window rule covers is cut at γ = 2.
     if (CutAtGammaTwo(events.size(), gamma, options_.reply_codec)) gamma = 2;
     stream::OrderSlices(&events, gamma);
-    DEMA_ASSIGN_OR_RETURN(batch.slices,
-                          CutIntoSlices(events, options_.id, gamma));
+    CutIntoSlicesInto(events, options_.id, gamma, &batch.slices);
   }
   batch.window_id = id;
   batch.node = options_.id;
@@ -134,6 +134,8 @@ Status LocalCore::ShipWindow(LocalStream* s, net::WindowId id, uint64_t gamma,
     AddRetained(1, static_cast<int64_t>(events.size()));
     s->kept.insert(KeptAt(s, id),
                    KeptWindow{id, gamma, false, std::move(events)});
+  } else {
+    s->windows.Recycle(std::move(events));
   }
   DEMA_RETURN_NOT_OK(sink->SendSynopsis(batch));
   c_windows_shipped_->Increment();
@@ -154,8 +156,8 @@ Status LocalCore::OnPayload(LocalStream* s, net::MessageType type,
   net::Reader r(payload);
   switch (type) {
     case net::MessageType::kCandidateRequest: {
-      DEMA_ASSIGN_OR_RETURN(auto req, CandidateRequest::Deserialize(&r));
-      return HandleCandidateRequest(s, req, sink);
+      DEMA_RETURN_NOT_OK(CandidateRequest::DeserializeInto(&r, &request_));
+      return HandleCandidateRequest(s, request_, sink);
     }
     case net::MessageType::kGammaUpdate: {
       DEMA_ASSIGN_OR_RETURN(auto update, GammaUpdate::Deserialize(&r));

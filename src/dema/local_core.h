@@ -178,8 +178,9 @@ class LocalCore {
 
  private:
   /// Slice-orders and cuts closed window \p id of \p s (its \p events at
-  /// slice factor \p gamma), sends its synopsis batch, retains its events,
-  /// and prunes the γ schedule.
+  /// slice factor \p gamma), sends its synopsis batch, retains its events
+  /// (or hands their buffer back to the window manager), and prunes the γ
+  /// schedule.
   Status ShipWindow(LocalStream* s, net::WindowId id, uint64_t gamma,
                     std::vector<Event> events, LocalSink* sink);
   Status HandleCandidateRequest(LocalStream* s, const CandidateRequest& req,
@@ -195,8 +196,13 @@ class LocalCore {
   /// Windows and events retained over every stream (memory accounting).
   int64_t retained_windows_ = 0;
   int64_t retained_events_ = 0;
-  /// Scratch reply, reused by every serve.
+  /// Scratch request and reply, reused by every serve.
+  CandidateRequest request_;
   CandidateReply reply_;
+  /// Scratch synopsis batch, reused by every shipped window.
+  SynopsisBatch ship_;
+  /// Scratch list of the windows one watermark closed.
+  std::vector<stream::ClosedWindow> closed_;
   /// Cached registry instruments.
   obs::Counter* c_events_ingested_;
   obs::Counter* c_late_events_;

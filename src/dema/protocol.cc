@@ -119,22 +119,28 @@ void CandidateRequest::SerializeTo(net::Writer* w) const {
 
 Result<CandidateRequest> CandidateRequest::Deserialize(net::Reader* r) {
   CandidateRequest req;
-  DEMA_RETURN_NOT_OK(r->GetU64(&req.window_id));
+  DEMA_RETURN_NOT_OK(DeserializeInto(r, &req));
+  return req;
+}
+
+Status CandidateRequest::DeserializeInto(net::Reader* r, CandidateRequest* req) {
+  DEMA_RETURN_NOT_OK(r->GetU64(&req->window_id));
   uint32_t n = 0;
   DEMA_RETURN_NOT_OK(r->GetU32(&n));
   if (static_cast<size_t>(n) * sizeof(uint32_t) > r->remaining()) {
     return Status::SerializationError("index count exceeds remaining buffer");
   }
-  req.slice_indices.reserve(n);
+  req->slice_indices.clear();
+  req->slice_indices.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     uint32_t idx = 0;
     DEMA_RETURN_NOT_OK(r->GetU32(&idx));
-    if (!req.slice_indices.empty() && idx <= req.slice_indices.back()) {
+    if (!req->slice_indices.empty() && idx <= req->slice_indices.back()) {
       return Status::SerializationError("slice indices must be ascending");
     }
-    req.slice_indices.push_back(idx);
+    req->slice_indices.push_back(idx);
   }
-  return req;
+  return Status::OK();
 }
 
 void CandidateReply::SerializeTo(net::Writer* w) const {

@@ -67,6 +67,8 @@ struct CandidateRequest {
 
   void SerializeTo(net::Writer* w) const;
   static Result<CandidateRequest> Deserialize(net::Reader* r);
+  /// Decodes into \p out, reusing its index buffer.
+  static Status DeserializeInto(net::Reader* r, CandidateRequest* out);
 };
 
 /// \brief Local -> root: the requested candidate events, pre-sorted.

@@ -438,7 +438,6 @@ void RootCore::RecordTrace(PendingWindow* w) {
 sim::WindowOutput& RootCore::StartOutput(const PendingWindow& w) {
   out_.window_id = w.id;
   out_.global_size = w.global_size;
-  out_.quantiles = options_.quantiles;
   out_.values.clear();
   out_.latency_us = 0;
   out_.degraded = false;
@@ -822,7 +821,8 @@ Status RootCore::SelectFromReplies(PendingWindow* w,
                                    const std::vector<uint64_t>& within_ranks) {
   auto select_start = std::chrono::steady_clock::now();
   DEMA_RETURN_NOT_OK(
-      stream::SelectRanksFromRunsInto(&w->reply_runs, within_ranks, &picked_));
+      stream::SelectRanksFromRunsInto(&w->reply_runs, within_ranks, &picked_,
+                                      &select_scratch_));
   h_select_us_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - select_start)

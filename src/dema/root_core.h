@@ -14,6 +14,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "sim/node.h"
+#include "stream/merge.h"
 
 namespace dema::core {
 
@@ -435,6 +436,7 @@ class RootCore {
   std::vector<uint32_t> request_slices_;
   std::vector<SliceSynopsis> requested_;
   std::vector<Event> picked_;
+  stream::RankSelectScratch select_scratch_;
   sim::WindowOutput out_;
 
   /// Cached registry instruments (stable pointers; hot-path increments).

@@ -12,7 +12,8 @@ ResultStore::ResultStore(uint32_t num_shards, uint64_t num_keys,
     : num_shards_(num_shards),
       num_keys_(num_keys),
       quantiles_(std::move(quantiles)),
-      slots_(num_keys) {
+      slots_(num_keys),
+      values_(num_keys * quantiles_.size()) {
   stripes_.reserve(num_shards_);
   for (uint32_t s = 0; s < num_shards_; ++s) {
     stripes_.push_back(std::make_unique<Stripe>());
@@ -30,9 +31,17 @@ void ResultStore::Publish(uint32_t shard, net::KeyId key,
     // "Latest" therefore means highest window id, not most recent arrival —
     // an older result must never overwrite a newer one.
     Slot& slot = slots_[key];
-    if (!slot.found || out.window_id > slot.latest.window_id) {
-      slot.latest = out;  // copy-assignment reuses the slot's buffers
+    if (!slot.found || out.window_id > slot.window_id) {
+      slot.window_id = out.window_id;
+      slot.global_size = out.global_size;
+      slot.rank_error_bound = out.rank_error_bound;
+      slot.degraded = out.degraded;
       slot.found = true;
+      const size_t q = quantiles_.size();
+      double* values = values_.data() + key * q;
+      for (size_t i = 0; i < q; ++i) {
+        values[i] = i < out.values.size() ? out.values[i] : 0.0;
+      }
     }
     ++stripe.epoch;
   }
@@ -100,7 +109,11 @@ net::KeyedQueryReply ResultStore::Query(const net::KeyedQuery& query) const {
   }
   std::sort(by_shard.begin(), by_shard.end());
 
+  // Every answer gets its value buffer now, so no allocation happens while
+  // a stripe is locked: a publish waits on this query only while it copies.
   reply.answers.resize(query.keys.size());
+  for (net::KeyedAnswer& a : reply.answers) a.values.resize(indices.size());
+  const size_t q = quantiles_.size();
   for (size_t begin = 0; begin < by_shard.size();) {
     const uint32_t shard = by_shard[begin].first;
     const Stripe& stripe = *stripes_[shard];
@@ -116,18 +129,16 @@ net::KeyedQueryReply ResultStore::Query(const net::KeyedQuery& query) const {
       const Slot& slot = slots_[key];
       if (!slot.found) {
         a.found = false;
+        a.values.clear();
         continue;
       }
-      const sim::WindowOutput& out = slot.latest;
       a.found = true;
-      a.window_id = out.window_id;
-      a.global_size = out.global_size;
-      a.degraded = out.degraded;
-      a.rank_error_bound = out.rank_error_bound;
-      a.values.reserve(indices.size());
-      for (size_t i : indices) {
-        a.values.push_back(i < out.values.size() ? out.values[i] : 0.0);
-      }
+      a.window_id = slot.window_id;
+      a.global_size = slot.global_size;
+      a.degraded = slot.degraded;
+      a.rank_error_bound = slot.rank_error_bound;
+      const double* values = values_.data() + key * q;
+      for (size_t i = 0; i < indices.size(); ++i) a.values[i] = values[indices[i]];
     }
     begin = end;
   }
@@ -136,11 +147,19 @@ net::KeyedQueryReply ResultStore::Query(const net::KeyedQuery& query) const {
 
 std::optional<sim::WindowOutput> ResultStore::Latest(net::KeyId key) const {
   if (key >= num_keys_) return std::nullopt;
+  const size_t q = quantiles_.size();
+  sim::WindowOutput out;
+  out.values.resize(q);
   const Stripe& stripe = *stripes_[ShardOfKey(key, num_shards_)];
   std::lock_guard<std::mutex> lock(stripe.mu);
   const Slot& slot = slots_[key];
   if (!slot.found) return std::nullopt;
-  return slot.latest;
+  out.window_id = slot.window_id;
+  out.global_size = slot.global_size;
+  out.degraded = slot.degraded;
+  out.rank_error_bound = slot.rank_error_bound;
+  std::copy_n(values_.data() + key * q, q, out.values.begin());
+  return out;
 }
 
 }  // namespace dema::shard

@@ -24,9 +24,12 @@ namespace dema::shard {
 /// window frontiers (shards progress independently by design; see
 /// docs/SHARDING.md).
 ///
-/// Keys are dense (0..K-1), so each key has one slot, guarded by its shard's
-/// stripe lock; a publish overwrites the slot in place and allocates only for
-/// the key's first window.
+/// Keys are dense (0..K-1), so each key has one flat slot — window id,
+/// global size, degraded flag, rank-error bound and found flag — and its Q
+/// values sit in one `num_keys × Q` array, both guarded by the key's shard's
+/// stripe lock. A slot owns no heap memory, so a publish never allocates,
+/// and a query allocates its whole reply before it takes any stripe lock: a
+/// publish waits on a query only while the query copies values.
 class ResultStore {
  public:
   ResultStore(uint32_t num_shards, uint64_t num_keys,
@@ -43,7 +46,8 @@ class ResultStore {
   /// known keys that have not emitted a window yet answer `found = false`.
   net::KeyedQueryReply Query(const net::KeyedQuery& query) const;
 
-  /// Latest published result for \p key, if any (test/CLI convenience).
+  /// Latest published result for \p key, if any (test/CLI convenience): the
+  /// fields the store keeps, with one value per configured quantile.
   std::optional<sim::WindowOutput> Latest(net::KeyId key) const;
 
   /// Total publishes across all keys (== per-key windows emitted).
@@ -59,10 +63,14 @@ class ResultStore {
     uint64_t epoch = 0;
   };
 
-  /// One key's latest result; guarded by the key's stripe.
+  /// One key's latest result, its values aside in `values_`; guarded by
+  /// the key's stripe.
   struct Slot {
+    net::WindowId window_id = 0;
+    uint64_t global_size = 0;
+    uint64_t rank_error_bound = 0;
+    bool degraded = false;
     bool found = false;
-    sim::WindowOutput latest;
   };
 
   /// Maps the query's quantile list onto indices into `quantiles_`, or an
@@ -77,6 +85,8 @@ class ResultStore {
   std::vector<std::unique_ptr<Stripe>> stripes_;
   /// By key id.
   std::vector<Slot> slots_;
+  /// Key k's values at [k × Q, (k + 1) × Q), Q = `quantiles_.size()`.
+  std::vector<double> values_;
 };
 
 }  // namespace dema::shard

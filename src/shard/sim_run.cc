@@ -54,7 +54,10 @@ Status ShardedSimHarness::Run(const KeyedWorkloadConfig& workload) {
     gens.push_back(std::move(local_gens));
   }
 
+  // Each key emits exactly `num_windows` outputs, so each vector is sized
+  // once here instead of growing while its strand emits.
   outputs_by_key_.assign(config_.num_keys, {});
+  for (auto& outputs : outputs_by_key_) outputs.reserve(workload.num_windows);
   // Strands publish concurrently, but always to distinct keys' (pre-sized)
   // vectors; one key's results stay on one strand, so no entry races.
   service_->SetKeyedResultCallback(

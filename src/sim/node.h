@@ -16,9 +16,8 @@ struct WindowOutput {
   net::WindowId window_id = 0;
   /// Global window size l_G.
   uint64_t global_size = 0;
-  /// Queried quantiles, parallel to `values`.
-  std::vector<double> quantiles;
-  /// Exact (or, for sketch systems, approximate) quantile values.
+  /// Exact (or, for sketch systems, approximate) quantile values, parallel
+  /// to the system's configured quantiles.
   std::vector<double> values;
   /// Latency from the last local-window close to result emission.
   DurationUs latency_us = 0;

@@ -78,9 +78,10 @@ uint32_t MinValueMask8(const double* v) { return MinValueMask8Scalar(v); }
 
 }  // namespace
 
-LoserTreeMerger::LoserTreeMerger(std::vector<std::vector<Event>> runs)
-    : runs_(std::move(runs)) {
+void LoserTreeMerger::Reset(std::vector<std::vector<Event>> runs) {
+  runs_ = std::move(runs);
   pos_.assign(runs_.size(), 0);
+  remaining_ = 0;
   for (const auto& run : runs_) remaining_ += run.size();
   k_ = NextPow2(std::max<size_t>(1, runs_.size()));
   flat_ = k_ <= kFlatMaxK;
@@ -222,13 +223,15 @@ std::vector<Event> MergeSortedRuns(std::vector<std::vector<Event>> runs) {
 Result<std::vector<Event>> SelectRanksFromRuns(
     std::vector<std::vector<Event>> runs, const std::vector<uint64_t>& ranks) {
   std::vector<Event> out;
-  DEMA_RETURN_NOT_OK(SelectRanksFromRunsInto(&runs, ranks, &out));
+  RankSelectScratch scratch;
+  DEMA_RETURN_NOT_OK(SelectRanksFromRunsInto(&runs, ranks, &out, &scratch));
   return out;
 }
 
 Status SelectRanksFromRunsInto(std::vector<std::vector<Event>>* runs,
                                const std::vector<uint64_t>& ranks,
-                               std::vector<Event>* out) {
+                               std::vector<Event>* out,
+                               RankSelectScratch* scratch) {
   uint64_t total = 0;
   for (const auto& run : *runs) total += run.size();
   for (uint64_t rank : ranks) {
@@ -238,18 +241,26 @@ Status SelectRanksFromRunsInto(std::vector<std::vector<Event>>* runs,
                                      std::to_string(total) + "]");
     }
   }
-  out->assign(ranks.size(), Event{});
+  out->resize(ranks.size());
   if (ranks.empty()) return Status::OK();
+  if (runs->size() == 1) {
+    // One sorted run is its own merged order.
+    const std::vector<Event>& run = runs->front();
+    for (size_t i = 0; i < ranks.size(); ++i) (*out)[i] = run[ranks[i] - 1];
+    return Status::OK();
+  }
 
   // Visit the requested ranks in ascending order so one forward pass of the
   // tournament serves all of them, galloping over the gaps; the merger never
   // advances past the highest requested rank.
-  std::vector<size_t> order(ranks.size());
+  std::vector<size_t>& order = scratch->order;
+  order.resize(ranks.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return ranks[a] < ranks[b]; });
 
-  LoserTreeMerger merger(std::move(*runs));
+  LoserTreeMerger& merger = scratch->merger;
+  merger.Reset(std::move(*runs));
   uint64_t produced = 0;
   Event current{};
   for (size_t idx : order) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/event.h"
@@ -32,8 +33,15 @@ namespace dema::stream {
 class LoserTreeMerger {
  public:
   /// Takes ownership of \p runs; each run must be sorted by the global event
-  /// order. Empty runs are allowed.
-  explicit LoserTreeMerger(std::vector<std::vector<Event>> runs);
+  /// order. Empty runs are allowed, and so is no run at all.
+  explicit LoserTreeMerger(std::vector<std::vector<Event>> runs) {
+    Reset(std::move(runs));
+  }
+
+  /// Starts a new merge over \p runs (same contract as the constructor),
+  /// reusing the tournament buffers of the last one: a merger reset with no
+  /// more runs than before allocates nothing.
+  void Reset(std::vector<std::vector<Event>> runs);
 
   /// True while events remain.
   bool HasNext() const { return remaining_ > 0; }
@@ -94,11 +102,20 @@ std::vector<Event> MergeSortedRuns(std::vector<std::vector<Event>> runs);
 Result<std::vector<Event>> SelectRanksFromRuns(
     std::vector<std::vector<Event>> runs, const std::vector<uint64_t>& ranks);
 
+/// \brief The merger and rank order `SelectRanksFromRunsInto` works in, kept
+/// by a caller that selects window after window.
+struct RankSelectScratch {
+  LoserTreeMerger merger{std::vector<std::vector<Event>>{}};
+  std::vector<size_t> order;
+};
+
 /// \brief `SelectRanksFromRuns` that leaves \p runs intact and writes the
-/// picked events into \p out, so a caller selecting window after window
-/// keeps reusing both buffers.
+/// picked events into \p out, working in \p scratch: a caller selecting
+/// window after window reuses every buffer and, warm, allocates nothing. A
+/// single run is indexed directly, without a merge.
 Status SelectRanksFromRunsInto(std::vector<std::vector<Event>>* runs,
                                const std::vector<uint64_t>& ranks,
-                               std::vector<Event>* out);
+                               std::vector<Event>* out,
+                               RankSelectScratch* scratch);
 
 }  // namespace dema::stream

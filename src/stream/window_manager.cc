@@ -1,6 +1,7 @@
 #include "stream/window_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace dema::stream {
 
@@ -14,7 +15,8 @@ bool WindowManager::OnEventSlow(const Event& e) {
   for (WindowId id : assign_scratch_) {
     auto it = open_.find(id);
     if (it == open_.end()) {
-      it = open_.emplace(id, std::vector<Event>()).first;
+      it = open_.emplace(id, std::exchange(spare_, {})).first;
+      it->second.clear();
       it->second.reserve(last_closed_size_);
     }
     it->second.push_back(e);
@@ -31,18 +33,18 @@ void WindowManager::Grow(std::vector<Event>* window, const Event& e) {
   window->push_back(e);
 }
 
-std::vector<ClosedWindow> WindowManager::AdvanceWatermark(TimestampUs watermark_us) {
-  std::vector<ClosedWindow> closed;
-  if (watermark_us <= watermark_us_) return closed;
+void WindowManager::AdvanceWatermarkInto(TimestampUs watermark_us,
+                                         std::vector<ClosedWindow>* closed) {
+  closed->clear();
+  if (watermark_us <= watermark_us_) return;
   watermark_us_ = watermark_us;
   ClearHot();
   auto it = open_.begin();
   while (it != open_.end() && assigner_.WindowEnd(it->first) <= watermark_us_) {
     last_closed_size_ = it->second.size();
-    closed.push_back(ClosedWindow{it->first, std::move(it->second)});
+    closed->push_back(ClosedWindow{it->first, std::move(it->second)});
     it = open_.erase(it);
   }
-  return closed;
 }
 
 void WindowManager::SerializeTo(net::Writer* w) const {

@@ -62,7 +62,22 @@ class WindowManager {
   /// window whose end is <= the watermark, in window order, with events in
   /// arrival order. The watermark never moves backwards; a final watermark
   /// at the end of the stream closes every window.
-  std::vector<ClosedWindow> AdvanceWatermark(TimestampUs watermark_us);
+  std::vector<ClosedWindow> AdvanceWatermark(TimestampUs watermark_us) {
+    std::vector<ClosedWindow> closed;
+    AdvanceWatermarkInto(watermark_us, &closed);
+    return closed;
+  }
+
+  /// `AdvanceWatermark` into \p closed (cleared first), reusing its buffer.
+  void AdvanceWatermarkInto(TimestampUs watermark_us,
+                            std::vector<ClosedWindow>* closed);
+
+  /// Hands back the event buffer of a closed window its consumer is done
+  /// with: the next window to open takes it instead of allocating one. The
+  /// manager keeps the larger of it and the buffer it already holds.
+  void Recycle(std::vector<Event> buffer) {
+    if (buffer.capacity() > spare_.capacity()) spare_ = std::move(buffer);
+  }
 
   /// Current event-time watermark.
   TimestampUs watermark_us() const { return watermark_us_; }
@@ -129,6 +144,8 @@ class WindowManager {
   TimestampUs hot_end_us_ = std::numeric_limits<TimestampUs>::min();
   /// Events in the last window closed; a new window reserves this many.
   size_t last_closed_size_ = 0;
+  /// A recycled buffer (`Recycle`), taken by the next window to open.
+  std::vector<Event> spare_;
   TimestampUs watermark_us_ = 0;
   uint64_t late_events_ = 0;
 };

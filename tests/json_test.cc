@@ -67,6 +67,25 @@ TEST(Flags, ParsesKeyValueAndBare) {
   EXPECT_EQ(flags.positional()[0], "run");
 }
 
+TEST(Flags, ReportsFlagsNoLookupRead) {
+  const char* argv[] = {"prog", "run", "--rate=5000", "--adaptive",
+                        "--bogus-flag=1", "--typo"};
+  Flags flags(6, const_cast<char**>(argv));
+  // Nothing read yet: every given flag is unread, sorted by name.
+  EXPECT_EQ(flags.Unread(), (std::vector<std::string>{"adaptive", "bogus-flag",
+                                                       "rate", "typo"}));
+  EXPECT_EQ(flags.GetInt("rate", 0), 5000);
+  EXPECT_TRUE(flags.Has("adaptive"));
+  // Asking for a flag that was not given records nothing to report.
+  EXPECT_EQ(flags.GetString("missing", "x"), "x");
+  EXPECT_EQ(flags.Unread(), (std::vector<std::string>{"bogus-flag", "typo"}));
+  EXPECT_EQ(flags.GetDoubleList("bogus-flag", {}), std::vector<double>{1.0});
+  EXPECT_FALSE(flags.Has("typo-2"));
+  EXPECT_EQ(flags.Unread(), std::vector<std::string>{"typo"});
+  EXPECT_TRUE(flags.Has("typo"));
+  EXPECT_TRUE(flags.Unread().empty());
+}
+
 TEST(Flags, ParsesDoubleLists) {
   const char* argv[] = {"prog", "--quantiles=0.25,0.5,0.99"};
   Flags flags(2, const_cast<char**>(argv));

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <thread>
@@ -73,6 +74,56 @@ TEST(ResultStore, OutOfOrderPublishKeepsNewestWindow) {
   ASSERT_TRUE(reply.error.empty()) << reply.error;
   ASSERT_EQ(reply.answers.size(), 1u);
   EXPECT_EQ(reply.answers[0].window_id, 1u);
+}
+
+TEST(ResultStore, ConcurrentQueriesSeeWholeRecords) {
+  // Each key's record and its values sit apart (a flat slot and a
+  // num_keys × Q value array). Two strands publish while a reader queries:
+  // every answer must carry the values of the very window it names.
+  constexpr uint32_t kShards = 2;
+  constexpr uint64_t kKeys = 64;
+  constexpr net::WindowId kWindows = 2000;
+  shard::ResultStore store(kShards, kKeys, {0.5, 0.9});
+  std::vector<std::thread> strands;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    strands.emplace_back([&store, s] {
+      sim::WindowOutput out;
+      for (net::WindowId w = 0; w < kWindows; ++w) {
+        for (net::KeyId key = 0; key < kKeys; ++key) {
+          if (shard::ShardOfKey(key, kShards) != s) continue;
+          out.window_id = w;
+          out.global_size = w + key;
+          out.values = {static_cast<double>(w), static_cast<double>(w + key)};
+          store.Publish(s, key, out);
+        }
+      }
+    });
+  }
+  net::KeyedQuery query;
+  for (net::KeyId key = 0; key < kKeys; ++key) query.keys.push_back(key);
+  uint64_t torn = 0;
+  net::WindowId newest = 0;
+  while (newest + 1 < kWindows) {
+    const net::KeyedQueryReply reply = store.Query(query);
+    if (!reply.error.empty()) {
+      ADD_FAILURE() << reply.error;
+      break;
+    }
+    newest = kWindows;
+    for (const net::KeyedAnswer& a : reply.answers) {
+      if (!a.found) {
+        newest = 0;
+        continue;
+      }
+      newest = std::min(newest, a.window_id);
+      const std::vector<double> want = {static_cast<double>(a.window_id),
+                                        static_cast<double>(a.window_id + a.key)};
+      if (a.values != want || a.global_size != a.window_id + a.key) ++torn;
+    }
+  }
+  for (std::thread& t : strands) t.join();
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(store.published_windows(), kWindows * kKeys);
 }
 
 TEST(ShardScale, TenThousandKeysAcrossFourShardsMatchSingleKeyRuns) {

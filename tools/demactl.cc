@@ -37,6 +37,7 @@
 
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include "common/flags.h"
 #include "common/json.h"
@@ -63,6 +64,18 @@ namespace {
 int Fail(const std::string& message) {
   std::cerr << "demactl: " << message << "\n";
   return 1;
+}
+
+/// Exit code 2, after one error line per flag \p cmd never read (a typo, or
+/// a flag of another command); 0 when it read every flag given. Each command
+/// calls it once it has read all its settings and before it does any work.
+int RejectUnread(const Flags& flags, const char* cmd) {
+  const std::vector<std::string> unread = flags.Unread();
+  for (const std::string& key : unread) {
+    std::cerr << "demactl " << cmd << ": unknown or unused flag --" << key
+              << "\n";
+  }
+  return unread.empty() ? 0 : 2;
 }
 
 Result<sim::SystemKind> ParseSystem(const std::string& name) {
@@ -124,25 +137,39 @@ Result<sim::WorkloadConfig> BuildWorkload(const Flags& flags,
 
 // --- observability plumbing -------------------------------------------------
 
+/// A command's observability flags: `--metrics-log-ms` and `--metrics-out`.
+struct ObsFlags {
+  explicit ObsFlags(const Flags& flags)
+      : log_ms(flags.Has("metrics-log-ms")
+                   ? std::optional<int64_t>(flags.GetInt("metrics-log-ms", 1000))
+                   : std::nullopt),
+        metrics_out(flags.GetString("metrics-out", "")) {}
+
+  std::optional<int64_t> log_ms;
+  std::string metrics_out;
+};
+
 /// Registry + tracer owned by a demactl command, wired into the system config
 /// so every node, transport, and driver records into one place.
 struct CommandObs {
   obs::Registry registry;
   obs::TraceRecorder tracer;
   std::unique_ptr<obs::PeriodicLogger> logger;
+  std::string metrics_out;
 
   /// \p enable_logger must be false when the command forks afterwards: a
   /// child forked while the logger thread holds the registry mutex would
   /// deadlock on its first instrument lookup.
   /// \p config may be null for commands (tree) that wire the registry into
   /// their own config type.
-  CommandObs(sim::SystemConfig* config, const Flags& flags,
-             bool enable_logger = true) {
+  CommandObs(sim::SystemConfig* config, const ObsFlags& flags,
+             bool enable_logger = true)
+      : metrics_out(flags.metrics_out) {
     if (config != nullptr) {
       config->registry = &registry;
       config->tracer = &tracer;
     }
-    if (!flags.Has("metrics-log-ms")) return;
+    if (!flags.log_ms) return;
     if (!enable_logger) {
       std::cerr << "demactl: --metrics-log-ms is ignored for forked runs\n";
       return;
@@ -150,27 +177,27 @@ struct CommandObs {
     // The periodic dump logs at Info; asking for it opts into that level
     // (the global default of Warn would silently swallow every tick).
     if (Logger::GetLevel() > LogLevel::kInfo) Logger::SetLevel(LogLevel::kInfo);
-    logger = std::make_unique<obs::PeriodicLogger>(
-        &registry, MillisUs(flags.GetInt("metrics-log-ms", 1000)));
+    logger = std::make_unique<obs::PeriodicLogger>(&registry,
+                                                   MillisUs(*flags.log_ms));
   }
 
   /// Writes the JSON dump when --metrics-out was given; logs on failure.
-  void Export(const Flags& flags) {
+  void Export() {
     logger.reset();  // final state should not race a logger tick
-    std::string path = flags.GetString("metrics-out", "");
-    if (path.empty()) return;
-    Status st = obs::WriteObsFile(path, registry, &tracer);
+    if (metrics_out.empty()) return;
+    Status st = obs::WriteObsFile(metrics_out, registry, &tracer);
     if (st.ok()) {
-      std::cerr << "demactl: metrics written to " << path << "\n";
+      std::cerr << "demactl: metrics written to " << metrics_out << "\n";
     } else {
       std::cerr << "demactl: metrics export failed: " << st << "\n";
     }
   }
 };
 
-void EmitTable(const Table& table, const Flags& flags) {
+/// Prints \p table, and writes it to \p csv too unless that is empty (the
+/// `--csv=PATH` flag).
+void EmitTable(const Table& table, const std::string& csv) {
   table.Print(std::cout);
-  std::string csv = flags.GetString("csv", "");
   if (!csv.empty()) {
     Status st = table.WriteCsv(csv);
     if (st.ok()) {
@@ -205,8 +232,11 @@ int CmdRun(const Flags& flags) {
   sim::SystemConfig config = *config_result;
   auto load_result = BuildWorkload(flags, config);
   if (!load_result.ok()) return Fail(load_result.status().ToString());
+  const ObsFlags obs_flags(flags);
+  const std::string csv = flags.GetString("csv", "");
+  if (int rc = RejectUnread(flags, "run")) return rc;
 
-  CommandObs command_obs(&config, flags);
+  CommandObs command_obs(&config, obs_flags);
   RealClock clock;
   net::Network::Options net_options;
   net_options.registry = &command_obs.registry;
@@ -232,34 +262,40 @@ int CmdRun(const Flags& flags) {
     row.push_back(FmtF(ToMillis(out.latency_us), 2));
     (void)table.AddRow(row);
   }
-  EmitTable(table, flags);
+  EmitTable(table, csv);
 
   auto total = network.TotalStats();
   std::cout << "ingested " << FmtCount(driver.events_ingested()) << " events; "
             << FmtCount(total.counters.events) << " raw events / "
             << FmtBytes(total.counters.bytes) << " on the wire\n";
-  command_obs.Export(flags);
+  command_obs.Export();
   return 0;
 }
 
 int CmdCompare(const Flags& flags) {
+  auto base = BuildConfig(flags);
+  if (!base.ok()) return Fail(base.status().ToString());
+  // Reads the workload flags once up front; each system's run rebuilds it.
+  auto base_load = BuildWorkload(flags, *base);
+  if (!base_load.ok()) return Fail(base_load.status().ToString());
+  const bool json = flags.Has("json");
+  const std::string csv = flags.GetString("csv", "");
+  if (int rc = RejectUnread(flags, "compare")) return rc;
+
   Table table({"system", "events", "throughput", "mean latency", "wire events",
                "wire bytes", "bottleneck"});
   for (auto kind :
        {sim::SystemKind::kDema, sim::SystemKind::kCentralExact,
         sim::SystemKind::kDesisMerge, sim::SystemKind::kTDigestCentral,
         sim::SystemKind::kTDigestDecentral, sim::SystemKind::kQDigest}) {
-    sim::SystemConfig config;
-    auto base = BuildConfig(flags);
-    if (!base.ok()) return Fail(base.status().ToString());
-    config = *base;
+    sim::SystemConfig config = *base;
     config.kind = kind;
     config.window_slide_us = 0;  // baselines are tumbling-only
     auto load_result = BuildWorkload(flags, config);
     if (!load_result.ok()) return Fail(load_result.status().ToString());
     auto metrics = sim::RunSync(config, *load_result);
     if (!metrics.ok()) return Fail(metrics.status().ToString());
-    if (flags.Has("json")) {
+    if (json) {
       JsonWriter row;
       row.Field("system", sim::SystemKindToString(kind))
           .RawField("metrics", sim::RunMetricsToJson(*metrics));
@@ -267,7 +303,7 @@ int CmdCompare(const Flags& flags) {
     }
     (void)table.AddRow(MetricsRow(sim::SystemKindToString(kind), *metrics));
   }
-  if (!flags.Has("json")) EmitTable(table, flags);
+  if (!json) EmitTable(table, csv);
   return 0;
 }
 
@@ -284,6 +320,7 @@ int CmdSustainable(const Flags& flags) {
 
   sim::SustainableSearchOptions opts;
   opts.windows = static_cast<uint64_t>(flags.GetInt("windows", 3));
+  if (int rc = RejectUnread(flags, "sustainable")) return rc;
   auto result = sim::FindSustainableThroughput(*config_result, dist, opts);
   if (!result.ok()) return Fail(result.status().ToString());
   std::cout << sim::SystemKindToString(config_result->kind)
@@ -299,7 +336,21 @@ int CmdTree(const Flags& flags) {
   config.locals_per_relay = static_cast<size_t>(flags.GetInt("per-relay", 3));
   config.gamma = static_cast<uint64_t>(flags.GetInt("gamma", 1'000));
   config.quantiles = flags.GetDoubleList("quantiles", {0.5});
-  CommandObs command_obs(nullptr, flags);
+  gen::DistributionParams dist;
+  auto kind_result =
+      gen::DistributionKindFromString(flags.GetString("dist", "sensorwalk"));
+  if (!kind_result.ok()) return Fail(kind_result.status().ToString());
+  dist.kind = *kind_result;
+  dist.lo = flags.GetDouble("lo", 0);
+  dist.hi = flags.GetDouble("hi", 10'000);
+  dist.stddev = flags.GetDouble("stddev", 25);
+  const uint64_t windows = static_cast<uint64_t>(flags.GetInt("windows", 4));
+  const double rate = flags.GetDouble("rate", 20'000);
+  const ObsFlags obs_flags(flags);
+  const std::string csv = flags.GetString("csv", "");
+  if (int rc = RejectUnread(flags, "tree")) return rc;
+
+  CommandObs command_obs(nullptr, obs_flags);
   config.registry = &command_obs.registry;
   config.tracer = &command_obs.tracer;
 
@@ -311,18 +362,9 @@ int CmdTree(const Flags& flags) {
   if (!tree_result.ok()) return Fail(tree_result.status().ToString());
   sim::System tree = std::move(tree_result).MoveValueUnsafe();
 
-  gen::DistributionParams dist;
-  auto kind_result =
-      gen::DistributionKindFromString(flags.GetString("dist", "sensorwalk"));
-  if (!kind_result.ok()) return Fail(kind_result.status().ToString());
-  dist.kind = *kind_result;
-  dist.lo = flags.GetDouble("lo", 0);
-  dist.hi = flags.GetDouble("hi", 10'000);
-  dist.stddev = flags.GetDouble("stddev", 25);
   size_t leaves = config.num_relays * config.locals_per_relay;
-  sim::WorkloadConfig load = sim::MakeUniformWorkload(
-      leaves, static_cast<uint64_t>(flags.GetInt("windows", 4)),
-      flags.GetDouble("rate", 20'000), dist);
+  sim::WorkloadConfig load =
+      sim::MakeUniformWorkload(leaves, windows, rate, dist);
   load.window_len_us = config.window_len_us;
   for (size_t i = 0; i < leaves; ++i) load.generators[i].node = tree.local_ids[i];
 
@@ -339,7 +381,7 @@ int CmdTree(const Flags& flags) {
     for (double v : out.values) row.push_back(FmtF(v, 2));
     (void)table.AddRow(row);
   }
-  EmitTable(table, flags);
+  EmitTable(table, csv);
   uint64_t uplink = 0;
   for (NodeId relay : tree.relay_ids) {
     uplink += network.GetLinkStats(relay, tree.root_id).counters.bytes;
@@ -347,7 +389,7 @@ int CmdTree(const Flags& flags) {
   std::cout << leaves << " leaves through " << config.num_relays
             << " relays; root uplink carried " << FmtBytes(uplink) << " for "
             << FmtCount(driver.events_ingested()) << " events.\n";
-  command_obs.Export(flags);
+  command_obs.Export();
   return 0;
 }
 
@@ -413,8 +455,11 @@ Result<std::pair<std::string, uint16_t>> ParseHostPort(const std::string& spec) 
   return std::make_pair(spec.substr(0, colon), static_cast<uint16_t>(port));
 }
 
-void PrintTcpMetrics(const sim::RunMetrics& metrics, const Flags& flags) {
-  if (flags.Has("json")) {
+/// The run's metrics as JSON when \p json, else as a table (also written to
+/// \p csv unless that is empty).
+void PrintTcpMetrics(const sim::RunMetrics& metrics, bool json,
+                     const std::string& csv) {
+  if (json) {
     std::cout << sim::RunMetricsToJson(metrics) << "\n";
     return;
   }
@@ -425,7 +470,7 @@ void PrintTcpMetrics(const sim::RunMetrics& metrics, const Flags& flags) {
                       FmtRate(metrics.throughput_eps), MeanLatency(metrics),
                       FmtCount(metrics.network_total.events),
                       FmtBytes(metrics.network_total.bytes)});
-  EmitTable(table, flags);
+  EmitTable(table, csv);
 }
 
 /// Session-resilience tuning shared by every TCP command: `--heartbeat-ms`
@@ -483,13 +528,14 @@ int CmdServeSharded(const Flags& flags) {
     auto opts = ServeRootOptions(flags);
     if (!opts.ok()) return Fail(opts.status().ToString());
     opts->linger_us = SecondsUs(flags.GetInt("linger-s", 10));
+    const uint64_t windows = static_cast<uint64_t>(flags.GetInt("windows", 3));
+    if (int rc = RejectUnread(flags, "serve")) return rc;
     opts->on_listening = [&](uint16_t port) {
       std::cerr << "demactl: sharded root listening on " << opts->listen_host
                 << ":" << port << " (" << sc.num_shards << " shards, "
                 << sc.num_keys << " keys, " << sc.num_locals << " locals)\n";
     };
-    auto metrics = shard::RunShardedTcpRoot(
-        sc, static_cast<uint64_t>(flags.GetInt("windows", 3)), *opts);
+    auto metrics = shard::RunShardedTcpRoot(sc, windows, *opts);
     if (!metrics.ok()) return Fail(metrics.status().ToString());
     std::cout << "sharded root: " << FmtCount(metrics->windows_emitted)
               << " per-key windows across " << sc.num_keys << " keys, "
@@ -504,6 +550,7 @@ int CmdServeSharded(const Flags& flags) {
     auto load_result = BuildKeyedWorkload(flags);
     if (!load_result.ok()) return Fail(load_result.status().ToString());
     NodeId id = static_cast<NodeId>(flags.GetInt("id", 1));
+    if (int rc = RejectUnread(flags, "serve")) return rc;
     auto report = shard::RunShardedTcpLocal(sc, *load_result, id, *opts);
     if (!report.ok()) return Fail(report.status().ToString());
     std::cout << "keyed local " << id << ": ingested "
@@ -521,12 +568,16 @@ int CmdServe(const Flags& flags) {
   sim::SystemConfig config = *config_result;
   auto load_result = BuildWorkload(flags, config);
   if (!load_result.ok()) return Fail(load_result.status().ToString());
-  CommandObs command_obs(&config, flags);
+  const ObsFlags obs_flags(flags);
 
   std::string role = flags.GetString("role", "");
   if (role == "root") {
     auto opts = ServeRootOptions(flags);
     if (!opts.ok()) return Fail(opts.status().ToString());
+    const bool json = flags.Has("json");
+    const std::string csv = flags.GetString("csv", "");
+    if (int rc = RejectUnread(flags, "serve")) return rc;
+    CommandObs command_obs(&config, obs_flags);
     opts->on_listening = [&](uint16_t port) {
       std::cerr << "demactl: root listening on " << opts->listen_host << ":"
                 << port << ", waiting for " << config.num_locals
@@ -535,14 +586,16 @@ int CmdServe(const Flags& flags) {
     auto metrics =
         sim::RunTcpRoot(config, load_result->ExpectedWindows(), *opts);
     if (!metrics.ok()) return Fail(metrics.status().ToString());
-    PrintTcpMetrics(*metrics, flags);
-    command_obs.Export(flags);
+    PrintTcpMetrics(*metrics, json, csv);
+    command_obs.Export();
     return 0;
   }
   if (role == "local") {
     auto opts = ServeLocalOptions(flags);
     if (!opts.ok()) return Fail(opts.status().ToString());
     NodeId id = static_cast<NodeId>(flags.GetInt("id", 1));
+    if (int rc = RejectUnread(flags, "serve")) return rc;
+    CommandObs command_obs(&config, obs_flags);
     auto report = sim::RunTcpLocal(config, *load_result, id, *opts);
     if (!report.ok()) return Fail(report.status().ToString());
     uint64_t sent_bytes = 0;
@@ -553,7 +606,7 @@ int CmdServe(const Flags& flags) {
     std::cout << "local " << id << ": ingested "
               << FmtCount(report->events_ingested) << " events, sent "
               << FmtBytes(sent_bytes) << " to the root\n";
-    command_obs.Export(flags);
+    command_obs.Export();
     return 0;
   }
   return Fail("serve needs --role=root or --role=local");
@@ -601,6 +654,7 @@ int CmdConnChaos(const Flags& flags) {
   fault.write_stall_after_frames =
       static_cast<uint64_t>(flags.GetInt("write-stall-after", 0));
   fault.write_stall_us = MillisUs(flags.GetInt("write-stall-ms", 50));
+  if (int rc = RejectUnread(flags, "chaos")) return rc;
 
   auto report_result = sim::RunTcpConnChaos(config, load, fault);
   if (!report_result.ok()) return Fail(report_result.status().ToString());
@@ -660,6 +714,9 @@ int CmdChaos(const Flags& flags) {
   if (!load_result.ok()) return Fail(load_result.status().ToString());
   sim::WorkloadConfig load = *load_result;
   load.window_len_us = config.window_len_us;
+  const bool verify = flags.Has("verify-determinism");
+  const std::string csv = flags.GetString("csv", "");
+  if (int rc = RejectUnread(flags, "chaos")) return rc;
 
   auto report_result = sim::RunScenario(config, load, options);
   if (!report_result.ok()) return Fail(report_result.status().ToString());
@@ -686,7 +743,7 @@ int CmdChaos(const Flags& flags) {
     }
     (void)table.AddRow(row);
   }
-  EmitTable(table, flags);
+  EmitTable(table, csv);
   std::cout << report.exact_windows << " exact, " << report.degraded_windows
             << " degraded, " << report.mismatched_windows << " mismatched, "
             << report.missing_windows << " missing; faults: "
@@ -700,7 +757,7 @@ int CmdChaos(const Flags& flags) {
             << report.counter("dema.quarantined") << " quarantined, "
             << report.counter("dema.readmitted") << " re-admitted\n";
 
-  if (flags.Has("verify-determinism")) {
+  if (verify) {
     auto second = sim::RunScenario(config, load, options);
     if (!second.ok()) return Fail(second.status().ToString());
     std::string diff = sim::DescribeScenarioDiff(report, *second);
@@ -780,6 +837,8 @@ int CmdSim(const Flags& flags) {
                "sim events", "queue peak", "virtual time", "events/s",
                "dropped"});
   const bool verify = flags.Has("verify-determinism");
+  const std::string csv = flags.GetString("csv", "");
+  if (int rc = RejectUnread(flags, "sim")) return rc;
   bool ok = true;
   for (const std::string& spec : topologies) {
     options.topology = spec;
@@ -811,7 +870,7 @@ int CmdSim(const Flags& flags) {
       ok = false;
     }
   }
-  EmitTable(table, flags);
+  EmitTable(table, csv);
   if (!ok) return Fail("scenario invariant violated");
   std::cout << "every window exact or explicitly degraded on "
             << topologies.size() << " topolog"
@@ -827,20 +886,29 @@ int CmdCluster(const Flags& flags) {
   sim::SystemConfig config = *config_result;
   auto load_result = BuildWorkload(flags, config);
   if (!load_result.ok()) return Fail(load_result.status().ToString());
-  CommandObs command_obs(&config, flags, /*enable_logger=*/!flags.Has("tcp"));
-
+  const ObsFlags obs_flags(flags);
+  const bool tcp = flags.Has("tcp");
   sim::TcpClusterFaultOptions cluster_opts;
-  cluster_opts.session = SessionTuningFromFlags(flags);
-  Result<sim::RunMetrics> metrics = flags.Has("tcp")
+  std::string host;
+  uint16_t port = 0;
+  if (tcp) {
+    cluster_opts.session = SessionTuningFromFlags(flags);
+    host = flags.GetString("host", "127.0.0.1");
+    port = static_cast<uint16_t>(flags.GetInt("port", 0));
+  }
+  const bool json = flags.Has("json");
+  const std::string csv = flags.GetString("csv", "");
+  if (int rc = RejectUnread(flags, "cluster")) return rc;
+
+  CommandObs command_obs(&config, obs_flags, /*enable_logger=*/!tcp);
+  Result<sim::RunMetrics> metrics = tcp
       // One OS process per local node plus the root, TCP over loopback.
-      ? sim::RunTcpClusterForked(config, *load_result, cluster_opts,
-                                 flags.GetString("host", "127.0.0.1"),
-                                 static_cast<uint16_t>(flags.GetInt("port", 0)))
+      ? sim::RunTcpClusterForked(config, *load_result, cluster_opts, host, port)
       // Same topology over the deterministic in-process fabric.
       : sim::RunSync(config, *load_result);
   if (!metrics.ok()) return Fail(metrics.status().ToString());
-  PrintTcpMetrics(*metrics, flags);
-  command_obs.Export(flags);
+  PrintTcpMetrics(*metrics, json, csv);
+  command_obs.Export();
   return 0;
 }
 
@@ -850,6 +918,9 @@ int CmdShard(const Flags& flags) {
   shard::ShardedConfig sc = *sc_result;
   auto load_result = BuildKeyedWorkload(flags);
   if (!load_result.ok()) return Fail(load_result.status().ToString());
+  const std::string csv = flags.GetString("csv", "");
+  const std::string metrics_out = flags.GetString("metrics-out", "");
+  if (int rc = RejectUnread(flags, "shard")) return rc;
 
   // One registry for the service, the locals and the fabric, so the export
   // carries the per-type traffic next to the protocol counters.
@@ -888,12 +959,11 @@ int CmdShard(const Flags& flags) {
     }
     (void)table.AddRow(row);
   }
-  EmitTable(table, flags);
+  EmitTable(table, csv);
   std::cout << "sharded sim: " << FmtCount(harness.events_ingested())
             << " events across " << sc.num_keys << " keys / " << sc.num_shards
             << " shards, " << FmtCount(harness.service()->windows_emitted())
             << " per-key windows emitted\n";
-  const std::string metrics_out = flags.GetString("metrics-out", "");
   if (!metrics_out.empty()) {
     st = obs::WriteObsFile(metrics_out, *harness.registry(), nullptr);
     if (!st.ok()) return Fail("metrics export failed: " + st.ToString());
@@ -925,6 +995,8 @@ int CmdQuery(const Flags& flags) {
   opts.shutdown_root = flags.Has("shutdown-root");
   opts.timeout_us =
       static_cast<DurationUs>(flags.GetInt("timeout-s", 60)) * kMicrosPerSecond;
+  const std::string csv = flags.GetString("csv", "");
+  if (int rc = RejectUnread(flags, "query")) return rc;
 
   auto report = shard::RunShardQueryClient(opts);
   if (!report.ok()) return Fail(report.status().ToString());
@@ -957,7 +1029,7 @@ int CmdQuery(const Flags& flags) {
     }
     (void)table.AddRow(row);
   }
-  EmitTable(table, flags);
+  EmitTable(table, csv);
   std::cout << report->keys_found << "/" << opts.keys.size()
             << " keys answered across " << opts.concurrency << " sessions ("
             << FmtCount(report->queries_sent) << " queries sent)\n";
